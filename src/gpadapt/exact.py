@@ -54,6 +54,12 @@ class Dataset:
         self.y = np.atleast_1d(np.asarray(self.y, dtype=float))
         if self.x.shape != self.y.shape:
             raise ValueError("x and y must have matching length")
+        for name, values in (("x", self.x), ("y", self.y)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"{name} must be finite: {name}[{i}] = "
+                                 f"{float(values[i])}")
         if not self.sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
 

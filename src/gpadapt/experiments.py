@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,15 +34,16 @@ from .basis import (
 from .errors import ConditioningError
 from .exact import Dataset, SeriesKernel, kernel_matrix
 from .inducing import (
-    VariationalGP,
-    elbo_lambda,
     elbo_profile,
-    population_features,
+    feature_cutoff,
+    feature_stats,
+    population_candidate,
     predict,
+    predict_mean,
     sample_features,
     titsias_fit,
 )
-from .meanfield import MeanFieldPosterior, design_matrix, mf_elbo, mf_fit, mf_predict
+from .meanfield import design_matrix, mf_fit, mf_predict
 from .select import (
     coarse_init,
     dim_grid,
@@ -277,20 +279,14 @@ def _build_grid(config: ExperimentConfig, n: int):
     return dim_grid(n)
 
 
-def _series_model(config: ExperimentConfig, lam: float, data: Dataset, m: int):
+def _series_prior(config: ExperimentConfig, lam: float) -> SeriesPrior:
     decay = PolyDecay(alpha=lam) if config.prior == "poly" else ExpDecay(tau=lam)
-    prior = SeriesPrior(decay)
-    if config.features == "population":
-        return population_features(prior, data.x, m)
-    kern = SeriesKernel(prior, j_max=max(SIGNAL_J_MAX, 4 * m))
-    K_ff = kernel_matrix(kern, data.x)
-    return sample_features(K_ff, m, kernel=kern, x=data.x)
+    return SeriesPrior(decay)
 
 
-def _profile_noise(model, y: np.ndarray) -> tuple[float, float]:
-    """Maximize the collapsed bound over the noise variance (log scale)."""
-    prof = elbo_profile(model, y)
-    res = minimize_scalar(lambda t: -prof(math.exp(t)),
+def _profile_noise(profile) -> tuple[float, float]:
+    """Maximize a collapsed-bound profile over the noise variance (log scale)."""
+    res = minimize_scalar(lambda t: -profile(math.exp(t)),
                           bounds=_PROFILE_LOG_BOUNDS, method="bounded",
                           options={"xatol": 1e-7})
     s2 = float(math.exp(res.x))
@@ -298,25 +294,51 @@ def _profile_noise(model, y: np.ndarray) -> tuple[float, float]:
 
 
 def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
-    """Per-candidate fit closure plus a side table of profiled noise."""
+    """Per-candidate fit closure plus a side table of profiled noise.
+
+    Design statistics are built once here, before the sweep: the basis at
+    the largest truncation level for ``dim``, and ``FeatureStats`` up to
+    the largest feature count and cutoff for population features. Each
+    candidate then reads only their leading blocks.
+    """
     noise_at: dict[float, float] = {}
 
     if config.prior == "dim":
+        top = design_matrix(_BASIS, data.x, grid.m_rule(grid.values[-1]))
+
         def fitter(lam):
-            dm = design_matrix(_BASIS, data.x, int(round(lam)))
-            q = mf_fit(dm, data)
-            return q, mf_elbo(q, dm, data, hyper_mass=1.0)
+            q = mf_fit(top.leading(int(round(lam))), data)
+            return q, float(q.elbo_path[-1])
 
         return fitter, noise_at
 
+    if config.features == "population":
+        ms = [grid.m_rule(lam) for lam in grid.values]
+        J = max(feature_cutoff(_series_prior(config, lam), m)
+                for lam, m in zip(grid.values, ms))
+        stats = feature_stats(_BASIS, data.x, data.y, J, max(ms))
+
+        def candidate(lam):
+            _, profile, fit = population_candidate(
+                _series_prior(config, lam), stats, grid.m_rule(lam))
+            return profile, fit
+    else:
+        def candidate(lam):
+            m = grid.m_rule(lam)
+            kern = SeriesKernel(_series_prior(config, lam),
+                                j_max=max(SIGNAL_J_MAX, 4 * m))
+            model = sample_features(kernel_matrix(kern, data.x), m,
+                                    kernel=kern, x=data.x)
+            return (elbo_profile(model, data.y),
+                    lambda s2: titsias_fit(model, data.with_sigma_sq(s2)))
+
     def fitter(lam):
-        m = grid.m_rule(lam)
-        model = _series_model(config, lam, data, m)
+        profile, fit = candidate(lam)
         if config.estimate_noise:
-            s2, bound = _profile_noise(model, data.y)
+            s2, bound = _profile_noise(profile)
             noise_at[lam] = s2
-            return titsias_fit(model, data.with_sigma_sq(s2)), bound
-        return titsias_fit(model, data), elbo_lambda(model, data)
+            return fit(s2), bound
+        return fit(data.sigma_sq), profile(data.sigma_sq)
 
     return fitter, noise_at
 
@@ -396,12 +418,13 @@ def _finish_report(config: ExperimentConfig, data: Dataset,
                    selection: list[dict], t0: float) -> RunReport:
     query = np.linspace(float(np.min(data.x)), float(np.max(data.x)),
                         config.query_points)
-    mean, lo95, hi95 = _band(posterior(query))
+    band = posterior(query)
+    mean, lo95, hi95 = _band(band)
     truth = l2_error = coverage = None
     if spec is not None:
         truth = synth_signal(spec, query)
-        xq = _quadrature_grid()
-        diff = posterior(xq).mean - _truth_on_quadrature(spec)
+        # the error needs only the mean rule, not a quadrature covariance
+        diff = band.mean_fn(_quadrature_grid()) - _truth_on_quadrature(spec)
         l2_error = float(np.sqrt(np.mean(diff**2)))
         coverage = float(np.mean((lo95 <= truth) & (truth <= hi95)))
     report = RunReport(
@@ -541,27 +564,21 @@ def _contraction_error(family: str, beta_true: float, n: int, seed: int,
     rng = np.random.default_rng(seed)
     x = rng.uniform(DOMAIN_LO, DOMAIN_HI, size=n)
     spec = _smooth_signal(beta_true)
-    coeffs = spec.coeff_array()
     y = synth_signal(spec, x) + rng.normal(0.0, math.sqrt(sigma_sq), size=n)
     data = Dataset(x=x, y=y, sigma_sq=sigma_sq)
-    if family == "dim":
-        grid = dim_grid(n)
-        def fitter(lam):
-            dm = design_matrix(_BASIS, data.x, int(round(lam)))
-            q = mf_fit(dm, data)
-            return q, mf_elbo(q, dm, data, hyper_mass=1.0)
-        sel = select_discrete(grid, data, fitter)
-        q = sel.posterior
-        head = q.mu - coeffs[:q.D]
-        tail = coeffs[q.D:]
-        return float(np.sqrt(head @ head + tail @ tail))
     config = ExperimentConfig(experiment="contraction", n=n, seed=seed,
                               prior=family, sigma_sq=sigma_sq)
     grid = _build_grid(config, n)
     fitter, _ = _make_fitter(config, grid, data)
     sel = select_discrete(grid, data, fitter)
-    g = predict(sel.posterior, _quadrature_grid())
-    diff = g.mean - synth_signal(spec, _quadrature_grid())
+    if family == "dim":
+        q = sel.posterior
+        coeffs = spec.coeff_array()
+        head = q.mu - coeffs[:q.D]
+        tail = coeffs[q.D:]
+        return float(np.sqrt(head @ head + tail @ tail))
+    xq = _quadrature_grid()
+    diff = predict_mean(sel.posterior, xq) - synth_signal(spec, xq)
     return float(np.sqrt(np.mean(diff**2)))
 
 
@@ -569,6 +586,15 @@ def _replicate_errors(args) -> list[float]:
     family, beta_true, n_list, seed, sigma_sq = args
     return [_contraction_error(family, beta_true, n, seed + i, sigma_sq)
             for i, n in enumerate(n_list)]
+
+
+def _usable_workers(requested: int) -> int:
+    """``requested`` clamped to 1..(CPUs this process may run on)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(int(requested), cpus))
 
 
 def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
@@ -579,8 +605,9 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
     Each replicate contributes one error per sample size; the headline
     slope is the least-squares fit of log mean-error against log n, and
     its standard error comes from the spread of per-replicate slopes.
-    ``workers > 1`` fans replicates out across processes; results are
-    deterministic either way because every replicate owns its seed.
+    ``workers > 1`` fans replicates out across processes, at most one per
+    CPU the process may use; results are deterministic either way because
+    every replicate owns its seed.
     """
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3:
@@ -596,6 +623,7 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
 
     tasks = [(family, beta_true, n_list, seed + 1000 * r, sigma_sq)
              for r in range(replicates)]
+    workers = _usable_workers(workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_replicate_errors, tasks))

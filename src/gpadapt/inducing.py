@@ -20,6 +20,11 @@ and the resulting collapsed objective
     log N(y; 0, Q_ff + sigma^2 I) - tr(K_ff - Q_ff) / (2 sigma^2),
 
 is evaluated through the Woodbury identity in O(m^2 n).
+
+A grid sweep over population priors reads the data only through
+statistics of the basis features that no candidate changes
+(:class:`FeatureStats`): built once per dataset in O(n J), they let every
+candidate be scored and fitted in O(m^3 + J) (:func:`population_candidate`).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _linalg
-from .basis import SeriesPrior
+from .basis import EigenBasis, SeriesPrior
 from .errors import ConditioningError
 from .exact import (
     Dataset,
@@ -46,10 +51,15 @@ from .exact import (
 __all__ = [
     "InducingModel",
     "VariationalGP",
+    "FeatureStats",
+    "feature_cutoff",
+    "feature_stats",
+    "population_candidate",
     "population_features",
     "sample_features",
     "titsias_fit",
     "predict",
+    "predict_mean",
     "elbo_lambda",
     "elbo_profile",
     "elbo_at",
@@ -63,15 +73,18 @@ class InducingModel:
 
     ``V`` and ``eigvals`` are populated for the sample flavor only;
     ``prior`` for the population flavor; ``kernel`` when cross-covariances
-    to new points are available for prediction.
+    to new points are available for prediction. A population model scored
+    from :class:`FeatureStats` holds no per-point terms (``K_uf``,
+    ``kff_diag`` and ``x_train`` are None): it predicts, but cannot be
+    refitted against a dataset.
     """
 
     flavor: str
     m: int
     K_uu: np.ndarray
-    K_uf: np.ndarray
-    kff_diag: np.ndarray
-    x_train: np.ndarray
+    K_uf: np.ndarray | None
+    kff_diag: np.ndarray | None
+    x_train: np.ndarray | None
     V: np.ndarray | None = None
     eigvals: np.ndarray | None = None
     prior: SeriesPrior | None = None
@@ -81,6 +94,9 @@ class InducingModel:
 
     @property
     def n(self) -> int:
+        if self.K_uf is None:
+            raise ValueError("model was scored from design statistics and "
+                             "has no per-point terms")
         return self.K_uf.shape[1]
 
 
@@ -93,6 +109,26 @@ class VariationalGP:
     Sigma: np.ndarray
 
 
+def feature_cutoff(prior: SeriesPrior, m: int,
+                   j_cutoff: int | None = None) -> int:
+    """Series length J behind the trace term of an m-feature population model.
+
+    J = max(10 m, 1000) unless ``j_cutoff`` is given, capped at the spectrum
+    support. Raises for m outside 1..support or a cutoff below m.
+    """
+    if m < 1:
+        raise ValueError("need at least one inducing feature")
+    if m > prior.support:
+        raise ValueError(
+            f"m = {m} exceeds the spectrum support {prior.support}")
+    J = max(10 * m, 1000) if j_cutoff is None else int(j_cutoff)
+    if J < m:
+        raise ValueError("j_cutoff must be at least m")
+    if np.isfinite(prior.support):
+        J = min(J, int(prior.support))
+    return J
+
+
 def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
                         j_cutoff: int | None = None,
                         tail_mode: str = "mean") -> InducingModel:
@@ -100,26 +136,17 @@ def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
 
     The prior variance sum behind ``kff_diag`` is truncated at
     J = max(10 m, 1000) (capped at the spectrum support, overridable via
-    ``j_cutoff``). With ``tail_mode="mean"`` (default) the mean of the
-    dropped tail, sum_{j>J} s_j^2, is added back so the trace penalty in
-    the collapsed objective is unbiased for slowly decaying spectra; with
-    ``tail_mode="truncate"`` the model describes exactly the J-term
-    truncated prior, which is what a matching
+    ``j_cutoff``; see :func:`feature_cutoff`). With ``tail_mode="mean"``
+    (default) the mean of the dropped tail, sum_{j>J} s_j^2, is added back
+    so the trace penalty in the collapsed objective is unbiased for slowly
+    decaying spectra; with ``tail_mode="truncate"`` the model describes
+    exactly the J-term truncated prior, which is what a matching
     :class:`~gpadapt.exact.SeriesKernel` computes.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if m < 1:
-        raise ValueError("need at least one inducing feature")
-    if m > prior.support:
-        raise ValueError(
-            f"m = {m} exceeds the spectrum support {prior.support}")
     if tail_mode not in ("mean", "truncate"):
         raise ValueError("tail_mode must be 'mean' or 'truncate'")
-    J = max(10 * m, 1000) if j_cutoff is None else int(j_cutoff)
-    if J < m:
-        raise ValueError("j_cutoff must be at least m")
-    if np.isfinite(prior.support):
-        J = min(J, int(prior.support))
+    J = feature_cutoff(prior, m, j_cutoff)
     s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
     Phi = prior.basis.features(x, J)
     kff = (Phi * Phi) @ s2
@@ -137,6 +164,53 @@ def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
         feature_cutoff=J,
         tail_mode=tail_mode,
     )
+
+
+#: design rows per block when accumulating :class:`FeatureStats`; a block
+#: holds rows x J features, so memory stays O(STATS_CHUNK J + m^2)
+STATS_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class FeatureStats:
+    """Sums over the design of the first J basis features, for one dataset.
+
+    ``colsumsq[j-1]`` is sum_i phi_j(x_i)^2 for j <= J, ``gram`` the leading
+    m x m block of Phi'Phi, ``phi_y`` the first m entries of Phi'y, and
+    ``yty`` is y'y. No population candidate with at most m features and a
+    cutoff of at most J changes them.
+    """
+
+    n: int
+    colsumsq: np.ndarray
+    gram: np.ndarray
+    phi_y: np.ndarray
+    yty: float
+
+
+def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
+                  m: int) -> FeatureStats:
+    """Accumulate :class:`FeatureStats` over blocks of design rows.
+
+    Peak memory is O(STATS_CHUNK J + m^2), never O(n J).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.shape != y.shape:
+        raise ValueError("x and y must have matching length")
+    if not 1 <= m <= J:
+        raise ValueError("need 1 <= m <= J")
+    colsumsq = np.zeros(J)
+    gram = np.zeros((m, m))
+    phi_y = np.zeros(m)
+    for lo in range(0, x.size, STATS_CHUNK):
+        F = basis.features(x[lo:lo + STATS_CHUNK], J)
+        colsumsq += np.einsum("ij,ij->j", F, F)
+        head = F[:, :m]
+        gram += head.T @ head
+        phi_y += head.T @ y[lo:lo + STATS_CHUNK]
+    return FeatureStats(n=x.size, colsumsq=colsumsq, gram=gram, phi_y=phi_y,
+                        yty=float(y @ y))
 
 
 def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
@@ -191,18 +265,24 @@ def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
     )
 
 
-def titsias_fit(model: InducingModel, data: Dataset) -> VariationalGP:
-    """Closed-form optimal q(u) for the collapsed variational problem."""
-    if data.n != model.n:
-        raise ValueError("model was built for a different design")
-    s2 = data.sigma_sq
-    A = model.K_uu + (model.K_uf @ model.K_uf.T) / s2
+def _optimal_q(model: InducingModel, KufKfu: np.ndarray, Kuf_y: np.ndarray,
+               sigma_sq: float) -> VariationalGP:
+    """Closed-form q(u) from K_uf K_fu and K_uf y."""
+    A = model.K_uu + KufKfu / sigma_sq
     L_A, _ = _linalg.chol_jitter(A)
     T = _linalg.chol_solve(L_A, model.K_uu)
     Sigma = model.K_uu @ T
     Sigma = 0.5 * (Sigma + Sigma.T)
-    mu = model.K_uu @ _linalg.chol_solve(L_A, model.K_uf @ data.y) / s2
+    mu = model.K_uu @ _linalg.chol_solve(L_A, Kuf_y) / sigma_sq
     return VariationalGP(model=model, mu=mu, Sigma=Sigma)
+
+
+def titsias_fit(model: InducingModel, data: Dataset) -> VariationalGP:
+    """Closed-form optimal q(u) for the collapsed variational problem."""
+    if data.n != model.n:
+        raise ValueError("model was built for a different design")
+    return _optimal_q(model, model.K_uf @ model.K_uf.T, model.K_uf @ data.y,
+                      data.sigma_sq)
 
 
 def _cross_to_features(model: InducingModel, xs: np.ndarray) -> np.ndarray:
@@ -241,6 +321,17 @@ def _prior_cov(model: InducingModel, xs: np.ndarray, ys: np.ndarray
     return kernel_cross(model.kernel, xs, ys)
 
 
+def _mean_rule(q: VariationalGP):
+    """Cholesky factor of K_uu and the mean rule x -> K_xu K_uu^{-1} mu."""
+    L_uu, _ = _linalg.chol_jitter(q.model.K_uu)
+    w = _linalg.chol_solve(L_uu, q.mu)  # K_uu^{-1} mu
+
+    def mean_fn(xs):
+        return _cross_to_features(q.model, xs) @ w
+
+    return L_uu, mean_fn
+
+
 def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     """Variational predictive law of f, summarized at ``query``.
 
@@ -248,12 +339,8 @@ def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     (x, x') -> k(x, x') - K_xu K_uu^{-1} (K_uu - Sigma) K_uu^{-1} K_ux'.
     """
     model = q.model
-    L_uu, _ = _linalg.chol_jitter(model.K_uu)
-    w = _linalg.chol_solve(L_uu, q.mu)  # K_uu^{-1} mu
+    L_uu, mean_fn = _mean_rule(q)
     mid = model.K_uu - q.Sigma
-
-    def mean_fn(xs):
-        return _cross_to_features(model, xs) @ w
 
     def cov_fn(xs, ys):
         Ba = _linalg.chol_solve(L_uu, _cross_to_features(model, xs).T)
@@ -265,6 +352,15 @@ def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
                              mean_fn, cov_fn)
 
 
+def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
+    """Predictive mean at ``xs`` alone.
+
+    Equal to ``predict(q, xs).mean`` without forming the len(xs) x len(xs)
+    covariance.
+    """
+    return _mean_rule(q)[1](np.atleast_1d(np.asarray(xs, dtype=float)))
+
+
 def _woodbury_parts(model: InducingModel):
     L_uu, _ = _linalg.chol_jitter(model.K_uu)
     W = _linalg.solve_lower(L_uu, model.K_uf)  # m x n, Q_ff = W'W
@@ -272,22 +368,15 @@ def _woodbury_parts(model: InducingModel):
     return L_uu, W, G
 
 
-def elbo_profile(model: InducingModel, y: np.ndarray
-                 ) -> Callable[[float], float]:
-    """Collapsed objective as a cheap function of the noise variance.
+def _collapsed_profile(G: np.ndarray, wy: np.ndarray, yty: float,
+                       kff_sum: float, n: int) -> Callable[[float], float]:
+    """Collapsed objective from its whitened data terms.
 
-    The O(m^2 n) work (feature whitening and the m x m Gram) happens once;
-    each call then costs O(m^3). Used both for fixed-noise evaluation and
-    for profiling out sigma^2 during selection.
+    With K_uu = L L' and W = L^{-1} K_uf: G = W W', wy = W y, y'y,
+    tr K_ff and n. Each call costs O(m^3).
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    _, W, G = _woodbury_parts(model)
-    wy = W @ y
-    yty = float(y @ y)
-    kff_sum = float(np.sum(model.kff_diag))
     tr_G = float(np.trace(G))
-    m = model.m
+    m = G.shape[0]
     eye = np.eye(m)
 
     def value(sigma_sq: float) -> float:
@@ -303,6 +392,64 @@ def elbo_profile(model: InducingModel, y: np.ndarray
         return fit - penalty
 
     return value
+
+
+def elbo_profile(model: InducingModel, y: np.ndarray
+                 ) -> Callable[[float], float]:
+    """Collapsed objective as a cheap function of the noise variance.
+
+    The O(m^2 n) work (feature whitening and the m x m Gram) happens once;
+    each call then costs O(m^3). Used both for fixed-noise evaluation and
+    for profiling out sigma^2 during selection.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size != model.n:
+        raise ValueError("model was built for a different design")
+    _, W, G = _woodbury_parts(model)
+    return _collapsed_profile(G, W @ y, float(y @ y),
+                              float(np.sum(model.kff_diag)), y.size)
+
+
+def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
+                         ) -> tuple[InducingModel, Callable[[float], float],
+                                    Callable[[float], VariationalGP]]:
+    """Population-feature model of :func:`population_features`, from statistics.
+
+    Returns the model, the collapsed objective as a function of the noise
+    variance (equal to ``elbo_profile(population_features(prior, x, m), y)``
+    up to roundoff) and the matching optimal q(u) as a function of the noise
+    variance; neither touches the design. K_uu = diag(s^2) is diagonal, so
+    with s the first m prior scales the data terms are
+    G = diag(s) (Phi'Phi)_m diag(s), W y = s * (Phi'y)_m and
+    tr K_ff = sum_{j<=J} s_j^2 colsumsq_j + n times the tail mean. Costs
+    O(m^3 + J).
+    """
+    J = feature_cutoff(prior, m)
+    if J > stats.colsumsq.size or m > stats.gram.shape[0]:
+        raise ValueError(
+            f"statistics cover J = {stats.colsumsq.size}, "
+            f"m = {stats.gram.shape[0]}; candidate needs J = {J}, m = {m}")
+    s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
+    kff_sum = (float(s2 @ stats.colsumsq[:J])
+               + stats.n * prior.tail_variance(J))
+    s2 = s2[:m]
+    gram = stats.gram[:m, :m]
+    phi_y = stats.phi_y[:m]
+    s = np.sqrt(s2)
+    model = InducingModel(flavor="population", m=m, K_uu=np.diag(s2),
+                          K_uf=None, kff_diag=None, x_train=None, prior=prior,
+                          feature_cutoff=J, tail_mode="mean")
+    profile = _collapsed_profile(s[:, None] * gram * s, s * phi_y, stats.yty,
+                                 kff_sum, stats.n)
+    KufKfu = s2[:, None] * gram * s2
+    Kuf_y = s2 * phi_y
+
+    def fit(sigma_sq: float) -> VariationalGP:
+        if not sigma_sq > 0:
+            raise ValueError("sigma_sq must be positive")
+        return _optimal_q(model, KufKfu, Kuf_y, sigma_sq)
+
+    return model, profile, fit
 
 
 def elbo_lambda(model: InducingModel, data: Dataset) -> float:

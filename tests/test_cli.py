@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from gpadapt import _linalg
 from gpadapt.cli import load_config_file, main
+from gpadapt.errors import ConditioningError
 
 
 def _write_series_csv(path, n=30, seed=0):
@@ -88,15 +90,41 @@ class TestSelectCommand:
         assert code == 0
         assert "dim=" in capsys.readouterr().out
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # a NaN design point poisons every candidate's factorization
-        bad = tmp_path / "bad.csv"
-        rows = [f"{i / 3:.3f},1.0" for i in range(12)]
-        rows[5] = "nan,1.0"
-        bad.write_text("\n".join(rows) + "\n")
-        code = main(["select", "--data", str(bad), "--sigma2", "0.01"])
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        # every candidate's factorization fails, so no candidate is left
+        def fail(mat):
+            raise ConditioningError("Cholesky failed")
+
+        monkeypatch.setattr(_linalg, "chol_jitter", fail)
+        code = main(["select", "--n", "60", "--seed", "1", "--sigma2", "0.01"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+def _write_csv_with_nan(path):
+    # times inside the basis domain [0, 2 pi], so only the NaN is wrong
+    rows = [f"{i / 10:.1f},{1.0 + i / 100:.2f}" for i in range(60)]
+    rows[17] = "1.7,nan"
+    path.write_text("t_sec,speed_kmh\n" + "\n".join(rows) + "\n")
+    return path
+
+
+class TestNonFiniteInput:
+    """A non-finite response is rejected where the data enter, by index."""
+
+    @pytest.mark.parametrize("command", [
+        ["select", "--sigma2", "0.01"],
+        ["fit", "--m", "10"],
+    ])
+    def test_nan_response_exits_two_naming_the_row(self, tmp_path, capsys,
+                                                    command):
+        bad = _write_csv_with_nan(tmp_path / "bad.csv")
+        code = main(command + ["--data", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "y must be finite: y[17] = nan" in err
+        assert "infs or NaNs" not in err
+        assert "sigma_sq must be positive" not in err
 
 
 class TestFitAndRunningCommands:

@@ -40,6 +40,18 @@ def _simulate(spec, n, sigma_sq, seed):
     return Dataset(x, y, sigma_sq)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("name,bad", [
+        ("y", np.nan), ("y", np.inf), ("x", -np.inf), ("x", np.nan)])
+    def test_rejects_non_finite_values_by_name_and_index(self, name, bad):
+        arrays = {"x": np.linspace(0.0, 1.0, 8), "y": np.ones(8)}
+        arrays[name][3] = bad
+        arrays[name][6] = bad
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be finite: {name}\[3\]"):
+            Dataset(arrays["x"], arrays["y"], 0.1)
+
+
 class TestKernels:
     def test_squared_exponential_value(self):
         k = kernel_matrix(SquaredExponential(nu=2.0, tau=1.0),

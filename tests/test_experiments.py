@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from gpadapt.basis import synth_signal
+from gpadapt import experiments
 from gpadapt.errors import ConditioningError
 from gpadapt.experiments import (
     DEFAULT_NOISE_SQ,
@@ -18,6 +20,7 @@ from gpadapt.experiments import (
     load_running_csv,
     run_continuous,
     run_experiment,
+    _usable_workers,
     simulate_poly,
 )
 
@@ -330,6 +333,38 @@ class TestContraction:
         ratio = b.slope_se / a.slope_se
         assert ratio == pytest.approx(0.786853, abs=1e-3)
         assert 0.5 <= ratio <= 0.95
+
+    def test_worker_count_clamped_to_usable_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert _usable_workers(10**6) == cpus
+        assert _usable_workers(1) == 1
+        assert _usable_workers(0) == 1
+        assert _usable_workers(-3) == 1
+
+    def test_study_asks_the_pool_for_clamped_workers(self, monkeypatch):
+        # a stand-in pool records its size and runs inline, so no worker
+        # process starts however many are requested
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        rep = contraction_study("dim", 0.8, (60, 120, 240), 5, seed=5,
+                                workers=10**6)
+        cpus = len(os.sched_getaffinity(0))
+        assert sizes == ([cpus] if cpus > 1 else [])
+        assert rep.errors.shape == (5, 3)
 
     def test_workers_match_sequential(self):
         seq = contraction_study("dim", 0.8, (60, 120, 240), 5, seed=5)
