@@ -259,16 +259,26 @@ def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
     """Evaluate the partial sum of ``spec`` at x (scalar or array).
 
     The shift is applied inside the (periodic) basis argument, so any real
-    x is accepted; evaluation is chunked to keep the n-by-j_max feature
-    block small.
+    x is accepted. Only the frequencies with a nonzero coefficient are
+    evaluated: the sum is c_1 + sqrt(2) sum_k (c_2k cos(k z) +
+    c_2k+1 sin(k z)) over those k, in chunks of points that keep the
+    point-by-frequency blocks small.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = _wrap(x_arr - spec.shift)
     c = spec.coeff_array()
-    out = np.empty_like(z)
+    # phi_2k = sqrt(2) cos(k z) sits at index 2k - 1, phi_2k+1 at index 2k
+    c_cos = np.sqrt(2.0) * c[1::2]
+    c_sin = np.sqrt(2.0) * c[2::2]
+    k_cos = np.flatnonzero(c_cos) + 1.0
+    k_sin = np.flatnonzero(c_sin) + 1.0
+    c_cos = c_cos[c_cos != 0]
+    c_sin = c_sin[c_sin != 0]
+    out = np.full_like(z, c[0])
     for lo in range(0, z.size, chunk):
-        hi = min(lo + chunk, z.size)
-        out[lo:hi] = spec.basis.features(z[lo:hi], spec.j_max) @ c
+        zc = z[lo:lo + chunk]
+        out[lo:lo + chunk] += (np.cos(np.outer(zc, k_cos)) @ c_cos
+                               + np.sin(np.outer(zc, k_sin)) @ c_sin)
     return out if np.asarray(x).shape else float(out[0])
 
 

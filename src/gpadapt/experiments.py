@@ -493,7 +493,11 @@ def _continuous_bounds(data: Dataset) -> list[tuple[float, float]]:
 
 def run_continuous(config: ExperimentConfig,
                    data: Dataset | None = None) -> RunReport:
-    """Kernel-tuning pipeline: coarse scan, bound ascent, prediction."""
+    """Kernel-tuning pipeline: coarse scan, bound ascent, prediction.
+
+    The tuner's diagnostics go into the selection row of ``report.json``
+    (``selection.csv`` keeps its columns).
+    """
     t0 = time.perf_counter()
     spec: SignalSpec | None = None
     if data is None:
@@ -529,6 +533,7 @@ def run_continuous(config: ExperimentConfig,
             "sigma_sq": float(sigma) ** 2,
             "wall_time": rep.records[0].wall_time,
             "error": None,
+            "diagnostics": rep.diagnostics,
         }]
         return _finish_report(config, data, spec, rep.posterior, chosen,
                               selection, t0)

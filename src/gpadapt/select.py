@@ -5,10 +5,16 @@ The discrete selector scores each grid value lambda by
     score(lambda) = collapsed_bound(lambda) + log mass(lambda)
 
 and keeps the argmax, which coincides with the argmax of the collapsed
-bound alone whenever the masses are uniform. The continuous tuner drives
-(sigma, nu, tau) of the stationary-kernel workflow through Nelder-Mead on
-log-parameters, rebuilding the sample spectral features at every objective
-evaluation.
+bound alone whenever the masses are uniform.
+
+The continuous tuner fits (sigma, nu, tau) of the squared-exponential
+kernel nu exp(-(x - x')^2 / tau^2). Its eigenvectors depend on tau alone
+and nu only scales its eigenvalues, so the unit-variance kernel is
+factorized once per tau; in that eigenbasis the collapsed bound at any
+(sigma, nu) is a closed form costing O(m). A bounded 1-D search over
+log tau calls that factorization, and at each tau the free (sigma, nu)
+are solved within their bounds. The exact evidence is the same bound at
+m = n.
 """
 
 from __future__ import annotations
@@ -198,39 +204,122 @@ def select_discrete(grid: HyperGrid, data: Dataset,
     return SelectionReport(chosen=best[1], posterior=best[2], records=records)
 
 
+#: absolute tolerance on log tau at which the length-scale search stops
+LOG_TAU_XATOL = 1e-6
+#: first stride of the length-scale search away from its start, in log tau
+_LOG_TAU_STRIDE = 0.25
+_GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
+_LOG_2PI = math.log(2.0 * math.pi)
+_NAMES = ("sigma", "nu", "tau")
+
+
+def _top_features(K: np.ndarray, m: int, **kwargs):
+    """:func:`sample_features` without its dropped-eigenvalue warning.
+
+    The tuner records the number dropped at the chosen tau in its
+    diagnostics instead.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return sample_features(K, m, **kwargs)
+
+
+@dataclass(frozen=True)
+class _EigenFactor:
+    """Unit-variance squared-exponential kernel at one tau, in its eigenbasis.
+
+    ``K1`` is ``kernel_matrix(SquaredExponential(1, tau), x)``, ``lam`` its
+    top eigenvalues kept by :func:`sample_features` and ``p = V'y`` the
+    data in the matching eigenvectors. The kernel of variance nu is nu K1
+    with the same eigenvectors, so every (sigma, nu) is scored from these
+    without touching the design.
+    """
+
+    tau: float
+    K1: np.ndarray
+    lam: np.ndarray
+    p: np.ndarray
+    rest: float  # y'y - p'p: energy of y outside the kept eigenvectors
+    gap: float  # tr K1 - sum(lam): trace term per unit of nu
+    n: int
+    dropped: int
+
+    def bound(self, sigma: float, nu: float) -> tuple[float, np.ndarray]:
+        """Collapsed bound at (sigma, nu, tau) and its gradient.
+
+        The value equals ``_collapsed_profile`` with G = nu diag(lam),
+        W y = sqrt(nu lam) * p and tr K_ff = nu tr K1 at sigma^2. G is
+        diagonal, so with d = sigma^2 + nu lam it is the closed form
+
+            -(n log 2 pi + sum log d + (n - m) log sigma^2
+              + sum p^2 / d + (rest + nu gap) / sigma^2) / 2
+
+        in O(m). The gradient is taken in (log sigma, log nu).
+        """
+        s = sigma * sigma
+        g = nu * self.lam
+        d = s + g
+        q = self.p * self.p / d
+        qd = q / d
+        resid = (self.rest + nu * self.gap) / s
+        m = self.lam.size
+        value = -0.5 * (self.n * _LOG_2PI + float(np.sum(np.log(d)))
+                        + (self.n - m) * math.log(s) + float(np.sum(q))
+                        + resid)
+        d_log_sigma = -(s * float(np.sum(1.0 / d)) + (self.n - m)
+                        - s * float(np.sum(qd)) - resid)
+        d_log_nu = -0.5 * (float(np.sum(g / d)) - float(g @ qd)
+                           + nu * self.gap / s)
+        return value, np.array([d_log_sigma, d_log_nu])
+
+
+def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
+    """The one factorization at ``tau``: top-``rank`` eigenpairs of K1."""
+    K1 = kernel_matrix(SquaredExponential(1.0, tau), data.x)
+    model = _top_features(K1, rank)
+    p = model.V.T @ data.y
+    return _EigenFactor(
+        tau=tau, K1=K1, lam=model.eigvals, p=p,
+        rest=float(data.y @ data.y) - float(p @ p),
+        gap=float(np.trace(K1)) - float(np.sum(model.eigvals)),
+        n=data.n, dropped=rank - model.m)
+
+
+def _rank(objective: str, m: int, n: int) -> int:
+    """Features behind the objective: m for the bound, all n for the evidence.
+
+    At m = n the collapsed bound is the log evidence (its trace term
+    vanishes), so both objectives share one code path.
+    """
+    if objective not in ("elbo", "evidence"):
+        raise ValueError("objective must be 'elbo' or 'evidence'")
+    return m if objective == "elbo" else n
+
+
 def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
-                kernel_ctor: Callable = SquaredExponential,
                 objective: str = "elbo",
                 points_per_axis: int = 3) -> tuple:
     """Pick a starting triple for :func:`tune_continuous` by grid scan.
 
-    Evaluates the chosen objective on a log-spaced lattice interior to the
-    bounds and returns the best (sigma, nu, tau). Failures are skipped;
-    raises if every lattice point fails.
+    Scores the objective on a log-spaced lattice interior to the bounds and
+    returns the best (sigma, nu, tau). The kernel is factorized once per
+    lattice tau (:class:`_EigenFactor`); each (sigma, nu) point then costs
+    O(m). Lattice taus whose factorization fails are skipped; raises if
+    every one fails.
     """
-    axes = []
-    for lo, hi in bounds:
-        grid = np.exp(np.linspace(np.log(lo), np.log(hi),
-                                  points_per_axis + 2))[1:-1]
-        axes.append(grid)
+    rank = _rank(objective, m, data.n)
+    sigmas, nus, taus = (
+        np.exp(np.linspace(np.log(lo), np.log(hi), points_per_axis + 2))[1:-1]
+        for lo, hi in bounds)
     best = None
-    for sigma in axes[0]:
-        for nu in axes[1]:
-            for tau in axes[2]:
-                shifted = data.with_sigma_sq(sigma * sigma)
-                kern = kernel_ctor(nu, tau)
-                try:
-                    if objective == "evidence":
-                        val = log_evidence(kern, shifted)
-                    else:
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore", RuntimeWarning)
-                            model = sample_features(
-                                kernel_matrix(kern, data.x), m,
-                                kernel=kern, x=data.x)
-                        val = elbo_lambda(model, shifted)
-                except _FAIL:
-                    continue
+    for tau in taus:
+        try:
+            fac = _factor(data, rank, float(tau))
+        except _FAIL:
+            continue
+        for sigma in sigmas:
+            for nu in nus:
+                val = fac.bound(sigma, nu)[0]
                 if best is None or val > best[0]:
                     best = (val, (float(sigma), float(nu), float(tau)))
     if best is None:
@@ -238,30 +327,110 @@ def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
     return best[1]
 
 
-def _compose(free: np.ndarray, z_free: np.ndarray,
-             log_init: np.ndarray) -> np.ndarray:
-    z = log_init.copy()
-    z[free] = z_free
-    return np.exp(z)
+def _solve_sigma_nu(fac: _EigenFactor, start: np.ndarray, free: np.ndarray,
+                    lo: np.ndarray, hi: np.ndarray
+                    ) -> tuple[float, np.ndarray]:
+    """Maximize ``fac``'s bound over the free entries of (log sigma, log nu).
+
+    L-BFGS-B within the log bounds from ``start``, with the analytic
+    gradient; pinned entries stay at ``start``. Returns the maximum and the
+    log parameters reaching it.
+    """
+    z = start.copy()
+    if not free.any():
+        return fac.bound(*np.exp(z))[0], z
+
+    def negative(z_free):
+        z[free] = z_free
+        value, grad = fac.bound(*np.exp(z))
+        return -value, -grad[free]
+
+    result = scipy.optimize.minimize(
+        negative, start[free], jac=True, method="L-BFGS-B",
+        bounds=list(zip(lo[free], hi[free])),
+        options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 500})
+    z[free] = result.x
+    return -float(result.fun), z
+
+
+def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
+                    hi: float, maxiter: int) -> tuple[int, bool]:
+    """Maximize ``h`` over [lo, hi] from ``t0`` in at most ``maxiter`` steps.
+
+    Walks uphill from t0 with a stride growing by the golden ratio until h
+    falls or a bound is reached, then runs bounded Brent inside that bracket
+    to ``LOG_TAU_XATOL``. Every step is one call of h, which keeps the best
+    point itself. Returns the steps taken and whether the tolerance was met.
+    """
+    steps = 0
+    f0 = h(t0)
+
+    def probe(t):
+        nonlocal steps
+        steps += 1
+        return h(t)
+
+    if maxiter < 1:
+        return 0, False
+    stride = _LOG_TAU_STRIDE
+    cur = min(t0 + stride, hi)
+    f_cur = probe(cur)
+    direction = 1.0
+    if f_cur <= f0:
+        if steps == maxiter:
+            return steps, False
+        left = max(t0 - stride, lo)
+        f_left = probe(left)
+        if f_left <= f0:
+            bracket = (left, cur)
+            cur = None
+        else:
+            direction, cur, f_cur = -1.0, left, f_left
+    prev = t0
+    while cur is not None:
+        if cur in (lo, hi):
+            bracket = (prev, cur)
+            break
+        if steps == maxiter:
+            return steps, False
+        stride *= _GOLDEN
+        nxt = min(max(cur + direction * stride, lo), hi)
+        f_nxt = probe(nxt)
+        if f_nxt <= f_cur:
+            bracket = (prev, nxt)
+            break
+        prev, cur, f_cur = cur, nxt, f_nxt
+    if maxiter - steps < 2:  # bounded Brent makes at least two calls
+        return steps, False
+    result = scipy.optimize.minimize_scalar(
+        lambda t: -h(t), bounds=(min(bracket), max(bracket)),
+        method="bounded",
+        options={"xatol": LOG_TAU_XATOL, "maxiter": maxiter - steps})
+    return steps + int(result.nfev), bool(result.success)
 
 
 def tune_continuous(data: Dataset, m: int,
                     init: Sequence[float], bounds: Sequence[tuple],
-                    kernel_ctor: Callable = SquaredExponential,
                     free: Sequence[bool] = (True, True, True),
                     objective: str = "elbo",
                     maxiter: int = 200) -> SelectionReport:
-    """Tune (sigma, nu, tau) by Nelder-Mead on log-parameters.
+    """Tune (sigma, nu, tau) of the squared-exponential kernel.
 
     ``objective="elbo"`` maximizes the collapsed bound of an m-feature
-    sample-spectral model, recomputing the eigendecomposition at every
-    evaluation; ``objective="evidence"`` maximizes the exact marginal
-    likelihood instead (the empirical-Bayes reference). ``free`` pins
-    coordinates (False entries stay at ``init``). The report's posterior
-    is a callable mapping query points to a Gaussian law.
+    sample-spectral model; ``objective="evidence"`` maximizes the exact
+    marginal likelihood (the empirical-Bayes reference), which is the same
+    bound at m = n. The kernel is factorized once per length-scale tau
+    (:class:`_EigenFactor`): a bounded 1-D search over log tau starts at
+    ``init`` and takes at most ``maxiter`` steps, and at each tau the free
+    (sigma, nu) are solved within the bounds in O(m) per evaluation.
+    ``free`` pins coordinates (False entries stay at ``init``); a pinned tau
+    makes one factorization. The report's posterior is a callable mapping
+    query points to a Gaussian law. Its diagnostics hold the tau steps
+    (``iterations``), the factorizations (``evaluations``) and how many
+    failed, whether the tau search met its tolerance, the names ``pinned``
+    at bounds and the eigenvalues dropped at the chosen tau.
     """
-    if objective not in ("elbo", "evidence"):
-        raise ValueError("objective must be 'elbo' or 'evidence'")
+    rank = _rank(objective, m, data.n)
     init = np.asarray(init, dtype=float)
     free = np.asarray(free, dtype=bool)
     if init.shape != (3,) or free.shape != (3,):
@@ -281,55 +450,50 @@ def tune_continuous(data: Dataset, m: int,
     log_lo, log_hi = np.log(lo), np.log(hi)
     n_evals = 0
     n_fails = 0
-    PENALTY = 1e12
+    best = None  # (bound, log (sigma, nu, tau), factor)
 
-    def score(params: np.ndarray) -> float:
-        sigma, nu, tau = params
-        shifted = data.with_sigma_sq(sigma * sigma)
-        kern = kernel_ctor(nu, tau)
-        if objective == "evidence":
-            return log_evidence(kern, shifted)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = sample_features(kernel_matrix(kern, data.x), m,
-                                    kernel=kern, x=data.x)
-        return elbo_lambda(model, shifted)
-
-    def neg_objective(z_free: np.ndarray) -> float:
-        nonlocal n_evals, n_fails
+    def profile(t: float) -> float:
+        """Best bound over the free (sigma, nu) at tau = e^t."""
+        nonlocal n_evals, n_fails, best
         n_evals += 1
         try:
-            return -score(_compose(free, z_free, log_init))
+            fac = _factor(data, rank, math.exp(t))
         except _FAIL:
             n_fails += 1
-            return PENALTY
+            return -np.inf
+        start = log_init[:2] if best is None else best[1][:2]
+        value, z = _solve_sigma_nu(fac, start, free[:2], log_lo[:2],
+                                   log_hi[:2])
+        if best is None or value > best[0]:
+            best = (value, np.append(z, t), fac)
+        return value
 
     t0 = time.perf_counter()
-    result = scipy.optimize.minimize(
-        neg_objective, log_init[free], method="Nelder-Mead",
-        bounds=list(zip(log_lo[free], log_hi[free])),
-        options={"maxiter": maxiter, "xatol": 1e-6, "fatol": np.inf})
+    if free[2]:
+        iterations, converged = _search_log_tau(
+            profile, log_init[2], log_lo[2], log_hi[2], maxiter)
+    else:
+        profile(log_init[2])
+        iterations, converged = 0, True
     wall = time.perf_counter() - t0
-    if n_fails == n_evals or result.fun >= PENALTY:
+    if best is None:
         raise ConditioningError(
             f"continuous tuning failed on all {n_evals} evaluations")
 
-    z_best = result.x
-    pinned = (z_best - log_lo[free] < 1e-6) | (log_hi[free] - z_best < 1e-6)
-    if pinned.any():
-        names = np.array(["sigma", "nu", "tau"])[free][pinned]
-        warnings.warn("tuned value pinned at bounds: " + ", ".join(names),
+    _, z, fac = best
+    at_bound = free & ((z - log_lo < 1e-6) | (log_hi - z < 1e-6))
+    pinned = [name for name, hit in zip(_NAMES, at_bound) if hit]
+    if pinned:
+        warnings.warn("tuned value pinned at bounds: " + ", ".join(pinned),
                       RuntimeWarning, stacklevel=2)
 
-    params = _compose(free, z_best, log_init)
-    sigma, nu, tau = (float(v) for v in params)
+    sigma, nu = (float(v) for v in np.exp(z[:2]))
+    tau = fac.tau
     shifted = data.with_sigma_sq(sigma * sigma)
-    kern = kernel_ctor(nu, tau)
+    kern = SquaredExponential(nu, tau)
     if objective == "elbo":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = sample_features(kernel_matrix(kern, data.x), m,
-                                    kernel=kern, x=data.x)
+        # nu K1 is kernel_matrix(kern, x) exactly: no second kernel build
+        model = _top_features(nu * fac.K1, m, kernel=kern, x=data.x)
         q = titsias_fit(model, shifted)
         bound = elbo_lambda(model, shifted)
         handle = lambda query: predict(q, query)  # noqa: E731
@@ -343,5 +507,6 @@ def tune_continuous(data: Dataset, m: int,
                              m=m_used)
     return SelectionReport(
         chosen=(sigma, nu, tau), posterior=handle, records=[record],
-        diagnostics={"iterations": int(result.nit), "evaluations": n_evals,
-                     "failures": n_fails, "converged": bool(result.success)})
+        diagnostics={"iterations": iterations, "evaluations": n_evals,
+                     "failures": n_fails, "converged": converged,
+                     "pinned": pinned, "dropped_eigenvalues": fac.dropped})

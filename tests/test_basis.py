@@ -179,6 +179,19 @@ class TestSynthSignal:
         assert synth_signal(sig, np.pi / 2) == pytest.approx(
             0.8674783611528513, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", [
+        bench_signal(),
+        SignalSpec(coefficients=lambda j: np.asarray(j, float) ** -1.5,
+                   j_max=2001, shift=0.3),
+    ], ids=["two-thirds-zero", "dense"])
+    def test_equals_dense_feature_sum(self, spec):
+        # the nonzero-frequency sum against every feature column times c
+        x = np.linspace(-1.0, 7.5, 257)
+        z = np.mod(x - spec.shift, 2 * np.pi)
+        dense = BASIS.features(z, spec.j_max) @ spec.coeff_array()
+        np.testing.assert_allclose(synth_signal(spec, x), dense, rtol=0,
+                                   atol=1e-12)
+
     def test_truncation_gap_on_grid(self):
         # Oracle-measured sup over a 200-point grid between the 1e3- and
         # 1e4-term partial sums: 4.00e-2 (slow convergence near x = pi).

@@ -143,6 +143,23 @@ class TestFitAndRunningCommands:
         assert "n=30" in out
         assert (tmp_path / "out" / "report.json").exists()
 
+    def test_fit_records_tuner_diagnostics(self, tmp_path, capsys):
+        data = _write_series_csv(tmp_path / "series.csv", n=40)
+        out = tmp_path / "out"
+        code = main(["fit", "--data", str(data), "--m", "15",
+                     "--out", str(out)])
+        assert code == 0
+        row = json.loads((out / "report.json").read_text())["selection"][0]
+        diag = row["diagnostics"]
+        assert set(diag) == {"iterations", "evaluations", "failures",
+                             "converged", "pinned", "dropped_eigenvalues"}
+        assert diag["evaluations"] >= 1 and diag["failures"] == 0
+        assert isinstance(diag["pinned"], list)
+        assert diag["dropped_eigenvalues"] >= 0
+        header = (out / "selection.csv").read_text().splitlines()[0]
+        assert header == ("lam,log_mass,elbo_lambda,elbo,m,sigma_sq,"
+                          "wall_time,error")
+
     def test_running_missing_file(self, capsys):
         assert main(["running", "--data", "/no/such/file.csv"]) == 2
 

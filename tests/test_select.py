@@ -4,15 +4,30 @@ The grid examples are recomputed longhand in the comments; statistical
 fixtures carry the values frozen from seeded calibration runs.
 """
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import gpadapt.select as select_module
 from gpadapt.basis import EigenBasis, PolyDecay, SeriesPrior
 from gpadapt.errors import ConditioningError
-from gpadapt.exact import Dataset, GaussianPosterior
-from gpadapt.inducing import VariationalGP, elbo_lambda, population_features, titsias_fit
+from gpadapt.exact import (
+    Dataset,
+    GaussianPosterior,
+    SquaredExponential,
+    kernel_matrix,
+    log_evidence,
+)
+from gpadapt.inducing import (
+    VariationalGP,
+    elbo_lambda,
+    population_features,
+    sample_features,
+    titsias_fit,
+)
 from gpadapt.select import (
     HyperGrid,
     coarse_init,
@@ -347,3 +362,120 @@ class TestTuneContinuous:
             ests.append(rep.chosen)
         med = np.median(np.asarray(ests), axis=0)
         np.testing.assert_allclose(med, [1.0, 2.0, 0.5], rtol=0.15)
+
+
+def _standard_bound(data, m, sigma, nu, tau):
+    """Collapsed bound through a fresh kernel matrix and eigendecomposition."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = sample_features(
+            kernel_matrix(SquaredExponential(nu, tau), data.x), m)
+    return elbo_lambda(model, data.with_sigma_sq(sigma * sigma))
+
+
+def _random_triples(seed, count):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.log([0.4, 0.3, 0.15]), np.log([2.5, 5.0, 2.0])
+    return [tuple(np.exp(rng.uniform(lo, hi))) for _ in range(count)]
+
+
+class TestPerTauFactor:
+    """One kernel factorization per tau scores every (sigma, nu) exactly."""
+
+    def test_bound_equals_fresh_factorization(self):
+        data = _se_dataset(21, n=90, span=9.0)
+        for sigma, nu, tau in _random_triples(1, 5):
+            fac = select_module._factor(data, 25, tau)
+            assert fac.bound(sigma, nu)[0] == pytest.approx(
+                _standard_bound(data, 25, sigma, nu, tau), rel=1e-10)
+
+    def test_full_rank_bound_equals_log_evidence(self):
+        data = _se_dataset(22, n=70, span=7.0)
+        for sigma, nu, tau in _random_triples(2, 5):
+            fac = select_module._factor(data, data.n, tau)
+            evidence = log_evidence(SquaredExponential(nu, tau),
+                                    data.with_sigma_sq(sigma * sigma))
+            assert fac.bound(sigma, nu)[0] == pytest.approx(evidence,
+                                                            rel=1e-8)
+
+    def test_gradient_matches_central_differences(self):
+        data = _se_dataset(23, n=60, span=6.0)
+        h = 1e-6
+        for sigma, nu, tau in _random_triples(3, 3):
+            fac = select_module._factor(data, 20, tau)
+            grad = fac.bound(sigma, nu)[1]
+            e = math.exp(h)
+            d_sigma = (fac.bound(sigma * e, nu)[0]
+                       - fac.bound(sigma / e, nu)[0]) / (2 * h)
+            d_nu = (fac.bound(sigma, nu * e)[0]
+                    - fac.bound(sigma, nu / e)[0]) / (2 * h)
+            np.testing.assert_allclose(grad, [d_sigma, d_nu], rtol=1e-6,
+                                       atol=1e-6)
+
+    def test_coarse_init_matches_brute_force_lattice(self):
+        data = _se_dataset(13, n=60, span=6.0)
+        axes = [np.exp(np.linspace(np.log(lo), np.log(hi), 5))[1:-1]
+                for lo, hi in TUNE_BOUNDS]
+        lattice = [tuple(float(v) for v in t)
+                   for t in itertools.product(*axes)]
+        best = max(lattice, key=lambda t: _standard_bound(data, 15, *t))
+        assert coarse_init(data, m=15, bounds=TUNE_BOUNDS) == best
+
+
+class TestTunerFactorizations:
+    """The tuner's cost is counted in kernel factorizations, one per tau."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        real = select_module.kernel_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(select_module, "kernel_matrix", counted)
+        return calls
+
+    def test_pinned_tau_factorizes_once(self, kernel_calls):
+        data = _se_dataset(12, n=60, span=6.0)
+        rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+                              bounds=TUNE_BOUNDS, free=(True, True, False))
+        assert len(kernel_calls) == 1
+        assert rep.diagnostics["evaluations"] == 1
+        assert rep.chosen[2] == pytest.approx(0.7, rel=1e-15)
+
+    @pytest.mark.parametrize("maxiter", [3, 8, 200])
+    def test_free_tau_factorizes_at_most_maxiter_plus_two(self, kernel_calls,
+                                                          maxiter):
+        data = _se_dataset(12, n=60, span=6.0)
+        rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+                              bounds=TUNE_BOUNDS, maxiter=maxiter)
+        assert 1 < len(kernel_calls) <= maxiter + 2
+        assert rep.diagnostics["evaluations"] == len(kernel_calls)
+        assert rep.diagnostics["iterations"] <= maxiter
+
+    def test_no_worse_than_start(self):
+        data = _se_dataset(14, n=80, span=8.0)
+        init = (1.6, 0.7, 1.3)
+        rep = tune_continuous(data, m=20, init=init, bounds=TUNE_BOUNDS,
+                              maxiter=6)
+        bound = rep.records[0].elbo_lambda
+        assert bound >= _standard_bound(data, 20, *init)
+        # the reported bound is the standard path's at the chosen triple
+        assert bound == _standard_bound(data, 20, *rep.chosen)
+
+    def test_diagnostics_record_pins_and_drops(self):
+        # tau = 10 on a span of 20 leaves fewer than 30 positive
+        # eigenvalues, and the noise bound sits above the true 0.1
+        rng = np.random.default_rng(105)
+        x = np.sort(rng.uniform(0.0, 20.0, size=200))
+        data = Dataset(x=x, y=rng.normal(0.0, 0.1, size=200), sigma_sq=0.01)
+        with pytest.warns(RuntimeWarning, match="pinned at bounds: sigma"):
+            rep = tune_continuous(
+                data, m=30, init=(0.5, 2.0, 10.0),
+                bounds=[(0.3, 10.0), (0.1, 100.0), (0.05, 50.0)],
+                free=(True, False, False))
+        assert rep.diagnostics["pinned"] == ["sigma"]
+        assert rep.diagnostics["dropped_eigenvalues"] == 30 - rep.records[0].m
+        assert rep.diagnostics["dropped_eigenvalues"] > 0
