@@ -197,7 +197,6 @@ class SignalSpec:
     coefficients: Callable[[np.ndarray], np.ndarray]
     j_max: int = 10_000
     shift: float = 0.0
-    basis: EigenBasis = field(default_factory=EigenBasis)
 
     def coeff_array(self, J: int | None = None) -> np.ndarray:
         J = self.j_max if J is None else J

@@ -14,7 +14,7 @@ linear model in the basis weights; both routes are implemented and agree.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -145,6 +145,39 @@ class GaussianPosterior:
     mean_fn: Callable[[np.ndarray], np.ndarray]
     cov_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+    @classmethod
+    def from_features(cls, query: np.ndarray,
+                      features: Callable[[np.ndarray], np.ndarray],
+                      weights: np.ndarray, weight_cov: np.ndarray,
+                      prior_cov: Callable[[np.ndarray, np.ndarray],
+                                          np.ndarray] | None = None
+                      ) -> "GaussianPosterior":
+        """Law of f = F w + g with basis weights w ~ N(weights, weight_cov).
+
+        ``features`` maps points to the rows F(x); ``weight_cov`` C is a
+        vector (a diagonal) or a matrix; g is independent of w, mean zero,
+        with covariance ``prior_cov`` k0 (zero when None). Mean rule
+        x -> F(x) w, covariance rule (x, x') -> k0(x, x') + F(x) C F(x')'.
+        """
+        C = np.asarray(weight_cov, dtype=float)
+
+        def mean_fn(xs):
+            return features(xs) @ weights
+
+        def cov_fn(xs, ys):
+            xs = np.atleast_1d(np.asarray(xs, dtype=float))
+            ys = np.atleast_1d(np.asarray(ys, dtype=float))
+            # k0 first, the feature term added into it: this order peaks lowest
+            out = None if prior_cov is None else prior_cov(xs, ys)
+            Fa = features(xs)
+            Fb = Fa if ys is xs else features(ys)
+            term = (Fa * C if C.ndim == 1 else Fa @ C) @ Fb.T
+            return term if out is None else np.add(out, term, out=out)
+
+        query = np.atleast_1d(np.asarray(query, dtype=float))
+        return cls(query, mean_fn(query), cov_fn(query, query), mean_fn,
+                   cov_fn)
+
     def band95(self) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise central 95 percent band on the query grid."""
         sd = np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
@@ -173,30 +206,21 @@ def _posterior_kernel_form(kernel: KernelSpec, data: Dataset,
 
 def _posterior_series_form(kernel: SeriesKernel, data: Dataset,
                            query: np.ndarray) -> GaussianPosterior:
-    # flat truncated spectrum: D-dimensional Bayesian linear model with
-    # prior weight variance 1/D, so
-    #   weight mean  (sigma^2 D I + Phi' Phi)^{-1} Phi' y
-    #   weight cov   (D I + Phi' Phi / sigma^2)^{-1}
+    """Flat truncated spectrum: a D-dimensional Bayesian linear model.
+
+    Prior weight variance 1/D; one Cholesky of the weight precision
+    P = D I + Phi' Phi / sigma^2 gives the weight mean
+    P^{-1} Phi' y / sigma^2 and covariance P^{-1}, pushed through the
+    first D basis features.
+    """
     D = kernel.j_eff
-    prior = kernel.prior
-    Phi = prior.basis.features(data.x, D)
-    G = Phi.T @ Phi
-    b = Phi.T @ data.y
-    Lm, _ = _linalg.chol_jitter(data.sigma_sq * D * np.eye(D) + G)
-    w_mean = _linalg.chol_solve(Lm, b)
-    Lc, _ = _linalg.chol_jitter(D * np.eye(D) + G / data.sigma_sq)
-
-    def mean_fn(xs):
-        return prior.basis.features(np.atleast_1d(xs), D) @ w_mean
-
-    def cov_fn(xs, ys):
-        Fa = prior.basis.features(np.atleast_1d(xs), D)
-        Fb = prior.basis.features(np.atleast_1d(ys), D)
-        return Fa @ _linalg.chol_solve(Lc, Fb.T)
-
-    query = np.atleast_1d(np.asarray(query, dtype=float))
-    return GaussianPosterior(query, mean_fn(query), cov_fn(query, query),
-                             mean_fn, cov_fn)
+    basis = kernel.prior.basis
+    Phi = basis.features(data.x, D)
+    L, _ = _linalg.chol_jitter(D * np.eye(D) + Phi.T @ Phi / data.sigma_sq)
+    w_mean = _linalg.chol_solve(L, Phi.T @ data.y) / data.sigma_sq
+    return GaussianPosterior.from_features(
+        query, lambda xs: basis.features(xs, D), w_mean,
+        _linalg.chol_solve(L, np.eye(D)))
 
 
 def exact_posterior(kernel: KernelSpec, data: Dataset, query: np.ndarray,

@@ -31,7 +31,6 @@ from .basis import (
     bench_signal,
     synth_signal,
 )
-from .errors import ConditioningError
 from .exact import Dataset, SeriesKernel, kernel_matrix
 from .inducing import (
     elbo_profile,
@@ -362,12 +361,6 @@ def _truth_on_quadrature(spec: SignalSpec) -> np.ndarray:
     return values
 
 
-def _band(posterior) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = posterior.mean
-    sd = np.sqrt(np.clip(np.diag(posterior.cov), 0.0, None))
-    return mean, mean - 1.96 * sd, mean + 1.96 * sd
-
-
 def _flush_partial(out_dir, config: ExperimentConfig, exc: BaseException,
                    selection: list[dict]) -> None:
     try:
@@ -419,7 +412,8 @@ def _finish_report(config: ExperimentConfig, data: Dataset,
     query = np.linspace(float(np.min(data.x)), float(np.max(data.x)),
                         config.query_points)
     band = posterior(query)
-    mean, lo95, hi95 = _band(band)
+    mean = band.mean
+    lo95, hi95 = band.band95()
     truth = l2_error = coverage = None
     if spec is not None:
         truth = synth_signal(spec, query)
@@ -484,9 +478,11 @@ def _continuous_bounds(data: Dataset) -> list[tuple[float, float]]:
     span = max(span, 1e-6)
     sd_y = float(np.std(data.y))
     sd_y = max(sd_y, 1e-6)
+    # the prior has mean zero, so an offset in y is signal variance too
+    second = max(float(np.mean(data.y**2)), sd_y**2)
     return [
         (1e-3 * sd_y, 4.0 * sd_y),       # noise sd
-        (1e-4 * sd_y**2, 50.0 * sd_y**2),  # kernel variance
+        (1e-4 * sd_y**2, 50.0 * second),  # kernel variance
         (2e-3 * span, 2.0 * span),       # length-scale
     ]
 

@@ -43,8 +43,8 @@ from .exact import (
     Dataset,
     GaussianPosterior,
     KernelSpec,
+    SeriesKernel,
     kernel_cross,
-    kernel_matrix,
     log_evidence,
 )
 
@@ -300,65 +300,49 @@ def _cross_to_features(model: InducingModel, xs: np.ndarray) -> np.ndarray:
 
 def _prior_cov(model: InducingModel, xs: np.ndarray, ys: np.ndarray
                ) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if model.flavor == "population":
         J = model.feature_cutoff
-        prior = model.prior
-        s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
-        Fa = prior.basis.features(xs, J)
-        Fb = prior.basis.features(ys, J)
-        out = (Fa * s2) @ Fb.T
+        out = kernel_cross(SeriesKernel(model.prior, J), xs, ys)
         # dropped-tail mean belongs on exact variance entries only
         if model.tail_mode == "mean":
-            tail = prior.tail_variance(J)
+            tail = model.prior.tail_variance(J)
             if tail:
                 out[xs[:, None] == ys[None, :]] += tail
         return out
-    if model.kernel is None:
-        raise ValueError(
-            "sample-feature prediction needs the kernel and training points")
     return kernel_cross(model.kernel, xs, ys)
 
 
-def _mean_rule(q: VariationalGP):
-    """Cholesky factor of K_uu and the mean rule x -> K_xu K_uu^{-1} mu."""
+def _weights(q: VariationalGP) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor of K_uu and the feature weights K_uu^{-1} mu."""
     L_uu, _ = _linalg.chol_jitter(q.model.K_uu)
-    w = _linalg.chol_solve(L_uu, q.mu)  # K_uu^{-1} mu
-
-    def mean_fn(xs):
-        return _cross_to_features(q.model, xs) @ w
-
-    return L_uu, mean_fn
+    return L_uu, _linalg.chol_solve(L_uu, q.mu)
 
 
 def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     """Variational predictive law of f, summarized at ``query``.
 
-    Mean rule x -> K_xu K_uu^{-1} mu and covariance rule
-    (x, x') -> k(x, x') - K_xu K_uu^{-1} (K_uu - Sigma) K_uu^{-1} K_ux'.
+    :meth:`~gpadapt.exact.GaussianPosterior.from_features` with features
+    K_xu, weights K_uu^{-1} mu, weight covariance
+    K_uu^{-1} (Sigma - K_uu) K_uu^{-1} and the prior kernel (for population
+    features the J-term series, plus the dropped-tail mean on coinciding
+    points under ``tail_mode="mean"``), for both flavors.
     """
     model = q.model
-    L_uu, mean_fn = _mean_rule(q)
-    mid = model.K_uu - q.Sigma
-
-    def cov_fn(xs, ys):
-        Ba = _linalg.chol_solve(L_uu, _cross_to_features(model, xs).T)
-        Bb = _linalg.chol_solve(L_uu, _cross_to_features(model, ys).T)
-        return _prior_cov(model, xs, ys) - Ba.T @ (mid @ Bb)
-
-    query = np.atleast_1d(np.asarray(query, dtype=float))
-    return GaussianPosterior(query, mean_fn(query), cov_fn(query, query),
-                             mean_fn, cov_fn)
+    L_uu, w = _weights(q)
+    B = _linalg.chol_solve(L_uu, q.Sigma - model.K_uu)
+    return GaussianPosterior.from_features(
+        query, lambda xs: _cross_to_features(model, xs), w,
+        _linalg.chol_solve(L_uu, B.T),
+        lambda xs, ys: _prior_cov(model, xs, ys))
 
 
 def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
-    """Predictive mean at ``xs`` alone.
+    """Predictive mean x -> K_xu K_uu^{-1} mu at ``xs`` alone.
 
     Equal to ``predict(q, xs).mean`` without forming the len(xs) x len(xs)
     covariance.
     """
-    return _mean_rule(q)[1](np.atleast_1d(np.asarray(xs, dtype=float)))
+    return _cross_to_features(q.model, xs) @ _weights(q)[1]
 
 
 def _woodbury_parts(model: InducingModel):

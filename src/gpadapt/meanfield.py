@@ -242,15 +242,7 @@ def mf_kl_exact(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset
 
 def mf_predict(q: MeanFieldPosterior, basis: EigenBasis, query: np.ndarray
                ) -> GaussianPosterior:
-    """Gaussian law of the fitted series on a query grid."""
-    def mean_fn(xs):
-        return basis.features(np.atleast_1d(xs), q.D) @ q.mu
-
-    def cov_fn(xs, ys):
-        Fa = basis.features(np.atleast_1d(xs), q.D)
-        Fb = basis.features(np.atleast_1d(ys), q.D)
-        return (Fa * q.Sigma_diag) @ Fb.T
-
-    query = np.atleast_1d(np.asarray(query, dtype=float))
-    return GaussianPosterior(query, mean_fn(query), cov_fn(query, query),
-                             mean_fn, cov_fn)
+    """Gaussian law of the fitted series on a query grid: weights mu with
+    diagonal covariance Sigma through the features ``basis.features(x, D)``."""
+    return GaussianPosterior.from_features(
+        query, lambda xs: basis.features(xs, q.D), q.mu, q.Sigma_diag)

@@ -160,6 +160,15 @@ class TestFitAndRunningCommands:
         assert header == ("lam,log_mass,elbo_lambda,elbo,m,sigma_sq,"
                           "wall_time,error")
 
+    def test_offset_series_leaves_nu_free(self, tmp_path, capsys):
+        # the prior has mean zero, so the level 10 is signal variance that
+        # the kernel-variance bound has to leave room for
+        data = _write_series_csv(tmp_path / "series.csv")
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(data), "--out", str(out)]) == 0
+        row = json.loads((out / "report.json").read_text())["selection"][0]
+        assert "nu" not in row["diagnostics"]["pinned"]
+
     def test_running_missing_file(self, capsys):
         assert main(["running", "--data", "/no/such/file.csv"]) == 2
 

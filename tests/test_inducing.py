@@ -10,6 +10,7 @@ from gpadapt.exact import (
     SeriesKernel,
     SquaredExponential,
     exact_posterior,
+    kernel_cross,
     kernel_matrix,
     log_evidence,
 )
@@ -17,12 +18,15 @@ from gpadapt.inducing import (
     elbo_at,
     elbo_lambda,
     elbo_profile,
+    feature_stats,
     kl_to_posterior,
+    population_candidate,
     population_features,
     predict,
     sample_features,
     titsias_fit,
 )
+from gpadapt.meanfield import design_matrix, mf_fit, mf_predict
 
 BASIS = EigenBasis()
 
@@ -324,3 +328,96 @@ class TestKLToPosterior:
         big = Dataset(np.zeros(501), np.zeros(501), 1.0)
         with pytest.raises(ValueError):
             kl_to_posterior(q, big, kern)
+
+
+class TestPredictiveLaw:
+    """``predict`` against the dense law built with ``np.linalg.solve``.
+
+    Mean K_xu K_uu^{-1} mu and covariance
+    k(x, x') - K_xu K_uu^{-1} (K_uu - Sigma) K_uu^{-1} K_ux', on two grids
+    that share three points, so a dropped-tail mean added anywhere but on
+    coinciding points shows.
+    """
+
+    XS = np.linspace(0.2, 6.0, 9)
+    YS = np.concatenate([XS[[1, 4, 8]], [0.35, 2.9, 5.1]])
+
+    @staticmethod
+    def _fit(seed, n=40):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 2 * np.pi, size=n)
+        y = np.sin(x) + 0.3 * rng.standard_normal(n)
+        return x, Dataset(x, y, 0.09)
+
+    @staticmethod
+    def _close(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def _check(self, q, cross, k):
+        """Compare ``q``'s rules with cross(x) = K_xu and k(x, x')."""
+        K_uu = q.model.K_uu
+        w = np.linalg.solve(K_uu, q.mu)
+        C = np.linalg.solve(K_uu, np.linalg.solve(K_uu, K_uu - q.Sigma).T)
+        xs, ys = self.XS, self.YS
+        post = predict(q, xs)
+        for a, b in ((xs, xs), (xs, ys), (ys, xs)):
+            self._close(post.cov_fn(a, b), k(a, b) - cross(a) @ C @ cross(b).T)
+        for a in (xs, ys):
+            self._close(post.mean_fn(a), cross(a) @ w)
+        self._close(post.mean, cross(xs) @ w)
+        np.testing.assert_array_equal(post.cov, post.cov_fn(xs, xs))
+
+    @staticmethod
+    def _series(prior, J, tail):
+        s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
+
+        def k(a, b):
+            out = (BASIS.features(a, J) * s2) @ BASIS.features(b, J).T
+            return out + tail * (a[:, None] == b[None, :])
+
+        def cross(m):
+            return lambda a: BASIS.features(a, m) * s2[:m]
+
+        return k, cross
+
+    @pytest.mark.parametrize("tail_mode", ["mean", "truncate"])
+    def test_population_features(self, tail_mode):
+        prior = SeriesPrior(PolyDecay(0.5))
+        x, data = self._fit(1)
+        m, J = 8, 60
+        model = population_features(prior, x, m, j_cutoff=J,
+                                    tail_mode=tail_mode)
+        tail = prior.tail_variance(J) if tail_mode == "mean" else 0.0
+        if tail_mode == "mean":
+            assert tail > 1e-3  # large enough to show where it lands
+        k, cross = self._series(prior, J, tail)
+        self._check(titsias_fit(model, data), cross(m), k)
+
+    def test_population_candidate(self):
+        prior = SeriesPrior(PolyDecay(0.6))
+        x, data = self._fit(2)
+        m = 10
+        model, _, fit = population_candidate(
+            prior, feature_stats(BASIS, x, data.y, 1000, m), m)
+        assert model.feature_cutoff == 1000
+        k, cross = self._series(prior, 1000, prior.tail_variance(1000))
+        self._check(fit(data.sigma_sq), cross(m), k)
+
+    def test_sample_features(self):
+        kern = SquaredExponential(1.3, 0.8)
+        x, data = self._fit(3, n=30)
+        model = sample_features(kernel_matrix(kern, x), 12, kernel=kern, x=x)
+        self._check(titsias_fit(model, data),
+                    lambda a: kernel_cross(kern, a, x) @ model.V,
+                    lambda a, b: kernel_cross(kern, a, b))
+
+    def test_mean_field_cross_covariance(self):
+        x, data = self._fit(4)
+        q = mf_fit(design_matrix(BASIS, x, 7), data)
+        post = mf_predict(q, BASIS, self.XS)
+        Fa = BASIS.features(self.XS, q.D)
+        Fb = BASIS.features(self.YS, q.D)
+        np.testing.assert_allclose(post.cov_fn(self.XS, self.YS),
+                                   (Fa * q.Sigma_diag) @ Fb.T,
+                                   rtol=1e-12, atol=1e-15)

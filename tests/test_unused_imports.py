@@ -1,0 +1,72 @@
+"""Every name a package module imports is used there or re-exported.
+
+A standard-library ``ast`` scan: a name bound by ``import`` or
+``from ... import`` in a module under ``src/gpadapt`` (``__init__.py``
+aside, which exists to re-export) must appear in that module's code, in a
+quoted annotation, or in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gpadapt"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(quoted)
+                         if isinstance(n, ast.Name)}
+    return used
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    keep = _used(tree) | _exported(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported(tree).items()
+                    if name not in keep)
+    assert not unused, f"{module} imports unused names: {', '.join(unused)}"
+
+
+def test_scan_sees_the_package():
+    assert {"exact.py", "inducing.py", "experiments.py"} <= set(MODULES)
