@@ -14,6 +14,7 @@ and a flat truncated spectrum), with all proportionality constants fixed to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -37,6 +38,12 @@ __all__ = [
 
 DOMAIN_LO = 0.0
 DOMAIN_HI = 2.0 * np.pi
+
+
+def _check_domain(x: np.ndarray) -> None:
+    """Raise ValueError unless every point lies in [0, 2*pi]."""
+    if np.any(x < DOMAIN_LO) or np.any(x > DOMAIN_HI):
+        raise ValueError("point outside the domain [0, 2*pi]")
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,7 @@ class EigenBasis:
             j = ji
         if np.any(j < 1):
             raise ValueError("basis index starts at 1")
-        if np.any(x < DOMAIN_LO) or np.any(x > DOMAIN_HI):
-            raise ValueError("point outside the domain [0, 2*pi]")
+        _check_domain(x)
         k = j // 2
         out = np.where(
             j == 1,
@@ -84,8 +90,7 @@ class EigenBasis:
         columns follow the 1, cos, sin, cos, sin, ... ordering above.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < DOMAIN_LO) or np.any(x > DOMAIN_HI):
-            raise ValueError("point outside the domain [0, 2*pi]")
+        _check_domain(x)
         if J < 1:
             raise ValueError("need at least one basis function")
         out = np.empty((x.size, J), dtype=float)
@@ -254,30 +259,78 @@ def _wrap(z: np.ndarray) -> np.ndarray:
     return np.mod(z, DOMAIN_HI)
 
 
+def _block_shape(K: int) -> tuple[int, int]:
+    """(B, P) for frequencies k = p B + q < K: B = ceil(sqrt(K)), P = ceil(K/B)."""
+    B = math.isqrt(K - 1) + 1
+    return B, -(-K // B)
+
+
+def _phase_blocks(z: np.ndarray, B: int, P: int, chunk: int):
+    """Block phases for frequencies k = p B + q, over row chunks of z.
+
+    Yields (rows, E_p, E_q) with E_p = exp(i p B z) (rows x P) and
+    E_q = exp(i q z) (rows x B), so that exp(i k z) = E_p[:, p] E_q[:, q]:
+    O(rows (P + B)) trigonometric calls per chunk in place of O(rows P B).
+    """
+    pB = np.arange(P) * float(B)
+    q = np.arange(B, dtype=float)
+    for lo in range(0, z.size, chunk):
+        zc = z[lo:lo + chunk]
+        yield (slice(lo, lo + zc.size), np.exp(1j * np.outer(zc, pB)),
+               np.exp(1j * np.outer(zc, q)))
+
+
+def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int) -> np.ndarray:
+    """Re sum_{k < K} c_k exp(i k z) at every point, K = len(c).
+
+    With the coefficients laid out as a P x B array C (k = p B + q), each
+    chunk is the row-wise product of E_p with E_q C': one complex GEMM and
+    no points x K block.
+    """
+    B, P = _block_shape(c.size)
+    C = np.zeros(P * B, dtype=complex)
+    C[:c.size] = c
+    C = C.reshape(P, B)
+    out = np.empty(z.size)
+    for rows, E_p, E_q in _phase_blocks(z, B, P, chunk):
+        out[rows] = np.einsum("ip,ip->i", E_p, E_q @ C.T).real
+    return out
+
+
+def _trig_moments(x: np.ndarray, w: np.ndarray, K: int,
+                  chunk: int) -> np.ndarray:
+    """Weighted trigonometric moments M_k = sum_i w_i exp(i k x_i), k < K.
+
+    Each chunk adds one complex GEMM E_p' (w E_q) to a P x B array whose
+    row-major order is k = p B + q. Memory is O(chunk sqrt(K) + K).
+    """
+    B, P = _block_shape(K)
+    acc = np.zeros((P, B), dtype=complex)
+    for rows, E_p, E_q in _phase_blocks(x, B, P, chunk):
+        acc += E_p.T @ (w[rows, None] * E_q)
+    return acc.ravel()[:K]
+
+
 def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
     """Evaluate the partial sum of ``spec`` at x (scalar or array).
 
     The shift is applied inside the (periodic) basis argument, so any real
-    x is accepted. Only the frequencies with a nonzero coefficient are
-    evaluated: the sum is c_1 + sqrt(2) sum_k (c_2k cos(k z) +
-    c_2k+1 sin(k z)) over those k, in chunks of points that keep the
-    point-by-frequency blocks small.
+    x is accepted. The sum c_1 + sqrt(2) sum_k (c_2k cos(k z) +
+    c_2k+1 sin(k z)) is Re sum_k a_k exp(i k z) with a_0 = c_1 and
+    a_k = sqrt(2) (c_2k - i c_2k+1), evaluated by the block factorization
+    k = p B + q (B about sqrt(j_max / 2)) in chunks of points: O(n sqrt(K))
+    trigonometric calls plus one complex GEMM per chunk, and no
+    point-by-frequency block.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = _wrap(x_arr - spec.shift)
     c = spec.coeff_array()
     # phi_2k = sqrt(2) cos(k z) sits at index 2k - 1, phi_2k+1 at index 2k
-    c_cos = np.sqrt(2.0) * c[1::2]
-    c_sin = np.sqrt(2.0) * c[2::2]
-    k_cos = np.flatnonzero(c_cos) + 1.0
-    k_sin = np.flatnonzero(c_sin) + 1.0
-    c_cos = c_cos[c_cos != 0]
-    c_sin = c_sin[c_sin != 0]
-    out = np.full_like(z, c[0])
-    for lo in range(0, z.size, chunk):
-        zc = z[lo:lo + chunk]
-        out[lo:lo + chunk] += (np.cos(np.outer(zc, k_cos)) @ c_cos
-                               + np.sin(np.outer(zc, k_sin)) @ c_sin)
+    a = np.zeros(c.size // 2 + 1, dtype=complex)
+    a[0] = c[0]
+    a[1:] = np.sqrt(2.0) * c[1::2]
+    a[1:(c.size + 1) // 2] -= 1j * np.sqrt(2.0) * c[2::2]
+    out = _trig_sum(z, a, chunk)
     return out if np.asarray(x).shape else float(out[0])
 
 

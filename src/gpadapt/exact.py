@@ -113,7 +113,7 @@ def kernel_cross(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     prior = kernel.prior
     s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
     Fa = prior.basis.features(a, J)
-    Fb = prior.basis.features(b, J)
+    Fb = Fa if b is a or np.array_equal(a, b) else prior.basis.features(b, J)
     return (Fa * s2) @ Fb.T
 
 

@@ -23,8 +23,10 @@ is evaluated through the Woodbury identity in O(m^2 n).
 
 A grid sweep over population priors reads the data only through
 statistics of the basis features that no candidate changes
-(:class:`FeatureStats`): built once per dataset in O(n J), they let every
-candidate be scored and fitted in O(m^3 + J) (:func:`population_candidate`).
+(:class:`FeatureStats`): built once per dataset from trigonometric moments
+(O(n sqrt(J)) trigonometric calls and O(n J) complex multiply-adds in matrix
+products), they let every candidate be scored and fitted in O(m^3 + J)
+(:func:`population_candidate`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _linalg
-from .basis import EigenBasis, SeriesPrior
+from .basis import EigenBasis, SeriesPrior, _check_domain, _trig_moments
 from .errors import ConditioningError
 from .exact import (
     Dataset,
@@ -166,8 +168,8 @@ def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
     )
 
 
-#: design rows per block when accumulating :class:`FeatureStats`; a block
-#: holds rows x J features, so memory stays O(STATS_CHUNK J + m^2)
+#: design rows per block when accumulating the trigonometric moments behind
+#: :class:`FeatureStats`; memory stays O(STATS_CHUNK sqrt(J) + m^2)
 STATS_CHUNK = 128
 
 
@@ -190,9 +192,15 @@ class FeatureStats:
 
 def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
                   m: int) -> FeatureStats:
-    """Accumulate :class:`FeatureStats` over blocks of design rows.
+    """:class:`FeatureStats` from the trigonometric moments of the design.
 
-    Peak memory is O(STATS_CHUNK J + m^2), never O(n J).
+    Products of the cos/sin features of ``basis`` (the one-dimensional
+    trigonometric basis) are sums of single waves, so with
+    M_k = sum_i exp(i k x_i) up to order J and Y_k = sum_i y_i exp(i k x_i)
+    up to order m/2 (both accumulated over blocks of ``STATS_CHUNK`` rows):
+    colsumsq is n +- Re M_2k, the Gram block is a Toeplitz term in
+    M_|j-k| plus a Hankel term in M_j+k, and Phi'y reads off Y. No n x J
+    feature block is formed; peak memory is O(STATS_CHUNK sqrt(J) + m^2).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -200,17 +208,35 @@ def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
         raise ValueError("x and y must have matching length")
     if not 1 <= m <= J:
         raise ValueError("need 1 <= m <= J")
-    colsumsq = np.zeros(J)
-    gram = np.zeros((m, m))
-    phi_y = np.zeros(m)
-    for lo in range(0, x.size, STATS_CHUNK):
-        F = basis.features(x[lo:lo + STATS_CHUNK], J)
-        colsumsq += np.einsum("ij,ij->j", F, F)
-        head = F[:, :m]
-        gram += head.T @ head
-        phi_y += head.T @ y[lo:lo + STATS_CHUNK]
-    return FeatureStats(n=x.size, colsumsq=colsumsq, gram=gram, phi_y=phi_y,
-                        yty=float(y @ y))
+    _check_domain(x)
+    n = x.size
+    h = m // 2
+    M = _trig_moments(x, np.ones(n), J + 1, STATS_CHUNK)
+    Y = _trig_moments(x, y, h + 1, STATS_CHUNK)
+    # phi_1 = 1, phi_2k = sqrt(2) cos(k x), phi_2k+1 = sqrt(2) sin(k x)
+    colsumsq = np.full(J, float(n))
+    waves = M.real[2:2 * (J // 2) + 1:2]
+    colsumsq[1::2] += waves
+    colsumsq[2::2] -= waves[:(J - 1) // 2]
+    # sums of cos(a x) cos(b x), sin sin and cos sin for a, b <= h
+    T = scipy.linalg.toeplitz(M[:h + 1])  # T[a, b] = M_(a-b), M_-k = conj M_k
+    H = scipy.linalg.hankel(M[:h + 1], M[h:2 * h + 1])  # H[a, b] = M_(a+b)
+    cos_i = np.r_[0, 1:2 * h:2]
+    sin_i = np.arange(2, 2 * h + 1, 2)
+    gram = np.empty((2 * h + 1, 2 * h + 1))
+    gram[np.ix_(cos_i, cos_i)] = 0.5 * (T.real + H.real)
+    gram[np.ix_(sin_i, sin_i)] = 0.5 * (T.real - H.real)[1:, 1:]
+    cs = 0.5 * (H.imag - T.imag)[:, 1:]
+    gram[np.ix_(cos_i, sin_i)] = cs
+    gram[np.ix_(sin_i, cos_i)] = cs.T
+    phi_y = np.empty(2 * h + 1)
+    phi_y[cos_i] = Y.real
+    phi_y[sin_i] = Y.imag[1:]
+    scale = np.full(2 * h + 1, np.sqrt(2.0))
+    scale[0] = 1.0
+    gram = (scale[:, None] * gram * scale)[:m, :m]
+    return FeatureStats(n=n, colsumsq=colsumsq, gram=gram,
+                        phi_y=(scale * phi_y)[:m], yty=float(y @ y))
 
 
 def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
@@ -231,10 +257,13 @@ def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
     if not 1 <= m <= n:
         raise ValueError("m must lie in 1..n")
     K_sym = 0.5 * (K_ff + K_ff.T)
-    if m < n:
-        vals, vecs = scipy.linalg.eigh(K_sym, subset_by_index=[n - m, n - 1])
+    if 8 * m >= n:
+        # with m a large share of n the full divide-and-conquer solve is
+        # faster than the subset one (n = 300, m = 150: 9 ms against 29 ms)
+        vals, vecs = scipy.linalg.eigh(K_sym, driver="evd")
+        vals, vecs = vals[n - m:], vecs[:, n - m:]
     else:
-        vals, vecs = scipy.linalg.eigh(K_sym)
+        vals, vecs = scipy.linalg.eigh(K_sym, subset_by_index=[n - m, n - 1])
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]

@@ -1,5 +1,8 @@
 """Tests for the trigonometric eigenbasis, spectra, and series utilities."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -266,3 +269,58 @@ class TestEmpiricalGramConcentration:
             if np.max(np.abs(G - np.eye(20))) < 0.1:
                 hits += 1
         assert hits >= 48
+
+
+def _longhand(spec, x):
+    """c_1 + sum_j c_j phi_j(x - shift), one basis function at a time."""
+    z = np.mod(np.asarray(x, dtype=float) - spec.shift, 2 * np.pi)
+    c = spec.coeff_array()
+    out = np.full(z.shape, c[0])
+    for j in range(2, spec.j_max + 1):
+        k = j // 2
+        wave = np.cos(k * z) if j % 2 == 0 else np.sin(k * z)
+        out += c[j - 1] * math.sqrt(2.0) * wave
+    return out
+
+
+class TestBlockTrigKernel:
+    """synth_signal sums frequencies k = pB + q by blocks; check it term by
+    term at frequency counts K = j_max // 2 + 1 of every shape."""
+
+    POINTS = np.r_[-3.0, -1e-9, np.linspace(0.0, 2 * np.pi, 61),
+                   2 * np.pi + 1e-9, 9.0, 20.0]
+
+    @pytest.mark.parametrize("spec", [
+        bench_signal(),
+        SignalSpec(coefficients=lambda j: np.asarray(j, float) ** -1.5,
+                   j_max=2001, shift=0.3),
+        SignalSpec(coefficients=lambda j: np.full(np.shape(j), 0.7), j_max=1),
+        SignalSpec(coefficients=lambda j: 1.0 / np.asarray(j, float),
+                   j_max=3, shift=-0.4),
+        SignalSpec(coefficients=lambda j: np.cos(np.asarray(j, float)),
+                   j_max=201, shift=1.0),
+        SignalSpec(coefficients=lambda j: np.asarray(j, float) ** -0.8,
+                   j_max=286),
+    ], ids=["bench", "dense", "K=1", "K=2", "prime-K=101", "square-K=144"])
+    def test_equals_longhand_sum(self, spec):
+        np.testing.assert_allclose(synth_signal(spec, self.POINTS),
+                                   _longhand(spec, self.POINTS), rtol=0,
+                                   atol=1e-12)
+        got = synth_signal(spec, 7.0)
+        assert isinstance(got, float)
+        assert got == pytest.approx(float(_longhand(spec, 7.0)), abs=1e-12)
+        empty = synth_signal(spec, np.array([]))
+        assert empty.shape == (0,)
+
+    def test_memory_stays_below_a_quarter_frequency_block(self):
+        spec = bench_signal()
+        K = spec.j_max // 2 + 1
+        x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=10_000)
+        tracemalloc.start()
+        try:
+            synth_signal(spec, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = 2048 * (K / 4) * 8
+        assert peak < block_bytes, (peak, block_bytes)

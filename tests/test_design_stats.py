@@ -105,6 +105,45 @@ class TestFeatureStats:
             feature_stats(BASIS, x, x, 5, 6)
 
 
+class TestMomentStatistics:
+    """FeatureStats read off trigonometric moments (Toeplitz + Hankel Gram)
+    against the feature block built in one shot."""
+
+    @pytest.mark.parametrize("J,m", [
+        (700, 40), (701, 41), (700, 41), (701, 40), (1, 1), (50, 1),
+        (2, 2), (37, 37), (64, 64),
+    ])
+    def test_equal_one_shot_build(self, monkeypatch, J, m):
+        rng = np.random.default_rng(J + 1000 * m)
+        x = rng.uniform(0.0, 2 * np.pi, size=517)
+        x[:2] = 0.0, 2 * np.pi
+        y = rng.normal(size=x.size)
+        monkeypatch.setattr(inducing, "STATS_CHUNK", 100)
+        stats = feature_stats(BASIS, x, y, J, m)
+        colsumsq, gram, phi_y = _one_shot(x, y, J, m)
+        assert stats.colsumsq.shape == (J,)
+        assert stats.gram.shape == (m, m)
+        assert stats.phi_y.shape == (m,)
+        assert _rel(stats.colsumsq, colsumsq) <= 1e-12
+        assert _rel(stats.gram, gram) <= 1e-12
+        assert _rel(stats.phi_y, phi_y) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [-1e-9, 2 * np.pi + 1e-9, 7.0])
+    def test_rejects_points_outside_the_domain(self, bad):
+        x = np.linspace(0.0, 6.0, 10)
+        x[4] = bad
+        with pytest.raises(ValueError, match="point outside the domain"):
+            feature_stats(BASIS, x, np.ones(10), 20, 5)
+
+    def test_rejects_bad_orders_and_shapes(self):
+        x = np.linspace(0.0, 6.0, 10)
+        for J, m in [(5, 6), (5, 0), (0, 0)]:
+            with pytest.raises(ValueError, match="need 1 <= m <= J"):
+                feature_stats(BASIS, x, x, J, m)
+        with pytest.raises(ValueError, match="matching length"):
+            feature_stats(BASIS, x, x[:-1], 20, 5)
+
+
 class TestPopulationCandidate:
     @pytest.mark.parametrize("prior,m", [
         (SeriesPrior(PolyDecay(1.3)), 12),

@@ -17,6 +17,7 @@ from gpadapt.exact import (
     SquaredExponential,
     exact_posterior,
     hierarchical_posterior,
+    kernel_cross,
     kernel_diag,
     kernel_matrix,
     log_evidence,
@@ -83,6 +84,31 @@ class TestKernels:
         K = kernel_matrix(kern, pts)
         w = np.linalg.eigvalsh(K)
         assert w.min() > -1e-10 * max(w.max(), 1.0)
+
+
+class TestSeriesCrossReuse:
+    def test_identical_points_build_the_features_once(self, monkeypatch):
+        kern = SeriesKernel(SeriesPrior(PolyDecay(1.1)), j_max=300)
+        pts = np.random.default_rng(8).uniform(0, 2 * np.pi, size=57)
+        s2 = kern.prior.spectrum(np.arange(1, 301)) ** 2
+        # the two-block product as it is written without the reuse
+        want = (BASIS.features(pts, 300) * s2) @ BASIS.features(pts, 300).T
+        features = EigenBasis.features
+        calls = []
+
+        def counted(self, x, J):
+            calls.append(J)
+            return features(self, x, J)
+
+        monkeypatch.setattr(EigenBasis, "features", counted)
+        for other in (pts, pts.copy()):
+            calls.clear()
+            got = kernel_cross(kern, pts, other)
+            assert calls == [300]
+            np.testing.assert_array_equal(got, want)
+        calls.clear()
+        kernel_cross(kern, pts, pts[:-1])
+        assert calls == [300, 300]
 
 
 class TestExactPosterior:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gpadapt.basis import EigenBasis, ExpDecay, PolyDecay, SeriesPrior, Truncated
 from gpadapt.errors import ConditioningError
@@ -170,6 +171,59 @@ class TestSampleFeatures:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ConditioningError):
             sample_features(np.zeros((3, 3)), m=2)
+
+
+class TestSampleFeatureSolver:
+    """The full divide-and-conquer eigh (8 m >= n) and the subset eigh
+    (8 m < n) give the same top-m eigenpairs."""
+
+    @staticmethod
+    def _spd(n, seed):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (Q * np.geomspace(10.0, 1e-3, n)) @ Q.T
+
+    @staticmethod
+    def _spy(monkeypatch):
+        eigh = scipy.linalg.eigh
+        full = []
+
+        def spy(*args, **kwargs):
+            full.append("subset_by_index" not in kwargs)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        return eigh, full
+
+    @pytest.mark.parametrize("n,m,full", [
+        (300, 150, True), (160, 20, True), (161, 20, False),
+        (300, 20, False), (30, 30, True),
+    ])
+    def test_matches_subset_solve(self, monkeypatch, n, m, full):
+        K = self._spd(n, n + m)
+        eigh, calls = self._spy(monkeypatch)
+        model = sample_features(K, m)
+        assert calls == [full]
+        vals, vecs = eigh(0.5 * (K + K.T), subset_by_index=[n - m, n - 1])
+        assert model.m == m
+        np.testing.assert_allclose(model.eigvals, vals[::-1], rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(model.V @ model.V.T, vecs @ vecs.T,
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model.K_uf, (model.V * model.eigvals).T,
+                                   rtol=0, atol=0)
+
+    @pytest.mark.parametrize("n,full", [(40, True), (200, False)])
+    def test_rank_deficit_warning_on_both_solvers(self, monkeypatch, n,
+                                                  full):
+        G = np.random.default_rng(n).standard_normal((n, 3))
+        _, calls = self._spy(monkeypatch)
+        with pytest.warns(RuntimeWarning,
+                          match="dropping 7 non-positive eigenvalues"):
+            model = sample_features(G @ G.T, m=10)
+        assert calls == [full]
+        assert model.m == 3
+        assert model.V.shape == (n, 3)
 
 
 class TestTitsiasFit:
