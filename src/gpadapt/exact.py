@@ -101,6 +101,20 @@ class SeriesKernel:
 
 KernelSpec = Union[SquaredExponential, SeriesKernel]
 
+#: query rows per block when a mean rule evaluates F(x) w; at least the
+#: 512-point query grid, so that grid is one block
+MEAN_BLOCK = 1024
+
+
+def _block_mean(features: Callable[[np.ndarray], np.ndarray],
+                xs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """F(xs) w over blocks of ``MEAN_BLOCK`` rows of F."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    out = np.empty(xs.size)
+    for i in range(0, xs.size, MEAN_BLOCK):
+        out[i:i + MEAN_BLOCK] = features(xs[i:i + MEAN_BLOCK]) @ weights
+    return out
+
 
 def kernel_cross(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix k(a_i, b_j)."""
@@ -157,12 +171,13 @@ class GaussianPosterior:
         ``features`` maps points to the rows F(x); ``weight_cov`` C is a
         vector (a diagonal) or a matrix; g is independent of w, mean zero,
         with covariance ``prior_cov`` k0 (zero when None). Mean rule
-        x -> F(x) w, covariance rule (x, x') -> k0(x, x') + F(x) C F(x')'.
+        x -> F(x) w, evaluated over blocks of ``MEAN_BLOCK`` points, and
+        covariance rule (x, x') -> k0(x, x') + F(x) C F(x')'.
         """
         C = np.asarray(weight_cov, dtype=float)
 
         def mean_fn(xs):
-            return features(xs) @ weights
+            return _block_mean(features, xs, weights)
 
         def cov_fn(xs, ys):
             xs = np.atleast_1d(np.asarray(xs, dtype=float))

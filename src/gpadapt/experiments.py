@@ -42,7 +42,7 @@ from .inducing import (
     sample_features,
     titsias_fit,
 )
-from .meanfield import design_matrix, mf_fit, mf_predict
+from .meanfield import _ascent, mf_predict
 from .select import (
     coarse_init,
     dim_grid,
@@ -218,11 +218,15 @@ def simulate_poly(n: int, seed: int, sigma_sq: float = DEFAULT_NOISE_SQ
         raise ValueError("n must be at least 1")
     if not sigma_sq > 0:
         raise ValueError("sigma_sq must be positive")
+    return _draw(_BENCH_SPEC, n, seed, sigma_sq), _BENCH_SPEC
+
+
+def _draw(spec: SignalSpec, n: int, seed: int, sigma_sq: float) -> Dataset:
+    """Uniform design on the basis domain, signal ``spec`` plus noise."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(DOMAIN_LO, DOMAIN_HI, size=n)
-    spec = _BENCH_SPEC
     y = synth_signal(spec, x) + rng.normal(0.0, math.sqrt(sigma_sq), size=n)
-    return Dataset(x=x, y=y, sigma_sq=sigma_sq), spec
+    return Dataset(x=x, y=y, sigma_sq=sigma_sq)
 
 
 def load_running_csv(path) -> Dataset:
@@ -266,10 +270,6 @@ def load_running_csv(path) -> Dataset:
                    y=np.asarray(v_vals, dtype=float), sigma_sq=1.0)
 
 
-def _poly_m_window(n: int, c_m: float, alpha: float) -> int:
-    return max(1, math.ceil(c_m * n ** (1.0 / (1.0 + 2.0 * alpha))))
-
-
 def _build_grid(config: ExperimentConfig, n: int):
     if config.prior == "poly":
         return poly_grid(config.beta_minus, config.beta_plus, n, c_m=config.c_m)
@@ -295,18 +295,21 @@ def _profile_noise(profile) -> tuple[float, float]:
 def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     """Per-candidate fit closure plus a side table of profiled noise.
 
-    Design statistics are built once here, before the sweep: the basis at
-    the largest truncation level for ``dim``, and ``FeatureStats`` up to
-    the largest feature count and cutoff for population features. Each
+    Design statistics are built once here, before the sweep:
+    ``FeatureStats`` up to the largest truncation level for ``dim``, and up
+    to the largest feature count and cutoff for population features. Each
     candidate then reads only their leading blocks.
     """
     noise_at: dict[float, float] = {}
 
     if config.prior == "dim":
-        top = design_matrix(_BASIS, data.x, grid.m_rule(grid.values[-1]))
+        D_max = grid.m_rule(grid.values[-1])
+        stats = feature_stats(_BASIS, data.x, data.y, D_max, D_max)
 
         def fitter(lam):
-            q = mf_fit(top.leading(int(round(lam))), data)
+            D = int(round(lam))
+            q = _ascent(stats.gram[:D, :D], stats.phi_y[:D], stats.yty,
+                        stats.n, data.sigma_sq)
             return q, float(q.elbo_path[-1])
 
         return fitter, noise_at
@@ -342,23 +345,12 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     return fitter, noise_at
 
 
-def _quadrature_grid() -> np.ndarray:
+def _quadrature_error(mean_fn, spec: SignalSpec) -> float:
+    """L2 distance of a mean rule from the truth, midpoint rule on the domain."""
     step = (DOMAIN_HI - DOMAIN_LO) / QUADRATURE_POINTS
-    return DOMAIN_LO + step * (np.arange(QUADRATURE_POINTS) + 0.5)
-
-
-_quad_truth_cache: dict[int, np.ndarray] = {}
-
-
-def _truth_on_quadrature(spec: SignalSpec) -> np.ndarray:
-    """Benchmark truth on the fixed quadrature grid, computed once."""
-    key = id(spec)
-    if spec is _BENCH_SPEC and key in _quad_truth_cache:
-        return _quad_truth_cache[key]
-    values = synth_signal(spec, _quadrature_grid())
-    if spec is _BENCH_SPEC:
-        _quad_truth_cache[key] = values
-    return values
+    xq = DOMAIN_LO + step * (np.arange(QUADRATURE_POINTS) + 0.5)
+    diff = mean_fn(xq) - synth_signal(spec, xq)
+    return float(np.sqrt(np.mean(diff**2)))
 
 
 def _flush_partial(out_dir, config: ExperimentConfig, exc: BaseException,
@@ -418,8 +410,7 @@ def _finish_report(config: ExperimentConfig, data: Dataset,
     if spec is not None:
         truth = synth_signal(spec, query)
         # the error needs only the mean rule, not a quadrature covariance
-        diff = band.mean_fn(_quadrature_grid()) - _truth_on_quadrature(spec)
-        l2_error = float(np.sqrt(np.mean(diff**2)))
+        l2_error = _quadrature_error(band.mean_fn, spec)
         coverage = float(np.mean((lo95 <= truth) & (truth <= hi95)))
     report = RunReport(
         experiment=config.experiment,
@@ -562,11 +553,8 @@ def _smooth_signal(beta: float) -> SignalSpec:
 def _contraction_error(family: str, beta_true: float, n: int, seed: int,
                        sigma_sq: float) -> float:
     """One replicate: simulate, adaptively fit, return L2 error to truth."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(DOMAIN_LO, DOMAIN_HI, size=n)
     spec = _smooth_signal(beta_true)
-    y = synth_signal(spec, x) + rng.normal(0.0, math.sqrt(sigma_sq), size=n)
-    data = Dataset(x=x, y=y, sigma_sq=sigma_sq)
+    data = _draw(spec, n, seed, sigma_sq)
     config = ExperimentConfig(experiment="contraction", n=n, seed=seed,
                               prior=family, sigma_sq=sigma_sq)
     grid = _build_grid(config, n)
@@ -578,9 +566,7 @@ def _contraction_error(family: str, beta_true: float, n: int, seed: int,
         head = q.mu - coeffs[:q.D]
         tail = coeffs[q.D:]
         return float(np.sqrt(head @ head + tail @ tail))
-    xq = _quadrature_grid()
-    diff = predict_mean(sel.posterior, xq) - synth_signal(spec, xq)
-    return float(np.sqrt(np.mean(diff**2)))
+    return _quadrature_error(lambda xs: predict_mean(sel.posterior, xs), spec)
 
 
 def _replicate_errors(args) -> list[float]:

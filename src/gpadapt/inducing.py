@@ -46,6 +46,7 @@ from .exact import (
     GaussianPosterior,
     KernelSpec,
     SeriesKernel,
+    _block_mean,
     kernel_cross,
     log_evidence,
 )
@@ -369,9 +370,10 @@ def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
     """Predictive mean x -> K_xu K_uu^{-1} mu at ``xs`` alone.
 
     Equal to ``predict(q, xs).mean`` without forming the len(xs) x len(xs)
-    covariance.
+    covariance; K_xu is formed over blocks of ``exact.MEAN_BLOCK`` points.
     """
-    return _cross_to_features(q.model, xs) @ _weights(q)[1]
+    return _block_mean(lambda x: _cross_to_features(q.model, x), xs,
+                       _weights(q)[1])
 
 
 def _woodbury_parts(model: InducingModel):

@@ -21,6 +21,11 @@ the other coordinates, the objective in one variance t is
 
 strictly concave on t > 0 with a quadratic-formula maximizer, so every
 sweep increases the bound by construction.
+
+Fit and bound read the data only through G = Phi'Phi, b = Phi'y, y'y, n
+and sigma^2 (the residual by |Phi mu - y|^2 = mu'G mu - 2 mu'b + y'y), so a
+sweep over truncation levels fits each from the leading blocks of one
+``inducing.feature_stats``.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ __all__ = [
 ]
 
 MAX_SWEEPS = 500
-SWEEP_TOL = 1e-10
+#: a fit stops once a sweep gains at most SWEEP_RTOL (|bound| + y'y / sigma^2):
+#: above the rounding of the Gram identity's terms, of size y'y / sigma^2
+SWEEP_RTOL = 1e-14
 
 
 @dataclass
@@ -60,16 +67,6 @@ class DesignMatrix:
     @property
     def n(self) -> int:
         return self.Phi.shape[0]
-
-    def leading(self, D: int) -> "DesignMatrix":
-        """The first D basis functions, as views into this matrix.
-
-        Equal to ``design_matrix(basis, x, D)`` for the same design, so a
-        sweep over nested truncations evaluates the basis once.
-        """
-        if not 1 <= D <= self.D:
-            raise ValueError(f"D must lie in 1..{self.D}")
-        return DesignMatrix(Phi=self.Phi[:, :D], gram=self.gram[:D, :D], D=D)
 
 
 @dataclass
@@ -95,9 +92,19 @@ def design_matrix(basis: EigenBasis, x: np.ndarray, D: int) -> DesignMatrix:
     return DesignMatrix(Phi=Phi, gram=Phi.T @ Phi, D=D)
 
 
-def _tied_mu(Sigma_diag: np.ndarray, b: np.ndarray, sigma_sq: float
-             ) -> np.ndarray:
-    return Sigma_diag * b / sigma_sq
+def _bound(Sigma: np.ndarray, mu: np.ndarray, G: np.ndarray, b: np.ndarray,
+           yty: float, n: int, sigma_sq: float) -> float:
+    """Bound without the model-size mass, from the design statistics."""
+    D = mu.size
+    rss = float(mu @ (G @ mu)) - 2.0 * float(mu @ b) + yty
+    tr_smear = float(np.diag(G) @ Sigma)
+    fit = (
+        -0.5 * n * np.log(2.0 * np.pi * sigma_sq)
+        - 0.5 * (tr_smear + rss) / sigma_sq
+    )
+    log_det = D * np.log(D) + float(np.sum(np.log(Sigma)))
+    kl = 0.5 * (-log_det - D + D * float(np.sum(Sigma)) + D * float(mu @ mu))
+    return fit - kl
 
 
 def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset,
@@ -115,26 +122,15 @@ def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset,
         raise ValueError("design matrix and posterior disagree on D")
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
-    s2 = data.sigma_sq
-    D = q.D
-    resid = dm.Phi @ q.mu - data.y
-    tr_smear = float(np.diag(dm.gram) @ q.Sigma_diag)
-    fit = (
-        -0.5 * data.n * np.log(2.0 * np.pi * s2)
-        - 0.5 * (tr_smear + float(resid @ resid)) / s2
-    )
-    log_det = D * np.log(D) + float(np.sum(np.log(q.Sigma_diag)))
-    kl = 0.5 * (
-        -log_det - D + D * float(np.sum(q.Sigma_diag))
-        + D * float(q.mu @ q.mu)
-    )
-    return fit - kl + float(np.log(hyper_mass))
+    return _bound(q.Sigma_diag, q.mu, dm.gram, dm.Phi.T @ data.y,
+                  float(data.y @ data.y), data.n, data.sigma_sq
+                  ) + float(np.log(hyper_mass))
 
 
-def _witness(D: int, b: np.ndarray, data: Dataset) -> MeanFieldPosterior:
-    Sigma = np.full(D, 1.0 / (D + data.n / data.sigma_sq))
-    return MeanFieldPosterior(D=D, Sigma_diag=Sigma,
-                              mu=_tied_mu(Sigma, b, data.sigma_sq))
+def _witness(b: np.ndarray, n: int, sigma_sq: float) -> MeanFieldPosterior:
+    Sigma = np.full(b.size, 1.0 / (b.size + n / sigma_sq))
+    return MeanFieldPosterior(D=b.size, Sigma_diag=Sigma,
+                              mu=Sigma * b / sigma_sq)
 
 
 def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
@@ -145,39 +141,19 @@ def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
     """
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
-    return _witness(dm.D, dm.Phi.T @ data.y, data)
+    return _witness(dm.Phi.T @ data.y, data.n, data.sigma_sq)
 
 
-def mf_fit(dm: DesignMatrix, data: Dataset, hyper_mass: float = 1.0
-           ) -> MeanFieldPosterior:
-    """Coordinate ascent over the D variances with exact 1-D updates.
-
-    Starts from the witness, sweeps until the bound improves by less than
-    1e-10 or 500 sweeps elapse; non-convergence returns the best iterate
-    with ``converged=False`` and a warning. ``elbo_path[-1]`` is the bound
-    at the returned iterate.
-
-    Sweeps are scored from the residual at the design, not from the Gram
-    identity |Phi mu - y|^2 = mu'G mu - 2 mu'b + y'y: the two round apart
-    by about 1e-12, which moves the 1e-10 stopping test of some fits by a
-    sweep and their result by up to about 1e-7.
-    """
-    if data.n < 1:
-        raise ValueError("need at least one observation")
-    if dm.n != data.n:
-        raise ValueError("design matrix was built for a different dataset")
-    s2 = data.sigma_sq
-    D = dm.D
-    G = dm.gram
+def _ascent(G: np.ndarray, b: np.ndarray, yty: float, n: int, s2: float
+            ) -> MeanFieldPosterior:
+    """Coordinate ascent from the statistics G = Phi'Phi, b = Phi'y and y'y."""
+    D = b.size
     g = np.diag(G).copy()
-    b = dm.Phi.T @ data.y
-    q = _witness(D, b, data)
-    Sigma = q.Sigma_diag.copy()
-    mu = q.mu.copy()
-    path = []
-    state = MeanFieldPosterior(D=D, Sigma_diag=Sigma, mu=mu)
-    last = mf_elbo(state, dm, data, hyper_mass)
-    path.append(last)
+    q = _witness(b, n, s2)
+    Sigma, mu = q.Sigma_diag, q.mu
+    last = _bound(Sigma, mu, G, b, yty, n, s2)
+    path = [last]
+    scale = yty / s2
     converged = False
     for _ in range(MAX_SWEEPS):
         for j in range(D):
@@ -195,20 +171,36 @@ def mf_fit(dm: DesignMatrix, data: Dataset, hyper_mass: float = 1.0
                 t = -0.5 / A
             Sigma[j] = t
             mu[j] = t * bj / s2
-        state = MeanFieldPosterior(D=D, Sigma_diag=Sigma, mu=mu)
-        val = mf_elbo(state, dm, data, hyper_mass)
+        val = _bound(Sigma, mu, G, b, yty, n, s2)
         path.append(val)
-        if abs(val - last) < SWEEP_TOL:
+        if val - last <= SWEEP_RTOL * (abs(val) + scale):
             converged = True
-            last = val
             break
         last = val
     if not converged:
         warnings.warn("coordinate ascent hit the sweep cap before the "
-                      "per-sweep tolerance", RuntimeWarning, stacklevel=2)
-    return MeanFieldPosterior(D=D, Sigma_diag=Sigma.copy(), mu=mu.copy(),
+                      "per-sweep tolerance", RuntimeWarning, stacklevel=3)
+    return MeanFieldPosterior(D=D, Sigma_diag=Sigma, mu=mu,
                               converged=converged,
                               elbo_path=np.asarray(path))
+
+
+def mf_fit(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
+    """Coordinate ascent over the D variances with exact 1-D updates.
+
+    Starts from the witness and reads the data only through G = Phi'Phi,
+    Phi'y, y'y, n and sigma^2. Sweeps until one sweep raises the bound by
+    at most ``SWEEP_RTOL`` (|bound| + y'y / sigma^2), or 500 sweeps elapse;
+    non-convergence returns the last iterate with ``converged=False`` and a
+    warning. ``elbo_path[-1]`` is the bound at the returned iterate, equal
+    to :func:`mf_elbo` there.
+    """
+    if data.n < 1:
+        raise ValueError("need at least one observation")
+    if dm.n != data.n:
+        raise ValueError("design matrix was built for a different dataset")
+    return _ascent(dm.gram, dm.Phi.T @ data.y, float(data.y @ data.y),
+                   data.n, data.sigma_sq)
 
 
 def mf_kl_exact(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset

@@ -21,7 +21,7 @@ from gpadapt.basis import (
     SignalSpec,
     synth_signal,
 )
-from gpadapt.exact import Dataset
+from gpadapt.exact import Dataset, GaussianPosterior
 from gpadapt.experiments import (
     ExperimentConfig,
     _make_fitter,
@@ -194,6 +194,35 @@ class TestPopulationCandidate:
         np.testing.assert_array_equal(predict_mean(q, xs),
                                       predict(q, xs).mean)
 
+    @pytest.mark.parametrize("rule", ["predict_mean", "from_features"])
+    def test_mean_rules_stay_below_the_feature_block(self, rule):
+        # the quadrature grid against a wide candidate: m = 400 features
+        # over 10^4 points would be a 32 MB block
+        prior, m = SeriesPrior(PolyDecay(1.0)), 400
+        data, _ = simulate_poly(600, seed=4)
+        stats = feature_stats(BASIS, data.x, data.y, feature_cutoff(prior, m),
+                              m)
+        q = population_candidate(prior, stats, m)[2](0.01)
+        s2 = prior.spectrum(np.arange(1, m + 1)) ** 2
+        w = q.mu / s2
+        xs = np.linspace(0.0, 2.0 * np.pi, 10_000)
+        if rule == "predict_mean":
+            mean_fn = lambda x: predict_mean(q, x)
+        else:
+            mean_fn = GaussianPosterior.from_features(
+                xs[:3], lambda x: BASIS.features(x, m) * s2, w,
+                np.ones(m)).mean_fn
+        block_bytes = xs.size * m * 8
+        tracemalloc.start()
+        try:
+            got = mean_fn(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes / 2, (peak, block_bytes)
+        ref = (BASIS.features(xs, m) * s2) @ w
+        assert _rel(got, ref) <= 1e-12
+
 
 def _smooth_data(n, seed, sigma_sq=0.25):
     rng = np.random.default_rng(seed)
@@ -204,28 +233,22 @@ def _smooth_data(n, seed, sigma_sq=0.25):
     return Dataset(x=x, y=y, sigma_sq=sigma_sq)
 
 
-class TestDimensionPrefix:
-    @pytest.mark.parametrize("D", [1, 7, 22])
-    def test_leading_block_fit_matches_fresh_design(self, D):
-        data = _smooth_data(500, seed=21)
-        top = design_matrix(BASIS, data.x, math.isqrt(500))
-        assert top.D == 22
-        dm = design_matrix(BASIS, data.x, D)
-        lead = top.leading(D)
-        q = mf_fit(lead, data)
-        q_ref = mf_fit(dm, data)
-        assert _rel(q.mu, q_ref.mu) <= RTOL
-        assert _rel(q.Sigma_diag, q_ref.Sigma_diag) <= RTOL
-        assert mf_elbo(q, lead, data) == pytest.approx(
-            mf_elbo(q_ref, dm, data), rel=RTOL)
-        assert float(q.elbo_path[-1]) == mf_elbo(q, lead, data)
+class TestDimensionStats:
+    def test_dim_sweep_evaluates_no_features(self, monkeypatch):
+        calls = []
+        features = EigenBasis.features
 
-    def test_leading_rejects_out_of_range(self):
-        top = design_matrix(BASIS, np.linspace(0.0, 6.0, 20), 4)
-        with pytest.raises(ValueError):
-            top.leading(0)
-        with pytest.raises(ValueError):
-            top.leading(5)
+        def counted(self, x, J):
+            calls.append(J)
+            return features(self, x, J)
+
+        monkeypatch.setattr(EigenBasis, "features", counted)
+        data = _smooth_data(500, seed=21)
+        config = ExperimentConfig(n=500, prior="dim", sigma_sq=0.25)
+        grid = dim_grid(data.n)
+        fitter, _ = _make_fitter(config, grid, data)
+        select_discrete(grid, data, fitter)
+        assert calls == []
 
 
 def _per_candidate_fitter(config, grid, data):

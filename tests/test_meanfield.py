@@ -201,6 +201,7 @@ class TestFit:
             assert np.all(np.diff(q.elbo_path) >= -1e-9)
             wit = mf_elbo(mf_witness(dm, data), dm, data, 1.0)
             assert q.elbo_path[-1] >= wit - 1e-9
+            assert q.elbo_path[-1] == mf_elbo(q, dm, data)
 
     def test_duplication_equals_half_noise(self):
         # doubling every row of (x, y) must match halving sigma^2
@@ -221,6 +222,18 @@ class TestFit:
         q = mf_fit(dm, data)
         np.testing.assert_allclose(q.Sigma_diag, np.full(6, 1.0 / 6.0), rtol=1e-6)
         assert np.max(np.abs(q.mu)) < 1e-6
+
+    def test_small_noise_fit_stops_above_rounding(self):
+        # n = 2000, D = 30, sigma^2 = 1e-4: y'y / sigma^2 is about 3e7 against
+        # a bound of about -4e4, and the Gram identity rounds at eps y'y / sigma^2
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 2 * np.pi, 2000)
+        y = synth_signal(bench_signal(), x) + rng.normal(0.0, 1e-2, 2000)
+        data = Dataset(x=x, y=y, sigma_sq=1e-4)
+        q = mf_fit(design_matrix(BASIS, x, 30), data)
+        assert q.converged
+        rounding = 16 * np.finfo(float).eps * float(y @ y) / data.sigma_sq
+        assert np.all(np.diff(q.elbo_path) >= -rounding)
 
     def test_sweep_cap_warns(self, monkeypatch):
         import gpadapt.meanfield as mf

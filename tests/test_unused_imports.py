@@ -1,12 +1,15 @@
-"""Every name a package module imports is used there or re-exported.
+"""Every imported name and every private definition in the package is used.
 
-A standard-library ``ast`` scan: a name bound by ``import`` or
+Standard-library ``ast`` scans. A name bound by ``import`` or
 ``from ... import`` in a module under ``src/gpadapt`` (``__init__.py``
 aside, which exists to re-export) must appear in that module's code, in a
-quoted annotation, or in its ``__all__``.
+quoted annotation, or in its ``__all__``. A module-level private function,
+class or constant must be referenced somewhere in ``src/gpadapt`` outside
+its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,46 @@ def test_no_unused_imports(module):
                     for name, line in _imported(tree).items()
                     if name not in keep)
     assert not unused, f"{module} imports unused names: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read, attributes taken and names imported within ``node``."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name)
+             for p in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    unused = sorted(f"{module}: {name} (line {node.lineno})"
+                    for module, tree in trees.items()
+                    for name, node in _private_definitions(tree)
+                    if everywhere[name] <= _references(node)[name])
+    assert not unused, f"unreferenced private definitions: {', '.join(unused)}"
 
 
 def test_scan_sees_the_package():
