@@ -153,11 +153,8 @@ def _cmd_running(args: argparse.Namespace) -> int:
 
 def _cmd_contraction(args: argparse.Namespace) -> int:
     n_list = tuple(int(s) for s in args.n_list.split(","))
-    study = contraction_study(args.prior or "dim", args.beta, n_list,
-                              args.replicates, args.seed or 0,
-                              sigma_sq=(args.sigma2
-                                        if isinstance(args.sigma2, float)
-                                        else 0.25),
+    study = contraction_study(args.prior, args.beta, n_list, args.replicates,
+                              args.seed, sigma_sq=args.sigma2,
                               workers=args.workers)
     print(f"slope={study.slope:.4f} target={study.target:.4f} "
           f"se={study.slope_se:.4f}")
@@ -218,8 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="feature count")
     p.set_defaults(func=_cmd_running)
 
-    p = sub.add_parser("contraction", help="error-vs-n rate study")
-    _add_common(p)
+    # the study simulates its own data at a fixed noise variance; without
+    # abbreviations a common flag such as --n cannot pass as --n-list
+    p = sub.add_parser("contraction", help="error-vs-n rate study",
+                       allow_abbrev=False)
+    p.add_argument("--prior", choices=("poly", "exp", "dim"), default="dim")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma2", type=float, default=0.25,
+                   help="noise variance of the simulated data")
+    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--beta", type=float, required=True,
                    help="true smoothness of the synthetic signal")
     p.add_argument("--n-list", default="500,2000,8000",

@@ -10,16 +10,20 @@ low-rank structure can be chosen:
   kernel matrix at the observed design, giving K_uu = diag(eigenvalues) and
   K_uf = diag(eigenvalues) V'.
 
-The optimal Gaussian q(u) for fixed hyperparameters has the closed form
+K_uu = diag(d) is diagonal in both, so nothing factors it: with the
+whitened W = diag(d)^{-1/2} K_uf (Q_ff = W'W), G = W W' and
+M = sigma^2 I + G, the optimal Gaussian q(u) for fixed hyperparameters is
 
-    Sigma = K_uu A^{-1} K_uu,   mu = sigma^{-2} K_uu A^{-1} K_uf y,
-    A = K_uu + sigma^{-2} K_uf K_fu,
+    mu = D M^{-1} W y,   Sigma = sigma^2 D M^{-1} D,   D = diag(sqrt d),
 
 and the resulting collapsed objective
 
-    log N(y; 0, Q_ff + sigma^2 I) - tr(K_ff - Q_ff) / (2 sigma^2),
+    log N(y; 0, Q_ff + sigma^2 I) - tr(K_ff - Q_ff) / (2 sigma^2)
 
-is evaluated through the Woodbury identity in O(m^2 n).
+reads the Cholesky factor of the same M: O(m^2 n) for G and W y, then
+O(m^3) per noise value. Prediction pushes weights mu with covariance
+Sigma - K_uu through the features K_xu K_uu^{-1}, which for population
+features are the first m basis features.
 
 A grid sweep over population priors reads the data only through
 statistics of the basis features that no candidate changes
@@ -74,6 +78,9 @@ __all__ = [
 class InducingModel:
     """Low-rank prior summary: inducing covariances plus prior variances.
 
+    ``K_uu`` is diagonal for every builder (diag(s^2) for population
+    features, diag(eigenvalues) for sample features); the whitened algebra
+    of this module reads only its diagonal.
     ``V`` and ``eigvals`` are populated for the sample flavor only;
     ``prior`` for the population flavor; ``kernel`` when cross-covariances
     to new points are available for prediction. A population model scored
@@ -295,37 +302,46 @@ def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
     )
 
 
-def _optimal_q(model: InducingModel, KufKfu: np.ndarray, Kuf_y: np.ndarray,
+def _whiten(model: InducingModel) -> tuple[np.ndarray, np.ndarray]:
+    """W = K_uu^{-1/2} K_uf and G = W W'; a prior variance that underflows
+    to zero gives a zero row of W, the limit of s_j phi_j(x)."""
+    r = np.sqrt(np.diag(model.K_uu))[:, None]
+    W = np.divide(model.K_uf, r, out=np.zeros_like(model.K_uf), where=r > 0)
+    return W, W @ W.T
+
+
+def _optimal_q(model: InducingModel, G: np.ndarray, wy: np.ndarray,
                sigma_sq: float) -> VariationalGP:
-    """Closed-form q(u) from K_uf K_fu and K_uf y."""
-    A = model.K_uu + KufKfu / sigma_sq
-    L_A, _ = _linalg.chol_jitter(A)
-    T = _linalg.chol_solve(L_A, model.K_uu)
-    Sigma = model.K_uu @ T
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    mu = model.K_uu @ _linalg.chol_solve(L_A, Kuf_y) / sigma_sq
-    return VariationalGP(model=model, mu=mu, Sigma=Sigma)
+    """Closed-form q(u) from G and W y; factors the bound's sigma^2 I + G."""
+    if not sigma_sq > 0:
+        raise ValueError("sigma_sq must be positive")
+    r = np.sqrt(np.diag(model.K_uu))
+    L_M, _ = _linalg.chol_jitter(sigma_sq * np.eye(r.size) + G)
+    # cho_solve: solve_triangular with a matrix right-hand side wakes BLAS
+    # threads that measurably slow the numpy work after it on small m
+    Sigma = sigma_sq * r[:, None] * _linalg.chol_solve(L_M, np.diag(r))
+    return VariationalGP(model=model, mu=r * _linalg.chol_solve(L_M, wy),
+                         Sigma=0.5 * (Sigma + Sigma.T))
 
 
 def titsias_fit(model: InducingModel, data: Dataset) -> VariationalGP:
     """Closed-form optimal q(u) for the collapsed variational problem."""
     if data.n != model.n:
         raise ValueError("model was built for a different design")
-    return _optimal_q(model, model.K_uf @ model.K_uf.T, model.K_uf @ data.y,
-                      data.sigma_sq)
+    W, G = _whiten(model)
+    return _optimal_q(model, G, W @ data.y, data.sigma_sq)
 
 
-def _cross_to_features(model: InducingModel, xs: np.ndarray) -> np.ndarray:
-    """K_xu: covariance between f at new points and the inducing variables."""
+def _features(model: InducingModel, xs: np.ndarray) -> np.ndarray:
+    """K_xu K_uu^{-1}: the inducing features at new points."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if model.flavor == "population":
-        m = model.m
-        s2 = model.prior.spectrum(np.arange(1, m + 1)) ** 2
-        return model.prior.basis.features(xs, m) * s2
+        return model.prior.basis.features(xs, model.m)
     if model.kernel is None or model.x_train is None:
         raise ValueError(
             "sample-feature prediction needs the kernel and training points")
-    return kernel_cross(model.kernel, xs, model.x_train) @ model.V
+    return (kernel_cross(model.kernel, xs, model.x_train) @ model.V
+            / model.eigvals)
 
 
 def _prior_cov(model: InducingModel, xs: np.ndarray, ys: np.ndarray
@@ -342,27 +358,19 @@ def _prior_cov(model: InducingModel, xs: np.ndarray, ys: np.ndarray
     return kernel_cross(model.kernel, xs, ys)
 
 
-def _weights(q: VariationalGP) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of K_uu and the feature weights K_uu^{-1} mu."""
-    L_uu, _ = _linalg.chol_jitter(q.model.K_uu)
-    return L_uu, _linalg.chol_solve(L_uu, q.mu)
-
-
 def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     """Variational predictive law of f, summarized at ``query``.
 
     :meth:`~gpadapt.exact.GaussianPosterior.from_features` with features
-    K_xu, weights K_uu^{-1} mu, weight covariance
-    K_uu^{-1} (Sigma - K_uu) K_uu^{-1} and the prior kernel (for population
-    features the J-term series, plus the dropped-tail mean on coinciding
-    points under ``tail_mode="mean"``), for both flavors.
+    K_xu K_uu^{-1} (for population features the first m basis features),
+    weights mu, weight covariance Sigma - K_uu and the prior kernel (for
+    population features the J-term series, plus the dropped-tail mean on
+    coinciding points under ``tail_mode="mean"``), for both flavors. No
+    matrix is factored.
     """
     model = q.model
-    L_uu, w = _weights(q)
-    B = _linalg.chol_solve(L_uu, q.Sigma - model.K_uu)
     return GaussianPosterior.from_features(
-        query, lambda xs: _cross_to_features(model, xs), w,
-        _linalg.chol_solve(L_uu, B.T),
+        query, lambda xs: _features(model, xs), q.mu, q.Sigma - model.K_uu,
         lambda xs, ys: _prior_cov(model, xs, ys))
 
 
@@ -370,25 +378,17 @@ def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
     """Predictive mean x -> K_xu K_uu^{-1} mu at ``xs`` alone.
 
     Equal to ``predict(q, xs).mean`` without forming the len(xs) x len(xs)
-    covariance; K_xu is formed over blocks of ``exact.MEAN_BLOCK`` points.
+    covariance; features are formed over blocks of ``exact.MEAN_BLOCK`` rows.
     """
-    return _block_mean(lambda x: _cross_to_features(q.model, x), xs,
-                       _weights(q)[1])
-
-
-def _woodbury_parts(model: InducingModel):
-    L_uu, _ = _linalg.chol_jitter(model.K_uu)
-    W = _linalg.solve_lower(L_uu, model.K_uf)  # m x n, Q_ff = W'W
-    G = W @ W.T
-    return L_uu, W, G
+    return _block_mean(lambda x: _features(q.model, x), xs, q.mu)
 
 
 def _collapsed_profile(G: np.ndarray, wy: np.ndarray, yty: float,
                        kff_sum: float, n: int) -> Callable[[float], float]:
     """Collapsed objective from its whitened data terms.
 
-    With K_uu = L L' and W = L^{-1} K_uf: G = W W', wy = W y, y'y,
-    tr K_ff and n. Each call costs O(m^3).
+    With W = K_uu^{-1/2} K_uf: G = W W', wy = W y, y'y, tr K_ff and n.
+    Each call factors M = sigma^2 I + G in O(m^3).
     """
     tr_G = float(np.trace(G))
     m = G.shape[0]
@@ -420,7 +420,7 @@ def elbo_profile(model: InducingModel, y: np.ndarray
     y = np.asarray(y, dtype=float)
     if y.size != model.n:
         raise ValueError("model was built for a different design")
-    _, W, G = _woodbury_parts(model)
+    W, G = _whiten(model)
     return _collapsed_profile(G, W @ y, float(y @ y),
                               float(np.sum(model.kff_diag)), y.size)
 
@@ -433,9 +433,9 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
     Returns the model, the collapsed objective as a function of the noise
     variance (equal to ``elbo_profile(population_features(prior, x, m), y)``
     up to roundoff) and the matching optimal q(u) as a function of the noise
-    variance; neither touches the design. K_uu = diag(s^2) is diagonal, so
-    with s the first m prior scales the data terms are
-    G = diag(s) (Phi'Phi)_m diag(s), W y = s * (Phi'y)_m and
+    variance; neither touches the design. With s the first m prior scales
+    (K_uu = diag(s^2)), both read the same whitened data terms
+    G = diag(s) (Phi'Phi)_m diag(s) and W y = s * (Phi'y)_m, and
     tr K_ff = sum_{j<=J} s_j^2 colsumsq_j + n times the tail mean. Costs
     O(m^3 + J).
     """
@@ -448,23 +448,14 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
     kff_sum = (float(s2 @ stats.colsumsq[:J])
                + stats.n * prior.tail_variance(J))
     s2 = s2[:m]
-    gram = stats.gram[:m, :m]
-    phi_y = stats.phi_y[:m]
     s = np.sqrt(s2)
+    G = s[:, None] * stats.gram[:m, :m] * s
+    wy = s * stats.phi_y[:m]
     model = InducingModel(flavor="population", m=m, K_uu=np.diag(s2),
                           K_uf=None, kff_diag=None, x_train=None, prior=prior,
                           feature_cutoff=J, tail_mode="mean")
-    profile = _collapsed_profile(s[:, None] * gram * s, s * phi_y, stats.yty,
-                                 kff_sum, stats.n)
-    KufKfu = s2[:, None] * gram * s2
-    Kuf_y = s2 * phi_y
-
-    def fit(sigma_sq: float) -> VariationalGP:
-        if not sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
-        return _optimal_q(model, KufKfu, Kuf_y, sigma_sq)
-
-    return model, profile, fit
+    profile = _collapsed_profile(G, wy, stats.yty, kff_sum, stats.n)
+    return model, profile, lambda sigma_sq: _optimal_q(model, G, wy, sigma_sq)
 
 
 def elbo_lambda(model: InducingModel, data: Dataset) -> float:
@@ -486,22 +477,20 @@ def elbo_at(q: VariationalGP, data: Dataset) -> float:
         raise ValueError("model was built for a different design")
     s2 = data.sigma_sq
     n = data.n
-    L_uu, W, G = _woodbury_parts(model)
-    v = _linalg.chol_solve(L_uu, q.mu)  # K_uu^{-1} mu
-    m_f = model.K_uf.T @ v
+    d = np.diag(model.K_uu)
+    _, G = _whiten(model)
+    m_f = model.K_uf.T @ (q.mu / d)
     resid = data.y - m_f
     rss = float(resid @ resid)
     tr_residual = float(np.sum(model.kff_diag)) - float(np.trace(G))
-    C = _linalg.chol_solve(L_uu, model.K_uf)  # K_uu^{-1} K_uf
-    CCt = C @ C.T
-    tr_smear = float(np.sum(q.Sigma * CCt))
+    # tr(Sigma K_uu^{-1} K_uf K_fu K_uu^{-1}), with K_uu^{-1/2} G K_uu^{-1/2}
+    tr_smear = float(np.sum(q.Sigma * G / np.sqrt(np.outer(d, d))))
     L_S, _ = _linalg.chol_jitter(q.Sigma)
-    S1 = _linalg.chol_solve(L_uu, q.Sigma)
     kl = 0.5 * (
-        float(np.trace(S1))
-        + float(q.mu @ v)
+        float(np.sum(np.diag(q.Sigma) / d))
+        + float(q.mu @ (q.mu / d))
         - model.m
-        + _linalg.logdet_from_chol(L_uu)
+        + float(np.sum(np.log(d)))
         - _linalg.logdet_from_chol(L_S)
     )
     exp_lik = (

@@ -1,11 +1,12 @@
 """Exit codes, flag precedence, and artifact emission through the CLI."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gpadapt import _linalg
+from gpadapt import _linalg, cli
 from gpadapt.cli import load_config_file, main
 from gpadapt.errors import ConditioningError
 
@@ -189,6 +190,36 @@ class TestContractionCommand:
         payload = json.loads((tmp_path / "contraction.json").read_text())
         assert payload["n_list"] == [60, 120, 240]
         assert len(payload["errors"]) == 5
+
+    @pytest.mark.parametrize("flags", [
+        ["--sigma2", "estimate"],
+        ["--n", "7"],
+        ["--features", "sample"],
+        ["--cm", "9"],
+        ["--config", "run.cfg"],
+    ])
+    def test_flags_it_cannot_honour_exit_two(self, flags, capsys):
+        # the study simulates its own designs at a fixed noise variance
+        with pytest.raises(SystemExit) as exc:
+            main(["contraction", "--beta", "0.8"] + flags)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_noise_variance_reaches_the_study(self, monkeypatch, capsys):
+        seen = {}
+
+        def study(family, beta, n_list, replicates, seed, sigma_sq, workers):
+            seen.update(family=family, seed=seed, sigma_sq=sigma_sq)
+            return SimpleNamespace(slope=-0.3, target=-0.3, slope_se=0.0,
+                                   n_list=n_list,
+                                   mean_errors=np.ones(len(n_list)))
+
+        monkeypatch.setattr(cli, "contraction_study", study)
+        assert main(["contraction", "--beta", "0.8"]) == 0
+        assert seen == {"family": "dim", "seed": 0, "sigma_sq": 0.25}
+        assert main(["contraction", "--beta", "0.8", "--sigma2", "0.5",
+                     "--seed", "3", "--prior", "poly"]) == 0
+        assert seen == {"family": "poly", "seed": 3, "sigma_sq": 0.5}
 
 
 class TestReportCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gpadapt import _linalg
 from gpadapt.basis import EigenBasis, ExpDecay, PolyDecay, SeriesPrior, Truncated
 from gpadapt.errors import ConditioningError
 from gpadapt.exact import (
@@ -24,6 +25,7 @@ from gpadapt.inducing import (
     population_candidate,
     population_features,
     predict,
+    predict_mean,
     sample_features,
     titsias_fit,
 )
@@ -125,6 +127,28 @@ class TestPopulationFeatures:
             "ji,jk,ki->i", model.K_uf,
             np.linalg.inv(model.K_uu), model.K_uf)
         assert np.all(model.kff_diag - q_diag >= -1e-12)
+
+    def test_underflowed_prior_variances_add_nothing(self):
+        # s_j^2 = exp(-j) underflows to zero beyond j = 745: those features
+        # carry no prior mass, and the fit and bound match the statistics
+        # route, which never divides by s_j
+        prior = SeriesPrior(ExpDecay(1.0))
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 2 * np.pi, 50)
+        data = Dataset(x, np.sin(x) + 0.1 * rng.standard_normal(50), 0.01)
+        m = 800
+        model = population_features(prior, x, m)
+        assert np.count_nonzero(np.diag(model.K_uu) == 0) > 0
+        _, profile, fit = population_candidate(
+            prior, feature_stats(BASIS, x, data.y, model.feature_cutoff, m),
+            m)
+        q, q_ref = titsias_fit(model, data), fit(data.sigma_sq)
+        assert elbo_lambda(model, data) == pytest.approx(
+            profile(data.sigma_sq), rel=1e-10)
+        np.testing.assert_allclose(q.mu, q_ref.mu, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(q.Sigma, q_ref.Sigma, rtol=1e-10,
+                                   atol=1e-14)
+        assert np.all(np.isfinite(predict(q, np.linspace(0, 6, 5)).cov))
 
     def test_truncated_prior_support_guard(self):
         prior = SeriesPrior(Truncated(dim=5))
@@ -259,6 +283,72 @@ class TestTitsiasFit:
             q = titsias_fit(model, data)
             assert elbo_at(q, data) == pytest.approx(
                 elbo_lambda(model, data), abs=1e-8)
+
+    @pytest.mark.parametrize("flavor", ["population", "sample"])
+    def test_matches_textbook_form(self, flavor):
+        # Sigma = K_uu A^{-1} K_uu, mu = K_uu A^{-1} K_uf y / sigma^2 with
+        # A = K_uu + K_uf K_fu / sigma^2, solved densely
+        for seed in range(4):
+            model, _, data = _random_series_instance(seed, flavor=flavor)
+            q = titsias_fit(model, data)
+            K_uu, K_uf = model.K_uu, model.K_uf
+            A = K_uu + K_uf @ K_uf.T / data.sigma_sq
+            Sigma = K_uu @ np.linalg.solve(A, K_uu)
+            mu = K_uu @ np.linalg.solve(A, K_uf @ data.y) / data.sigma_sq
+            np.testing.assert_allclose(q.Sigma, Sigma, rtol=1e-9,
+                                       atol=1e-12 * np.max(np.abs(Sigma)))
+            np.testing.assert_allclose(q.mu, mu, rtol=1e-9,
+                                       atol=1e-12 * np.max(np.abs(mu)))
+            np.testing.assert_array_equal(q.Sigma, q.Sigma.T)
+
+
+class TestDiagonalInducingCovariance:
+    """Every builder returns a diagonal K_uu, so a fit factors one m x m
+    matrix (sigma^2 I + G, shared with the bound) and prediction none."""
+
+    @staticmethod
+    def _routes():
+        rng = np.random.default_rng(31)
+        x = rng.uniform(0, 2 * np.pi, 40)
+        data = Dataset(x, np.sin(x) + 0.3 * rng.standard_normal(40), 0.09)
+        prior = SeriesPrior(PolyDecay(0.6))
+        model, _, fit = population_candidate(
+            prior, feature_stats(BASIS, x, data.y, 1000, 10), 10)
+        yield "population_candidate", model, lambda: fit(data.sigma_sq)
+        model = population_features(prior, x, 10)
+        yield "population_features", model, lambda: titsias_fit(model, data)
+        kern = SquaredExponential(1.3, 0.8)
+        sample = sample_features(kernel_matrix(kern, x), 12, kernel=kern, x=x)
+        yield "sample_features", sample, lambda: titsias_fit(sample, data)
+
+    def test_every_builder_returns_diagonal_K_uu(self):
+        for name, model, _ in self._routes():
+            off = model.K_uu - np.diag(np.diag(model.K_uu))
+            assert model.K_uu.shape == (model.m, model.m), name
+            assert np.all(off == 0.0), name
+            assert np.all(np.diag(model.K_uu) > 0), name
+
+    def test_one_factorization_per_fit_none_per_prediction(self,
+                                                           monkeypatch):
+        calls = []
+        chol = _linalg.chol_jitter
+
+        def spy(mat):
+            calls.append(mat.shape)
+            return chol(mat)
+
+        monkeypatch.setattr(_linalg, "chol_jitter", spy)
+        grid = np.linspace(0.1, 6.0, 7)
+        for name, model, fit in self._routes():
+            calls.clear()
+            q = fit()
+            assert calls == [(model.m, model.m)], name
+            calls.clear()
+            post = predict(q, grid)
+            mean = predict_mean(q, grid)
+            assert calls == [], name
+            np.testing.assert_allclose(mean, post.mean, rtol=1e-12,
+                                       atol=1e-14)
 
 
 class TestElbo:
