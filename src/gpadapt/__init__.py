@@ -52,6 +52,7 @@ from .meanfield import (
     design_matrix,
     mf_elbo,
     mf_fit,
+    mf_fit_levels,
     mf_kl_exact,
     mf_predict,
     mf_witness,

@@ -42,7 +42,7 @@ from .inducing import (
     sample_features,
     titsias_fit,
 )
-from .meanfield import _ascent, mf_predict
+from .meanfield import mf_fit_levels, mf_predict
 from .select import (
     coarse_init,
     dim_grid,
@@ -293,26 +293,33 @@ def _profile_noise(profile) -> tuple[float, float]:
 
 
 def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
-    """Per-candidate fit closure plus a side table of profiled noise.
+    """Per-candidate fit closure plus a side table of extra selection-row
+    fields by grid value: the profiled noise ``sigma_sq``, or a ``dim``
+    level's sweep ``diagnostics``.
 
     Design statistics are built once here, before the sweep:
     ``FeatureStats`` up to the largest truncation level for ``dim``, and up
     to the largest feature count and cutoff for population features. Each
-    candidate then reads only their leading blocks.
+    candidate then reads only their leading blocks. Every ``dim`` level is
+    fitted here too, in one lockstep ascent, and the fitter looks it up.
     """
-    noise_at: dict[float, float] = {}
+    extras: dict[float, dict] = {}
 
     if config.prior == "dim":
-        D_max = grid.m_rule(grid.values[-1])
-        stats = feature_stats(_BASIS, data.x, data.y, D_max, D_max)
+        levels = [grid.m_rule(lam) for lam in grid.values]
+        stats = feature_stats(_BASIS, data.x, data.y, max(levels),
+                              max(levels))
+        fits = mf_fit_levels(stats, levels, data.sigma_sq)
+        for lam, D in zip(grid.values, levels):
+            extras[lam] = {"diagnostics": {
+                "sweeps": len(fits[D].elbo_path) - 1,
+                "converged": fits[D].converged}}
 
         def fitter(lam):
-            D = int(round(lam))
-            q = _ascent(stats.gram[:D, :D], stats.phi_y[:D], stats.yty,
-                        stats.n, data.sigma_sq)
+            q = fits[grid.m_rule(lam)]
             return q, float(q.elbo_path[-1])
 
-        return fitter, noise_at
+        return fitter, extras
 
     if config.features == "population":
         ms = [grid.m_rule(lam) for lam in grid.values]
@@ -338,11 +345,11 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
         profile, fit = candidate(lam)
         if config.estimate_noise:
             s2, bound = _profile_noise(profile)
-            noise_at[lam] = s2
+            extras[lam] = {"sigma_sq": s2}
             return fit(s2), bound
         return fit(data.sigma_sq), profile(data.sigma_sq)
 
-    return fitter, noise_at
+    return fitter, extras
 
 
 def _quadrature_error(mean_fn, spec: SignalSpec) -> float:
@@ -370,7 +377,7 @@ def _flush_partial(out_dir, config: ExperimentConfig, exc: BaseException,
         pass  # the failure being reported wins over the reporting failure
 
 
-def _records_as_rows(records, noise_at: dict[float, float]) -> list[dict]:
+def _records_as_rows(records, extras: dict[float, dict]) -> list[dict]:
     rows = []
     for rec in records:
         rows.append({
@@ -379,9 +386,10 @@ def _records_as_rows(records, noise_at: dict[float, float]) -> list[dict]:
             "elbo_lambda": rec.elbo_lambda,
             "elbo": rec.elbo,
             "m": rec.m,
-            "sigma_sq": noise_at.get(rec.lam),
+            "sigma_sq": None,
             "wall_time": rec.wall_time,
             "error": rec.error,
+            **extras.get(rec.lam, {}),
         })
     return rows
 
@@ -441,9 +449,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     try:
         data, spec = _load_or_simulate(config)
         grid = _build_grid(config, data.n)
-        fitter, noise_at = _make_fitter(config, grid, data)
+        fitter, extras = _make_fitter(config, grid, data)
         sel = select_discrete(grid, data, fitter)
-        selection = _records_as_rows(sel.records, noise_at)
+        selection = _records_as_rows(sel.records, extras)
         if config.prior == "dim":
             q = sel.posterior
             posterior = lambda xs: mf_predict(q, _BASIS, xs)
@@ -453,7 +461,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             vgp = sel.posterior
             posterior = lambda xs: predict(vgp, xs)
             name = "alpha" if config.prior == "poly" else "tau"
-            s2 = noise_at.get(sel.chosen, float(data.sigma_sq))
+            s2 = extras.get(sel.chosen, {}).get("sigma_sq",
+                                                float(data.sigma_sq))
             chosen = {name: float(sel.chosen), "sigma_sq": float(s2),
                       "m": sel.record_for(sel.chosen).m}
         return _finish_report(config, data, spec, posterior, chosen,

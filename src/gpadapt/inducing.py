@@ -470,27 +470,29 @@ def elbo_at(q: VariationalGP, data: Dataset) -> float:
 
     Expected log-likelihood under the induced law of f at the design minus
     KL(q(u) || prior over u). Coincides with :func:`elbo_lambda` when
-    (mu, Sigma) come from :func:`titsias_fit`.
+    (mu, Sigma) come from :func:`titsias_fit`. Both terms are taken in the
+    whitened weights v = K_uu^{-1/2} u, whose prior is N(0, I); a prior
+    variance that underflows to zero pins its u_j at zero, as in
+    :func:`_whiten`, so those coordinates drop out of both.
     """
     model = q.model
     if data.n != model.n:
         raise ValueError("model was built for a different design")
     s2 = data.sigma_sq
     n = data.n
-    d = np.diag(model.K_uu)
-    _, G = _whiten(model)
-    m_f = model.K_uf.T @ (q.mu / d)
-    resid = data.y - m_f
+    r = np.sqrt(np.diag(model.K_uu))
+    live = r > 0
+    r = r[live]
+    W, G = _whiten(model)
+    mu = q.mu[live] / r
+    Sigma = q.Sigma[np.ix_(live, live)] / r[:, None] / r
+    resid = data.y - W[live].T @ mu
     rss = float(resid @ resid)
     tr_residual = float(np.sum(model.kff_diag)) - float(np.trace(G))
-    # tr(Sigma K_uu^{-1} K_uf K_fu K_uu^{-1}), with K_uu^{-1/2} G K_uu^{-1/2}
-    tr_smear = float(np.sum(q.Sigma * G / np.sqrt(np.outer(d, d))))
-    L_S, _ = _linalg.chol_jitter(q.Sigma)
+    tr_smear = float(np.sum(Sigma * G[np.ix_(live, live)]))
+    L_S, _ = _linalg.chol_jitter(Sigma)
     kl = 0.5 * (
-        float(np.sum(np.diag(q.Sigma) / d))
-        + float(q.mu @ (q.mu / d))
-        - model.m
-        + float(np.sum(np.log(d)))
+        float(np.trace(Sigma)) + float(mu @ mu) - r.size
         - _linalg.logdet_from_chol(L_S)
     )
     exp_lik = (

@@ -24,20 +24,25 @@ sweep increases the bound by construction.
 
 Fit and bound read the data only through G = Phi'Phi, b = Phi'y, y'y, n
 and sigma^2 (the residual by |Phi mu - y|^2 = mu'G mu - 2 mu'b + y'y), so a
-sweep over truncation levels fits each from the leading blocks of one
-``inducing.feature_stats``.
+sweep over truncation levels reads the leading blocks of one
+``inducing.feature_stats``, and :func:`mf_fit_levels` fits all its levels
+in lockstep: one coordinate ascent over a levels x D_max matrix, each
+coordinate one vector step over the levels that own it. :func:`mf_fit` is
+its one-level case.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import _linalg
 from .basis import EigenBasis
 from .exact import Dataset, GaussianPosterior
+from .inducing import FeatureStats
 
 __all__ = [
     "DesignMatrix",
@@ -45,6 +50,7 @@ __all__ = [
     "design_matrix",
     "mf_elbo",
     "mf_fit",
+    "mf_fit_levels",
     "mf_witness",
     "mf_kl_exact",
     "mf_predict",
@@ -92,18 +98,43 @@ def design_matrix(basis: EigenBasis, x: np.ndarray, D: int) -> DesignMatrix:
     return DesignMatrix(Phi=Phi, gram=Phi.T @ Phi, D=D)
 
 
-def _bound(Sigma: np.ndarray, mu: np.ndarray, G: np.ndarray, b: np.ndarray,
-           yty: float, n: int, sigma_sq: float) -> float:
-    """Bound without the model-size mass, from the design statistics."""
-    D = mu.size
-    rss = float(mu @ (G @ mu)) - 2.0 * float(mu @ b) + yty
-    tr_smear = float(np.diag(G) @ Sigma)
+def _rowsum(X: np.ndarray) -> np.ndarray:
+    """Row sums taken left to right, so zero padding on the right of a row
+    leaves its sum unchanged bit for bit (BLAS and ``np.sum`` block theirs
+    by length)."""
+    return np.cumsum(X, axis=1)[:, -1]
+
+
+def _halves(M: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of R = M (G - diag G), row by row: lo[c, j] sums
+    G_jl M[c, l] over l < j and up[c, j] over l > j, each accumulated left
+    to right over l, in the order that a coordinate sweep visits l."""
+    off = G - np.diag(np.diag(G))
+    lo, acc = np.zeros_like(M), np.zeros_like(M)
+    for l, off_l in enumerate(off):
+        lo[:, l] = acc[:, l]
+        acc[:, l] = 0.0
+        acc += M[:, l, None] * off_l
+    return lo, acc
+
+
+def _bound(S: np.ndarray, M: np.ndarray, R: np.ndarray, G: np.ndarray,
+           b: np.ndarray, yty: float, n: int, sigma_sq: float, D: np.ndarray
+           ) -> np.ndarray:
+    """Bounds without the model-size mass, one per row, from the design
+    statistics and R = lo + up from :func:`_halves`. Row c holds level D[c]'s
+    variances S and means M, zero beyond D[c], and gets the value its
+    unpadded row would get, bit for bit."""
+    g = np.diag(G)
+    rss = _rowsum(M * (R + g * M)) - 2.0 * _rowsum(M * b) + yty
+    tr_smear = _rowsum(S * g)
     fit = (
         -0.5 * n * np.log(2.0 * np.pi * sigma_sq)
         - 0.5 * (tr_smear + rss) / sigma_sq
     )
-    log_det = D * np.log(D) + float(np.sum(np.log(Sigma)))
-    kl = 0.5 * (-log_det - D + D * float(np.sum(Sigma)) + D * float(mu @ mu))
+    log_S = np.log(S, out=np.zeros_like(S), where=S > 0)
+    log_det = D * np.log(D) + _rowsum(log_S)
+    kl = 0.5 * (-log_det - D + D * _rowsum(S) + D * _rowsum(M * M))
     return fit - kl
 
 
@@ -122,15 +153,11 @@ def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset,
         raise ValueError("design matrix and posterior disagree on D")
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
-    return _bound(q.Sigma_diag, q.mu, dm.gram, dm.Phi.T @ data.y,
-                  float(data.y @ data.y), data.n, data.sigma_sq
-                  ) + float(np.log(hyper_mass))
-
-
-def _witness(b: np.ndarray, n: int, sigma_sq: float) -> MeanFieldPosterior:
-    Sigma = np.full(b.size, 1.0 / (b.size + n / sigma_sq))
-    return MeanFieldPosterior(D=b.size, Sigma_diag=Sigma,
-                              mu=Sigma * b / sigma_sq)
+    lo, up = _halves(q.mu[None], dm.gram)
+    return float(_bound(q.Sigma_diag[None], q.mu[None], lo + up, dm.gram,
+                        dm.Phi.T @ data.y, float(data.y @ data.y), data.n,
+                        data.sigma_sq, np.array([float(q.D)]))[0]
+                 ) + float(np.log(hyper_mass))
 
 
 def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
@@ -141,48 +168,102 @@ def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
     """
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
-    return _witness(dm.Phi.T @ data.y, data.n, data.sigma_sq)
+    Sigma = np.full(dm.D, 1.0 / (dm.D + data.n / data.sigma_sq))
+    return MeanFieldPosterior(D=dm.D, Sigma_diag=Sigma,
+                              mu=Sigma * (dm.Phi.T @ data.y) / data.sigma_sq)
 
 
-def _ascent(G: np.ndarray, b: np.ndarray, yty: float, n: int, s2: float
-            ) -> MeanFieldPosterior:
-    """Coordinate ascent from the statistics G = Phi'Phi, b = Phi'y and y'y."""
-    D = b.size
-    g = np.diag(G).copy()
-    q = _witness(b, n, s2)
-    Sigma, mu = q.Sigma_diag, q.mu
-    last = _bound(Sigma, mu, G, b, yty, n, s2)
-    path = [last]
+def _ascent(G: np.ndarray, b: np.ndarray, yty: float, n: int, s2: float,
+            levels: list[int]) -> list[MeanFieldPosterior]:
+    """Coordinate ascent for the distinct ascending ``levels`` in lockstep.
+
+    Level D reads the leading D x D block of G = Phi'Phi and the first D
+    entries of b = Phi'y. Rows of S and M hold one level each, zero beyond
+    its D, so the levels that own coordinate j are a suffix of the rows and
+    one vector step updates them all. Every sum over coordinates runs left
+    to right, where zero padding changes nothing, so each level follows the
+    iterates and bounds it would follow alone, bit for bit. A level leaves
+    the batch, frozen, on the sweep that gains at most SWEEP_RTOL (|bound|
+    + y'y / sigma^2).
+    """
+    top = levels[-1]
+    G, b = G[:top, :top], b[:top]
+    g = np.diag(G)
+    Dv = np.asarray(levels, dtype=float)
+    S = np.where(np.arange(top) < Dv[:, None],
+                 1.0 / (Dv + n / s2)[:, None], 0.0)
+    M = S * b / s2
+    # the coordinate update maximizes (1/2) log t + A t + B t^2 with
+    # A = A0 - b_j r_j / sigma^4, r_j = sum_{i != j} G_ji mu_i, and
+    # B = -B4 / 4 <= 0; A0 and B4 depend on the level, not on the iterate
+    A0 = -g / (2 * s2) - 0.5 * Dv[:, None] + b**2 / s2**2
+    B4 = 4.0 * ((b**2 / (2 * s2**2)) * (g / s2 + Dv[:, None]))
+    curved = (b**2 / (2 * s2**2) > 0.0).tolist()
+    b_s4, b_s2 = (b / s2**2).tolist(), (b / s2).tolist()
+    off = G - np.diag(g)
     scale = yty / s2
-    converged = False
+    rows = list(range(len(levels)))
+    lo, up = _halves(M, G)
+    last = _bound(S, M, lo + up, G, b, yty, n, s2, Dv)
+    paths = [[v] for v in last.tolist()]
+    fits: list[MeanFieldPosterior | None] = [None] * len(levels)
+
+    def freeze(i, row, converged):
+        D = levels[i]
+        fits[i] = MeanFieldPosterior(
+            D=D, Sigma_diag=S[row, :D].copy(), mu=M[row, :D].copy(),
+            converged=converged, elbo_path=np.asarray(paths[i]))
+
     for _ in range(MAX_SWEEPS):
-        for j in range(D):
-            r_j = float(G[j] @ mu) - g[j] * mu[j]
-            bj = b[j]
-            A = -g[j] / (2 * s2) - 0.5 * D + bj**2 / s2**2 - bj * r_j / s2**2
-            B = -(bj**2 / (2 * s2**2)) * (g[j] / s2 + D)
-            if B < 0.0:
-                # positive root of 2B t^2 + A t + 1/2, written so neither
-                # branch subtracts nearly equal quantities
-                root = np.sqrt(A**2 - 4.0 * B)
-                t = 1.0 / (root - A) if A < 0.0 else (A + root) / (-4.0 * B)
+        starts = np.searchsorted(Dv, np.arange(top), side="right").tolist()
+        # r_j = lo_j + up_j: lo sums the coordinates updated this sweep and
+        # up those still to come, as of the last sweep; acc accumulates lo
+        # in the columns still to visit and the next up in those visited,
+        # in the order of _halves, so the bound sees the exact R
+        lo, acc = np.zeros_like(M), np.zeros_like(M)
+        for j in range(top):
+            k = starts[j]
+            lo[k:, j] = acc[k:, j]
+            acc[k:, j] = 0.0
+            A = A0[k:, j] - b_s4[j] * (lo[k:, j] + up[k:, j])
+            if curved[j]:
+                # positive root of -(B4/2) t^2 + A t + 1/2, written so
+                # neither branch subtracts nearly equal quantities; both
+                # are finite everywhere (w > 0, B4 > 0), so np.where can
+                # evaluate both without floating-point warnings
+                B4j = B4[k:, j]
+                w = np.sqrt(A * A + B4j) + np.abs(A)
+                t = np.where(A < 0.0, 1.0 / w, w / B4j)
             else:
                 # b_j = 0: maximizer of (1/2) log t + A t with A < 0
                 t = -0.5 / A
-            Sigma[j] = t
-            mu[j] = t * bj / s2
-        val = _bound(Sigma, mu, G, b, yty, n, s2)
-        path.append(val)
-        if val - last <= SWEEP_RTOL * (abs(val) + scale):
-            converged = True
+            mu = b_s2[j] * t
+            acc[k:] += mu[:, None] * off[j, :top]
+            S[k:, j] = t
+            M[k:, j] = mu
+        up = acc
+        val = _bound(S, M, lo + up, G[:top, :top], b[:top], yty, n, s2, Dv)
+        done = val - last <= SWEEP_RTOL * (np.abs(val) + scale)
+        for row, i in enumerate(rows):
+            paths[i].append(float(val[row]))
+            if done[row]:
+                freeze(i, row, True)
+        if done.all():
             break
-        last = val
-    if not converged:
+        keep = ~done
+        rows = [i for i, d in zip(rows, done) if not d]
+        Dv, last = Dv[keep], val[keep]
+        top = int(Dv[-1])
+        S, M, up = S[keep, :top], M[keep, :top], up[keep, :top]
+        A0, B4 = A0[keep, :top], B4[keep, :top]
+    else:
+        for row, i in enumerate(rows):
+            freeze(i, row, False)
+        capped = ", ".join(str(levels[i]) for i in rows)
         warnings.warn("coordinate ascent hit the sweep cap before the "
-                      "per-sweep tolerance", RuntimeWarning, stacklevel=3)
-    return MeanFieldPosterior(D=D, Sigma_diag=Sigma, mu=mu,
-                              converged=converged,
-                              elbo_path=np.asarray(path))
+                      f"per-sweep tolerance at D = {capped}", RuntimeWarning,
+                      stacklevel=3)
+    return fits
 
 
 def mf_fit(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
@@ -200,7 +281,32 @@ def mf_fit(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
     return _ascent(dm.gram, dm.Phi.T @ data.y, float(data.y @ data.y),
-                   data.n, data.sigma_sq)
+                   data.n, data.sigma_sq, [dm.D])[0]
+
+
+def mf_fit_levels(stats: FeatureStats, levels: Sequence[int],
+                  sigma_sq: float) -> dict[int, MeanFieldPosterior]:
+    """:func:`mf_fit` for every truncation level in ``levels`` at once.
+
+    ``stats`` holds Phi'Phi and Phi'y over at least max(levels) features,
+    and level D reads their leading D x D block. All levels are fitted
+    in lockstep, one vector step per coordinate, and each stops on the
+    same rule as :func:`mf_fit`. One warning names the levels that hit the
+    sweep cap. Returns the posteriors keyed by level.
+    """
+    levels = sorted({int(D) for D in levels})
+    if not levels or levels[0] < 1:
+        raise ValueError("levels must be positive integers")
+    if levels[-1] > stats.gram.shape[0]:
+        raise ValueError(f"level {levels[-1]} exceeds the "
+                         f"{stats.gram.shape[0]} features in the statistics")
+    if stats.n < 1:
+        raise ValueError("need at least one observation")
+    if not sigma_sq > 0:
+        raise ValueError("sigma_sq must be positive")
+    fits = _ascent(stats.gram, stats.phi_y, stats.yty, stats.n, sigma_sq,
+                   levels)
+    return dict(zip(levels, fits))
 
 
 def mf_kl_exact(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset

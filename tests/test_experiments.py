@@ -223,6 +223,46 @@ class TestRunExperiment:
         assert 1 <= rep.chosen["dim"] <= int(math.isqrt(300))
         assert rep.coverage is not None
 
+    def test_dim_rows_record_sweep_diagnostics(self, tmp_path):
+        cfg = ExperimentConfig(experiment="unit", n=300, seed=2, prior="dim",
+                               sigma_sq=0.01, query_points=16,
+                               out_dir=str(tmp_path))
+        run_experiment(cfg)
+        rows = json.loads((tmp_path / "report.json").read_text())["selection"]
+        assert len(rows) == math.isqrt(300)
+        for row in rows:
+            assert set(row["diagnostics"]) == {"sweeps", "converged"}
+            assert row["diagnostics"]["converged"] is True
+            assert row["diagnostics"]["sweeps"] >= 1
+        header = (tmp_path / "selection.csv").read_text().splitlines()[0]
+        assert header == ("lam,log_mass,elbo_lambda,elbo,m,sigma_sq,"
+                          "wall_time,error")
+
+    def test_population_rows_carry_no_diagnostics(self, tmp_path):
+        cfg = ExperimentConfig(experiment="unit", n=300, seed=2,
+                               sigma_sq=0.01, query_points=16,
+                               out_dir=str(tmp_path))
+        run_experiment(cfg)
+        rows = json.loads((tmp_path / "report.json").read_text())["selection"]
+        assert all("diagnostics" not in row for row in rows)
+
+    def test_dim_sweep_cap_warns_once(self, monkeypatch, tmp_path):
+        import gpadapt.meanfield as mf
+
+        monkeypatch.setattr(mf, "MAX_SWEEPS", 1)
+        cfg = ExperimentConfig(experiment="unit", n=300, seed=2, prior="dim",
+                               sigma_sq=0.01, query_points=16,
+                               out_dir=str(tmp_path))
+        with pytest.warns(RuntimeWarning) as caught:
+            run_experiment(cfg)
+        capped = [w for w in caught if "sweep cap" in str(w.message)]
+        assert len(capped) == 1
+        rows = json.loads((tmp_path / "report.json").read_text())["selection"]
+        named = str(capped[0].message).split("D = ")[1].split(", ")
+        assert named == [str(int(row["lam"])) for row in rows
+                         if not row["diagnostics"]["converged"]]
+        assert all(row["diagnostics"]["sweeps"] == 1 for row in rows)
+
     def test_exp_prior_pipeline(self):
         cfg = ExperimentConfig(experiment="unit", n=400, seed=3, prior="exp",
                                sigma_sq=0.01, query_points=32)

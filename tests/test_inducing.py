@@ -284,6 +284,16 @@ class TestTitsiasFit:
             assert elbo_at(q, data) == pytest.approx(
                 elbo_lambda(model, data), abs=1e-8)
 
+    def test_explicit_objective_with_underflowed_prior_variances(self):
+        # exp(-j) spectrum at m = 800: 55 prior variances are exactly zero
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 6, 200)
+        data = Dataset(x, np.sin(x) + 0.1 * rng.standard_normal(200), 0.01)
+        model = population_features(SeriesPrior(ExpDecay(1.0)), x, 800)
+        assert np.sum(np.diag(model.K_uu) == 0.0) == 55
+        assert elbo_at(titsias_fit(model, data), data) == pytest.approx(
+            elbo_lambda(model, data), rel=1e-8)
+
     @pytest.mark.parametrize("flavor", ["population", "sample"])
     def test_matches_textbook_form(self, flavor):
         # Sigma = K_uu A^{-1} K_uu, mu = K_uu A^{-1} K_uf y / sigma^2 with

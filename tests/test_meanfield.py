@@ -6,20 +6,25 @@ for exact posterior means; a separately written coordinate-ascent loop for
 the trend study).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gpadapt.basis import EigenBasis, SeriesPrior, Truncated, bench_signal, synth_signal
 from gpadapt.exact import Dataset, SeriesKernel, exact_posterior, log_evidence
+from gpadapt.inducing import feature_stats
 from gpadapt.meanfield import (
     MeanFieldPosterior,
     design_matrix,
     mf_elbo,
     mf_fit,
+    mf_fit_levels,
     mf_kl_exact,
     mf_predict,
     mf_witness,
 )
+from gpadapt.select import dim_grid
 
 BASIS = EigenBasis()
 
@@ -248,6 +253,75 @@ class TestFit:
         dm = design_matrix(BASIS, np.array([]), 2)
         with pytest.raises(ValueError):
             mf_fit(dm, Dataset(x=np.array([]), y=np.array([]), sigma_sq=1.0))
+
+
+def _rel(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestLockstepLevels:
+    """mf_fit_levels fits a whole truncation grid in one coordinate ascent."""
+
+    @staticmethod
+    def _sweep(n=2000, seed=8, powers_of_two=False):
+        data = _simulate(n, seed, sigma_sq=0.25)
+        grid = dim_grid(n, powers_of_two=powers_of_two)
+        levels = [grid.m_rule(v) for v in grid.values]
+        stats = feature_stats(BASIS, data.x, data.y, max(levels), max(levels))
+        return stats, levels, data.sigma_sq
+
+    @pytest.mark.parametrize("powers_of_two", [False, True])
+    def test_each_level_matches_its_one_level_fit(self, powers_of_two):
+        stats, levels, s2 = self._sweep(powers_of_two=powers_of_two)
+        fits = mf_fit_levels(stats, levels, s2)
+        assert sorted(fits) == levels
+        for D in levels:
+            q, one = fits[D], mf_fit_levels(stats, [D], s2)[D]
+            assert q.D == D and q.converged
+            # frozen on the sweep it would stop on alone, not over-iterated
+            assert len(q.elbo_path) == len(one.elbo_path)
+            assert _rel(q.mu, one.mu) <= 1e-12
+            assert _rel(q.Sigma_diag, one.Sigma_diag) <= 1e-12
+            assert abs(q.elbo_path[-1] - one.elbo_path[-1]) <= (
+                1e-12 * abs(one.elbo_path[-1]))
+
+    def test_one_level_is_mf_fit(self):
+        dm, data = _random_instance(19)
+        stats = feature_stats(BASIS, data.x, data.y, dm.D, dm.D)
+        q = mf_fit_levels(stats, [dm.D], data.sigma_sq)[dm.D]
+        ref = mf_fit(dm, data)
+        assert len(q.elbo_path) == len(ref.elbo_path)
+        np.testing.assert_allclose(q.mu, ref.mu, rtol=1e-10)
+        np.testing.assert_allclose(q.Sigma_diag, ref.Sigma_diag, rtol=1e-10)
+
+    def test_one_warning_names_the_capped_levels(self, monkeypatch):
+        import gpadapt.meanfield as mf
+
+        stats, levels, s2 = self._sweep()
+        sweeps = {D: len(q.elbo_path) - 1
+                  for D, q in mf_fit_levels(stats, levels, s2).items()}
+        cap = sorted(sweeps.values())[len(levels) // 2]
+        expect = [D for D in levels if sweeps[D] > cap]
+        assert 0 < len(expect) < len(levels)
+        monkeypatch.setattr(mf, "MAX_SWEEPS", cap)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fits = mf_fit_levels(stats, levels, s2)
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, RuntimeWarning)
+        assert str(caught[0].message).endswith(
+            "D = " + ", ".join(map(str, expect)))
+        assert [D for D in levels if not fits[D].converged] == expect
+        for D in expect:
+            assert len(fits[D].elbo_path) == cap + 1
+
+    def test_rejects_bad_levels(self):
+        stats, _, s2 = self._sweep(n=100)
+        for levels in ([], [0, 3], [11]):
+            with pytest.raises(ValueError):
+                mf_fit_levels(stats, levels, s2)
+        with pytest.raises(ValueError):
+            mf_fit_levels(stats, [3], 0.0)
 
 
 class TestKl:
