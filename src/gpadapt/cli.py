@@ -7,8 +7,8 @@ be set in a flat ``key=value`` config file, with explicit flags winning.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from .experiments import (
     DEFAULT_NOISE_SQ,
     ExperimentConfig,
     RunReport,
+    _dumps,
     contraction_study,
     emit_report,
     load_running_csv,
@@ -27,11 +28,7 @@ from .experiments import (
     simulate_poly,
 )
 
-_CONFIG_FIELDS = {
-    "experiment", "n", "seed", "prior", "features", "beta_minus",
-    "beta_plus", "c_m", "m", "sigma_sq", "query_points", "data_path",
-    "out_dir",
-}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _coerce(value: str):
@@ -72,34 +69,33 @@ def _sigma2(text: str):
             'expected a number or "estimate"') from None
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--prior", choices=("poly", "exp", "dim"), default=None)
-    sub.add_argument("--features", choices=("population", "sample"),
-                     default=None)
-    sub.add_argument("--cm", type=float, default=None,
-                     help="feature-count multiplier")
-    sub.add_argument("--sigma2", type=_sigma2, default=None,
-                     help='noise variance, or "estimate"')
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--config", default=None, help="key=value config file")
+#: config flags by name; each ``dest`` is an ``ExperimentConfig`` field
+_FLAGS = {
+    "n": dict(type=int),
+    "seed": dict(type=int),
+    "prior": dict(choices=("poly", "exp", "dim")),
+    "features": dict(choices=("population", "sample")),
+    "cm": dict(type=float, dest="c_m", help="feature-count multiplier"),
+    "sigma2": dict(type=_sigma2, dest="sigma_sq",
+                   help='noise variance, or "estimate"'),
+    "out": dict(dest="out_dir", help="output directory"),
+    "config": dict(help="key=value config file"),
+    "data": dict(dest="data_path", help="input CSV (t_sec,speed_kmh)"),
+    "m": dict(type=int, help="feature count"),
+}
 
 
-def _build_config(args: argparse.Namespace, **extra) -> ExperimentConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    flag_to_field = {
-        "n": "n", "seed": "seed", "prior": "prior", "features": "features",
-        "cm": "c_m", "sigma2": "sigma_sq", "out": "out_dir",
-        "data": "data_path", "m": "m", "experiment": "experiment",
-    }
-    for flag, fieldname in flag_to_field.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[fieldname] = v
-    values.update({k: v for k, v in extra.items() if v is not None})
+def _add_flags(sub: argparse.ArgumentParser, names: str) -> None:
+    for name in names.split():
+        sub.add_argument(f"--{name}", default=None, **_FLAGS[name])
+
+
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Config file first, then every flag given; a subcommand's own
+    ``experiment`` default wins over both."""
+    values = load_config_file(args.config) if args.config else {}
+    values.update({k: v for k, v in vars(args).items()
+                   if k in _CONFIG_FIELDS and v is not None})
     return ExperimentConfig(**values)
 
 
@@ -113,7 +109,7 @@ def _print_chosen(report: RunReport) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _build_config(args, experiment="simulate")
+    config = _build_config(args)
     s2 = DEFAULT_NOISE_SQ if config.estimate_noise else config.sigma_sq
     data, spec = simulate_poly(config.n, config.seed, s2)
     out = Path(config.out_dir or ".")
@@ -141,9 +137,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_running(args: argparse.Namespace) -> int:
-    config = _build_config(args, experiment="running")
-    if config.data_path is None:
-        raise ValueError("running requires --data (CSV of t_sec,speed_kmh)")
+    config = _build_config(args)
     data = load_running_csv(config.data_path)
     print(f"n={data.n}")
     report = run_continuous(config, data=data)
@@ -163,18 +157,8 @@ def _cmd_contraction(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "family": study.family,
-            "beta_true": study.beta_true,
-            "n_list": list(study.n_list),
-            "errors": study.errors.tolist(),
-            "mean_errors": study.mean_errors.tolist(),
-            "slope": study.slope,
-            "slope_se": study.slope_se,
-            "target": study.target,
-        }
         path = out / "contraction.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        path.write_text(_dumps(asdict(study)))
         print(f"wrote {path}")
     return 0
 
@@ -194,26 +178,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive variational regression experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand registers only the flags its driver reads; a config
+    # file may still set any ExperimentConfig field
     p = sub.add_parser("simulate", help="write a synthetic benchmark CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    _add_flags(p, "n seed sigma2 out config")
+    p.set_defaults(func=_cmd_simulate, experiment="simulate")
 
     p = sub.add_parser("select", help="grid selection pipeline")
-    _add_common(p)
-    p.add_argument("--data", default=None, help="input CSV (t_sec,speed_kmh)")
+    _add_flags(p, "n seed prior features cm sigma2 out config data")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("fit", help="continuous kernel tuning")
-    _add_common(p)
-    p.add_argument("--data", default=None, help="input CSV (t_sec,speed_kmh)")
-    p.add_argument("--m", type=int, default=None, help="feature count")
+    _add_flags(p, "n seed sigma2 out config data m")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("running", help="tune on a speed series CSV")
-    _add_common(p)
-    p.add_argument("--data", required=True, help="input CSV (t_sec,speed_kmh)")
-    p.add_argument("--m", type=int, default=None, help="feature count")
-    p.set_defaults(func=_cmd_running)
+    _add_flags(p, "sigma2 out config m")
+    p.add_argument("--data", required=True, **_FLAGS["data"])
+    p.set_defaults(func=_cmd_running, experiment="running")
 
     # the study simulates its own data at a fixed noise variance; without
     # abbreviations a common flag such as --n cannot pass as --n-list

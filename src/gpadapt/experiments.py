@@ -13,7 +13,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +44,7 @@ from .inducing import (
 )
 from .meanfield import mf_fit_levels, mf_predict
 from .select import (
+    SelectionRecord,
     coarse_init,
     dim_grid,
     exp_grid,
@@ -143,6 +144,11 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, default=_json_default, indent=2,
+                      sort_keys=True)
+
+
 @dataclass
 class RunReport:
     """Everything a run produced: choice, band table, errors, timing."""
@@ -176,39 +182,12 @@ class RunReport:
             raise ValueError("coverage must lie in [0, 1]")
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "chosen": self.chosen,
-            "query": self.query,
-            "mean": self.mean,
-            "lo95": self.lo95,
-            "hi95": self.hi95,
-            "truth": self.truth,
-            "l2_error": self.l2_error,
-            "coverage": self.coverage,
-            "wall_time": self.wall_time,
-            "selection": self.selection,
-        }
-        return json.dumps(payload, default=_json_default, indent=2,
-                          sort_keys=True)
+        # not asdict, which would deep-copy the band arrays
+        return _dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        raw = json.loads(text)
-        truth = raw["truth"]
-        return cls(
-            experiment=raw["experiment"],
-            chosen=raw["chosen"],
-            query=np.asarray(raw["query"], dtype=float),
-            mean=np.asarray(raw["mean"], dtype=float),
-            lo95=np.asarray(raw["lo95"], dtype=float),
-            hi95=np.asarray(raw["hi95"], dtype=float),
-            truth=None if truth is None else np.asarray(truth, dtype=float),
-            l2_error=raw["l2_error"],
-            coverage=raw["coverage"],
-            wall_time=raw["wall_time"],
-            selection=raw["selection"],
-        )
+        return cls(**json.loads(text))  # __post_init__ restores the arrays
 
 
 def simulate_poly(n: int, seed: int, sigma_sq: float = DEFAULT_NOISE_SQ
@@ -360,38 +339,24 @@ def _quadrature_error(mean_fn, spec: SignalSpec) -> float:
     return float(np.sqrt(np.mean(diff**2)))
 
 
-def _flush_partial(out_dir, config: ExperimentConfig, exc: BaseException,
+def _flush_partial(config: ExperimentConfig, exc: BaseException,
                    selection: list[dict]) -> None:
+    if config.out_dir is None:
+        return
     try:
-        path = Path(out_dir)
+        path = Path(config.out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        payload = {
+        (path / "partial_report.json").write_text(_dumps({
             "experiment": config.experiment,
             "failed": f"{type(exc).__name__}: {exc}",
             "selection": selection,
-        }
-        (path / "partial_report.json").write_text(
-            json.dumps(payload, default=_json_default, indent=2,
-                       sort_keys=True))
+        }))
     except OSError:
         pass  # the failure being reported wins over the reporting failure
 
 
-def _records_as_rows(records, extras: dict[float, dict]) -> list[dict]:
-    rows = []
-    for rec in records:
-        rows.append({
-            "lam": rec.lam,
-            "log_mass": rec.log_mass,
-            "elbo_lambda": rec.elbo_lambda,
-            "elbo": rec.elbo,
-            "m": rec.m,
-            "sigma_sq": None,
-            "wall_time": rec.wall_time,
-            "error": rec.error,
-            **extras.get(rec.lam, {}),
-        })
-    return rows
+def _row(rec: SelectionRecord, **extra) -> dict:
+    return {**asdict(rec), "sigma_sq": None, **extra}
 
 
 def _load_or_simulate(config: ExperimentConfig
@@ -442,40 +407,71 @@ def _finish_report(config: ExperimentConfig, data: Dataset,
     return report
 
 
-def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Full grid pipeline: data, candidate sweep, prediction, artifacts."""
+def _run(config: ExperimentConfig, fit, data: Dataset | None = None
+         ) -> RunReport:
+    """The one run driver: clock, data, ``fit``, report, failure record.
+
+    ``data`` given is used as is; otherwise the config's CSV is loaded or
+    the benchmark simulated (the only case with a known truth). ``fit(config,
+    data)`` returns ``(posterior, chosen, rows)``: a callable from query
+    points to a band, the chosen hyperparameters and the selection rows.
+    ``wall_time`` spans loading, fitting and prediction. If any step fails
+    and ``config.out_dir`` is set, ``partial_report.json`` there records the
+    error and the rows produced so far before the exception propagates.
+    """
     t0 = time.perf_counter()
-    selection: list[dict] = []
+    rows: list[dict] = []
     try:
-        data, spec = _load_or_simulate(config)
-        grid = _build_grid(config, data.n)
-        fitter, extras = _make_fitter(config, grid, data)
-        sel = select_discrete(grid, data, fitter)
-        selection = _records_as_rows(sel.records, extras)
-        if config.prior == "dim":
-            q = sel.posterior
-            posterior = lambda xs: mf_predict(q, _BASIS, xs)
-            chosen = {"dim": int(round(sel.chosen)),
-                      "sigma_sq": float(data.sigma_sq)}
-        else:
-            vgp = sel.posterior
-            posterior = lambda xs: predict(vgp, xs)
-            name = "alpha" if config.prior == "poly" else "tau"
-            s2 = extras.get(sel.chosen, {}).get("sigma_sq",
-                                                float(data.sigma_sq))
-            chosen = {name: float(sel.chosen), "sigma_sq": float(s2),
-                      "m": sel.record_for(sel.chosen).m}
-        return _finish_report(config, data, spec, posterior, chosen,
-                              selection, t0)
+        spec = None
+        if data is None:
+            data, spec = _load_or_simulate(config)
+        posterior, chosen, rows = fit(config, data)
+        return _finish_report(config, data, spec, posterior, chosen, rows,
+                              t0)
     except Exception as exc:
-        if config.out_dir is not None:
-            _flush_partial(config.out_dir, config, exc, selection)
+        _flush_partial(config, exc, rows)
         raise
 
 
+def _select(config: ExperimentConfig, data: Dataset):
+    """Grid sweep of ``config.prior`` on ``data``: selection and row extras."""
+    grid = _build_grid(config, data.n)
+    fitter, extras = _make_fitter(config, grid, data)
+    return select_discrete(grid, data, fitter), extras
+
+
+def _fit_grid(config: ExperimentConfig, data: Dataset):
+    sel, extras = _select(config, data)
+    rows = [_row(rec, **extras.get(rec.lam, {})) for rec in sel.records]
+    if config.prior == "dim":
+        q = sel.posterior
+        posterior = lambda xs: mf_predict(q, _BASIS, xs)
+        chosen = {"dim": int(round(sel.chosen)),
+                  "sigma_sq": float(data.sigma_sq)}
+    else:
+        vgp = sel.posterior
+        posterior = lambda xs: predict(vgp, xs)
+        name = "alpha" if config.prior == "poly" else "tau"
+        s2 = extras.get(sel.chosen, {}).get("sigma_sq", float(data.sigma_sq))
+        chosen = {name: float(sel.chosen), "sigma_sq": float(s2),
+                  "m": sel.record_for(sel.chosen).m}
+    return posterior, chosen, rows
+
+
+def run_experiment(config: ExperimentConfig) -> RunReport:
+    """Grid pipeline: data, candidate sweep, prediction, artifacts.
+
+    The data come from ``config.data_path`` or are simulated from the
+    benchmark signal. Every value of the ``config.prior`` grid is scored by
+    its collapsed bound and the best one predicts; ``report.json`` holds one
+    selection row per grid value. Artifacts go to ``config.out_dir`` when
+    set, or ``partial_report.json`` if the run fails.
+    """
+    return _run(config, _fit_grid)
+
+
 def _continuous_bounds(data: Dataset) -> list[tuple[float, float]]:
-    span = float(np.max(data.x) - np.min(data.x)) if data.n > 1 else 1.0
-    span = max(span, 1e-6)
+    span = max(float(np.max(data.x) - np.min(data.x)), 1e-6)
     sd_y = float(np.std(data.y))
     sd_y = max(sd_y, 1e-6)
     # the prior has mean zero, so an offset in y is signal variance too
@@ -487,21 +483,10 @@ def _continuous_bounds(data: Dataset) -> list[tuple[float, float]]:
     ]
 
 
-def run_continuous(config: ExperimentConfig,
-                   data: Dataset | None = None) -> RunReport:
-    """Kernel-tuning pipeline: coarse scan, bound ascent, prediction.
-
-    The tuner's diagnostics go into the selection row of ``report.json``
-    (``selection.csv`` keeps its columns).
-    """
-    t0 = time.perf_counter()
-    spec: SignalSpec | None = None
-    if data is None:
-        data, spec = _load_or_simulate(config)
+def _fit_kernel(config: ExperimentConfig, data: Dataset):
     if data.n < 2:
         raise ValueError("continuous tuning needs at least two points")
-    m = config.m if config.m is not None else min(150, data.n)
-    m = min(m, data.n)
+    m = min(config.m if config.m is not None else 150, data.n)
     bounds = _continuous_bounds(data)
     if config.estimate_noise:
         free = (True, True, True)
@@ -514,29 +499,30 @@ def run_continuous(config: ExperimentConfig,
         init0 = coarse_init(data.with_sigma_sq(config.sigma_sq), m, bounds,
                             objective="elbo")
         init = (sigma0, init0[1], init0[2])
-    try:
-        rep = tune_continuous(data, m, init, bounds, free=free,
-                              objective="elbo", maxiter=200)
-        sigma, nu, tau = rep.chosen
-        chosen = {"sigma": float(sigma), "nu": float(nu), "tau": float(tau),
-                  "sigma_sq": float(sigma) ** 2, "m": m}
-        selection = [{
-            "lam": None,
-            "log_mass": 0.0,
-            "elbo_lambda": rep.records[0].elbo_lambda,
-            "elbo": rep.records[0].elbo,
-            "m": m,
-            "sigma_sq": float(sigma) ** 2,
-            "wall_time": rep.records[0].wall_time,
-            "error": None,
-            "diagnostics": rep.diagnostics,
-        }]
-        return _finish_report(config, data, spec, rep.posterior, chosen,
-                              selection, t0)
-    except Exception as exc:
-        if config.out_dir is not None:
-            _flush_partial(config.out_dir, config, exc, [])
-        raise
+    rep = tune_continuous(data, m, init, bounds, free=free,
+                          objective="elbo", maxiter=200)
+    sigma, nu, tau = rep.chosen
+    s2 = float(sigma) ** 2
+    chosen = {"sigma": float(sigma), "nu": float(nu), "tau": float(tau),
+              "sigma_sq": s2, "m": m}
+    row = _row(rep.records[0], lam=None, m=m, sigma_sq=s2,
+               diagnostics=rep.diagnostics)
+    return rep.posterior, chosen, [row]
+
+
+def run_continuous(config: ExperimentConfig,
+                   data: Dataset | None = None) -> RunReport:
+    """Kernel-tuning pipeline: coarse scan, bound ascent, prediction.
+
+    ``data``, when given, is used as is; otherwise it is loaded from
+    ``config.data_path`` or simulated, as in :func:`run_experiment`. A
+    squared-exponential kernel is tuned with ``config.m`` features (default
+    150, at most n); a fixed ``config.sigma_sq`` pins the noise. The
+    tuner's diagnostics go into the selection row of ``report.json``
+    (``selection.csv`` keeps its columns). On failure with
+    ``config.out_dir`` set, ``partial_report.json`` records the error.
+    """
+    return _run(config, _fit_kernel, data)
 
 
 @dataclass
@@ -566,9 +552,7 @@ def _contraction_error(family: str, beta_true: float, n: int, seed: int,
     data = _draw(spec, n, seed, sigma_sq)
     config = ExperimentConfig(experiment="contraction", n=n, seed=seed,
                               prior=family, sigma_sq=sigma_sq)
-    grid = _build_grid(config, n)
-    fitter, _ = _make_fitter(config, grid, data)
-    sel = select_discrete(grid, data, fitter)
+    sel, _ = _select(config, data)
     if family == "dim":
         q = sel.posterior
         coeffs = spec.coeff_array()

@@ -179,6 +179,72 @@ class TestFitAndRunningCommands:
         assert exc.value.code == 2
 
 
+_CSV_COLUMNS = {"lam", "log_mass", "elbo_lambda", "elbo", "m", "sigma_sq",
+                "wall_time", "error"}
+
+
+class TestSelectionRowKeys:
+    """The keys of report.json's selection rows, pinned per driver."""
+
+    def _rows(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["selection"]
+
+    def test_grid_rows_are_the_csv_columns(self, tmp_path, capsys):
+        rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
+                                     "--prior", "poly", "--sigma2",
+                                     "estimate"])
+        assert rows and all(set(row) == _CSV_COLUMNS for row in rows)
+
+    def test_dim_rows_add_diagnostics(self, tmp_path, capsys):
+        rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
+                                     "--prior", "dim", "--sigma2", "0.01"])
+        assert rows and all(set(row) == _CSV_COLUMNS | {"diagnostics"}
+                            for row in rows)
+
+    def test_tuner_row_adds_diagnostics(self, tmp_path, capsys):
+        data = _write_series_csv(tmp_path / "series.csv", n=40)
+        (row,) = self._rows(tmp_path, ["fit", "--data", str(data),
+                                       "--m", "15"])
+        assert set(row) == _CSV_COLUMNS | {"diagnostics"}
+        assert row["lam"] is None and row["m"] == 15
+
+
+class TestFlagsEachCommandHonours:
+    """A flag a subcommand would ignore is not registered: it exits 2."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", ["--prior", "exp"]),
+        ("simulate", ["--features", "sample"]),
+        ("simulate", ["--cm", "7"]),
+        ("fit", ["--prior", "dim"]),
+        ("fit", ["--features", "sample"]),
+        ("fit", ["--cm", "7"]),
+        ("running", ["--n", "5"]),
+        ("running", ["--seed", "99"]),
+        ("running", ["--prior", "dim"]),
+        ("running", ["--features", "sample"]),
+        ("running", ["--cm", "7"]),
+    ])
+    def test_dropped_flag_exits_two(self, command, flags, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path)] + flags
+        if command != "simulate":  # running exits 2 without --data anyway
+            argv += ["--data", str(_write_series_csv(tmp_path / "s.csv"))]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_config_file_keeps_every_field(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prior = exp\nfeatures = sample\nc_m = 7\n"
+                       "n = 25\nseed = 7\n")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "data.csv").read_text().splitlines()) == 26
+
+
 class TestContractionCommand:
     def test_small_study(self, tmp_path, capsys):
         code = main(["contraction", "--prior", "dim", "--beta", "0.8",
@@ -188,6 +254,8 @@ class TestContractionCommand:
         out = capsys.readouterr().out
         assert "slope=" in out and "target=-0.3077" in out
         payload = json.loads((tmp_path / "contraction.json").read_text())
+        assert set(payload) == {"family", "beta_true", "n_list", "errors",
+                                "mean_errors", "slope", "slope_se", "target"}
         assert payload["n_list"] == [60, 120, 240]
         assert len(payload["errors"]) == 5
 

@@ -339,6 +339,22 @@ class TestRunContinuous:
         with pytest.raises(ValueError):
             run_continuous(cfg)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["0.1,1.0", "0.2,nan", "0.3,1.2"], "y must be finite"),
+        (["0.1,1.0"], "at least two points"),
+    ])
+    def test_partial_report_on_failure(self, tmp_path, rows, message):
+        p = tmp_path / "in.csv"
+        p.write_text("\n".join(rows) + "\n")
+        cfg = ExperimentConfig(experiment="unit", data_path=str(p),
+                               out_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match=message):
+            run_continuous(cfg)
+        partial = json.loads((tmp_path / "out" / "partial_report.json")
+                             .read_text())
+        assert message in partial["failed"]
+        assert partial["selection"] == []
+
 
 class TestContraction:
     def test_validation(self):
