@@ -18,7 +18,6 @@ from .exact import (
     HierarchicalPosterior,
     SeriesKernel,
     SquaredExponential,
-    eb_posterior,
     exact_posterior,
     hierarchical_posterior,
     log_evidence,

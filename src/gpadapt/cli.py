@@ -92,10 +92,16 @@ def _add_flags(sub: argparse.ArgumentParser, names: str) -> None:
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Config file first, then every flag given; a subcommand's own
-    ``experiment`` default wins over both."""
+    ``experiment`` default wins over both. ``n`` and ``seed`` only shape a
+    simulated draw, so either one next to a data file is refused."""
     values = load_config_file(args.config) if args.config else {}
     values.update({k: v for k, v in vars(args).items()
                    if k in _CONFIG_FIELDS and v is not None})
+    if values.get("data_path") is not None:
+        for key in ("n", "seed"):
+            if key in values:
+                raise ValueError(f"--{key} only applies to simulated data; "
+                                 "it cannot be combined with --data")
     return ExperimentConfig(**values)
 
 

@@ -1,14 +1,24 @@
 """Exact GP regression: conditioning, evidence, and evidence-weighted mixing.
 
-Everything here is the O(n^3) reference path. The model is
+The model is
 
     y_i = f(x_i) + eps_i,   eps_i ~ N(0, sigma^2) iid,
 
 with a mean-zero Gaussian prior on f given by a kernel. Two kernel families
-are supported: a squared-exponential kernel and the truncated series kernel
-induced by a :class:`~gpadapt.basis.SeriesPrior`. For a flat truncated
-spectrum the conditioning formulas collapse to a D-dimensional Bayesian
-linear model in the basis weights; both routes are implemented and agree.
+are supported: a squared-exponential kernel and the J-term series kernel
+induced by a :class:`~gpadapt.basis.SeriesPrior`.
+
+A J-term series kernel is a Bayesian linear model in J basis weights
+w_j ~ N(0, s_j^2). With the whitened terms G = (Phi S)'(Phi S) and
+W y = (Phi S)'y (S = diag(s)), one factorization of M = sigma^2 I + G gives
+the weight posterior (:func:`_weight_posterior`) and the log evidence
+(:func:`_collapsed_profile`, whose trace penalty is zero when every feature
+is kept) in O(J^2 n + J^3). This is the inducing-variable algebra of
+:mod:`gpadapt.inducing` at m = J. Posteriors and the evidence take it
+whenever J <= n, and posteriors under a flat truncated spectrum at any J.
+Otherwise, and for the squared-exponential kernel, conditioning goes
+through the n x n kernel matrix in O(n^3); that route also stays
+available as the reference.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ __all__ = [
     "exact_posterior",
     "log_evidence",
     "mmle_select",
-    "eb_posterior",
     "hierarchical_posterior",
 ]
 
@@ -199,6 +208,67 @@ class GaussianPosterior:
         return self.mean - 1.96 * sd, self.mean + 1.96 * sd
 
 
+def _weight_posterior(r: np.ndarray, G: np.ndarray, wy: np.ndarray,
+                      sigma_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior of weights u = r * v, v ~ N(0, I), seen through y = W'v + eps.
+
+    With the whitened G = W W' and W y, one Cholesky factor of
+    M = sigma^2 I + G gives the mean r * M^{-1} W y and the covariance
+    sigma^2 diag(r) M^{-1} diag(r). A zero scale r_j pins u_j at zero.
+    """
+    if not sigma_sq > 0:
+        raise ValueError("sigma_sq must be positive")
+    L_M, _ = _linalg.chol_jitter(sigma_sq * np.eye(r.size) + G)
+    # cho_solve: solve_triangular with a matrix right-hand side wakes BLAS
+    # threads that measurably slow the numpy work after it on small m
+    Sigma = sigma_sq * r[:, None] * _linalg.chol_solve(L_M, np.diag(r))
+    return r * _linalg.chol_solve(L_M, wy), 0.5 * (Sigma + Sigma.T)
+
+
+def _collapsed_profile(G: np.ndarray, wy: np.ndarray, yty: float,
+                       kff_sum: float, n: int) -> Callable[[float], float]:
+    """Collapsed objective from its whitened data terms.
+
+    With W = K_uu^{-1/2} K_uf: G = W W', wy = W y, y'y, tr K_ff and n.
+    Each call factors M = sigma^2 I + G in O(m^3).
+    """
+    tr_G = float(np.trace(G))
+    m = G.shape[0]
+    eye = np.eye(m)
+
+    def value(sigma_sq: float) -> float:
+        if not sigma_sq > 0:
+            raise ValueError("sigma_sq must be positive")
+        M = sigma_sq * eye + G
+        L_M, _ = _linalg.chol_jitter(M)
+        z = _linalg.solve_lower(L_M, wy)
+        quad = (yty - float(z @ z)) / sigma_sq
+        logdet = _linalg.logdet_from_chol(L_M) + (n - m) * np.log(sigma_sq)
+        fit = -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+        penalty = 0.5 * (kff_sum - tr_G) / sigma_sq
+        return fit - penalty
+
+    return value
+
+
+def _series_terms(kernel: SeriesKernel, x: np.ndarray, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scales s of the J-term series and its whitened G and W y at (x, y).
+
+    W = (Phi_J S)' from the direct basis features, so G = (Phi S)'(Phi S)
+    and W y = (Phi S)'y; O(J^2 n) time and an n x J block.
+    """
+    J = kernel.j_eff
+    s = kernel.prior.spectrum(np.arange(1, J + 1))
+    W = kernel.prior.basis.features(x, J) * s
+    return s, W.T @ W, W.T @ y
+
+
+def _weight_space(kernel: KernelSpec, data: Dataset) -> bool:
+    """Whether the J x J weight-space form is the smaller problem."""
+    return isinstance(kernel, SeriesKernel) and kernel.j_eff <= data.n
+
+
 def _posterior_kernel_form(kernel: KernelSpec, data: Dataset,
                            query: np.ndarray) -> GaussianPosterior:
     K = kernel_matrix(kernel, data.x)
@@ -221,21 +291,19 @@ def _posterior_kernel_form(kernel: KernelSpec, data: Dataset,
 
 def _posterior_series_form(kernel: SeriesKernel, data: Dataset,
                            query: np.ndarray) -> GaussianPosterior:
-    """Flat truncated spectrum: a D-dimensional Bayesian linear model.
+    """Any J-term series kernel as a Bayesian linear model in J weights.
 
-    Prior weight variance 1/D; one Cholesky of the weight precision
-    P = D I + Phi' Phi / sigma^2 gives the weight mean
-    P^{-1} Phi' y / sigma^2 and covariance P^{-1}, pushed through the
-    first D basis features.
+    :func:`_weight_posterior` on the whitened terms of
+    :func:`_series_terms` gives the weight mean and covariance, pushed
+    through the first J basis features; nothing of the prior is left
+    outside them. O(J^2 n + J^3).
     """
-    D = kernel.j_eff
+    J = kernel.j_eff
     basis = kernel.prior.basis
-    Phi = basis.features(data.x, D)
-    L, _ = _linalg.chol_jitter(D * np.eye(D) + Phi.T @ Phi / data.sigma_sq)
-    w_mean = _linalg.chol_solve(L, Phi.T @ data.y) / data.sigma_sq
+    s, G, wy = _series_terms(kernel, data.x, data.y)
+    w, C = _weight_posterior(s, G, wy, data.sigma_sq)
     return GaussianPosterior.from_features(
-        query, lambda xs: basis.features(xs, D), w_mean,
-        _linalg.chol_solve(L, np.eye(D)))
+        query, lambda xs: basis.features(xs, J), w, C)
 
 
 def exact_posterior(kernel: KernelSpec, data: Dataset, query: np.ndarray,
@@ -244,17 +312,19 @@ def exact_posterior(kernel: KernelSpec, data: Dataset, query: np.ndarray,
 
     ``method`` picks the computation route: "kernel" conditions on the n x n
     kernel matrix, "series" uses the weight-space form (flat truncated
-    spectra only), and "auto" chooses "series" when it applies.
+    spectra only), and "auto" takes the weight-space form for a flat
+    truncated spectrum and for any series kernel with J <= n, else the
+    kernel route.
     """
     if data.n < 1:
         raise ValueError("need at least one observation")
-    series_ok = isinstance(kernel, SeriesKernel) and isinstance(
+    flat = isinstance(kernel, SeriesKernel) and isinstance(
         kernel.prior.kind, Truncated)
+    if method == "series" and not flat:
+        raise ValueError("series form needs a flat truncated spectrum")
     if method == "auto":
-        method = "series" if series_ok else "kernel"
+        method = "series" if flat or _weight_space(kernel, data) else "kernel"
     if method == "series":
-        if not series_ok:
-            raise ValueError("series form needs a flat truncated spectrum")
         return _posterior_series_form(kernel, data, query)
     if method != "kernel":
         raise ValueError(f"unknown method {method!r}")
@@ -262,9 +332,20 @@ def exact_posterior(kernel: KernelSpec, data: Dataset, query: np.ndarray,
 
 
 def log_evidence(kernel: KernelSpec, data: Dataset) -> float:
-    """log N(y; 0, K + sigma^2 I) via Cholesky."""
+    """log N(y; 0, K + sigma^2 I).
+
+    For a series kernel with J <= n this is the collapsed bound with all J
+    features (tr(K_ff - Q_ff) = 0) from :func:`_series_terms`, through the
+    determinant lemma in O(J^2 n + J^3); otherwise one Cholesky of the
+    n x n matrix.
+    """
     if data.n < 1:
         raise ValueError("need at least one observation")
+    if _weight_space(kernel, data):
+        _, G, wy = _series_terms(kernel, data.x, data.y)
+        tr_G = float(np.trace(G))
+        return _collapsed_profile(G, wy, float(data.y @ data.y), tr_G,
+                                  data.n)(data.sigma_sq)
     K = kernel_matrix(kernel, data.x)
     L, _ = _linalg.chol_jitter(K + data.sigma_sq * np.eye(data.n))
     alpha = _linalg.chol_solve(L, data.y)
@@ -309,12 +390,6 @@ def mmle_select(kernels: Mapping, data: Dataset):
         if lam in scores and scores[lam] > best_val:
             best, best_val = lam, scores[lam]
     return best
-
-
-def eb_posterior(kernels: Mapping, data: Dataset,
-                 query: np.ndarray) -> GaussianPosterior:
-    """Exact posterior under the evidence-maximizing candidate."""
-    return exact_posterior(kernels[mmle_select(kernels, data)], data, query)
 
 
 @dataclass

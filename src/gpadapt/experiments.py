@@ -13,7 +13,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -187,7 +187,21 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))  # __post_init__ restores the arrays
+        """Inverse of :meth:`to_json`; a payload that is not a JSON object
+        with exactly the report's fields raises ValueError naming them."""
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("a run report is a JSON object")
+        names = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        problems = [f"{what} fields {', '.join(sorted(keys))}"
+                    for what, keys in (("missing", required - set(payload)),
+                                       ("unexpected", set(payload) - names))
+                    if keys]
+        if problems:
+            raise ValueError("not a run report: " + "; ".join(problems))
+        return cls(**payload)  # __post_init__ restores the arrays
 
 
 def simulate_poly(n: int, seed: int, sigma_sq: float = DEFAULT_NOISE_SQ

@@ -21,9 +21,11 @@ and the resulting collapsed objective
     log N(y; 0, Q_ff + sigma^2 I) - tr(K_ff - Q_ff) / (2 sigma^2)
 
 reads the Cholesky factor of the same M: O(m^2 n) for G and W y, then
-O(m^3) per noise value. Prediction pushes weights mu with covariance
-Sigma - K_uu through the features K_xu K_uu^{-1}, which for population
-features are the first m basis features.
+O(m^3) per noise value. Both solves live in :mod:`gpadapt.exact`, whose
+exact series reference is the same algebra with all J features (m = J).
+Prediction pushes weights mu with covariance Sigma - K_uu through the
+features K_xu K_uu^{-1}, which for population features are the first m
+basis features.
 
 A grid sweep over population priors reads the data only through
 statistics of the basis features that no candidate changes
@@ -51,6 +53,8 @@ from .exact import (
     KernelSpec,
     SeriesKernel,
     _block_mean,
+    _collapsed_profile,
+    _weight_posterior,
     kernel_cross,
     log_evidence,
 )
@@ -312,16 +316,11 @@ def _whiten(model: InducingModel) -> tuple[np.ndarray, np.ndarray]:
 
 def _optimal_q(model: InducingModel, G: np.ndarray, wy: np.ndarray,
                sigma_sq: float) -> VariationalGP:
-    """Closed-form q(u) from G and W y; factors the bound's sigma^2 I + G."""
-    if not sigma_sq > 0:
-        raise ValueError("sigma_sq must be positive")
-    r = np.sqrt(np.diag(model.K_uu))
-    L_M, _ = _linalg.chol_jitter(sigma_sq * np.eye(r.size) + G)
-    # cho_solve: solve_triangular with a matrix right-hand side wakes BLAS
-    # threads that measurably slow the numpy work after it on small m
-    Sigma = sigma_sq * r[:, None] * _linalg.chol_solve(L_M, np.diag(r))
-    return VariationalGP(model=model, mu=r * _linalg.chol_solve(L_M, wy),
-                         Sigma=0.5 * (Sigma + Sigma.T))
+    """Closed-form q(u) from G and W y: the weight posterior of
+    :func:`~gpadapt.exact._weight_posterior` with scales sqrt(diag K_uu)."""
+    mu, Sigma = _weight_posterior(np.sqrt(np.diag(model.K_uu)), G, wy,
+                                  sigma_sq)
+    return VariationalGP(model=model, mu=mu, Sigma=Sigma)
 
 
 def titsias_fit(model: InducingModel, data: Dataset) -> VariationalGP:
@@ -381,32 +380,6 @@ def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
     covariance; features are formed over blocks of ``exact.MEAN_BLOCK`` rows.
     """
     return _block_mean(lambda x: _features(q.model, x), xs, q.mu)
-
-
-def _collapsed_profile(G: np.ndarray, wy: np.ndarray, yty: float,
-                       kff_sum: float, n: int) -> Callable[[float], float]:
-    """Collapsed objective from its whitened data terms.
-
-    With W = K_uu^{-1/2} K_uf: G = W W', wy = W y, y'y, tr K_ff and n.
-    Each call factors M = sigma^2 I + G in O(m^3).
-    """
-    tr_G = float(np.trace(G))
-    m = G.shape[0]
-    eye = np.eye(m)
-
-    def value(sigma_sq: float) -> float:
-        if not sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
-        M = sigma_sq * eye + G
-        L_M, _ = _linalg.chol_jitter(M)
-        z = _linalg.solve_lower(L_M, wy)
-        quad = (yty - float(z @ z)) / sigma_sq
-        logdet = _linalg.logdet_from_chol(L_M) + (n - m) * np.log(sigma_sq)
-        fit = -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
-        penalty = 0.5 * (kff_sum - tr_G) / sigma_sq
-        return fit - penalty
-
-    return value
 
 
 def elbo_profile(model: InducingModel, y: np.ndarray

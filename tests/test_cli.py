@@ -245,6 +245,40 @@ class TestFlagsEachCommandHonours:
         assert len((tmp_path / "data.csv").read_text().splitlines()) == 26
 
 
+def _write_domain_csv(path, n=60):
+    # times inside the basis domain [0, 2 pi], so select can fit it too
+    rows = [f"{i / 10:.1f},{1.0 + np.sin(i / 10):.6f}" for i in range(n)]
+    path.write_text("t_sec,speed_kmh\n" + "\n".join(rows) + "\n")
+    return path
+
+
+class TestSimulationFlagsWithData:
+    """--n and --seed shape a simulated draw; next to --data they exit 2."""
+
+    @pytest.mark.parametrize("command", [
+        ["select", "--sigma2", "0.01"],
+        ["fit", "--m", "10"],
+    ])
+    @pytest.mark.parametrize("flag, value", [("--n", "5"), ("--seed", "99")])
+    def test_flag_with_data_exits_two(self, command, flag, value, tmp_path,
+                                      capsys):
+        data = _write_domain_csv(tmp_path / "d.csv")
+        code = main(command + ["--data", str(data), flag, value,
+                               "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["n", "seed"])
+    def test_config_key_with_data_exits_two(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 7\n")
+        data = _write_domain_csv(tmp_path / "d.csv")
+        code = main(["fit", "--config", str(cfg), "--data", str(data)])
+        assert code == 2
+        assert f"--{key}" in capsys.readouterr().err
+
+
 class TestContractionCommand:
     def test_small_study(self, tmp_path, capsys):
         code = main(["contraction", "--prior", "dim", "--beta", "0.8",
@@ -308,6 +342,24 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             main(["report"])
         assert exc.value.code == 2
+
+    def test_partial_report_exits_two_naming_the_fields(self, monkeypatch,
+                                                        tmp_path, capsys):
+        def fail(mat):
+            raise ConditioningError("Cholesky failed")
+
+        monkeypatch.setattr(_linalg, "chol_jitter", fail)
+        src = tmp_path / "run"
+        assert main(["select", "--n", "60", "--seed", "1", "--sigma2",
+                     "0.01", "--out", str(src)]) == 3
+        capsys.readouterr()
+        code = main(["report", "--input", str(src / "partial_report.json"),
+                     "--out", str(tmp_path / "re")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a run report")
+        assert "missing fields chosen," in err
+        assert "unexpected fields failed" in err
 
 
 def test_unknown_subcommand_exits_two():

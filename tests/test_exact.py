@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import gpadapt.exact as exact_mod
 from gpadapt.basis import (
     EigenBasis,
+    ExpDecay,
     PolyDecay,
     SeriesPrior,
     SignalSpec,
@@ -313,6 +315,71 @@ class TestLogSumExpWeights:
             for c in (1e3, -777.25, 2.0**20):
                 np.testing.assert_array_equal(lse_weights(v),
                                               lse_weights(v + c))
+
+
+def _dense_log_evidence(kern, data):
+    # log N(y; 0, Phi S^2 Phi' + sigma^2 I) straight from the definition
+    J = kern.j_eff
+    F = BASIS.features(data.x, J) * kern.prior.spectrum(np.arange(1, J + 1))
+    K = F @ F.T + data.sigma_sq * np.eye(data.n)
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign > 0
+    return -0.5 * (data.y @ np.linalg.solve(K, data.y) + logdet
+                   + data.n * np.log(2 * np.pi))
+
+
+class TestWeightSpaceRoute:
+    """A J-term series kernel with J <= n is solved in its J weights."""
+
+    # ExpDecay(1) at J = 800: s_j^2 underflows to zero beyond j = 745
+    CASES = [
+        pytest.param(PolyDecay(1.0), 200, 300, id="poly"),
+        pytest.param(ExpDecay(1.0), 800, 900, id="exp-underflow"),
+        pytest.param(Truncated(dim=8), 8, 50, id="truncated"),
+    ]
+
+    @staticmethod
+    def _case(kind, J, n):
+        kern = SeriesKernel(SeriesPrior(kind), j_max=J)
+        assert kern.j_eff == J
+        data = _simulate(_beta_one_signal(), n, 0.05, seed=J + n)
+        return kern, data
+
+    @pytest.mark.parametrize("kind, J, n", CASES)
+    def test_posterior_matches_kernel_route(self, kind, J, n):
+        kern, data = self._case(kind, J, n)
+        q = np.linspace(0, 2 * np.pi, 41)
+        a = exact_posterior(kern, data, q)
+        b = exact_posterior(kern, data, q, method="kernel")
+        np.testing.assert_allclose(a.mean, b.mean, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(a.cov, b.cov, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("kind, J, n", CASES)
+    def test_evidence_matches_dense_definition(self, kind, J, n):
+        kern, data = self._case(kind, J, n)
+        assert log_evidence(kern, data) == pytest.approx(
+            _dense_log_evidence(kern, data), rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("J, n, builds", [
+        (200, 300, 0), (300, 300, 0), (300, 100, 1)])
+    def test_kernel_matrix_built_only_when_J_exceeds_n(self, J, n, builds,
+                                                       monkeypatch):
+        kern = SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=J)
+        data = _simulate(_beta_one_signal(), n, 0.05, seed=1)
+        shapes = []
+        build = exact_mod.kernel_matrix
+
+        def spy(kernel, points):
+            K = build(kernel, points)
+            shapes.append(K.shape)
+            return K
+
+        monkeypatch.setattr(exact_mod, "kernel_matrix", spy)
+        exact_posterior(kern, data, np.linspace(0, 2 * np.pi, 9))
+        assert shapes == [(n, n)] * builds
+        shapes.clear()
+        log_evidence(kern, data)
+        assert shapes == [(n, n)] * builds
 
 
 class TestContractionSanity:
