@@ -28,8 +28,6 @@ __all__ = [
     "Truncated",
     "SeriesPrior",
     "SignalSpec",
-    "eval_basis",
-    "spectrum",
     "sobolev_norm_sq",
     "synth_signal",
     "sample_prior",
@@ -224,16 +222,6 @@ def bench_signal(j_max: int = 10_000) -> SignalSpec:
     return SignalSpec(coefficients=coeff, j_max=j_max, shift=np.pi)
 
 
-def eval_basis(basis: EigenBasis, j, x):
-    """Functional alias for :meth:`EigenBasis.eval`."""
-    return basis.eval(j, x)
-
-
-def spectrum(prior: SeriesPrior, j):
-    """Functional alias for :meth:`SeriesPrior.spectrum`."""
-    return prior.spectrum(j)
-
-
 def sobolev_norm_sq(coeffs, beta: float, J: int, d: int = 1) -> float:
     """Partial sum sum_{j<=J} j^(2*beta/d) c_j^2.
 
@@ -265,22 +253,42 @@ def _block_shape(K: int) -> tuple[int, int]:
     return B, -(-K // B)
 
 
+def _powers(w: np.ndarray, count: int) -> np.ndarray:
+    """[w^0, w^1, ..., w^(count-1)] per row: one cumulative product along
+    the columns of a preallocated block."""
+    out = np.empty((w.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    out[:, 1:] = w[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
 def _phase_blocks(z: np.ndarray, B: int, P: int, chunk: int):
     """Block phases for frequencies k = p B + q, over row chunks of z.
 
     Yields (rows, E_p, E_q) with E_p = exp(i p B z) (rows x P) and
-    E_q = exp(i q z) (rows x B), so that exp(i k z) = E_p[:, p] E_q[:, q]:
-    O(rows (P + B)) trigonometric calls per chunk in place of O(rows P B).
+    E_q = exp(i q z) (rows x B), so that exp(i k z) = E_p[:, p] E_q[:, q].
+    Each chunk makes two complex exponential calls per point, exp(i z) and
+    exp(i B z), and takes their powers by recurrence: O(rows (P + B))
+    complex multiplications. B z is formed as B z_hi + B z_lo with both
+    products exact (z_hi keeps 53 - bits(B) bits), so the p-th power does
+    not multiply a rounding of B z by p: every phase is accurate to about
+    2 eps per factor, where exp(i k z) taken directly carries the rounding
+    of k z, near |k z| eps / 2.
     """
-    pB = np.arange(P) * float(B)
-    q = np.arange(B, dtype=float)
+    split = float(2 ** B.bit_length() + 1)
     for lo in range(0, z.size, chunk):
         zc = z[lo:lo + chunk]
-        yield (slice(lo, lo + zc.size), np.exp(1j * np.outer(zc, pB)),
-               np.exp(1j * np.outer(zc, q)))
+        t = split * zc
+        z_hi = t - (t - zc)
+        # exp(i B z_lo) = 1 + i B z_lo to within (B z_lo)^2 / 2, below eps
+        # for z in [0, 2 pi] while B < 4096 (K up to 1.6e7)
+        w_B = np.exp(1j * (B * z_hi)) * (1.0 + 1j * (B * (zc - z_hi)))
+        yield (slice(lo, lo + zc.size), _powers(w_B, P),
+               _powers(np.exp(1j * zc), B))
 
 
-def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int) -> np.ndarray:
+def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048
+              ) -> np.ndarray:
     """Re sum_{k < K} c_k exp(i k z) at every point, K = len(c).
 
     With the coefficients laid out as a P x B array C (k = p B + q), each
@@ -318,9 +326,9 @@ def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
     x is accepted. The sum c_1 + sqrt(2) sum_k (c_2k cos(k z) +
     c_2k+1 sin(k z)) is Re sum_k a_k exp(i k z) with a_0 = c_1 and
     a_k = sqrt(2) (c_2k - i c_2k+1), evaluated by the block factorization
-    k = p B + q (B about sqrt(j_max / 2)) in chunks of points: O(n sqrt(K))
-    trigonometric calls plus one complex GEMM per chunk, and no
-    point-by-frequency block.
+    k = p B + q (B about sqrt(j_max / 2)) in chunks of points: two complex
+    exponentials per point, O(n sqrt(K)) complex multiplications for their
+    powers, one complex GEMM per chunk, and no point-by-frequency block.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = _wrap(x_arr - spec.shift)

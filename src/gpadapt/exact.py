@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
 from . import _linalg
-from .basis import SeriesPrior, Truncated
+from .basis import SeriesPrior, Truncated, _check_domain, _trig_sum, _wrap
 from .errors import ConditioningError
 
 __all__ = [
@@ -147,46 +148,75 @@ def kernel_matrix(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
 
 
 def kernel_diag(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Diagonal k(x_i, x_i) without forming the full matrix."""
+    """Diagonal k(x_i, x_i) without forming the full matrix.
+
+    A J-term series kernel's diagonal is one cosine series: with
+    phi_2k^2 = 1 + cos 2kx and phi_2k+1^2 = 1 - cos 2kx,
+
+        k(x, x) = sum_j s_j^2 + sum_k (s_2k^2 - s_2k+1^2) cos(2 k x),
+
+    evaluated at z = 2x by the block trigonometric sum: O(n sqrt(J)) time
+    and no n x J feature block.
+    """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if isinstance(kernel, SquaredExponential):
         return np.full(points.size, kernel.nu)
+    _check_domain(points)
     J = kernel.j_eff
-    prior = kernel.prior
-    s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
-    F = prior.basis.features(points, J)
-    return (F * F) @ s2
+    s2 = kernel.prior.spectrum(np.arange(1, J + 1)) ** 2
+    c = np.zeros(J // 2 + 1)
+    c[0] = s2.sum()
+    c[1:] = s2[1::2]
+    c[1:(J + 1) // 2] -= s2[2::2]
+    return _trig_sum(_wrap(2.0 * points), c)
 
 
 @dataclass
 class GaussianPosterior:
-    """Gaussian law for f, summarized on a query grid plus callable rules."""
+    """Gaussian law for f, summarized on a query grid plus callable rules.
+
+    ``var`` is the pointwise variance on the query grid, which is all
+    :meth:`band95` reads. The query covariance ``cov`` is formed from
+    ``cov_fn`` on first access.
+    """
 
     query: np.ndarray
     mean: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
     mean_fn: Callable[[np.ndarray], np.ndarray]
     cov_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        return self.cov_fn(self.query, self.query)
 
     @classmethod
     def from_features(cls, query: np.ndarray,
                       features: Callable[[np.ndarray], np.ndarray],
                       weights: np.ndarray, weight_cov: np.ndarray,
                       prior_cov: Callable[[np.ndarray, np.ndarray],
-                                          np.ndarray] | None = None
-                      ) -> "GaussianPosterior":
+                                          np.ndarray] | None = None,
+                      prior_var: Callable[[np.ndarray], np.ndarray]
+                      | None = None) -> "GaussianPosterior":
         """Law of f = F w + g with basis weights w ~ N(weights, weight_cov).
 
         ``features`` maps points to the rows F(x); ``weight_cov`` C is a
         vector (a diagonal) or a matrix; g is independent of w, mean zero,
-        with covariance ``prior_cov`` k0 (zero when None). Mean rule
-        x -> F(x) w, evaluated over blocks of ``MEAN_BLOCK`` points, and
-        covariance rule (x, x') -> k0(x, x') + F(x) C F(x')'.
+        with covariance ``prior_cov`` k0 and variance ``prior_var``
+        x -> k0(x, x) (both zero when None). Mean rule x -> F(x) w,
+        evaluated over blocks of ``MEAN_BLOCK`` points, covariance rule
+        (x, x') -> k0(x, x') + F(x) C F(x')', and query variance
+        k0(x, x) + the row sums of (F C) * F.
         """
+        if (prior_cov is None) != (prior_var is None):
+            raise ValueError("prior_cov and prior_var go together")
         C = np.asarray(weight_cov, dtype=float)
 
         def mean_fn(xs):
             return _block_mean(features, xs, weights)
+
+        def times_C(F):
+            return F * C if C.ndim == 1 else F @ C
 
         def cov_fn(xs, ys):
             xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -195,16 +225,19 @@ class GaussianPosterior:
             out = None if prior_cov is None else prior_cov(xs, ys)
             Fa = features(xs)
             Fb = Fa if ys is xs else features(ys)
-            term = (Fa * C if C.ndim == 1 else Fa @ C) @ Fb.T
+            term = times_C(Fa) @ Fb.T
             return term if out is None else np.add(out, term, out=out)
 
         query = np.atleast_1d(np.asarray(query, dtype=float))
-        return cls(query, mean_fn(query), cov_fn(query, query), mean_fn,
-                   cov_fn)
+        F = features(query)
+        var = np.einsum("ij,ij->i", times_C(F), F)
+        if prior_var is not None:
+            var += prior_var(query)
+        return cls(query, mean_fn(query), var, mean_fn, cov_fn)
 
     def band95(self) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise central 95 percent band on the query grid."""
-        sd = np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
+        sd = np.sqrt(np.clip(self.var, 0.0, None))
         return self.mean - 1.96 * sd, self.mean + 1.96 * sd
 
 
@@ -285,8 +318,10 @@ def _posterior_kernel_form(kernel: KernelSpec, data: Dataset,
         return kernel_cross(kernel, xs, ys) - Ka @ W
 
     query = np.atleast_1d(np.asarray(query, dtype=float))
-    return GaussianPosterior(query, mean_fn(query), cov_fn(query, query),
-                             mean_fn, cov_fn)
+    Kq = kernel_cross(kernel, query, data.x)
+    var = (kernel_diag(kernel, query)
+           - np.einsum("ij,ji->i", Kq, _linalg.chol_solve(L, Kq.T)))
+    return GaussianPosterior(query, Kq @ alpha, var, mean_fn, cov_fn)
 
 
 def _posterior_series_form(kernel: SeriesKernel, data: Dataset,

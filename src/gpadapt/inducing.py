@@ -30,9 +30,10 @@ basis features.
 A grid sweep over population priors reads the data only through
 statistics of the basis features that no candidate changes
 (:class:`FeatureStats`): built once per dataset from trigonometric moments
-(O(n sqrt(J)) trigonometric calls and O(n J) complex multiply-adds in matrix
-products), they let every candidate be scored and fitted in O(m^3 + J)
-(:func:`population_candidate`).
+(two complex exponentials per design point, O(n sqrt(J)) complex
+multiplications for their powers and O(n J) complex multiply-adds in
+matrix products), they let every candidate be scored and fitted in
+O(m^3 + J) (:func:`population_candidate`).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .exact import (
     _collapsed_profile,
     _weight_posterior,
     kernel_cross,
+    kernel_diag,
     log_evidence,
 )
 
@@ -155,29 +157,28 @@ def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
     so the trace penalty in the collapsed objective is unbiased for slowly
     decaying spectra; with ``tail_mode="truncate"`` the model describes
     exactly the J-term truncated prior, which is what a matching
-    :class:`~gpadapt.exact.SeriesKernel` computes.
+    :class:`~gpadapt.exact.SeriesKernel` computes. The J-term sum is the
+    cosine series of :func:`~gpadapt.exact.kernel_diag`, so the only
+    feature block formed is the n x m one behind ``K_uf``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if tail_mode not in ("mean", "truncate"):
         raise ValueError("tail_mode must be 'mean' or 'truncate'")
     J = feature_cutoff(prior, m, j_cutoff)
-    s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
-    Phi = prior.basis.features(x, J)
-    kff = (Phi * Phi) @ s2
-    if tail_mode == "mean":
-        kff = kff + prior.tail_variance(J)
-    K_uf = (Phi[:, :m] * s2[:m]).T.copy()
-    return InducingModel(
+    s2 = prior.spectrum(np.arange(1, m + 1)) ** 2
+    model = InducingModel(
         flavor="population",
         m=m,
-        K_uu=np.diag(s2[:m]),
-        K_uf=K_uf,
-        kff_diag=kff,
+        K_uu=np.diag(s2),
+        K_uf=(prior.basis.features(x, m) * s2).T.copy(),
+        kff_diag=None,
         x_train=x,
         prior=prior,
         feature_cutoff=J,
         tail_mode=tail_mode,
     )
+    model.kff_diag = _prior_var(model, x)
+    return model
 
 
 #: design rows per block when accumulating the trigonometric moments behind
@@ -357,6 +358,17 @@ def _prior_cov(model: InducingModel, xs: np.ndarray, ys: np.ndarray
     return kernel_cross(model.kernel, xs, ys)
 
 
+def _prior_var(model: InducingModel, xs: np.ndarray) -> np.ndarray:
+    """Diagonal of :func:`_prior_cov`: the J-term series diagonal plus the
+    dropped-tail mean for population features, O(len(xs) sqrt(J))."""
+    if model.flavor == "population":
+        var = kernel_diag(SeriesKernel(model.prior, model.feature_cutoff), xs)
+        if model.tail_mode == "mean":
+            var += model.prior.tail_variance(model.feature_cutoff)
+        return var
+    return kernel_diag(model.kernel, xs)
+
+
 def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     """Variational predictive law of f, summarized at ``query``.
 
@@ -365,12 +377,15 @@ def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     weights mu, weight covariance Sigma - K_uu and the prior kernel (for
     population features the J-term series, plus the dropped-tail mean on
     coinciding points under ``tail_mode="mean"``), for both flavors. No
-    matrix is factored.
+    matrix is factored, and the query variance reads the prior's diagonal
+    alone: for population features one cosine series in O(len(query)
+    sqrt(J)), with no query x J feature block.
     """
     model = q.model
     return GaussianPosterior.from_features(
         query, lambda xs: _features(model, xs), q.mu, q.Sigma - model.K_uu,
-        lambda xs, ys: _prior_cov(model, xs, ys))
+        lambda xs, ys: _prior_cov(model, xs, ys),
+        lambda xs: _prior_var(model, xs))
 
 
 def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:

@@ -13,11 +13,10 @@ from gpadapt.basis import (
     SeriesPrior,
     SignalSpec,
     Truncated,
-    eval_basis,
+    _trig_moments,
     bench_signal,
     sample_prior,
     sobolev_norm_sq,
-    spectrum,
     synth_signal,
 )
 
@@ -26,14 +25,14 @@ BASIS = EigenBasis()
 
 class TestEvalBasis:
     def test_constant_function(self):
-        assert eval_basis(BASIS, 1, 0.3) == 1.0
-        assert eval_basis(BASIS, 1, 5.9) == 1.0
+        assert BASIS.eval(1, 0.3) == 1.0
+        assert BASIS.eval(1, 5.9) == 1.0
 
     def test_first_cosine_at_zero(self):
-        assert eval_basis(BASIS, 2, 0.0) == pytest.approx(np.sqrt(2.0))
+        assert BASIS.eval(2, 0.0) == pytest.approx(np.sqrt(2.0))
 
     def test_first_sine_quarter_period(self):
-        assert eval_basis(BASIS, 3, np.pi / 2) == pytest.approx(np.sqrt(2.0))
+        assert BASIS.eval(3, np.pi / 2) == pytest.approx(np.sqrt(2.0))
 
     @pytest.mark.parametrize("j", [2, 3, 4, 5, 17, 64])
     def test_frequency_pairing(self, j):
@@ -41,29 +40,29 @@ class TestEvalBasis:
         x = np.linspace(0, 2 * np.pi, 101)
         k = j // 2
         want = np.sqrt(2) * (np.cos(k * x) if j % 2 == 0 else np.sin(k * x))
-        np.testing.assert_allclose(eval_basis(BASIS, j, x), want, atol=1e-14)
+        np.testing.assert_allclose(BASIS.eval(j, x), want, atol=1e-14)
 
     def test_sup_norm_bound(self):
         x = np.linspace(0, 2 * np.pi, 4001)
         for j in range(1, 40):
-            assert np.max(np.abs(eval_basis(BASIS, j, x))) <= np.sqrt(2) + 1e-12
+            assert np.max(np.abs(BASIS.eval(j, x))) <= np.sqrt(2) + 1e-12
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
-            eval_basis(BASIS, 0, 1.0)
+            BASIS.eval(0, 1.0)
 
     def test_point_outside_domain_rejected(self):
         with pytest.raises(ValueError):
-            eval_basis(BASIS, 2, -0.1)
+            BASIS.eval(2, -0.1)
         with pytest.raises(ValueError):
-            eval_basis(BASIS, 2, 2 * np.pi + 1e-6)
+            BASIS.eval(2, 2 * np.pi + 1e-6)
 
     def test_features_agree_with_eval(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 2 * np.pi, size=37)
         F = BASIS.features(x, 23)
         for j in range(1, 24):
-            np.testing.assert_allclose(F[:, j - 1], eval_basis(BASIS, j, x),
+            np.testing.assert_allclose(F[:, j - 1], BASIS.eval(j, x),
                                        atol=1e-14)
 
     def test_quadrature_orthonormality(self):
@@ -80,18 +79,18 @@ class TestEvalBasis:
 class TestSpectrum:
     def test_poly_decay_value(self):
         prior = SeriesPrior(PolyDecay(alpha=1.0))
-        assert spectrum(prior, 1) == 1.0
-        assert spectrum(prior, 4) == pytest.approx(4.0**-1.5)
+        assert prior.spectrum(1) == 1.0
+        assert prior.spectrum(4) == pytest.approx(4.0**-1.5)
 
     def test_exp_decay_value(self):
         prior = SeriesPrior(ExpDecay(tau=0.5))
         want = np.sqrt(0.5 * np.exp(-0.5 * 3))
-        assert spectrum(prior, 3) == pytest.approx(want)
+        assert prior.spectrum(3) == pytest.approx(want)
 
     def test_truncated_support(self):
         prior = SeriesPrior(Truncated(dim=4))
-        assert spectrum(prior, 4) == pytest.approx(0.5)
-        assert spectrum(prior, 5) == 0.0
+        assert prior.spectrum(4) == pytest.approx(0.5)
+        assert prior.spectrum(5) == 0.0
         assert prior.support == 4
 
     @pytest.mark.parametrize(
@@ -106,7 +105,7 @@ class TestSpectrum:
     )
     def test_monotone_nonincreasing(self, prior):
         js = np.arange(1, 10_001)
-        s = spectrum(prior, js)
+        s = prior.spectrum(js)
         assert np.all(np.diff(s) <= 0)
 
     def test_parameter_validation(self):
@@ -246,7 +245,7 @@ class TestSamplePrior:
         prior = SeriesPrior(PolyDecay(1.0))
         draws = np.array([sample_prior(prior, 4, seed=s)[1]
                           for s in range(10_000)])
-        want = spectrum(prior, 2) ** 2
+        want = prior.spectrum(2) ** 2
         assert np.var(draws) == pytest.approx(want, rel=0.05)
 
     def test_generator_state_is_caller_owned(self):
@@ -324,3 +323,41 @@ class TestBlockTrigKernel:
             tracemalloc.stop()
         block_bytes = 2048 * (K / 4) * 8
         assert peak < block_bytes, (peak, block_bytes)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs an extended-precision long double")
+class TestPhaseRecurrence:
+    """The block phases are powers of exp(i z) and exp(i B z); check them
+    against term-by-term sums in long double at the same float64 points."""
+
+    def test_bench_signal_to_extended_precision(self):
+        spec = bench_signal()
+        x = np.random.default_rng(31).uniform(0.0, 2 * np.pi, size=300)
+        z = np.mod(x - spec.shift, 2 * np.pi).astype(np.longdouble)
+        c = spec.coeff_array().astype(np.longdouble)
+        ref = np.full(z.shape, c[0])
+        r2 = np.sqrt(np.longdouble(2.0))
+        for j in np.flatnonzero(c[1:]) + 2:
+            wave = np.cos(j // 2 * z) if j % 2 == 0 else np.sin(j // 2 * z)
+            ref += c[j - 1] * r2 * wave
+        err = np.max(np.abs(synth_signal(spec, x).astype(np.longdouble) - ref))
+        assert err <= 1e-13, float(err)
+
+    def test_moments_no_worse_than_direct_exponentials(self):
+        n, K = 500, 3000
+        rng = np.random.default_rng(32)
+        x = rng.uniform(0.0, 2 * np.pi, size=n)
+        w = rng.standard_normal(n)
+        k = np.arange(K)
+        xl, wl = x.astype(np.longdouble), w.astype(np.longdouble)
+        ang = np.outer(k.astype(np.longdouble), xl)
+        ref_re, ref_im = np.cos(ang) @ wl, np.sin(ang) @ wl
+        direct = np.exp(1j * np.outer(k, x)) @ w
+
+        def err(M):
+            return max(np.max(np.abs(M.real.astype(np.longdouble) - ref_re)),
+                       np.max(np.abs(M.imag.astype(np.longdouble) - ref_im)))
+
+        got = err(_trig_moments(x, w, K, 128))
+        assert got <= err(direct), (float(got), float(err(direct)))

@@ -76,6 +76,27 @@ class TestKernels:
                                    np.diag(kernel_matrix(kern, pts)),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("kind, J", [
+        *[(PolyDecay(0.7), J) for J in (1, 2, 7, 8, 1000)],
+        (ExpDecay(0.3), 7),
+        (Truncated(dim=5), 8),
+        (Truncated(dim=8), 1000),
+    ])
+    def test_series_diag_equals_feature_sum(self, kind, J):
+        kern = SeriesKernel(SeriesPrior(kind), j_max=J)
+        pts = np.r_[0.0, np.random.default_rng(J).uniform(0, 2 * np.pi, 60),
+                    np.pi, 2 * np.pi]
+        J_eff = kern.j_eff
+        s2 = kern.prior.spectrum(np.arange(1, J_eff + 1)) ** 2
+        want = (BASIS.features(pts, J_eff) ** 2) @ s2
+        np.testing.assert_allclose(kernel_diag(kern, pts), want, rtol=1e-12,
+                                   atol=0)
+
+    def test_series_diag_rejects_points_outside_the_domain(self):
+        kern = SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=20)
+        with pytest.raises(ValueError, match="outside the domain"):
+            kernel_diag(kern, np.array([1.0, 2 * np.pi + 1e-6]))
+
     @pytest.mark.parametrize("kern", [
         SquaredExponential(1.5, 0.7),
         SeriesKernel(SeriesPrior(PolyDecay(0.8)), j_max=300),
@@ -164,6 +185,22 @@ class TestExactPosterior:
         lo, hi = post.band95()
         np.testing.assert_allclose(
             hi - lo, 2 * 1.96 * np.sqrt(np.diag(post.cov)), atol=1e-12)
+
+    @pytest.mark.parametrize("kern, method", [
+        (SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=120), "kernel"),
+        (SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=30), "auto"),
+        (SeriesKernel(SeriesPrior(Truncated(dim=8)), j_max=8), "series"),
+    ], ids=["series-kernel", "series-weights", "flat-series"])
+    def test_band_matches_cov_diagonal(self, kern, method):
+        data = _simulate(_beta_one_signal(), 40, 0.1, seed=5)
+        query = np.linspace(0, 2 * np.pi, 11)
+        post = exact_posterior(kern, data, query, method=method)
+        sd = np.sqrt(np.clip(np.diag(post.cov_fn(query, query)), 0, None))
+        lo, hi = post.band95()
+        np.testing.assert_allclose(lo, post.mean - 1.96 * sd, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(hi, post.mean + 1.96 * sd, rtol=0,
+                                   atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         data = Dataset(np.empty(0), np.empty(0), 1.0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gpadapt.exact as exact_mod
+import gpadapt.inducing as inducing_mod
 from gpadapt import _linalg
 from gpadapt.basis import EigenBasis, ExpDecay, PolyDecay, SeriesPrior, Truncated
 from gpadapt.errors import ConditioningError
@@ -149,6 +151,36 @@ class TestPopulationFeatures:
         np.testing.assert_allclose(q.Sigma, q_ref.Sigma, rtol=1e-10,
                                    atol=1e-14)
         assert np.all(np.isfinite(predict(q, np.linspace(0, 6, 5)).cov))
+
+    @pytest.mark.parametrize("tail_mode", ["mean", "truncate"])
+    @pytest.mark.parametrize("kind, m, J", [
+        (PolyDecay(0.6), 1, 1), (PolyDecay(0.6), 2, 2), (PolyDecay(0.6), 3, 7),
+        (PolyDecay(0.6), 8, 8), (PolyDecay(0.6), 10, 1000),
+        (Truncated(dim=7), 4, 50),
+    ])
+    def test_kff_diag_is_the_series_diagonal(self, kind, m, J, tail_mode,
+                                             monkeypatch):
+        # the J-term sum comes from the cosine series: no n x J block
+        prior = SeriesPrior(kind)
+        x = np.r_[0.0, np.random.default_rng(J).uniform(0, 2 * np.pi, 40),
+                  2 * np.pi]
+        J_eff = min(J, prior.support)
+        s2 = prior.spectrum(np.arange(1, J_eff + 1)) ** 2
+        want = (BASIS.features(x, J_eff) ** 2) @ s2
+        if tail_mode == "mean":
+            want += prior.tail_variance(J_eff)
+        widths = []
+        features = EigenBasis.features
+
+        def spy(self, pts, J):
+            widths.append(J)
+            return features(self, pts, J)
+
+        monkeypatch.setattr(EigenBasis, "features", spy)
+        model = population_features(prior, x, m, j_cutoff=J,
+                                    tail_mode=tail_mode)
+        np.testing.assert_allclose(model.kff_diag, want, rtol=1e-12, atol=0)
+        assert widths == [m]
 
     def test_truncated_prior_support_guard(self):
         prior = SeriesPrior(Truncated(dim=5))
@@ -484,6 +516,15 @@ class TestKLToPosterior:
             kl_to_posterior(q, big, kern)
 
 
+def _assert_band_reads_cov_diagonal(post):
+    """band95 against the band from sqrt(diag(cov_fn(query, query)))."""
+    q = post.query
+    sd = np.sqrt(np.clip(np.diag(post.cov_fn(q, q)), 0.0, None))
+    lo, hi = post.band95()
+    np.testing.assert_allclose(lo, post.mean - 1.96 * sd, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hi, post.mean + 1.96 * sd, rtol=0, atol=1e-12)
+
+
 class TestPredictiveLaw:
     """``predict`` against the dense law built with ``np.linalg.solve``.
 
@@ -520,6 +561,7 @@ class TestPredictiveLaw:
         for a in (xs, ys):
             self._close(post.mean_fn(a), cross(a) @ w)
         self._close(post.mean, cross(xs) @ w)
+        _assert_band_reads_cov_diagonal(post)
         np.testing.assert_array_equal(post.cov, post.cov_fn(xs, xs))
 
     @staticmethod
@@ -575,3 +617,24 @@ class TestPredictiveLaw:
         np.testing.assert_allclose(post.cov_fn(self.XS, self.YS),
                                    (Fa * q.Sigma_diag) @ Fb.T,
                                    rtol=1e-12, atol=1e-15)
+        _assert_band_reads_cov_diagonal(post)
+
+    def test_population_band_builds_no_query_feature_block(self,
+                                                           monkeypatch):
+        prior = SeriesPrior(PolyDecay(0.6))
+        x, data = self._fit(5)
+        m, J = 6, 1000
+        fits = [
+            titsias_fit(population_features(prior, x, m, j_cutoff=J), data),
+            population_candidate(prior, feature_stats(BASIS, x, data.y, J, m),
+                                 m)[2](data.sigma_sq),
+        ]
+
+        def spy(*args):
+            raise AssertionError("the band built a kernel_cross block")
+
+        monkeypatch.setattr(inducing_mod, "kernel_cross", spy)
+        monkeypatch.setattr(exact_mod, "kernel_cross", spy)
+        for q in fits:
+            lo, hi = predict(q, self.XS).band95()
+            assert np.all(lo < hi)
