@@ -1,14 +1,21 @@
-"""Cholesky with escalating diagonal jitter.
+"""Numerical kernels on numpy alone: factorizations and a bounded 1-D search.
 
-Policy used everywhere a factorization might meet a semidefinite matrix:
-start at 1e-10 * mean(diag), escalate by factors of 10 up to
-1e-4 * mean(diag), then give up with :class:`ConditioningError`.
+Cholesky policy, used wherever a factorization might meet a semidefinite
+matrix: start at 1e-10 * mean(diag), escalate by factors of 10 up to
+1e-4 * mean(diag), then give up with :class:`ConditioningError`. The
+whitened m x m solves factor G = W W' by :func:`eigh_psd` instead, so every
+noise variance costs O(m) after one eigendecomposition. :func:`brent_bounded`
+is the one bounded 1-D search of the package. scipy serves only
+:func:`chol_solve`, which the n x n kernel-form references call, and is
+imported there.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError
 
@@ -28,34 +35,129 @@ def chol_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
     n = mat.shape[0]
     scale = float(np.trace(mat)) / max(n, 1)
     try:
-        return scipy.linalg.cholesky(mat, lower=True, check_finite=False), 0.0
-    except scipy.linalg.LinAlgError:
+        return np.linalg.cholesky(mat), 0.0
+    except np.linalg.LinAlgError:
         pass
     jitter = _JITTER_START * scale
     cap = _JITTER_CAP * scale
     while jitter <= cap * (1 + 1e-12):
         try:
-            L = scipy.linalg.cholesky(
-                mat + jitter * np.eye(n), lower=True, check_finite=False
-            )
-            return L, jitter
-        except scipy.linalg.LinAlgError:
+            return np.linalg.cholesky(mat + jitter * np.eye(n)), jitter
+        except np.linalg.LinAlgError:
             jitter *= 10.0
     raise ConditioningError(
         f"Cholesky failed for {n}x{n} matrix even with jitter {cap:.3e}"
     )
 
 
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L z = b`` for lower-triangular ``L``."""
-    return scipy.linalg.solve_triangular(L, b, lower=True)
+def eigh_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, clipped at 0) and eigenvectors of a symmetric
+    positive semidefinite ``mat``.
+
+    Raises :class:`ConditioningError` on non-finite entries.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():
+        raise ConditioningError("matrix has non-finite entries; cannot factor")
+    lam, vecs = np.linalg.eigh(mat)
+    return np.clip(lam, 0.0, None), vecs
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L L^T) z = b`` given the lower factor ``L``."""
+    import scipy.linalg  # the n x n references only; commands never get here
+
     return scipy.linalg.cho_solve((L, True), b)
 
 
 def logdet_from_chol(L: np.ndarray) -> float:
     """log det of the factored matrix, i.e. 2 * sum(log diag(L))."""
     return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def brent_bounded(func: Callable[[float], float], lo: float, hi: float,
+                  xatol: float = 1e-5, maxiter: int = 500
+                  ) -> tuple[float, float, int, bool]:
+    """Minimize ``func`` on [lo, hi] by Brent's bounded method.
+
+    Golden-section steps safeguarded by parabolic interpolation (Brent
+    1973, ch. 5), with the arithmetic of
+    ``scipy.optimize.minimize_scalar(method="bounded")``: the same points
+    are evaluated, so ``x``, ``f`` and the call count agree bit for bit.
+    Stops once x is known within ``xatol`` (plus sqrt(eps) |x|) or after
+    ``maxiter`` calls. Returns ``(x, f, nfev, converged)``; ``converged`` is
+    False when the call cap stopped the search or a value was NaN.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("search bounds must be finite")
+    if lo > hi:
+        raise ValueError("the lower bound exceeds the upper bound")
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN_STEP * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    x = xf
+    fx = float(func(x))
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    capped = False
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_STEP * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = float(func(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            capped = True
+            break
+    nan = math.isnan(xf) or math.isnan(fx) or math.isnan(fu)
+    return xf, fx, num, not (capped or nan)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import zeta
+from numpy.random import default_rng
 
 __all__ = [
     "EigenBasis",
@@ -178,8 +178,7 @@ class SeriesPrior:
         if isinstance(k, Truncated):
             return max(k.dim - J, 0) / k.dim
         if isinstance(k, PolyDecay):
-            # Hurwitz zeta: sum_{j >= J+1} j^(-s)
-            return float(zeta(1.0 + 2.0 * k.alpha / self.d, J + 1))
+            return _hurwitz_zeta(1.0 + 2.0 * k.alpha / self.d, J + 1)
         if self.d == 1:
             r = np.exp(-k.tau)
             return float(k.tau * r ** (J + 1) / (1.0 - r))
@@ -191,6 +190,36 @@ class SeriesPrior:
             if term < 1e-18 * max(total, 1e-300):
                 return total
             j += 1
+
+
+#: direct terms of the Euler-Maclaurin sum in :func:`_hurwitz_zeta`
+_ZETA_DIRECT = 10
+#: B_2k / (2k)! for k = 1..7, the Euler-Maclaurin correction weights
+_ZETA_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                   -691 / 1307674368000, 1 / 74724249600)
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta sum_{k >= 0} (a + k)^(-s) for s > 1 and a >= 1.
+
+    Euler-Maclaurin: the first ``_ZETA_DIRECT`` terms directly, then at
+    x = a + ``_ZETA_DIRECT`` the integral x^(1-s)/(s-1), the half term
+    x^(-s)/2 and the corrections B_2k/(2k)! s(s+1)...(s+2k-2) x^(-s-2k+1)
+    for k = 1..7. The remainder is below double rounding for s <= 8; the
+    sum runs from the smallest term up.
+    """
+    s = float(s)
+    x = a + _ZETA_DIRECT
+    inv_x2 = 1.0 / (x * x)
+    rising = s * x ** (-s - 1.0)  # s(s+1)...(s+2k-2) x^(-s-2k+1) at k = 1
+    corrections = 0.0
+    for k, weight in enumerate(_ZETA_BERNOULLI, start=1):
+        corrections += weight * rising
+        rising *= (s + 2 * k - 1) * (s + 2 * k) * inv_x2
+    total = corrections + 0.5 * x ** -s + x ** (1.0 - s) / (s - 1.0)
+    for k in range(_ZETA_DIRECT - 1, -1, -1):
+        total += (a + k) ** -s
+    return total
 
 
 @dataclass(frozen=True)
@@ -345,11 +374,11 @@ def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
 def sample_prior(prior: SeriesPrior, J: int, seed) -> np.ndarray:
     """Draw the first J basis weights (s_j Z_j) of one prior realization.
 
-    ``seed`` may be anything ``np.random.default_rng`` accepts, including an
-    existing Generator (caller-owned RNG state).
+    ``seed`` may be anything ``default_rng`` accepts, including an existing
+    Generator (caller-owned RNG state).
     """
     if J < 1:
         raise ValueError("need at least one coefficient")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     js = np.arange(1, J + 1)
     return prior.spectrum(js) * rng.standard_normal(J)

@@ -10,10 +10,11 @@ induced by a :class:`~gpadapt.basis.SeriesPrior`.
 
 A J-term series kernel is a Bayesian linear model in J basis weights
 w_j ~ N(0, s_j^2). With the whitened terms G = (Phi S)'(Phi S) and
-W y = (Phi S)'y (S = diag(s)), one factorization of M = sigma^2 I + G gives
-the weight posterior (:func:`_weight_posterior`) and the log evidence
-(:func:`_collapsed_profile`, whose trace penalty is zero when every feature
-is kept) in O(J^2 n + J^3). This is the inducing-variable algebra of
+W y = (Phi S)'y (S = diag(s)), one eigendecomposition of G
+(:func:`_eigen_terms`) gives the weight posterior (:func:`_weight_posterior`)
+and the log evidence (:func:`_collapsed_profile`, whose trace penalty is zero
+when every feature is kept) in O(J^2 n + J^3), and then each noise variance
+in O(J) for the evidence. This is the inducing-variable algebra of
 :mod:`gpadapt.inducing` at m = J. Posteriors and the evidence take it
 whenever J <= n, and posteriors under a flat truncated spectrum at any J.
 Otherwise, and for the squared-exponential kernel, conditioning goes
@@ -23,6 +24,7 @@ available as the reference.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,6 +112,8 @@ class SeriesKernel:
 
 
 KernelSpec = Union[SquaredExponential, SeriesKernel]
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 #: query rows per block when a mean rule evaluates F(x) w; at least the
 #: 512-point query grid, so that grid is one block
@@ -241,45 +245,62 @@ class GaussianPosterior:
         return self.mean - 1.96 * sd, self.mean + 1.96 * sd
 
 
-def _weight_posterior(r: np.ndarray, G: np.ndarray, wy: np.ndarray,
-                      sigma_sq: float) -> tuple[np.ndarray, np.ndarray]:
+def _eigen_terms(G: np.ndarray, wy: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One eigendecomposition of the whitened Gram: G = Q diag(lam) Q'.
+
+    Returns lam (clipped at 0), Q and p = Q' W y. G does not depend on the
+    noise variance, so :func:`_collapsed_profile` and
+    :func:`_weight_posterior` read these at every sigma^2 in O(m) and
+    O(m^2). Non-finite G raises :class:`ConditioningError`.
+    """
+    lam, Q = _linalg.eigh_psd(G)
+    return lam, Q, Q.T @ wy
+
+
+def _weight_posterior(r: np.ndarray, lam: np.ndarray, Q: np.ndarray,
+                      p: np.ndarray, sigma_sq: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior of weights u = r * v, v ~ N(0, I), seen through y = W'v + eps.
 
-    With the whitened G = W W' and W y, one Cholesky factor of
-    M = sigma^2 I + G gives the mean r * M^{-1} W y and the covariance
+    From the eigen-form G = Q diag(lam) Q' and p = Q' W y of
+    :func:`_eigen_terms`, with d = sigma^2 + lam, M = sigma^2 I + G has
+    inverse Q diag(1/d) Q': the mean is r * Q (p / d) and the covariance
     sigma^2 diag(r) M^{-1} diag(r). A zero scale r_j pins u_j at zero.
     """
     if not sigma_sq > 0:
         raise ValueError("sigma_sq must be positive")
-    L_M, _ = _linalg.chol_jitter(sigma_sq * np.eye(r.size) + G)
-    # cho_solve: solve_triangular with a matrix right-hand side wakes BLAS
-    # threads that measurably slow the numpy work after it on small m
-    Sigma = sigma_sq * r[:, None] * _linalg.chol_solve(L_M, np.diag(r))
-    return r * _linalg.chol_solve(L_M, wy), 0.5 * (Sigma + Sigma.T)
+    d = sigma_sq + lam
+    B = Q * np.sqrt(sigma_sq / d)
+    # scale by r only after the product: underflowing prior scales would
+    # otherwise meet in subnormal partial sums
+    Sigma = r[:, None] * (B @ B.T * r)
+    return r * (Q @ (p / d)), 0.5 * (Sigma + Sigma.T)
 
 
-def _collapsed_profile(G: np.ndarray, wy: np.ndarray, yty: float,
-                       kff_sum: float, n: int) -> Callable[[float], float]:
-    """Collapsed objective from its whitened data terms.
+def _collapsed_profile(lam: np.ndarray, p: np.ndarray, yty: float,
+                       gap: float, n: int) -> Callable[[float], float]:
+    """Collapsed objective as a function of sigma^2, from the eigen-form.
 
-    With W = K_uu^{-1/2} K_uf: G = W W', wy = W y, y'y, tr K_ff and n.
-    Each call factors M = sigma^2 I + G in O(m^3).
+    With W = K_uu^{-1/2} K_uf, G = W W' = Q diag(lam) Q' and p = Q' W y
+    (:func:`_eigen_terms`), y'y, the trace gap tr K_ff - tr G and n, the
+    value at sigma^2 with d = sigma^2 + lam is
+
+        -(n log 2 pi + sum log d + (n - m) log sigma^2
+          + (y'y - sum p^2 / d) / sigma^2) / 2 - gap / (2 sigma^2),
+
+    O(m) per call.
     """
-    tr_G = float(np.trace(G))
-    m = G.shape[0]
-    eye = np.eye(m)
+    m = lam.size
 
     def value(sigma_sq: float) -> float:
         if not sigma_sq > 0:
             raise ValueError("sigma_sq must be positive")
-        M = sigma_sq * eye + G
-        L_M, _ = _linalg.chol_jitter(M)
-        z = _linalg.solve_lower(L_M, wy)
-        quad = (yty - float(z @ z)) / sigma_sq
-        logdet = _linalg.logdet_from_chol(L_M) + (n - m) * np.log(sigma_sq)
-        fit = -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
-        penalty = 0.5 * (kff_sum - tr_G) / sigma_sq
-        return fit - penalty
+        d = sigma_sq + lam
+        quad = (yty - float(np.sum(p * p / d))) / sigma_sq
+        logdet = float(np.sum(np.log(d))) + (n - m) * math.log(sigma_sq)
+        fit = -0.5 * (n * _LOG_2PI + logdet + quad)
+        return fit - 0.5 * gap / sigma_sq
 
     return value
 
@@ -336,7 +357,7 @@ def _posterior_series_form(kernel: SeriesKernel, data: Dataset,
     J = kernel.j_eff
     basis = kernel.prior.basis
     s, G, wy = _series_terms(kernel, data.x, data.y)
-    w, C = _weight_posterior(s, G, wy, data.sigma_sq)
+    w, C = _weight_posterior(s, *_eigen_terms(G, wy), data.sigma_sq)
     return GaussianPosterior.from_features(
         query, lambda xs: basis.features(xs, J), w, C)
 
@@ -370,16 +391,16 @@ def log_evidence(kernel: KernelSpec, data: Dataset) -> float:
     """log N(y; 0, K + sigma^2 I).
 
     For a series kernel with J <= n this is the collapsed bound with all J
-    features (tr(K_ff - Q_ff) = 0) from :func:`_series_terms`, through the
-    determinant lemma in O(J^2 n + J^3); otherwise one Cholesky of the
-    n x n matrix.
+    features (tr(K_ff - Q_ff) = 0) from :func:`_series_terms`, through one
+    eigendecomposition of G in O(J^2 n + J^3); otherwise one Cholesky of
+    the n x n matrix.
     """
     if data.n < 1:
         raise ValueError("need at least one observation")
     if _weight_space(kernel, data):
         _, G, wy = _series_terms(kernel, data.x, data.y)
-        tr_G = float(np.trace(G))
-        return _collapsed_profile(G, wy, float(data.y @ data.y), tr_G,
+        lam, _, p = _eigen_terms(G, wy)
+        return _collapsed_profile(lam, p, float(data.y @ data.y), 0.0,
                                   data.n)(data.sigma_sq)
     K = kernel_matrix(kernel, data.x)
     L, _ = _linalg.chol_jitter(K + data.sigma_sq * np.eye(data.n))

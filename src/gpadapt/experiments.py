@@ -12,14 +12,14 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from numpy.random import default_rng
 
+from ._linalg import brent_bounded
 from .basis import (
     DOMAIN_HI,
     DOMAIN_LO,
@@ -216,7 +216,7 @@ def simulate_poly(n: int, seed: int, sigma_sq: float = DEFAULT_NOISE_SQ
 
 def _draw(spec: SignalSpec, n: int, seed: int, sigma_sq: float) -> Dataset:
     """Uniform design on the basis domain, signal ``spec`` plus noise."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     x = rng.uniform(DOMAIN_LO, DOMAIN_HI, size=n)
     y = synth_signal(spec, x) + rng.normal(0.0, math.sqrt(sigma_sq), size=n)
     return Dataset(x=x, y=y, sigma_sq=sigma_sq)
@@ -276,19 +276,25 @@ def _series_prior(config: ExperimentConfig, lam: float) -> SeriesPrior:
     return SeriesPrior(decay)
 
 
-def _profile_noise(profile) -> tuple[float, float]:
-    """Maximize a collapsed-bound profile over the noise variance (log scale)."""
-    res = minimize_scalar(lambda t: -profile(math.exp(t)),
-                          bounds=_PROFILE_LOG_BOUNDS, method="bounded",
-                          options={"xatol": 1e-7})
-    s2 = float(math.exp(res.x))
-    return s2, float(-res.fun)
+def _profile_noise(profile) -> tuple[float, float, dict]:
+    """Maximize a collapsed-bound profile over the noise variance (log scale).
+
+    Returns sigma^2, the bound there and the search's diagnostics: its
+    ``evaluations``, whether it ``converged`` and whether log sigma^2 ended
+    within 1e-6 of ``_PROFILE_LOG_BOUNDS`` (``at_bound``).
+    """
+    t, f, nfev, converged = brent_bounded(
+        lambda t: -profile(math.exp(t)), *_PROFILE_LOG_BOUNDS, xatol=1e-7)
+    lo, hi = _PROFILE_LOG_BOUNDS
+    diagnostics = {"evaluations": nfev, "converged": converged,
+                   "at_bound": min(t - lo, hi - t) < 1e-6}
+    return math.exp(t), float(-f), diagnostics
 
 
 def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     """Per-candidate fit closure plus a side table of extra selection-row
-    fields by grid value: the profiled noise ``sigma_sq``, or a ``dim``
-    level's sweep ``diagnostics``.
+    fields by grid value: the profiled noise ``sigma_sq`` with its search's
+    ``diagnostics``, or a ``dim`` level's sweep ``diagnostics``.
 
     Design statistics are built once here, before the sweep:
     ``FeatureStats`` up to the largest truncation level for ``dim``, and up
@@ -337,8 +343,8 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     def fitter(lam):
         profile, fit = candidate(lam)
         if config.estimate_noise:
-            s2, bound = _profile_noise(profile)
-            extras[lam] = {"sigma_sq": s2}
+            s2, bound, diagnostics = _profile_noise(profile)
+            extras[lam] = {"sigma_sq": s2, "diagnostics": diagnostics}
             return fit(s2), bound
         return fit(data.sigma_sq), profile(data.sigma_sq)
 
@@ -619,6 +625,9 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
              for r in range(replicates)]
     workers = _usable_workers(workers)
     if workers > 1:
+        # imported here: process pools cost every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_replicate_errors, tasks))
     else:

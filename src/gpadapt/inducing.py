@@ -20,8 +20,10 @@ and the resulting collapsed objective
 
     log N(y; 0, Q_ff + sigma^2 I) - tr(K_ff - Q_ff) / (2 sigma^2)
 
-reads the Cholesky factor of the same M: O(m^2 n) for G and W y, then
-O(m^3) per noise value. Both solves live in :mod:`gpadapt.exact`, whose
+reads the same eigendecomposition G = Q diag(lam) Q': O(m^2 n) for G and
+W y and O(m^3) for the one eigendecomposition, then O(m) per noise value
+for the objective and O(m^3) for q(u). Both solves live in
+:mod:`gpadapt.exact`, whose
 exact series reference is the same algebra with all J features (m = J).
 Prediction pushes weights mu with covariance Sigma - K_uu through the
 features K_xu K_uu^{-1}, which for population features are the first m
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import _linalg
 from .basis import EigenBasis, SeriesPrior, _check_domain, _trig_moments
@@ -55,6 +56,7 @@ from .exact import (
     SeriesKernel,
     _block_mean,
     _collapsed_profile,
+    _eigen_terms,
     _weight_posterior,
     kernel_cross,
     kernel_diag,
@@ -203,6 +205,14 @@ class FeatureStats:
     yty: float
 
 
+def _toeplitz_hankel(M: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """T[a, b] = M_(a-b), with M_-k = conj M_k, and H[a, b] = M_(a+b) for
+    a, b <= h, by indexing."""
+    k = np.arange(h + 1)
+    T = np.concatenate((M[h:0:-1].conj(), M[:h + 1]))[h + k[:, None] - k]
+    return T, M[k[:, None] + k]
+
+
 def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
                   m: int) -> FeatureStats:
     """:class:`FeatureStats` from the trigonometric moments of the design.
@@ -232,8 +242,7 @@ def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
     colsumsq[1::2] += waves
     colsumsq[2::2] -= waves[:(J - 1) // 2]
     # sums of cos(a x) cos(b x), sin sin and cos sin for a, b <= h
-    T = scipy.linalg.toeplitz(M[:h + 1])  # T[a, b] = M_(a-b), M_-k = conj M_k
-    H = scipy.linalg.hankel(M[:h + 1], M[h:2 * h + 1])  # H[a, b] = M_(a+b)
+    T, H = _toeplitz_hankel(M, h)
     cos_i = np.r_[0, 1:2 * h:2]
     sin_i = np.arange(2, 2 * h + 1, 2)
     gram = np.empty((2 * h + 1, 2 * h + 1))
@@ -271,11 +280,14 @@ def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
         raise ValueError("m must lie in 1..n")
     K_sym = 0.5 * (K_ff + K_ff.T)
     if 8 * m >= n:
-        # with m a large share of n the full divide-and-conquer solve is
-        # faster than the subset one (n = 300, m = 150: 9 ms against 29 ms)
-        vals, vecs = scipy.linalg.eigh(K_sym, driver="evd")
+        # with m a large share of n the full divide-and-conquer solve
+        # (syevd) is faster than the subset one (n = 300, m = 150: 11 ms
+        # against 29 ms)
+        vals, vecs = np.linalg.eigh(K_sym)
         vals, vecs = vals[n - m:], vecs[:, n - m:]
     else:
+        import scipy.linalg  # the subset solver; numpy has none
+
         vals, vecs = scipy.linalg.eigh(K_sym, subset_by_index=[n - m, n - 1])
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -315,11 +327,12 @@ def _whiten(model: InducingModel) -> tuple[np.ndarray, np.ndarray]:
     return W, W @ W.T
 
 
-def _optimal_q(model: InducingModel, G: np.ndarray, wy: np.ndarray,
-               sigma_sq: float) -> VariationalGP:
-    """Closed-form q(u) from G and W y: the weight posterior of
-    :func:`~gpadapt.exact._weight_posterior` with scales sqrt(diag K_uu)."""
-    mu, Sigma = _weight_posterior(np.sqrt(np.diag(model.K_uu)), G, wy,
+def _optimal_q(model: InducingModel, eig: tuple, sigma_sq: float
+               ) -> VariationalGP:
+    """Closed-form q(u) from the eigen-form ``eig`` = (lam, Q, Q'W y) of G:
+    the weight posterior of :func:`~gpadapt.exact._weight_posterior` with
+    scales sqrt(diag K_uu)."""
+    mu, Sigma = _weight_posterior(np.sqrt(np.diag(model.K_uu)), *eig,
                                   sigma_sq)
     return VariationalGP(model=model, mu=mu, Sigma=Sigma)
 
@@ -329,7 +342,7 @@ def titsias_fit(model: InducingModel, data: Dataset) -> VariationalGP:
     if data.n != model.n:
         raise ValueError("model was built for a different design")
     W, G = _whiten(model)
-    return _optimal_q(model, G, W @ data.y, data.sigma_sq)
+    return _optimal_q(model, _eigen_terms(G, W @ data.y), data.sigma_sq)
 
 
 def _features(model: InducingModel, xs: np.ndarray) -> np.ndarray:
@@ -401,16 +414,18 @@ def elbo_profile(model: InducingModel, y: np.ndarray
                  ) -> Callable[[float], float]:
     """Collapsed objective as a cheap function of the noise variance.
 
-    The O(m^2 n) work (feature whitening and the m x m Gram) happens once;
-    each call then costs O(m^3). Used both for fixed-noise evaluation and
-    for profiling out sigma^2 during selection.
+    The O(m^2 n) work (feature whitening and the m x m Gram) and one
+    eigendecomposition of the Gram happen once; each call then costs O(m).
+    Used both for fixed-noise evaluation and for profiling out sigma^2
+    during selection.
     """
     y = np.asarray(y, dtype=float)
     if y.size != model.n:
         raise ValueError("model was built for a different design")
     W, G = _whiten(model)
-    return _collapsed_profile(G, W @ y, float(y @ y),
-                              float(np.sum(model.kff_diag)), y.size)
+    lam, _, p = _eigen_terms(G, W @ y)
+    gap = float(np.sum(model.kff_diag)) - float(np.trace(G))
+    return _collapsed_profile(lam, p, float(y @ y), gap, y.size)
 
 
 def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
@@ -424,8 +439,9 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
     variance; neither touches the design. With s the first m prior scales
     (K_uu = diag(s^2)), both read the same whitened data terms
     G = diag(s) (Phi'Phi)_m diag(s) and W y = s * (Phi'y)_m, and
-    tr K_ff = sum_{j<=J} s_j^2 colsumsq_j + n times the tail mean. Costs
-    O(m^3 + J).
+    tr K_ff = sum_{j<=J} s_j^2 colsumsq_j + n times the tail mean. One
+    eigendecomposition of G serves both, in O(m^3 + J); the objective then
+    costs O(m) per noise value.
     """
     J = feature_cutoff(prior, m)
     if J > stats.colsumsq.size or m > stats.gram.shape[0]:
@@ -442,8 +458,10 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
     model = InducingModel(flavor="population", m=m, K_uu=np.diag(s2),
                           K_uf=None, kff_diag=None, x_train=None, prior=prior,
                           feature_cutoff=J, tail_mode="mean")
-    profile = _collapsed_profile(G, wy, stats.yty, kff_sum, stats.n)
-    return model, profile, lambda sigma_sq: _optimal_q(model, G, wy, sigma_sq)
+    eig = _eigen_terms(G, wy)
+    profile = _collapsed_profile(eig[0], eig[2], stats.yty,
+                                 kff_sum - float(np.trace(G)), stats.n)
+    return model, profile, lambda sigma_sq: _optimal_q(model, eig, sigma_sq)
 
 
 def elbo_lambda(model: InducingModel, data: Dataset) -> float:

@@ -13,8 +13,10 @@ and nu only scales its eigenvalues, so the unit-variance kernel is
 factorized once per tau; in that eigenbasis the collapsed bound at any
 (sigma, nu) is a closed form costing O(m). A bounded 1-D search over
 log tau calls that factorization, and at each tau the free (sigma, nu)
-are solved within their bounds. The exact evidence is the same bound at
-m = n.
+are solved within their bounds by one more bounded 1-D search, with the
+noise profiled out in closed form. The exact evidence is the same bound at
+m = n. Every search is the package's own Brent search
+(:func:`~gpadapt._linalg.brent_bounded`), so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
+from ._linalg import brent_bounded
 from .errors import ConditioningError
-from .exact import Dataset, SquaredExponential, exact_posterior, kernel_matrix, log_evidence
+from .exact import (Dataset, SquaredExponential, _collapsed_profile,
+                    exact_posterior, kernel_matrix, log_evidence)
 from .inducing import elbo_lambda, predict, sample_features, titsias_fit
 
 __all__ = [
@@ -209,7 +212,6 @@ LOG_TAU_XATOL = 1e-6
 #: first stride of the length-scale search away from its start, in log tau
 _LOG_TAU_STRIDE = 0.25
 _GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
-_LOG_2PI = math.log(2.0 * math.pi)
 _NAMES = ("sigma", "nu", "tau")
 
 
@@ -239,38 +241,22 @@ class _EigenFactor:
     K1: np.ndarray
     lam: np.ndarray
     p: np.ndarray
+    yty: float
     rest: float  # y'y - p'p: energy of y outside the kept eigenvectors
     gap: float  # tr K1 - sum(lam): trace term per unit of nu
     n: int
     dropped: int
 
-    def bound(self, sigma: float, nu: float) -> tuple[float, np.ndarray]:
-        """Collapsed bound at (sigma, nu, tau) and its gradient.
+    def bound(self, sigma: float, nu: float) -> float:
+        """Collapsed bound at (sigma, nu, tau), in O(m).
 
-        The value equals ``_collapsed_profile`` with G = nu diag(lam),
-        W y = sqrt(nu lam) * p and tr K_ff = nu tr K1 at sigma^2. G is
-        diagonal, so with d = sigma^2 + nu lam it is the closed form
-
-            -(n log 2 pi + sum log d + (n - m) log sigma^2
-              + sum p^2 / d + (rest + nu gap) / sigma^2) / 2
-
-        in O(m). The gradient is taken in (log sigma, log nu).
+        ``exact._collapsed_profile`` at sigma^2 with the eigen-form of
+        G = nu diag(lam): eigenvalues nu lam, p_G = sqrt(nu lam) p, and the
+        trace gap nu (tr K1 - sum lam).
         """
-        s = sigma * sigma
         g = nu * self.lam
-        d = s + g
-        q = self.p * self.p / d
-        qd = q / d
-        resid = (self.rest + nu * self.gap) / s
-        m = self.lam.size
-        value = -0.5 * (self.n * _LOG_2PI + float(np.sum(np.log(d)))
-                        + (self.n - m) * math.log(s) + float(np.sum(q))
-                        + resid)
-        d_log_sigma = -(s * float(np.sum(1.0 / d)) + (self.n - m)
-                        - s * float(np.sum(qd)) - resid)
-        d_log_nu = -0.5 * (float(np.sum(g / d)) - float(g @ qd)
-                           + nu * self.gap / s)
-        return value, np.array([d_log_sigma, d_log_nu])
+        return _collapsed_profile(g, np.sqrt(g) * self.p, self.yty,
+                                  nu * self.gap, self.n)(sigma * sigma)
 
 
 def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
@@ -278,9 +264,10 @@ def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
     K1 = kernel_matrix(SquaredExponential(1.0, tau), data.x)
     model = _top_features(K1, rank)
     p = model.V.T @ data.y
+    yty = float(data.y @ data.y)
     return _EigenFactor(
-        tau=tau, K1=K1, lam=model.eigvals, p=p,
-        rest=float(data.y @ data.y) - float(p @ p),
+        tau=tau, K1=K1, lam=model.eigvals, p=p, yty=yty,
+        rest=yty - float(p @ p),
         gap=float(np.trace(K1)) - float(np.sum(model.eigvals)),
         n=data.n, dropped=rank - model.m)
 
@@ -319,7 +306,7 @@ def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
             continue
         for sigma in sigmas:
             for nu in nus:
-                val = fac.bound(sigma, nu)[0]
+                val = fac.bound(sigma, nu)
                 if best is None or val > best[0]:
                     best = (val, (float(sigma), float(nu), float(tau)))
     if best is None:
@@ -327,30 +314,63 @@ def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
     return best[1]
 
 
+#: absolute tolerance of the (sigma, nu) search at one tau, in log units
+_SIGMA_NU_XATOL = 1e-10
+
+
+def _maximize(h: Callable[[float], float], lo: float, hi: float,
+              corners: Sequence[float] = ()) -> tuple[float, float]:
+    """Best of Brent's bounded search for max ``h`` on [lo, hi] and of ``h``
+    at the ends and ``corners`` (kinks of h), which the search only
+    approaches within its tolerance. Returns the value and its point."""
+    t, f, _, _ = brent_bounded(lambda t: -h(t), lo, hi,
+                               xatol=_SIGMA_NU_XATOL)
+    return max([(-f, t)] + [(h(c), c) for c in (lo, hi, *corners)])
+
+
 def _solve_sigma_nu(fac: _EigenFactor, start: np.ndarray, free: np.ndarray,
                     lo: np.ndarray, hi: np.ndarray
                     ) -> tuple[float, np.ndarray]:
     """Maximize ``fac``'s bound over the free entries of (log sigma, log nu).
 
-    L-BFGS-B within the log bounds from ``start``, with the analytic
-    gradient; pinned entries stay at ``start``. Returns the maximum and the
-    log parameters reaching it.
+    Pinned entries stay at ``start``; ``lo`` and ``hi`` are the log bounds.
+    With both free, write nu = r sigma^2: at fixed r the bound is
+
+        -(n log sigma^2 + Q(r) / sigma^2) / 2 + c(r),
+        Q(r) = rest + sum p^2 / (1 + r lam),
+
+    unimodal in log sigma^2, so sigma^2 = Q(r) / n clamped to the sigma
+    bounds and to the nu bounds over r is the exact optimum at that r, and
+    one bounded search over log r remains. Its kinks are the r of the box
+    corners (sigma, nu) at (lo, lo) and (hi, hi), where the clamp changes
+    sides. With one free entry, one bounded search over it. Returns the
+    maximum and the log parameters reaching it.
     """
+    if free.all():
+        lam, p2, n = fac.lam, fac.p * fac.p, fac.n
+
+        def at(t: float) -> np.ndarray:
+            r = math.exp(t)
+            s2 = (fac.rest + float(np.sum(p2 / (1.0 + r * lam)))) / n
+            s2 = min(max(s2, math.exp(2.0 * lo[0]), math.exp(lo[1]) / r),
+                     math.exp(2.0 * hi[0]), math.exp(hi[1]) / r)
+            return np.array([0.5 * math.log(s2), math.log(r * s2)])
+
+        value, t = _maximize(lambda t: fac.bound(*np.exp(at(t))),
+                             lo[1] - 2.0 * hi[0], hi[1] - 2.0 * lo[0],
+                             (lo[1] - 2.0 * lo[0], hi[1] - 2.0 * hi[0]))
+        return value, at(t)
     z = start.copy()
-    if not free.any():
-        return fac.bound(*np.exp(z))[0], z
+    if free.any():
+        (i,) = np.flatnonzero(free)
 
-    def negative(z_free):
-        z[free] = z_free
-        value, grad = fac.bound(*np.exp(z))
-        return -value, -grad[free]
+        def h(t: float) -> float:
+            z[i] = t
+            return fac.bound(*np.exp(z))
 
-    result = scipy.optimize.minimize(
-        negative, start[free], jac=True, method="L-BFGS-B",
-        bounds=list(zip(lo[free], hi[free])),
-        options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 500})
-    z[free] = result.x
-    return -float(result.fun), z
+        value, z[i] = _maximize(h, lo[i], hi[i])
+        return value, z
+    return fac.bound(*np.exp(z)), z
 
 
 def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
@@ -402,11 +422,10 @@ def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
         prev, cur, f_cur = cur, nxt, f_nxt
     if maxiter - steps < 2:  # bounded Brent makes at least two calls
         return steps, False
-    result = scipy.optimize.minimize_scalar(
-        lambda t: -h(t), bounds=(min(bracket), max(bracket)),
-        method="bounded",
-        options={"xatol": LOG_TAU_XATOL, "maxiter": maxiter - steps})
-    return steps + int(result.nfev), bool(result.success)
+    _, _, nfev, converged = brent_bounded(
+        lambda t: -h(t), min(bracket), max(bracket), xatol=LOG_TAU_XATOL,
+        maxiter=maxiter - steps)
+    return steps + nfev, converged
 
 
 def tune_continuous(data: Dataset, m: int,
@@ -461,8 +480,7 @@ def tune_continuous(data: Dataset, m: int,
         except _FAIL:
             n_fails += 1
             return -np.inf
-        start = log_init[:2] if best is None else best[1][:2]
-        value, z = _solve_sigma_nu(fac, start, free[:2], log_lo[:2],
+        value, z = _solve_sigma_nu(fac, log_init[:2], free[:2], log_lo[:2],
                                    log_hi[:2])
         if best is None or value > best[0]:
             best = (value, np.append(z, t), fac)

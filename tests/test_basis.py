@@ -13,6 +13,7 @@ from gpadapt.basis import (
     SeriesPrior,
     SignalSpec,
     Truncated,
+    _hurwitz_zeta,
     _trig_moments,
     bench_signal,
     sample_prior,
@@ -126,6 +127,15 @@ class TestSpectrum:
         js = np.arange(J + 1, 2_000_001)
         brute = float(np.sum(prior.spectrum(js) ** 2))
         assert prior.tail_variance(J) == pytest.approx(brute, rel=1e-6)
+
+    def test_hurwitz_zeta_matches_scipy(self):
+        from scipy.special import zeta
+
+        for s in np.linspace(1.05, 8.0, 40):
+            for a in np.unique(np.r_[np.geomspace(1, 20001, 30).round(),
+                                     20001]).astype(int):
+                got = _hurwitz_zeta(float(s), int(a))
+                assert abs(got / zeta(s, a) - 1.0) <= 1e-14, (s, a)
 
 
 class TestSobolevNorm:

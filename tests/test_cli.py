@@ -92,11 +92,11 @@ class TestSelectCommand:
         assert "dim=" in capsys.readouterr().out
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
-        # every candidate's factorization fails, so no candidate is left
+        # every candidate's eigendecomposition fails, so no candidate is left
         def fail(mat):
-            raise ConditioningError("Cholesky failed")
+            raise ConditioningError("eigendecomposition failed")
 
-        monkeypatch.setattr(_linalg, "chol_jitter", fail)
+        monkeypatch.setattr(_linalg, "eigh_psd", fail)
         code = main(["select", "--n", "60", "--seed", "1", "--sigma2", "0.01"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -193,9 +193,21 @@ class TestSelectionRowKeys:
 
     def test_grid_rows_are_the_csv_columns(self, tmp_path, capsys):
         rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
+                                     "--prior", "poly", "--sigma2", "0.01"])
+        assert rows and all(set(row) == _CSV_COLUMNS for row in rows)
+
+    def test_estimated_noise_rows_add_search_diagnostics(self, tmp_path,
+                                                         capsys):
+        rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
                                      "--prior", "poly", "--sigma2",
                                      "estimate"])
-        assert rows and all(set(row) == _CSV_COLUMNS for row in rows)
+        assert rows and all(set(row) == _CSV_COLUMNS | {"diagnostics"}
+                            for row in rows)
+        for row in rows:
+            diag = row["diagnostics"]
+            assert set(diag) == {"evaluations", "converged", "at_bound"}
+            assert diag["converged"] is True and diag["at_bound"] is False
+            assert 2 <= diag["evaluations"] <= 500
 
     def test_dim_rows_add_diagnostics(self, tmp_path, capsys):
         rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
@@ -346,9 +358,9 @@ class TestReportCommand:
     def test_partial_report_exits_two_naming_the_fields(self, monkeypatch,
                                                         tmp_path, capsys):
         def fail(mat):
-            raise ConditioningError("Cholesky failed")
+            raise ConditioningError("eigendecomposition failed")
 
-        monkeypatch.setattr(_linalg, "chol_jitter", fail)
+        monkeypatch.setattr(_linalg, "eigh_psd", fail)
         src = tmp_path / "run"
         assert main(["select", "--n", "60", "--seed", "1", "--sigma2",
                      "0.01", "--out", str(src)]) == 3

@@ -19,6 +19,7 @@ from gpadapt.basis import (
     PolyDecay,
     SeriesPrior,
     SignalSpec,
+    _trig_moments,
     synth_signal,
 )
 from gpadapt.exact import Dataset, GaussianPosterior
@@ -96,6 +97,17 @@ class TestFeatureStats:
             assert _rel(got.colsumsq, colsumsq) <= 1e-12
             assert _rel(got.gram, gram) <= 1e-12
             assert _rel(got.phi_y, phi_y) <= 1e-12
+
+    @pytest.mark.parametrize("h", [0, 1, 7, 30])
+    def test_gram_blocks_equal_scipy_toeplitz_and_hankel(self, h):
+        import scipy.linalg
+
+        x = np.random.default_rng(h).uniform(0.0, 2.0 * np.pi, 200)
+        M = _trig_moments(x, np.ones(x.size), 2 * h + 5, inducing.STATS_CHUNK)
+        T, H = inducing._toeplitz_hankel(M, h)
+        assert np.array_equal(T, scipy.linalg.toeplitz(M[:h + 1]))
+        assert np.array_equal(H, scipy.linalg.hankel(M[:h + 1],
+                                                     M[h:2 * h + 1]))
 
     def test_rejects_bad_shapes(self):
         x = np.linspace(0.0, 6.0, 10)
@@ -257,7 +269,7 @@ def _per_candidate_fitter(config, grid, data):
         model = population_features(SeriesPrior(PolyDecay(lam)), data.x,
                                     grid.m_rule(lam))
         if config.estimate_noise:
-            s2, bound = _profile_noise(elbo_profile(model, data.y))
+            s2, bound, _ = _profile_noise(elbo_profile(model, data.y))
             return titsias_fit(model, data.with_sigma_sq(s2)), bound
         return titsias_fit(model, data), elbo_lambda(model, data)
 

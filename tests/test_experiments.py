@@ -1,5 +1,6 @@
 """Drivers, loaders, reports, and the cross-cutting statistical invariants."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from gpadapt.basis import synth_signal
-from gpadapt import experiments
 from gpadapt.errors import ConditioningError
 from gpadapt.experiments import (
     DEFAULT_NOISE_SQ,
@@ -20,6 +20,7 @@ from gpadapt.experiments import (
     load_running_csv,
     run_continuous,
     run_experiment,
+    _profile_noise,
     _usable_workers,
     simulate_poly,
 )
@@ -246,6 +247,15 @@ class TestRunExperiment:
         rows = json.loads((tmp_path / "report.json").read_text())["selection"]
         assert all("diagnostics" not in row for row in rows)
 
+    def test_noise_search_diagnostics(self):
+        # a profile rising towards ever smaller noise ends on the lower bound
+        _, _, diag = _profile_noise(lambda s2: -s2)
+        assert diag["at_bound"] is True and diag["converged"] is True
+        s2, _, diag = _profile_noise(lambda s2: -math.log(s2 / 0.3) ** 2)
+        assert s2 == pytest.approx(0.3, rel=1e-6)
+        assert diag["at_bound"] is False and diag["converged"] is True
+        assert 2 <= diag["evaluations"] <= 500
+
     def test_dim_sweep_cap_warns_once(self, monkeypatch, tmp_path):
         import gpadapt.meanfield as mf
 
@@ -415,7 +425,8 @@ class TestContraction:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
         rep = contraction_study("dim", 0.8, (60, 120, 240), 5, seed=5,
                                 workers=10**6)
         cpus = len(os.sched_getaffinity(0))

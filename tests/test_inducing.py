@@ -230,8 +230,8 @@ class TestSampleFeatures:
 
 
 class TestSampleFeatureSolver:
-    """The full divide-and-conquer eigh (8 m >= n) and the subset eigh
-    (8 m < n) give the same top-m eigenpairs."""
+    """The full divide-and-conquer eigh of numpy (8 m >= n) and the subset
+    eigh of scipy (8 m < n) give the same top-m eigenpairs."""
 
     @staticmethod
     def _spd(n, seed):
@@ -241,14 +241,19 @@ class TestSampleFeatureSolver:
 
     @staticmethod
     def _spy(monkeypatch):
+        """Record each solve: True for numpy's full eigh, False for scipy's
+        subset eigh, which is also returned unwrapped as the reference."""
         eigh = scipy.linalg.eigh
         full = []
 
-        def spy(*args, **kwargs):
-            full.append("subset_by_index" not in kwargs)
-            return eigh(*args, **kwargs)
+        def spy(solver, is_full):
+            def call(*args, **kwargs):
+                full.append(is_full)
+                return solver(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, True))
+        monkeypatch.setattr(scipy.linalg, "eigh", spy(eigh, False))
         return eigh, full
 
     @pytest.mark.parametrize("n,m,full", [
@@ -345,8 +350,8 @@ class TestTitsiasFit:
 
 
 class TestDiagonalInducingCovariance:
-    """Every builder returns a diagonal K_uu, so a fit factors one m x m
-    matrix (sigma^2 I + G, shared with the bound) and prediction none."""
+    """Every builder returns a diagonal K_uu, so a fit eigen-factors one
+    m x m matrix (G, shared with the bound) and prediction none."""
 
     @staticmethod
     def _routes():
@@ -373,16 +378,17 @@ class TestDiagonalInducingCovariance:
     def test_one_factorization_per_fit_none_per_prediction(self,
                                                            monkeypatch):
         calls = []
-        chol = _linalg.chol_jitter
+        eigh_psd = _linalg.eigh_psd
 
         def spy(mat):
             calls.append(mat.shape)
-            return chol(mat)
+            return eigh_psd(mat)
 
-        monkeypatch.setattr(_linalg, "chol_jitter", spy)
+        monkeypatch.setattr(_linalg, "eigh_psd", spy)
         grid = np.linspace(0.1, 6.0, 7)
         for name, model, fit in self._routes():
-            calls.clear()
+            # counted from the route's build on: population_candidate
+            # factors G as it is built, and its fit and bound share that
             q = fit()
             assert calls == [(model.m, model.m)], name
             calls.clear()

@@ -1,0 +1,65 @@
+"""The command-line paths run on numpy alone: no scipy module is loaded.
+
+Importing scipy costs more start-up time than the benchmark commands spend
+on their work, so ``gpadapt.cli`` and the ``select``, ``fit`` and
+``contraction`` paths must not import it. scipy stays a dependency for the
+n x n kernel-form references and the subset eigensolver only. Each check
+runs in a fresh interpreter, since this test process has scipy loaded.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+import gpadapt.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = scipy_modules()
+codes = [gpadapt.cli.main(argv) for argv in {argvs!r}]
+print(json.dumps({{"after_import": after_import, "codes": codes,
+                   "after_runs": scipy_modules()}}))
+"""
+
+
+def _se_csv(path: Path, n: int = 120) -> Path:
+    """A squared-exponential draw (nu = 2, tau = 0.5, noise sd 1)."""
+    rng = np.random.default_rng(7)
+    x = np.sort(rng.uniform(0.0, 12.0, n))
+    K = 2.0 * np.exp(-((x[:, None] - x[None, :]) / 0.5) ** 2)
+    y = (np.linalg.cholesky(K + 1e-10 * np.eye(n)) @ rng.standard_normal(n)
+         + rng.standard_normal(n))
+    path.write_text("t_sec,speed_kmh\n" + "".join(
+        f"{a:.17g},{b:.17g}\n" for a, b in zip(x, y)))
+    return path
+
+
+def test_commands_load_no_scipy(tmp_path):
+    argvs = [
+        ["select", "--n", "2000", "--seed", "3", "--prior", "poly",
+         "--features", "population", "--sigma2", "estimate",
+         "--out", str(tmp_path / "select")],
+        ["fit", "--data", str(_se_csv(tmp_path / "series.csv")),
+         "--m", "40", "--out", str(tmp_path / "fit")],
+        # five replicates is the study's minimum
+        ["contraction", "--prior", "dim", "--beta", "1.0",
+         "--n-list", "100,200,400", "--replicates", "5", "--seed", "3",
+         "--out", str(tmp_path / "contraction")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(src=str(SRC), argvs=argvs)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["after_import"] == []
+    assert result["codes"] == [0, 0, 0]
+    assert result["after_runs"] == []

@@ -386,7 +386,7 @@ class TestPerTauFactor:
         data = _se_dataset(21, n=90, span=9.0)
         for sigma, nu, tau in _random_triples(1, 5):
             fac = select_module._factor(data, 25, tau)
-            assert fac.bound(sigma, nu)[0] == pytest.approx(
+            assert fac.bound(sigma, nu) == pytest.approx(
                 _standard_bound(data, 25, sigma, nu, tau), rel=1e-10)
 
     def test_full_rank_bound_equals_log_evidence(self):
@@ -395,22 +395,8 @@ class TestPerTauFactor:
             fac = select_module._factor(data, data.n, tau)
             evidence = log_evidence(SquaredExponential(nu, tau),
                                     data.with_sigma_sq(sigma * sigma))
-            assert fac.bound(sigma, nu)[0] == pytest.approx(evidence,
-                                                            rel=1e-8)
-
-    def test_gradient_matches_central_differences(self):
-        data = _se_dataset(23, n=60, span=6.0)
-        h = 1e-6
-        for sigma, nu, tau in _random_triples(3, 3):
-            fac = select_module._factor(data, 20, tau)
-            grad = fac.bound(sigma, nu)[1]
-            e = math.exp(h)
-            d_sigma = (fac.bound(sigma * e, nu)[0]
-                       - fac.bound(sigma / e, nu)[0]) / (2 * h)
-            d_nu = (fac.bound(sigma, nu * e)[0]
-                    - fac.bound(sigma, nu / e)[0]) / (2 * h)
-            np.testing.assert_allclose(grad, [d_sigma, d_nu], rtol=1e-6,
-                                       atol=1e-6)
+            assert fac.bound(sigma, nu) == pytest.approx(evidence,
+                                                         rel=1e-8)
 
     def test_coarse_init_matches_brute_force_lattice(self):
         data = _se_dataset(13, n=60, span=6.0)
@@ -479,3 +465,61 @@ class TestTunerFactorizations:
         assert rep.diagnostics["pinned"] == ["sigma"]
         assert rep.diagnostics["dropped_eigenvalues"] == 30 - rep.records[0].m
         assert rep.diagnostics["dropped_eigenvalues"] > 0
+
+
+def _lbfgsb_sigma_nu(fac, start, free, lo, hi):
+    """The (sigma, nu) solve as L-BFGS-B with the analytic gradient in
+    (log sigma, log nu): the reference for the profiled search."""
+    from scipy.optimize import minimize
+
+    z = start.copy()
+
+    def negative(z_free):
+        z[free] = z_free
+        sigma, nu = np.exp(z)
+        s, g = sigma * sigma, nu * fac.lam
+        d = s + g
+        qd = fac.p * fac.p / d / d
+        resid = (fac.rest + nu * fac.gap) / s
+        m = fac.lam.size
+        grad = np.array([
+            -(s * np.sum(1.0 / d) + (fac.n - m) - s * np.sum(qd) - resid),
+            -0.5 * (np.sum(g / d) - g @ qd + nu * fac.gap / s)])
+        return -fac.bound(sigma, nu), -grad[free]
+
+    result = minimize(negative, start[free], jac=True, method="L-BFGS-B",
+                      bounds=list(zip(lo[free], hi[free])),
+                      options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 500})
+    z[free] = result.x
+    return -float(result.fun), z
+
+
+def _pinned(z, free, lo, hi):
+    return [name for name, hit in zip(("sigma", "nu"), free & (
+        (z - lo < 1e-6) | (hi - z < 1e-6))) if hit]
+
+
+class TestSigmaNuSolve:
+    """The profiled (sigma, nu) search reaches at least what L-BFGS-B does."""
+
+    @pytest.mark.parametrize("free", [(True, True), (True, False),
+                                      (False, True)])
+    @pytest.mark.parametrize("bounds", [
+        [(0.05, 20.0), (0.05, 200.0)],
+        [(0.05, 0.5), (0.05, 200.0)],   # sigma on its upper bound
+        [(0.05, 20.0), (0.05, 0.5)],    # nu on its upper bound
+        [(1.5, 20.0), (5.0, 200.0)],    # both on their lower bounds
+    ], ids=["interior", "sigma-hi", "nu-hi", "both-lo"])
+    def test_matches_lbfgsb(self, free, bounds):
+        free = np.array(free)
+        lo, hi = np.log(np.array(bounds)).T
+        start = 0.5 * (lo + hi)
+        for seed, tau in ((31, 0.4), (32, 0.7), (33, 1.3)):
+            data = _se_dataset(seed, n=120, span=12.0)
+            fac = select_module._factor(data, 40, tau)
+            value, z = select_module._solve_sigma_nu(fac, start, free, lo, hi)
+            ref, z_ref = _lbfgsb_sigma_nu(fac, start, free, lo, hi)
+            assert value == pytest.approx(fac.bound(*np.exp(z)), abs=1e-12)
+            assert value >= ref - 1e-9
+            assert np.all(z[~free] == start[~free])
+            assert _pinned(z, free, lo, hi) == _pinned(z_ref, free, lo, hi)
