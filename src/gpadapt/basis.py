@@ -348,27 +348,56 @@ def _trig_moments(x: np.ndarray, w: np.ndarray, K: int,
     return acc.ravel()[:K]
 
 
-def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
-    """Evaluate the partial sum of ``spec`` at x (scalar or array).
+def _series_phasors(spec: SignalSpec) -> np.ndarray:
+    """Complex coefficients a_k, k < K, of f(z) = Re sum_k a_k exp(i k z).
 
-    The shift is applied inside the (periodic) basis argument, so any real
-    x is accepted. The sum c_1 + sqrt(2) sum_k (c_2k cos(k z) +
-    c_2k+1 sin(k z)) is Re sum_k a_k exp(i k z) with a_0 = c_1 and
-    a_k = sqrt(2) (c_2k - i c_2k+1), evaluated by the block factorization
-    k = p B + q (B about sqrt(j_max / 2)) in chunks of points: two complex
-    exponentials per point, O(n sqrt(K)) complex multiplications for their
-    powers, one complex GEMM per chunk, and no point-by-frequency block.
+    The sum c_1 + sqrt(2) sum_k (c_2k cos(k z) + c_2k+1 sin(k z)) has
+    a_0 = c_1 and a_k = sqrt(2) (c_2k - i c_2k+1), so K = j_max // 2 + 1.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    z = _wrap(x_arr - spec.shift)
     c = spec.coeff_array()
     # phi_2k = sqrt(2) cos(k z) sits at index 2k - 1, phi_2k+1 at index 2k
     a = np.zeros(c.size // 2 + 1, dtype=complex)
     a[0] = c[0]
     a[1:] = np.sqrt(2.0) * c[1::2]
     a[1:(c.size + 1) // 2] -= 1j * np.sqrt(2.0) * c[2::2]
-    out = _trig_sum(z, a, chunk)
+    return a
+
+
+def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
+    """Evaluate the partial sum of ``spec`` at x (scalar or array).
+
+    The shift is applied inside the (periodic) basis argument, so any real
+    x is accepted. The sum is Re sum_k a_k exp(i k z) with the coefficients
+    of :func:`_series_phasors`, evaluated by the block factorization
+    k = p B + q (B about sqrt(j_max / 2)) in chunks of points: two complex
+    exponentials per point, O(n sqrt(K)) complex multiplications for their
+    powers, one complex GEMM per chunk, and no point-by-frequency block.
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    z = _wrap(x_arr - spec.shift)
+    out = _trig_sum(z, _series_phasors(spec), chunk)
     return out if np.asarray(x).shape else float(out[0])
+
+
+def _midpoint_signal(spec: SignalSpec, N: int) -> np.ndarray:
+    """:func:`synth_signal` on the midpoints x_i = (i + 1/2) h, h = 2 pi / N.
+
+    On this grid exp(i k (x_i - shift)) = exp(i k theta) w^(k i) with
+    theta = h / 2 - shift and w = exp(2 pi i / N), so the signal is
+    Re sum_k b_k w^(k i) with b_k = a_k exp(i k theta): fold b_k into
+    k mod N (w^N = 1) and take one inverse FFT, O(K + N log N) time and
+    O(K + N) memory for any N, shift and K. The phases exp(i k theta) come
+    from :func:`_phase_blocks` at the one point theta, about 2 eps per
+    factor, not from exp(i k theta) taken directly.
+    """
+    a = _series_phasors(spec)
+    K = a.size
+    theta = _wrap(np.array([0.5 * DOMAIN_HI / N - spec.shift]))
+    B, P = _block_shape(K)
+    _, E_p, E_q = next(_phase_blocks(theta, B, P, 1))
+    folded = np.zeros(-(-K // N) * N, dtype=complex)
+    folded[:K] = a * np.outer(E_p[0], E_q[0]).ravel()[:K]
+    return N * np.fft.ifft(folded.reshape(-1, N).sum(axis=0)).real
 
 
 def sample_prior(prior: SeriesPrior, J: int, seed) -> np.ndarray:

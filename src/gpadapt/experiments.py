@@ -28,10 +28,11 @@ from .basis import (
     PolyDecay,
     SeriesPrior,
     SignalSpec,
+    _midpoint_signal,
     bench_signal,
     synth_signal,
 )
-from .exact import Dataset, SeriesKernel, kernel_matrix
+from .exact import Dataset, SeriesKernel, kernel_matrix, lse_weights
 from .inducing import (
     elbo_profile,
     feature_cutoff,
@@ -45,6 +46,7 @@ from .inducing import (
 from .meanfield import mf_fit_levels, mf_predict
 from .select import (
     SelectionRecord,
+    SelectionReport,
     coarse_init,
     dim_grid,
     exp_grid,
@@ -352,10 +354,16 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
 
 
 def _quadrature_error(mean_fn, spec: SignalSpec) -> float:
-    """L2 distance of a mean rule from the truth, midpoint rule on the domain."""
+    """L2 distance of a mean rule from the truth under the uniform design.
+
+    The midpoint rule on ``QUADRATURE_POINTS`` nodes (i + 1/2) h of the
+    basis domain: the mean rule is evaluated there, the truth comes from
+    one inverse FFT (:func:`basis._midpoint_signal`). The rule is exact
+    for trigonometric polynomials of degree below ``QUADRATURE_POINTS``.
+    """
     step = (DOMAIN_HI - DOMAIN_LO) / QUADRATURE_POINTS
     xq = DOMAIN_LO + step * (np.arange(QUADRATURE_POINTS) + 0.5)
-    diff = mean_fn(xq) - synth_signal(spec, xq)
+    diff = mean_fn(xq) - _midpoint_signal(spec, QUADRATURE_POINTS)
     return float(np.sqrt(np.mean(diff**2)))
 
 
@@ -460,9 +468,26 @@ def _select(config: ExperimentConfig, data: Dataset):
     return select_discrete(grid, data, fitter), extras
 
 
+def _grid_rows(sel: SelectionReport, extras: dict) -> list[dict]:
+    """Selection rows plus each value's variational weight and grid edge.
+
+    ``weight`` is w_lam, proportional to exp(``elbo``) over the scored
+    values (``None`` where the fit failed): the weights of the
+    hierarchical mixture, whose argmax is the chosen value.
+    ``at_grid_edge`` marks the first and last grid values.
+    """
+    scored = [rec.elbo for rec in sel.records if rec.error is None]
+    weights = iter(lse_weights(scored).tolist())
+    last = len(sel.records) - 1
+    return [_row(rec, **extras.get(rec.lam, {}),
+                 weight=None if rec.error is not None else next(weights),
+                 at_grid_edge=i in (0, last))
+            for i, rec in enumerate(sel.records)]
+
+
 def _fit_grid(config: ExperimentConfig, data: Dataset):
     sel, extras = _select(config, data)
-    rows = [_row(rec, **extras.get(rec.lam, {})) for rec in sel.records]
+    rows = _grid_rows(sel, extras)
     if config.prior == "dim":
         q = sel.posterior
         posterior = lambda xs: mf_predict(q, _BASIS, xs)

@@ -14,12 +14,14 @@ from gpadapt.basis import (
     SignalSpec,
     Truncated,
     _hurwitz_zeta,
+    _midpoint_signal,
     _trig_moments,
     bench_signal,
     sample_prior,
     sobolev_norm_sq,
     synth_signal,
 )
+from gpadapt.experiments import _smooth_signal
 
 BASIS = EigenBasis()
 
@@ -337,6 +339,18 @@ class TestBlockTrigKernel:
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="needs an extended-precision long double")
+def _longdouble_signal(spec, x):
+    """The signal at float64 points x, summed term by term in long double."""
+    z = np.mod(x - spec.shift, 2 * np.pi).astype(np.longdouble)
+    c = spec.coeff_array().astype(np.longdouble)
+    ref = np.full(z.shape, c[0])
+    r2 = np.sqrt(np.longdouble(2.0))
+    for j in np.flatnonzero(c[1:]) + 2:
+        wave = np.cos(j // 2 * z) if j % 2 == 0 else np.sin(j // 2 * z)
+        ref += c[j - 1] * r2 * wave
+    return ref
+
+
 class TestPhaseRecurrence:
     """The block phases are powers of exp(i z) and exp(i B z); check them
     against term-by-term sums in long double at the same float64 points."""
@@ -344,13 +358,7 @@ class TestPhaseRecurrence:
     def test_bench_signal_to_extended_precision(self):
         spec = bench_signal()
         x = np.random.default_rng(31).uniform(0.0, 2 * np.pi, size=300)
-        z = np.mod(x - spec.shift, 2 * np.pi).astype(np.longdouble)
-        c = spec.coeff_array().astype(np.longdouble)
-        ref = np.full(z.shape, c[0])
-        r2 = np.sqrt(np.longdouble(2.0))
-        for j in np.flatnonzero(c[1:]) + 2:
-            wave = np.cos(j // 2 * z) if j % 2 == 0 else np.sin(j // 2 * z)
-            ref += c[j - 1] * r2 * wave
+        ref = _longdouble_signal(spec, x)
         err = np.max(np.abs(synth_signal(spec, x).astype(np.longdouble) - ref))
         assert err <= 1e-13, float(err)
 
@@ -371,3 +379,34 @@ class TestPhaseRecurrence:
 
         got = err(_trig_moments(x, w, K, 128))
         assert got <= err(direct), (float(got), float(err(direct)))
+
+
+def _midpoints(N):
+    return (2 * np.pi / N) * (np.arange(N) + 0.5)
+
+
+class TestMidpointSignal:
+    """The signal on the midpoint grid by one inverse FFT agrees with the
+    block sum at the same float64 nodes and with long double."""
+
+    @pytest.mark.parametrize("spec, N", [
+        (bench_signal(), 10_000),
+        (_smooth_signal(1.0), 10_000),
+        (SignalSpec(coefficients=bench_signal().coefficients, shift=0.3),
+         10_000),
+        (bench_signal(), 999),
+        (bench_signal(10_000), 1000),
+    ], ids=["bench", "shift-0", "shift-0.3", "odd-N", "K>N"])
+    def test_equals_block_sum(self, spec, N):
+        got = _midpoint_signal(spec, N)
+        assert got.shape == (N,)
+        err = np.max(np.abs(got - synth_signal(spec, _midpoints(N))))
+        assert err <= 1e-12, err
+
+    def test_bench_signal_to_extended_precision(self):
+        spec, N = bench_signal(), 10_000
+        idx = np.linspace(0, N - 1, 101).astype(int)
+        ref = _longdouble_signal(spec, _midpoints(N)[idx])
+        got = _midpoint_signal(spec, N)[idx].astype(np.longdouble)
+        err = np.max(np.abs(got - ref))
+        assert err <= 1e-12, float(err)

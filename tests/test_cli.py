@@ -181,6 +181,8 @@ class TestFitAndRunningCommands:
 
 _CSV_COLUMNS = {"lam", "log_mass", "elbo_lambda", "elbo", "m", "sigma_sq",
                 "wall_time", "error"}
+# grid rows also carry their variational weight and the grid-edge flag
+_GRID_COLUMNS = _CSV_COLUMNS | {"weight", "at_grid_edge"}
 
 
 class TestSelectionRowKeys:
@@ -194,14 +196,14 @@ class TestSelectionRowKeys:
     def test_grid_rows_are_the_csv_columns(self, tmp_path, capsys):
         rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
                                      "--prior", "poly", "--sigma2", "0.01"])
-        assert rows and all(set(row) == _CSV_COLUMNS for row in rows)
+        assert rows and all(set(row) == _GRID_COLUMNS for row in rows)
 
     def test_estimated_noise_rows_add_search_diagnostics(self, tmp_path,
                                                          capsys):
         rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
                                      "--prior", "poly", "--sigma2",
                                      "estimate"])
-        assert rows and all(set(row) == _CSV_COLUMNS | {"diagnostics"}
+        assert rows and all(set(row) == _GRID_COLUMNS | {"diagnostics"}
                             for row in rows)
         for row in rows:
             diag = row["diagnostics"]
@@ -212,7 +214,7 @@ class TestSelectionRowKeys:
     def test_dim_rows_add_diagnostics(self, tmp_path, capsys):
         rows = self._rows(tmp_path, ["select", "--n", "150", "--seed", "5",
                                      "--prior", "dim", "--sigma2", "0.01"])
-        assert rows and all(set(row) == _CSV_COLUMNS | {"diagnostics"}
+        assert rows and all(set(row) == _GRID_COLUMNS | {"diagnostics"}
                             for row in rows)
 
     def test_tuner_row_adds_diagnostics(self, tmp_path, capsys):
@@ -221,6 +223,32 @@ class TestSelectionRowKeys:
                                        "--m", "15"])
         assert set(row) == _CSV_COLUMNS | {"diagnostics"}
         assert row["lam"] is None and row["m"] == 15
+
+
+class TestSelectionWeights:
+    """Each grid row's variational weight w_lam, proportional to exp(elbo),
+    and whether the value sits at an end of the grid."""
+
+    def test_benchmark_argv_chooses_the_lower_edge(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["select", "--n", "10000", "--seed", "5", "--prior",
+                     "poly", "--features", "population", "--sigma2",
+                     "estimate", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        rows, chosen = report["selection"], report["chosen"]
+        weights = np.array([row["weight"] for row in rows])
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        best = rows[int(np.argmax(weights))]
+        assert best["lam"] == chosen["alpha"] == 1.0
+        assert best["at_grid_edge"] is True
+        assert [row["at_grid_edge"] for row in rows] == (
+            [True] + [False] * (len(rows) - 2) + [True])
+        # the CLI prints every item of chosen; the weights stay out of it
+        assert set(chosen) == {"alpha", "sigma_sq", "m"}
+        assert "weight" not in capsys.readouterr().out
+        header = (out / "selection.csv").read_text().splitlines()[0]
+        assert header == ("lam,log_mass,elbo_lambda,elbo,m,sigma_sq,"
+                          "wall_time,error")
 
 
 class TestFlagsEachCommandHonours:

@@ -8,10 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from gpadapt.basis import synth_signal
+from gpadapt.basis import DOMAIN_HI, DOMAIN_LO, synth_signal
 from gpadapt.errors import ConditioningError
 from gpadapt.experiments import (
     DEFAULT_NOISE_SQ,
+    QUADRATURE_POINTS,
     ContractionReport,
     ExperimentConfig,
     RunReport,
@@ -20,6 +21,7 @@ from gpadapt.experiments import (
     load_running_csv,
     run_continuous,
     run_experiment,
+    _grid_rows,
     _profile_noise,
     _usable_workers,
     simulate_poly,
@@ -324,6 +326,63 @@ class TestRunExperiment:
         a = _strip_timing(run_experiment(cfg))
         b = _strip_timing(run_experiment(cfg))
         assert a == b
+
+
+class TestQuadratureError:
+    """The error's truth on the midpoint grid comes from one inverse FFT."""
+
+    def test_truth_never_summed_at_the_quadrature_nodes(self, monkeypatch):
+        import gpadapt.basis as basis
+        import gpadapt.experiments as experiments
+
+        sizes, scored = [], []
+        trig_sum, quadrature_error = (basis._trig_sum,
+                                      experiments._quadrature_error)
+
+        def spy_sum(z, *args, **kwargs):
+            sizes.append(np.size(z))
+            return trig_sum(z, *args, **kwargs)
+
+        def spy_error(mean_fn, spec):
+            scored.append((mean_fn, spec))
+            return quadrature_error(mean_fn, spec)
+
+        monkeypatch.setattr(basis, "_trig_sum", spy_sum)
+        monkeypatch.setattr(experiments, "_quadrature_error", spy_error)
+        rep = run_experiment(ExperimentConfig(experiment="unit", n=500,
+                                              seed=5, out_dir=None))
+        monkeypatch.undo()
+        assert sizes and QUADRATURE_POINTS not in sizes, sizes
+        # the midpoint rule with the truth summed at every node
+        ((mean_fn, spec),) = scored
+        step = (DOMAIN_HI - DOMAIN_LO) / QUADRATURE_POINTS
+        xq = DOMAIN_LO + step * (np.arange(QUADRATURE_POINTS) + 0.5)
+        diff = mean_fn(xq) - synth_signal(spec, xq)
+        expected = float(np.sqrt(np.mean(diff**2)))
+        assert rep.l2_error == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+class TestGridRows:
+    def test_failed_rows_get_no_weight(self):
+        from gpadapt.select import SelectionRecord, SelectionReport
+
+        records = [
+            SelectionRecord(lam=1.0, log_mass=0.0, wall_time=0.0,
+                            elbo_lambda=5.0, elbo=5.0, m=3),
+            SelectionRecord(lam=2.0, log_mass=0.0, wall_time=0.0,
+                            error="ConditioningError: failed"),
+            SelectionRecord(lam=3.0, log_mass=0.0, wall_time=0.0,
+                            elbo_lambda=5.0 + math.log(3.0),
+                            elbo=5.0 + math.log(3.0), m=4),
+            SelectionRecord(lam=4.0, log_mass=0.0, wall_time=0.0,
+                            error="ConditioningError: failed"),
+        ]
+        sel = SelectionReport(chosen=3.0, posterior=None, records=records)
+        rows = _grid_rows(sel, {})
+        assert [r["weight"] for r in rows] == pytest.approx(
+            [0.25, None, 0.75, None], rel=1e-12)
+        assert [r["at_grid_edge"] for r in rows] == [True, False, False, True]
+        assert all(isinstance(r["weight"], (float, type(None))) for r in rows)
 
 
 class TestRunContinuous:
