@@ -39,9 +39,11 @@ DOMAIN_HI = 2.0 * np.pi
 
 
 def _check_domain(x: np.ndarray) -> None:
-    """Raise ValueError unless every point lies in [0, 2*pi]."""
+    """Raise ValueError, naming the span of ``x``, unless every point lies
+    in [0, 2*pi]."""
     if np.any(x < DOMAIN_LO) or np.any(x > DOMAIN_HI):
-        raise ValueError("point outside the domain [0, 2*pi]")
+        raise ValueError("point outside the domain [0, 2*pi]: x spans "
+                         f"[{np.min(x):g}, {np.max(x):g}]")
 
 
 @dataclass(frozen=True)

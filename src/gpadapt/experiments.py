@@ -34,14 +34,13 @@ from .basis import (
 )
 from .exact import Dataset, SeriesKernel, kernel_matrix, lse_weights
 from .inducing import (
-    elbo_profile,
+    _EigenFactor,
+    _warn_dropped,
     feature_cutoff,
     feature_stats,
     population_candidate,
     predict,
     predict_mean,
-    sample_features,
-    titsias_fit,
 )
 from .meanfield import mf_fit_levels, mf_predict
 from .select import (
@@ -296,7 +295,8 @@ def _profile_noise(profile) -> tuple[float, float, dict]:
 def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     """Per-candidate fit closure plus a side table of extra selection-row
     fields by grid value: the profiled noise ``sigma_sq`` with its search's
-    ``diagnostics``, or a ``dim`` level's sweep ``diagnostics``.
+    ``diagnostics``, or a ``dim`` level's sweep ``diagnostics``; sample
+    features add the ``dropped_eigenvalues`` of their kernel matrix.
 
     Design statistics are built once here, before the sweep:
     ``FeatureStats`` up to the largest truncation level for ``dim``, and up
@@ -331,24 +331,29 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
         def candidate(lam):
             _, profile, fit = population_candidate(
                 _series_prior(config, lam), stats, grid.m_rule(lam))
-            return profile, fit
+            return profile, fit, {}
     else:
         def candidate(lam):
             m = grid.m_rule(lam)
             kern = SeriesKernel(_series_prior(config, lam),
                                 j_max=max(SIGNAL_J_MAX, 4 * m))
-            model = sample_features(kernel_matrix(kern, data.x), m,
-                                    kernel=kern, x=data.x)
-            return (elbo_profile(model, data.y),
-                    lambda s2: titsias_fit(model, data.with_sigma_sq(s2)))
+            fac = _EigenFactor.from_kernel(kernel_matrix(kern, data.x),
+                                           data.y, m)
+            _warn_dropped(fac.dropped)
+            return (fac.profile(1.0),
+                    lambda s2: fac.fit(s2, 1.0, kern, data.x),
+                    {"dropped_eigenvalues": fac.dropped})
 
     def fitter(lam):
-        profile, fit = candidate(lam)
+        profile, fit, diagnostics = candidate(lam)
+        s2 = data.sigma_sq
         if config.estimate_noise:
-            s2, bound, diagnostics = _profile_noise(profile)
-            extras[lam] = {"sigma_sq": s2, "diagnostics": diagnostics}
-            return fit(s2), bound
-        return fit(data.sigma_sq), profile(data.sigma_sq)
+            s2, _, noise = _profile_noise(profile)
+            extras[lam] = {"sigma_sq": s2,
+                           "diagnostics": {**noise, **diagnostics}}
+        elif diagnostics:
+            extras[lam] = {"diagnostics": diagnostics}
+        return fit(s2), profile(s2)
 
     return fitter, extras
 

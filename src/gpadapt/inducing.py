@@ -36,6 +36,9 @@ statistics of the basis features that no candidate changes
 multiplications for their powers and O(n J) complex multiply-adds in
 matrix products), they let every candidate be scored and fitted in
 O(m^3 + J) (:func:`population_candidate`).
+Sample features have G = diag(eigenvalues), so the bound and q(u) of
+every nu K read off one eigendecomposition of K (:class:`_EigenFactor`),
+which the tuner and the sample-feature sweep both score and fit from.
 """
 
 from __future__ import annotations
@@ -93,8 +96,8 @@ class InducingModel:
     ``prior`` for the population flavor; ``kernel`` when cross-covariances
     to new points are available for prediction. A population model scored
     from :class:`FeatureStats` holds no per-point terms (``K_uf``,
-    ``kff_diag`` and ``x_train`` are None): it predicts, but cannot be
-    refitted against a dataset.
+    ``kff_diag`` and ``x_train`` are None), and an :class:`_EigenFactor`
+    fit no ``K_uf`` or ``kff_diag``: both predict, but cannot be refitted.
     """
 
     flavor: str
@@ -261,14 +264,9 @@ def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
                         phi_y=(scale * phi_y)[:m], yty=float(y @ y))
 
 
-def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
-                    x: np.ndarray | None = None) -> InducingModel:
-    """Empirical inducing variables: top-m eigenpairs of the kernel matrix.
-
-    Non-positive eigenvalues among the requested m are dropped with a
-    warning (rank-degenerate kernels), shrinking m. Pass ``kernel`` and
-    ``x`` to enable prediction at new points.
-    """
+def _top_eigenpairs(K_ff: np.ndarray, m: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Top-m eigenpairs, descending, less those at or below n eps lam_max."""
     K_ff = np.asarray(K_ff, dtype=float)
     n = K_ff.shape[0]
     if K_ff.shape != (n, n):
@@ -289,34 +287,85 @@ def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
         import scipy.linalg  # the subset solver; numpy has none
 
         vals, vecs = scipy.linalg.eigh(K_sym, subset_by_index=[n - m, n - 1])
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    tol = max(vals[0], 0.0) * n * np.finfo(float).eps
-    keep = vals > tol
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # eigh's order is ascending
+    keep = vals > max(vals[0], 0.0) * n * np.finfo(float).eps
     if not np.any(keep):
         raise ConditioningError("kernel matrix has no positive eigenvalues")
-    if np.count_nonzero(keep) < m:
-        warnings.warn(
-            f"dropping {m - np.count_nonzero(keep)} non-positive "
-            "eigenvalues; reducing the number of features",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    vals = vals[keep]
-    vecs = vecs[:, keep]
-    m_eff = vals.size
+    return vals[keep], vecs[:, keep]
+
+
+def _warn_dropped(dropped: int) -> None:
+    """The warning of :func:`sample_features`, at its caller."""
+    if dropped:
+        warnings.warn(f"dropping {dropped} non-positive eigenvalues; "
+                      "reducing the number of features", RuntimeWarning,
+                      stacklevel=3)
+
+
+def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
+                    x: np.ndarray | None = None) -> InducingModel:
+    """Empirical inducing variables: top-m eigenpairs of the kernel matrix.
+
+    Eigenvalues among the requested m at or below n eps lam_max (non-positive
+    or lost to rounding) are dropped with a warning, shrinking m. Pass
+    ``kernel`` and ``x`` to enable prediction at new points.
+    """
+    vals, vecs = _top_eigenpairs(K_ff, m)
+    _warn_dropped(m - vals.size)
     return InducingModel(
-        flavor="sample",
-        m=m_eff,
-        K_uu=np.diag(vals),
-        K_uf=(vecs * vals).T.copy(),
-        kff_diag=np.diag(K_ff).copy(),
+        flavor="sample", m=vals.size, K_uu=np.diag(vals),
+        K_uf=(vecs * vals).T.copy(), kff_diag=np.diag(K_ff).astype(float),
         x_train=None if x is None else np.atleast_1d(np.asarray(x, float)),
-        V=vecs,
-        eigvals=vals,
-        kernel=kernel,
-    )
+        V=vecs, eigvals=vals, kernel=kernel)
+
+
+@dataclass(frozen=True)
+class _EigenFactor:
+    """Sample-feature model of every multiple nu K of a kernel matrix K.
+
+    ``lam`` and ``V`` are the eigenpairs of K that :func:`sample_features`
+    keeps, ``p = V'y``, ``gap = tr K - sum lam``; ``dropped`` counts those
+    cut. nu K has G = nu diag(lam) and W y = sqrt(nu lam) p, so its bound
+    costs O(m) and its q(u) O(m^2), with no further eigendecomposition.
+    """
+
+    lam: np.ndarray
+    V: np.ndarray
+    p: np.ndarray
+    yty: float
+    rest: float  # y'y - p'p: energy of y outside the kept eigenvectors
+    gap: float
+    n: int
+    dropped: int
+
+    @classmethod
+    def from_kernel(cls, K: np.ndarray, y: np.ndarray, m: int
+                    ) -> "_EigenFactor":
+        lam, V = _top_eigenpairs(K, m)
+        p, yty = V.T @ y, float(y @ y)
+        return cls(lam=lam, V=V, p=p, yty=yty, rest=yty - float(p @ p),
+                   gap=float(np.trace(K)) - float(np.sum(lam)), n=y.size,
+                   dropped=m - lam.size)
+
+    def profile(self, nu: float) -> Callable[[float], float]:
+        """The collapsed bound of nu K as a function of sigma^2."""
+        g = nu * self.lam
+        return _collapsed_profile(g, np.sqrt(g) * self.p, self.yty,
+                                  nu * self.gap, self.n)
+
+    def bound(self, sigma: float, nu: float) -> float:
+        """Collapsed bound at (sigma, nu), in O(m)."""
+        return self.profile(nu)(sigma * sigma)
+
+    def fit(self, sigma_sq: float, nu: float, kernel: KernelSpec,
+            x: np.ndarray) -> VariationalGP:
+        """Optimal q(u) of nu K (``kernel``, on design ``x``) at sigma^2."""
+        g = nu * self.lam
+        model = InducingModel(flavor="sample", m=g.size, K_uu=np.diag(g),
+                              K_uf=None, kff_diag=None, x_train=x,
+                              V=self.V, eigvals=g, kernel=kernel)
+        return _optimal_q(model, (g, np.eye(g.size), np.sqrt(g) * self.p),
+                          sigma_sq)
 
 
 def _whiten(model: InducingModel) -> tuple[np.ndarray, np.ndarray]:
@@ -466,8 +515,6 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
 
 def elbo_lambda(model: InducingModel, data: Dataset) -> float:
     """Collapsed variational objective at the dataset's noise variance."""
-    if data.n != model.n:
-        raise ValueError("model was built for a different design")
     return elbo_profile(model, data.y)(data.sigma_sq)
 
 

@@ -14,8 +14,9 @@ factorized once per tau; in that eigenbasis the collapsed bound at any
 (sigma, nu) is a closed form costing O(m). A bounded 1-D search over
 log tau calls that factorization, and at each tau the free (sigma, nu)
 are solved within their bounds by one more bounded 1-D search, with the
-noise profiled out in closed form. The exact evidence is the same bound at
-m = n. Every search is the package's own Brent search
+noise profiled out in closed form. The bound and q(u) reported come from
+the factorization at the chosen tau. The exact evidence is the same bound
+at m = n. Every search is the package's own Brent search
 (:func:`~gpadapt._linalg.brent_bounded`), so this module needs numpy alone.
 """
 
@@ -31,9 +32,9 @@ import numpy as np
 
 from ._linalg import brent_bounded
 from .errors import ConditioningError
-from .exact import (Dataset, SquaredExponential, _collapsed_profile,
-                    exact_posterior, kernel_matrix, log_evidence)
-from .inducing import elbo_lambda, predict, sample_features, titsias_fit
+from .exact import (Dataset, SquaredExponential, exact_posterior,
+                    kernel_matrix, log_evidence)
+from .inducing import _EigenFactor, predict
 
 __all__ = [
     "HyperGrid",
@@ -215,61 +216,10 @@ _GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
 _NAMES = ("sigma", "nu", "tau")
 
 
-def _top_features(K: np.ndarray, m: int, **kwargs):
-    """:func:`sample_features` without its dropped-eigenvalue warning.
-
-    The tuner records the number dropped at the chosen tau in its
-    diagnostics instead.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return sample_features(K, m, **kwargs)
-
-
-@dataclass(frozen=True)
-class _EigenFactor:
-    """Unit-variance squared-exponential kernel at one tau, in its eigenbasis.
-
-    ``K1`` is ``kernel_matrix(SquaredExponential(1, tau), x)``, ``lam`` its
-    top eigenvalues kept by :func:`sample_features` and ``p = V'y`` the
-    data in the matching eigenvectors. The kernel of variance nu is nu K1
-    with the same eigenvectors, so every (sigma, nu) is scored from these
-    without touching the design.
-    """
-
-    tau: float
-    K1: np.ndarray
-    lam: np.ndarray
-    p: np.ndarray
-    yty: float
-    rest: float  # y'y - p'p: energy of y outside the kept eigenvectors
-    gap: float  # tr K1 - sum(lam): trace term per unit of nu
-    n: int
-    dropped: int
-
-    def bound(self, sigma: float, nu: float) -> float:
-        """Collapsed bound at (sigma, nu, tau), in O(m).
-
-        ``exact._collapsed_profile`` at sigma^2 with the eigen-form of
-        G = nu diag(lam): eigenvalues nu lam, p_G = sqrt(nu lam) p, and the
-        trace gap nu (tr K1 - sum lam).
-        """
-        g = nu * self.lam
-        return _collapsed_profile(g, np.sqrt(g) * self.p, self.yty,
-                                  nu * self.gap, self.n)(sigma * sigma)
-
-
 def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
-    """The one factorization at ``tau``: top-``rank`` eigenpairs of K1."""
-    K1 = kernel_matrix(SquaredExponential(1.0, tau), data.x)
-    model = _top_features(K1, rank)
-    p = model.V.T @ data.y
-    yty = float(data.y @ data.y)
-    return _EigenFactor(
-        tau=tau, K1=K1, lam=model.eigvals, p=p, yty=yty,
-        rest=yty - float(p @ p),
-        gap=float(np.trace(K1)) - float(np.sum(model.eigvals)),
-        n=data.n, dropped=rank - model.m)
+    """The one factorization at ``tau``, of the unit-variance kernel."""
+    return _EigenFactor.from_kernel(
+        kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, rank)
 
 
 def _rank(objective: str, m: int, n: int) -> int:
@@ -444,8 +394,9 @@ def tune_continuous(data: Dataset, m: int,
     (sigma, nu) are solved within the bounds in O(m) per evaluation.
     ``free`` pins coordinates (False entries stay at ``init``); a pinned tau
     makes one factorization. The report's posterior is a callable mapping
-    query points to a Gaussian law. Its diagnostics hold the tau steps
-    (``iterations``), the factorizations (``evaluations``) and how many
+    query points to a Gaussian law; for ``"elbo"``, it and the bound come
+    from the factorization at the chosen tau. Its diagnostics hold the tau
+    steps (``iterations``), the factorizations (``evaluations``) and how many
     failed, whether the tau search met its tolerance, the names ``pinned``
     at bounds and the eigenvalues dropped at the chosen tau.
     """
@@ -506,17 +457,13 @@ def tune_continuous(data: Dataset, m: int,
                       RuntimeWarning, stacklevel=2)
 
     sigma, nu = (float(v) for v in np.exp(z[:2]))
-    tau = fac.tau
-    shifted = data.with_sigma_sq(sigma * sigma)
-    kern = SquaredExponential(nu, tau)
+    kern = SquaredExponential(nu, math.exp(z[2]))
     if objective == "elbo":
-        # nu K1 is kernel_matrix(kern, x) exactly: no second kernel build
-        model = _top_features(nu * fac.K1, m, kernel=kern, x=data.x)
-        q = titsias_fit(model, shifted)
-        bound = elbo_lambda(model, shifted)
+        q = fac.fit(sigma * sigma, nu, kern, data.x)
+        bound, m_used = fac.bound(sigma, nu), q.model.m
         handle = lambda query: predict(q, query)  # noqa: E731
-        m_used = model.m
     else:
+        shifted = data.with_sigma_sq(sigma * sigma)
         bound = log_evidence(kern, shifted)
         handle = lambda query: exact_posterior(kern, shifted, query)  # noqa: E731
         m_used = None
@@ -524,7 +471,7 @@ def tune_continuous(data: Dataset, m: int,
                              elbo_lambda=float(bound), elbo=float(bound),
                              m=m_used)
     return SelectionReport(
-        chosen=(sigma, nu, tau), posterior=handle, records=[record],
+        chosen=(sigma, nu, kern.tau), posterior=handle, records=[record],
         diagnostics={"iterations": iterations, "evaluations": n_evals,
                      "failures": n_fails, "converged": converged,
                      "pinned": pinned, "dropped_eigenvalues": fac.dropped})

@@ -128,6 +128,19 @@ class TestNonFiniteInput:
         assert "sigma_sq must be positive" not in err
 
 
+class TestDesignOutsideDomain:
+    def test_select_names_the_span(self, tmp_path, capsys):
+        # a series timed in seconds lies outside the basis domain
+        t = np.linspace(0.0, 600.0, 200)
+        path = tmp_path / "seconds.csv"
+        path.write_text("t_sec,speed_kmh\n" + "".join(
+            f"{a:.17g},{10.0 + np.sin(a / 60.0):.6f}\n" for a in t))
+        code = main(["select", "--data", str(path), "--sigma2", "0.01"])
+        assert code == 2
+        assert ("point outside the domain [0, 2*pi]: x spans [0, 600]"
+                in capsys.readouterr().err)
+
+
 class TestFitAndRunningCommands:
     def test_fit_synthetic(self, capsys):
         code = main(["fit", "--n", "120", "--seed", "3", "--m", "10"])

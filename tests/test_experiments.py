@@ -26,6 +26,7 @@ from gpadapt.experiments import (
     _usable_workers,
     simulate_poly,
 )
+from gpadapt.select import poly_grid
 
 
 class TestSimulatePoly:
@@ -287,6 +288,33 @@ class TestRunExperiment:
                                query_points=32)
         rep = run_experiment(cfg)
         assert set(rep.chosen) == {"alpha", "sigma_sq", "m"}
+
+    @pytest.mark.parametrize("sigma_sq", [0.01, "estimate"])
+    def test_sample_rows_record_dropped_eigenvalues(self, tmp_path,
+                                                     sigma_sq):
+        # 60 rows at 3 distinct times: every kernel matrix has rank 3, so
+        # a candidate asking for 4 features drops one
+        rng = np.random.default_rng(2)
+        path = tmp_path / "repeated.csv"
+        x = np.repeat([0.5, 2.5, 4.5], 20)
+        path.write_text("".join(
+            f"{a},{b:.6f}\n" for a, b in zip(x, rng.normal(size=60))))
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(experiment="unit", features="sample",
+                               sigma_sq=sigma_sq, query_points=16,
+                               data_path=str(path), out_dir=str(out))
+        with pytest.warns(RuntimeWarning,
+                          match="dropping 1 non-positive eigenvalues"):
+            run_experiment(cfg)
+        rows = json.loads((out / "report.json").read_text())["selection"]
+        m_rule = poly_grid(cfg.beta_minus, cfg.beta_plus, 60).m_rule
+        dropped = [row["diagnostics"]["dropped_eigenvalues"] for row in rows]
+        assert dropped == [max(m_rule(row["lam"]) - 3, 0) for row in rows]
+        assert 0 in dropped and 1 in dropped
+        assert all(row["m"] == min(m_rule(row["lam"]), 3) for row in rows)
+        header = (out / "selection.csv").read_text().splitlines()[0]
+        assert header == ("lam,log_mass,elbo_lambda,elbo,m,sigma_sq,"
+                          "wall_time,error")
 
     def test_csv_source_has_no_truth_columns(self, tmp_path):
         data, spec = simulate_poly(150, seed=8, sigma_sq=0.04)

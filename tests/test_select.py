@@ -25,6 +25,7 @@ from gpadapt.inducing import (
     VariationalGP,
     elbo_lambda,
     population_features,
+    predict,
     sample_features,
     titsias_fit,
 )
@@ -373,6 +374,12 @@ def _standard_bound(data, m, sigma, nu, tau):
     return elbo_lambda(model, data.with_sigma_sq(sigma * sigma))
 
 
+def _dropping_dataset():
+    rng = np.random.default_rng(105)
+    x = np.sort(rng.uniform(0.0, 20.0, size=200))
+    return Dataset(x=x, y=rng.normal(0.0, 0.1, size=200), sigma_sq=0.01)
+
+
 def _random_triples(seed, count):
     rng = np.random.default_rng(seed)
     lo, hi = np.log([0.4, 0.3, 0.15]), np.log([2.5, 5.0, 2.0])
@@ -448,15 +455,46 @@ class TestTunerFactorizations:
                               maxiter=6)
         bound = rep.records[0].elbo_lambda
         assert bound >= _standard_bound(data, 20, *init)
-        # the reported bound is the standard path's at the chosen triple
-        assert bound == _standard_bound(data, 20, *rep.chosen)
+        # the reported bound is the chosen tau's factorization at the
+        # chosen (sigma, nu), which the standard path matches to roundoff
+        sigma, nu, tau = rep.chosen
+        assert bound == select_module._factor(data, 20, tau).bound(sigma, nu)
+        assert bound == pytest.approx(_standard_bound(data, 20, *rep.chosen),
+                                      rel=1e-10)
+
+    def test_one_eigendecomposition_per_factorization(self, monkeypatch):
+        # the fit at the chosen tau reads that tau's factorization: no
+        # second n x n solve and no m x m whitened solve
+        # (_linalg.eigh_psd), which would also reach np.linalg.eigh
+        import scipy.linalg
+
+        from gpadapt import _linalg
+
+        calls = {"eigh": 0, "eigh_psd": 0}
+
+        def spy(module, name, key):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(np.linalg, "eigh", "eigh")
+        spy(scipy.linalg, "eigh", "eigh")
+        spy(_linalg, "eigh_psd", "eigh_psd")
+        data = _se_dataset(12, n=60, span=6.0)
+        rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+                              bounds=TUNE_BOUNDS, objective="elbo")
+        assert rep.diagnostics["evaluations"] > 1
+        assert calls == {"eigh": rep.diagnostics["evaluations"],
+                         "eigh_psd": 0}
 
     def test_diagnostics_record_pins_and_drops(self):
         # tau = 10 on a span of 20 leaves fewer than 30 positive
         # eigenvalues, and the noise bound sits above the true 0.1
-        rng = np.random.default_rng(105)
-        x = np.sort(rng.uniform(0.0, 20.0, size=200))
-        data = Dataset(x=x, y=rng.normal(0.0, 0.1, size=200), sigma_sq=0.01)
+        data = _dropping_dataset()
         with pytest.warns(RuntimeWarning, match="pinned at bounds: sigma"):
             rep = tune_continuous(
                 data, m=30, init=(0.5, 2.0, 10.0),
@@ -465,6 +503,37 @@ class TestTunerFactorizations:
         assert rep.diagnostics["pinned"] == ["sigma"]
         assert rep.diagnostics["dropped_eigenvalues"] == 30 - rep.records[0].m
         assert rep.diagnostics["dropped_eigenvalues"] > 0
+
+
+class TestFactorFit:
+    """The factor's q(u) predicts as the standard sample-feature path.
+
+    Predictions, not mu, are compared: eigenvector signs may differ.
+    """
+
+    @pytest.mark.parametrize("case", ["drops", "keeps"])
+    def test_predictions_match_titsias_fit(self, case):
+        # tau = 10 on a span of 20 drops 17 of 30 eigenvalues
+        data, m, nu, tau, s2 = {
+            "drops": (_dropping_dataset(), 30, 2.0, 10.0, 0.25),
+            "keeps": (_se_dataset(21, n=90, span=9.0), 25, 1.5, 0.7, 0.64),
+        }[case]
+        fac = select_module._factor(data, m, tau)
+        kern = SquaredExponential(nu, tau)
+        q = fac.fit(s2, nu, kern, data.x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = sample_features(
+                nu * kernel_matrix(SquaredExponential(1.0, tau), data.x), m,
+                kernel=kern, x=data.x)
+        ref = titsias_fit(model, data.with_sigma_sq(s2))
+        assert q.model.m == model.m == m - fac.dropped
+        assert (fac.dropped > 0) == (case == "drops")
+        query = np.linspace(data.x.min() - 1.0, data.x.max() + 1.0, 101)
+        got, want = predict(q, query), predict(ref, query)
+        for a, b in ((got.mean, want.mean), (got.var, want.var)):
+            np.testing.assert_allclose(a, b, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(b)))
 
 
 def _lbfgsb_sigma_nu(fac, start, free, lo, hi):
