@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.random import default_rng
@@ -150,8 +150,10 @@ class SeriesPrior:
     basis: EigenBasis = field(default_factory=EigenBasis)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
+        if self.d != 1:
+            raise ValueError(f"d = {self.d}: the prior sits on the "
+                             "one-dimensional trigonometric basis, so d "
+                             "must be 1")
 
     @property
     def support(self) -> float:
@@ -181,17 +183,8 @@ class SeriesPrior:
             return max(k.dim - J, 0) / k.dim
         if isinstance(k, PolyDecay):
             return _hurwitz_zeta(1.0 + 2.0 * k.alpha / self.d, J + 1)
-        if self.d == 1:
-            r = np.exp(-k.tau)
-            return float(k.tau * r ** (J + 1) / (1.0 - r))
-        total = 0.0
-        j = J + 1
-        while True:
-            term = k.tau**self.d * np.exp(-k.tau * j ** (1.0 / self.d))
-            total += term
-            if term < 1e-18 * max(total, 1e-300):
-                return total
-            j += 1
+        r = np.exp(-k.tau)
+        return float(k.tau * r ** (J + 1) / (1.0 - r))
 
 
 #: direct terms of the Euler-Maclaurin sum in :func:`_hurwitz_zeta`
@@ -285,12 +278,14 @@ def _block_shape(K: int) -> tuple[int, int]:
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """[w^0, w^1, ..., w^(count-1)] per row: one cumulative product along
-    the columns of a preallocated block."""
-    out = np.empty((w.size, count), dtype=complex)
-    out[:, 0] = 1.0
-    out[:, 1:] = w[:, None]
-    return np.cumprod(out, axis=1, out=out)
+    """[w^0, w^1, ..., w^(count-1)] per entry of w, as a w.size x count
+    view: each power is one elementwise product of the last with w, along
+    the contiguous axis of a count x w.size block that the view transposes."""
+    out = np.empty((count, w.size), dtype=complex)
+    out[0] = 1.0
+    for k in range(1, count):
+        np.multiply(out[k - 1], w, out=out[k])
+    return out.T
 
 
 def _phase_blocks(z: np.ndarray, B: int, P: int, chunk: int):
@@ -299,12 +294,15 @@ def _phase_blocks(z: np.ndarray, B: int, P: int, chunk: int):
     Yields (rows, E_p, E_q) with E_p = exp(i p B z) (rows x P) and
     E_q = exp(i q z) (rows x B), so that exp(i k z) = E_p[:, p] E_q[:, q].
     Each chunk makes two complex exponential calls per point, exp(i z) and
-    exp(i B z), and takes their powers by recurrence: O(rows (P + B))
-    complex multiplications. B z is formed as B z_hi + B z_lo with both
-    products exact (z_hi keeps 53 - bits(B) bits), so the p-th power does
-    not multiply a rounding of B z by p: every phase is accurate to about
-    2 eps per factor, where exp(i k z) taken directly carries the rounding
-    of k z, near |k z| eps / 2.
+    exp(i B z), and takes their powers by recurrence with :func:`_powers`:
+    O(rows (P + B)) complex multiplications, one vector product per power.
+    Both blocks are transposed views, so E_p.T and E_q.T are C-contiguous
+    (power x rows), the layout that the consumers' products read. B z is
+    formed as B z_hi + B z_lo with both products exact (z_hi keeps
+    53 - bits(B) bits), so the p-th power does not multiply a rounding of
+    B z by p: every phase is accurate to about 2 eps per factor, where
+    exp(i k z) taken directly carries the rounding of k z, near
+    |k z| eps / 2.
     """
     split = float(2 ** B.bit_length() + 1)
     for lo in range(0, z.size, chunk):
@@ -323,8 +321,8 @@ def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048
     """Re sum_{k < K} c_k exp(i k z) at every point, K = len(c).
 
     With the coefficients laid out as a P x B array C (k = p B + q), each
-    chunk is the row-wise product of E_p with E_q C': one complex GEMM and
-    no points x K block.
+    chunk is the column-wise product of E_p' with C E_q': one complex GEMM
+    and no points x K block.
     """
     B, P = _block_shape(c.size)
     C = np.zeros(P * B, dtype=complex)
@@ -332,22 +330,30 @@ def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048
     C = C.reshape(P, B)
     out = np.empty(z.size)
     for rows, E_p, E_q in _phase_blocks(z, B, P, chunk):
-        out[rows] = np.einsum("ip,ip->i", E_p, E_q @ C.T).real
+        out[rows] = np.einsum("pi,pi->i", E_p.T, C @ E_q.T).real
     return out
 
 
-def _trig_moments(x: np.ndarray, w: np.ndarray, K: int,
-                  chunk: int) -> np.ndarray:
+def _trig_moments(x: np.ndarray, w: np.ndarray, K: int | Sequence[int],
+                  chunk: int) -> np.ndarray | list[np.ndarray]:
     """Weighted trigonometric moments M_k = sum_i w_i exp(i k x_i), k < K.
 
-    Each chunk adds one complex GEMM E_p' (w E_q) to a P x B array whose
-    row-major order is k = p B + q. Memory is O(chunk sqrt(K) + K).
+    ``w`` is one weight row with one order K, or a stack of rows with one
+    order each in the sequence K, returned as a list. The rows share one
+    pass of :func:`_phase_blocks` at the largest order: each chunk adds
+    row r's complex GEMM E_p' (w_r E_q), over the first ceil(K_r / B)
+    columns of E_p only, to a P_r x B array whose row-major order is
+    k = p B + q. Memory is O(chunk sqrt(K) + K) per row.
     """
-    B, P = _block_shape(K)
-    acc = np.zeros((P, B), dtype=complex)
+    if np.ndim(w) == 1:
+        return _trig_moments(x, np.asarray(w)[None], [K], chunk)[0]
+    B, P = _block_shape(max(K))
+    tops = [-(-k // B) for k in K]
+    accs = [np.zeros((p, B), dtype=complex) for p in tops]
     for rows, E_p, E_q in _phase_blocks(x, B, P, chunk):
-        acc += E_p.T @ (w[rows, None] * E_q)
-    return acc.ravel()[:K]
+        for acc, w_r, p in zip(accs, w, tops):
+            acc += E_p[:, :p].T @ (w_r[rows, None] * E_q)
+    return [acc.ravel()[:k] for acc, k in zip(accs, K)]
 
 
 def _series_phasors(spec: SignalSpec) -> np.ndarray:

@@ -587,6 +587,10 @@ class ContractionReport:
     slope: float
     slope_se: float
     target: float
+    #: each fit's chosen grid value, and whether it is the grid's first or
+    #: last value (replicates x len(n_list))
+    chosen: np.ndarray
+    at_grid_edge: np.ndarray
 
 
 def _smooth_signal(beta: float) -> SignalSpec:
@@ -595,26 +599,32 @@ def _smooth_signal(beta: float) -> SignalSpec:
                       j_max=SIGNAL_J_MAX)
 
 
-def _contraction_error(family: str, beta_true: float, n: int, seed: int,
-                       sigma_sq: float) -> float:
-    """One replicate: simulate, adaptively fit, return L2 error to truth."""
+def _contraction_fit(family: str, beta_true: float, n: int, seed: int,
+                     sigma_sq: float) -> tuple[float, float, bool]:
+    """One replicate at one n: simulate and adaptively fit. Returns the L2
+    error to the truth, the chosen grid value and whether it sits on the
+    grid's edge."""
     spec = _smooth_signal(beta_true)
     data = _draw(spec, n, seed, sigma_sq)
     config = ExperimentConfig(experiment="contraction", n=n, seed=seed,
                               prior=family, sigma_sq=sigma_sq)
     sel, _ = _select(config, data)
+    edge = sel.chosen in (sel.records[0].lam, sel.records[-1].lam)
     if family == "dim":
         q = sel.posterior
         coeffs = spec.coeff_array()
         head = q.mu - coeffs[:q.D]
         tail = coeffs[q.D:]
-        return float(np.sqrt(head @ head + tail @ tail))
-    return _quadrature_error(lambda xs: predict_mean(sel.posterior, xs), spec)
+        error = float(np.sqrt(head @ head + tail @ tail))
+    else:
+        error = _quadrature_error(
+            lambda xs: predict_mean(sel.posterior, xs), spec)
+    return error, float(sel.chosen), edge
 
 
-def _replicate_errors(args) -> list[float]:
+def _replicate(args) -> list[tuple[float, float, bool]]:
     family, beta_true, n_list, seed, sigma_sq = args
-    return [_contraction_error(family, beta_true, n, seed + i, sigma_sq)
+    return [_contraction_fit(family, beta_true, n, seed + i, sigma_sq)
             for i, n in enumerate(n_list)]
 
 
@@ -632,7 +642,8 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
                       workers: int = 1) -> ContractionReport:
     """Adaptive-fit error versus n, with the rate-formula target attached.
 
-    Each replicate contributes one error per sample size; the headline
+    Each replicate contributes one error per sample size, and records the
+    grid value its fit chose and whether that is a grid edge; the headline
     slope is the least-squares fit of log mean-error against log n, and
     its standard error comes from the spread of per-replicate slopes.
     ``workers > 1`` fans replicates out across processes, at most one per
@@ -659,10 +670,12 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_replicate_errors, tasks))
+            rows = list(pool.map(_replicate, tasks))
     else:
-        rows = [_replicate_errors(t) for t in tasks]
-    errors = np.asarray(rows, dtype=float)
+        rows = [_replicate(t) for t in tasks]
+    # replicates x sizes x (error, chosen, at_grid_edge)
+    cells = np.asarray(rows, dtype=float)
+    errors, chosen = cells[..., 0].copy(), cells[..., 1].copy()
     mean_errors = errors.mean(axis=0)
     log_n = np.log(np.asarray(n_list, dtype=float))
     slope = float(np.polyfit(log_n, np.log(mean_errors), 1)[0])
@@ -673,7 +686,8 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
     return ContractionReport(family=family, beta_true=beta_true,
                              n_list=n_list, errors=errors,
                              mean_errors=mean_errors, slope=slope,
-                             slope_se=slope_se, target=target)
+                             slope_se=slope_se, target=target, chosen=chosen,
+                             at_grid_edge=cells[..., 2] > 0)
 
 
 def _g17(v) -> str:

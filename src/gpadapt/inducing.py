@@ -223,7 +223,7 @@ def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
     Products of the cos/sin features of ``basis`` (the one-dimensional
     trigonometric basis) are sums of single waves, so with
     M_k = sum_i exp(i k x_i) up to order J and Y_k = sum_i y_i exp(i k x_i)
-    up to order m/2 (both accumulated over blocks of ``STATS_CHUNK`` rows):
+    up to order m/2 (both from one pass over blocks of ``STATS_CHUNK`` rows):
     colsumsq is n +- Re M_2k, the Gram block is a Toeplitz term in
     M_|j-k| plus a Hankel term in M_j+k, and Phi'y reads off Y. No n x J
     feature block is formed; peak memory is O(STATS_CHUNK sqrt(J) + m^2).
@@ -237,8 +237,8 @@ def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
     _check_domain(x)
     n = x.size
     h = m // 2
-    M = _trig_moments(x, np.ones(n), J + 1, STATS_CHUNK)
-    Y = _trig_moments(x, y, h + 1, STATS_CHUNK)
+    M, Y = _trig_moments(x, np.stack([np.ones(n), y]), (J + 1, h + 1),
+                         STATS_CHUNK)
     # phi_1 = 1, phi_2k = sqrt(2) cos(k x), phi_2k+1 = sqrt(2) sin(k x)
     colsumsq = np.full(J, float(n))
     waves = M.real[2:2 * (J // 2) + 1:2]

@@ -26,9 +26,12 @@ Fit and bound read the data only through G = Phi'Phi, b = Phi'y, y'y, n
 and sigma^2 (the residual by |Phi mu - y|^2 = mu'G mu - 2 mu'b + y'y), so a
 sweep over truncation levels reads the leading blocks of one
 ``inducing.feature_stats``, and :func:`mf_fit_levels` fits all its levels
-in lockstep: one coordinate ascent over a levels x D_max matrix, each
-coordinate one vector step over the levels that own it. :func:`mf_fit` is
-its one-level case.
+in lockstep: one coordinate ascent over a D_max x levels matrix, each
+coordinate one vector step over the levels that own it, its couplings one
+matrix-vector product. A level's zero padding changes its iterates only
+by rounding, so each level matches its own one-level fit to rounding.
+:func:`mf_fit` is the one-level case, and its last bound equals
+:func:`mf_elbo` at its iterate exactly, both from one bound function.
 """
 
 from __future__ import annotations
@@ -98,43 +101,24 @@ def design_matrix(basis: EigenBasis, x: np.ndarray, D: int) -> DesignMatrix:
     return DesignMatrix(Phi=Phi, gram=Phi.T @ Phi, D=D)
 
 
-def _rowsum(X: np.ndarray) -> np.ndarray:
-    """Row sums taken left to right, so zero padding on the right of a row
-    leaves its sum unchanged bit for bit (BLAS and ``np.sum`` block theirs
-    by length)."""
-    return np.cumsum(X, axis=1)[:, -1]
-
-
-def _halves(M: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides of R = M (G - diag G), row by row: lo[c, j] sums
-    G_jl M[c, l] over l < j and up[c, j] over l > j, each accumulated left
-    to right over l, in the order that a coordinate sweep visits l."""
-    off = G - np.diag(np.diag(G))
-    lo, acc = np.zeros_like(M), np.zeros_like(M)
-    for l, off_l in enumerate(off):
-        lo[:, l] = acc[:, l]
-        acc[:, l] = 0.0
-        acc += M[:, l, None] * off_l
-    return lo, acc
-
-
-def _bound(S: np.ndarray, M: np.ndarray, R: np.ndarray, G: np.ndarray,
-           b: np.ndarray, yty: float, n: int, sigma_sq: float, D: np.ndarray
-           ) -> np.ndarray:
-    """Bounds without the model-size mass, one per row, from the design
-    statistics and R = lo + up from :func:`_halves`. Row c holds level D[c]'s
-    variances S and means M, zero beyond D[c], and gets the value its
-    unpadded row would get, bit for bit."""
-    g = np.diag(G)
-    rss = _rowsum(M * (R + g * M)) - 2.0 * _rowsum(M * b) + yty
-    tr_smear = _rowsum(S * g)
+def _bound(S: np.ndarray, M: np.ndarray, G: np.ndarray, b: np.ndarray,
+           yty: float, n: int, sigma_sq: float, D: np.ndarray) -> np.ndarray:
+    """Bounds without the model-size mass, one per column, from the design
+    statistics. Column c holds level D[c]'s variances S and means M (a
+    coordinates x levels array), zero beyond D[c]. The residual reads
+    mu'G mu = mu'(G - diag G) mu + sum_j G_jj mu_j^2, the coupling term
+    from the same off-diagonal product that a coordinate step reads."""
+    g = np.diag(G)[:, None]
+    R = (G - np.diag(np.diag(G))) @ M
+    rss = (M * (R + g * M)).sum(axis=0) - 2.0 * (b @ M) + yty
+    tr_smear = (S * g).sum(axis=0)
     fit = (
         -0.5 * n * np.log(2.0 * np.pi * sigma_sq)
         - 0.5 * (tr_smear + rss) / sigma_sq
     )
     log_S = np.log(S, out=np.zeros_like(S), where=S > 0)
-    log_det = D * np.log(D) + _rowsum(log_S)
-    kl = 0.5 * (-log_det - D + D * _rowsum(S) + D * _rowsum(M * M))
+    log_det = D * np.log(D) + log_S.sum(axis=0)
+    kl = 0.5 * (-log_det - D + D * S.sum(axis=0) + D * (M * M).sum(axis=0))
     return fit - kl
 
 
@@ -153,8 +137,7 @@ def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset,
         raise ValueError("design matrix and posterior disagree on D")
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
-    lo, up = _halves(q.mu[None], dm.gram)
-    return float(_bound(q.Sigma_diag[None], q.mu[None], lo + up, dm.gram,
+    return float(_bound(q.Sigma_diag[:, None], q.mu[:, None], dm.gram,
                         dm.Phi.T @ data.y, float(data.y @ data.y), data.n,
                         data.sigma_sq, np.array([float(q.D)]))[0]
                  ) + float(np.log(hyper_mass))
@@ -178,88 +161,78 @@ def _ascent(G: np.ndarray, b: np.ndarray, yty: float, n: int, s2: float,
     """Coordinate ascent for the distinct ascending ``levels`` in lockstep.
 
     Level D reads the leading D x D block of G = Phi'Phi and the first D
-    entries of b = Phi'y. Rows of S and M hold one level each, zero beyond
-    its D, so the levels that own coordinate j are a suffix of the rows and
-    one vector step updates them all. Every sum over coordinates runs left
-    to right, where zero padding changes nothing, so each level follows the
-    iterates and bounds it would follow alone, bit for bit. A level leaves
-    the batch, frozen, on the sweep that gains at most SWEEP_RTOL (|bound|
-    + y'y / sigma^2).
+    entries of b = Phi'y. Columns of S and M hold one level each, zero
+    beyond its D, so the levels that own coordinate j are a suffix of the
+    columns. One step updates them all: their couplings
+    r_j = sum_{l != j} G_jl mu_l are one matvec of row j of G - diag G
+    with the current iterate, which holds this sweep's values below j and
+    the last sweep's above (Gauss-Seidel order). A level leaves the batch,
+    frozen, on the sweep that gains at most SWEEP_RTOL (|bound| +
+    y'y / sigma^2).
     """
     top = levels[-1]
     G, b = G[:top, :top], b[:top]
     g = np.diag(G)
+    off = G - np.diag(g)
     Dv = np.asarray(levels, dtype=float)
-    S = np.where(np.arange(top) < Dv[:, None],
-                 1.0 / (Dv + n / s2)[:, None], 0.0)
-    M = S * b / s2
+    S = np.where(np.arange(top)[:, None] < Dv, 1.0 / (Dv + n / s2), 0.0)
+    M = S * b[:, None] / s2
     # the coordinate update maximizes (1/2) log t + A t + B t^2 with
-    # A = A0 - b_j r_j / sigma^4, r_j = sum_{i != j} G_ji mu_i, and
-    # B = -B4 / 4 <= 0; A0 and B4 depend on the level, not on the iterate
-    A0 = -g / (2 * s2) - 0.5 * Dv[:, None] + b**2 / s2**2
-    B4 = 4.0 * ((b**2 / (2 * s2**2)) * (g / s2 + Dv[:, None]))
+    # A = A0 - b_j r_j / sigma^4 and B = -B4 / 4 <= 0; A0 and B4 depend
+    # on the level, not on the iterate
+    A0 = (-g / (2 * s2))[:, None] - 0.5 * Dv + (b**2 / s2**2)[:, None]
+    B4 = 4.0 * ((b**2 / (2 * s2**2))[:, None] * ((g / s2)[:, None] + Dv))
     curved = (b**2 / (2 * s2**2) > 0.0).tolist()
     b_s4, b_s2 = (b / s2**2).tolist(), (b / s2).tolist()
-    off = G - np.diag(g)
     scale = yty / s2
-    rows = list(range(len(levels)))
-    lo, up = _halves(M, G)
-    last = _bound(S, M, lo + up, G, b, yty, n, s2, Dv)
+    cols = list(range(len(levels)))
+    last = _bound(S, M, G, b, yty, n, s2, Dv)
     paths = [[v] for v in last.tolist()]
     fits: list[MeanFieldPosterior | None] = [None] * len(levels)
 
-    def freeze(i, row, converged):
+    def freeze(i, col, converged):
         D = levels[i]
         fits[i] = MeanFieldPosterior(
-            D=D, Sigma_diag=S[row, :D].copy(), mu=M[row, :D].copy(),
+            D=D, Sigma_diag=S[:D, col].copy(), mu=M[:D, col].copy(),
             converged=converged, elbo_path=np.asarray(paths[i]))
 
     for _ in range(MAX_SWEEPS):
         starts = np.searchsorted(Dv, np.arange(top), side="right").tolist()
-        # r_j = lo_j + up_j: lo sums the coordinates updated this sweep and
-        # up those still to come, as of the last sweep; acc accumulates lo
-        # in the columns still to visit and the next up in those visited,
-        # in the order of _halves, so the bound sees the exact R
-        lo, acc = np.zeros_like(M), np.zeros_like(M)
         for j in range(top):
             k = starts[j]
-            lo[k:, j] = acc[k:, j]
-            acc[k:, j] = 0.0
-            A = A0[k:, j] - b_s4[j] * (lo[k:, j] + up[k:, j])
+            A = A0[j, k:] - b_s4[j] * (off[j] @ M[:, k:])
             if curved[j]:
                 # positive root of -(B4/2) t^2 + A t + 1/2, written so
                 # neither branch subtracts nearly equal quantities; both
                 # are finite everywhere (w > 0, B4 > 0), so np.where can
                 # evaluate both without floating-point warnings
-                B4j = B4[k:, j]
+                B4j = B4[j, k:]
                 w = np.sqrt(A * A + B4j) + np.abs(A)
                 t = np.where(A < 0.0, 1.0 / w, w / B4j)
             else:
                 # b_j = 0: maximizer of (1/2) log t + A t with A < 0
                 t = -0.5 / A
-            mu = b_s2[j] * t
-            acc[k:] += mu[:, None] * off[j, :top]
-            S[k:, j] = t
-            M[k:, j] = mu
-        up = acc
-        val = _bound(S, M, lo + up, G[:top, :top], b[:top], yty, n, s2, Dv)
+            S[j, k:] = t
+            M[j, k:] = b_s2[j] * t
+        val = _bound(S, M, G, b, yty, n, s2, Dv)
         done = val - last <= SWEEP_RTOL * (np.abs(val) + scale)
-        for row, i in enumerate(rows):
-            paths[i].append(float(val[row]))
-            if done[row]:
-                freeze(i, row, True)
+        for col, i in enumerate(cols):
+            paths[i].append(float(val[col]))
+            if done[col]:
+                freeze(i, col, True)
         if done.all():
             break
         keep = ~done
-        rows = [i for i, d in zip(rows, done) if not d]
+        cols = [i for i, d in zip(cols, done) if not d]
         Dv, last = Dv[keep], val[keep]
         top = int(Dv[-1])
-        S, M, up = S[keep, :top], M[keep, :top], up[keep, :top]
-        A0, B4 = A0[keep, :top], B4[keep, :top]
+        G, b, off = G[:top, :top], b[:top], off[:top, :top]
+        S, M = S[:top, keep], M[:top, keep]
+        A0, B4 = A0[:top, keep], B4[:top, keep]
     else:
-        for row, i in enumerate(rows):
-            freeze(i, row, False)
-        capped = ", ".join(str(levels[i]) for i in rows)
+        for col, i in enumerate(cols):
+            freeze(i, col, False)
+        capped = ", ".join(str(levels[i]) for i in cols)
         warnings.warn("coordinate ascent hit the sweep cap before the "
                       f"per-sweep tolerance at D = {capped}", RuntimeWarning,
                       stacklevel=3)

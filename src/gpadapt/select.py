@@ -421,20 +421,28 @@ def tune_continuous(data: Dataset, m: int,
     n_evals = 0
     n_fails = 0
     best = None  # (bound, log (sigma, nu, tau), factor)
+    seen: dict[float, float] = {}  # tau -> profile value
 
     def profile(t: float) -> float:
-        """Best bound over the free (sigma, nu) at tau = e^t."""
+        """Best bound over the free (sigma, nu) at tau = e^t; a tau the
+        search revisits (Brent's first point can be the walk's last probe,
+        or a log tau one ulp from it) is read back, not factorized again."""
         nonlocal n_evals, n_fails, best
+        tau = math.exp(t)
+        if tau in seen:
+            return seen[tau]
         n_evals += 1
         try:
-            fac = _factor(data, rank, math.exp(t))
+            fac = _factor(data, rank, tau)
         except _FAIL:
             n_fails += 1
-            return -np.inf
-        value, z = _solve_sigma_nu(fac, log_init[:2], free[:2], log_lo[:2],
-                                   log_hi[:2])
-        if best is None or value > best[0]:
-            best = (value, np.append(z, t), fac)
+            value = -np.inf
+        else:
+            value, z = _solve_sigma_nu(fac, log_init[:2], free[:2],
+                                       log_lo[:2], log_hi[:2])
+            if best is None or value > best[0]:
+                best = (value, np.append(z, t), fac)
+        seen[tau] = value
         return value
 
     t0 = time.perf_counter()

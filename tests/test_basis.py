@@ -119,6 +119,13 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Truncated(0)
 
+    @pytest.mark.parametrize("d", [0, 2, 3])
+    def test_prior_refuses_other_dimensions(self, d):
+        # the basis is one-dimensional; a d = 2 prior would silently take
+        # the spectrum of alpha / 2 on it
+        with pytest.raises(ValueError, match=f"d = {d}"):
+            SeriesPrior(PolyDecay(1.0), d=d)
+
     @pytest.mark.parametrize(
         "prior",
         [SeriesPrior(PolyDecay(0.7)), SeriesPrior(ExpDecay(0.4)),
@@ -379,6 +386,21 @@ class TestPhaseRecurrence:
 
         got = err(_trig_moments(x, w, K, 128))
         assert got <= err(direct), (float(got), float(err(direct)))
+
+    @pytest.mark.parametrize("orders", [(1001, 51), (90, 45), (7, 7),
+                                        (2, 300), (1, 1)])
+    def test_stacked_weights_equal_separate_calls(self, orders):
+        # one phase pass at the largest order serves every row; a row of
+        # lower order reads its own leading blocks
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0.0, 2 * np.pi, size=700)
+        W = np.stack([np.ones(x.size), rng.standard_normal(x.size)])
+        stacked = _trig_moments(x, W, orders, 256)
+        for got, w, K in zip(stacked, W, orders):
+            alone = _trig_moments(x, w, K, 256)
+            assert got.shape == alone.shape == (K,)
+            tol = 64 * np.finfo(float).eps * np.sum(np.abs(w))
+            assert np.max(np.abs(got - alone)) <= tol
 
 
 def _midpoints(N):

@@ -342,9 +342,16 @@ class TestContractionCommand:
         assert "slope=" in out and "target=-0.3077" in out
         payload = json.loads((tmp_path / "contraction.json").read_text())
         assert set(payload) == {"family", "beta_true", "n_list", "errors",
-                                "mean_errors", "slope", "slope_se", "target"}
+                                "mean_errors", "slope", "slope_se", "target",
+                                "chosen", "at_grid_edge"}
         assert payload["n_list"] == [60, 120, 240]
         assert len(payload["errors"]) == 5
+        # dim levels run 1..floor(sqrt(n)); the chosen level is one of them
+        for row in payload["chosen"]:
+            assert all(1 <= D <= int(n**0.5) and D == int(D)
+                       for D, n in zip(row, payload["n_list"]))
+        assert all(type(e) is bool for row in payload["at_grid_edge"]
+                   for e in row)
 
     @pytest.mark.parametrize("flags", [
         ["--sigma2", "estimate"],

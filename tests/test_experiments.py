@@ -471,6 +471,11 @@ class TestContraction:
         assert rep.target == pytest.approx(-0.6 / 2.2)
         assert rep.errors.shape == (5, 3)
         assert np.isfinite(rep.slope)
+        assert rep.chosen.shape == rep.at_grid_edge.shape == (5, 3)
+        # the dim grid is D = 1..floor(sqrt(n)): its edges are 1 and the top
+        top = np.floor(np.sqrt([50, 100, 200]))
+        np.testing.assert_array_equal(
+            rep.at_grid_edge, (rep.chosen == 1) | (rep.chosen == top))
 
     def test_acceptance_scale_trend(self, contraction_dim):
         report, _ = contraction_dim

@@ -6,6 +6,7 @@ for exact posterior means; a separately written coordinate-ascent loop for
 the trend study).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -13,8 +14,10 @@ import pytest
 
 from gpadapt.basis import EigenBasis, SeriesPrior, Truncated, bench_signal, synth_signal
 from gpadapt.exact import Dataset, SeriesKernel, exact_posterior, log_evidence
-from gpadapt.inducing import feature_stats
+from gpadapt.inducing import FeatureStats, feature_stats
 from gpadapt.meanfield import (
+    MAX_SWEEPS,
+    SWEEP_RTOL,
     MeanFieldPosterior,
     design_matrix,
     mf_elbo,
@@ -322,6 +325,77 @@ class TestLockstepLevels:
                 mf_fit_levels(stats, levels, s2)
         with pytest.raises(ValueError):
             mf_fit_levels(stats, [3], 0.0)
+
+
+def _scalar_ascent(G, b, yty, n, s2, D):
+    """Longhand coordinate ascent for one level D, in Python floats.
+
+    Fixing every other variance, the bound in t = Sigma_jj (with
+    mu_j = b_j t / sigma^2) is (1/2) log t + A t + B t^2; its stationary
+    point solves 4 B t^2 + 2 A t + 1 = 0, taken here by the textbook
+    stable quadratic formula. The bound is summed term by term. Returns
+    (Sigma, mu, bounds per sweep).
+    """
+    G = [[float(G[i][l]) for l in range(D)] for i in range(D)]
+    b = [float(v) for v in b[:D]]
+    t = [1.0 / (D + n / s2)] * D
+    mu = [b[j] * t[j] / s2 for j in range(D)]
+
+    def bound():
+        quad = sum(mu[i] * G[i][l] * mu[l] for i in range(D) for l in range(D))
+        rss = quad - 2.0 * sum(m * v for m, v in zip(mu, b)) + yty
+        smear = sum(G[j][j] * t[j] for j in range(D))
+        fit = -0.5 * n * math.log(2 * math.pi * s2) - 0.5 * (smear + rss) / s2
+        kl = 0.5 * (-D * math.log(D) - sum(math.log(v) for v in t) - D
+                    + D * sum(t) + D * sum(m * m for m in mu))
+        return fit - kl
+
+    path = [bound()]
+    for _ in range(MAX_SWEEPS):
+        for j in range(D):
+            r = sum(G[j][l] * mu[l] for l in range(D) if l != j)
+            A = (-G[j][j] / (2 * s2) - D / 2 + b[j] ** 2 / s2**2
+                 - b[j] * r / s2**2)
+            B = -(b[j] ** 2 / (2 * s2**2)) * (G[j][j] / s2 + D)
+            if B == 0.0:
+                t[j] = -1.0 / (2 * A)
+            else:
+                q = -(A + math.copysign(math.sqrt(A * A - 4 * B), A))
+                t[j] = q / (4 * B) if A >= 0 else 1.0 / q
+            mu[j] = b[j] * t[j] / s2
+        path.append(bound())
+        if path[-1] - path[-2] <= SWEEP_RTOL * (abs(path[-1]) + yty / s2):
+            break
+    return np.array(t), np.array(mu), np.array(path)
+
+
+class TestScalarReference:
+    """mf_fit_levels against a longhand ascent, one level at a time."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_levels_match_scalar_ascent(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(20, 120))
+        top = int(rng.integers(4, 11))
+        s2 = float(rng.uniform(0.05, 1.0))
+        x = rng.uniform(0.0, 2 * np.pi, size=n)
+        y = np.sin(x) + rng.normal(0.0, np.sqrt(s2), size=n)
+        dm = design_matrix(BASIS, x, top)
+        stats = FeatureStats(n=n, colsumsq=np.diag(dm.gram), gram=dm.gram,
+                             phi_y=dm.Phi.T @ y, yty=float(y @ y))
+        levels = [1, 2, top // 2 + 1, top]
+        fits = mf_fit_levels(stats, levels, s2)
+        scale = stats.yty / s2
+        for D in levels:
+            Sigma, mu, path = _scalar_ascent(dm.gram, stats.phi_y, stats.yty,
+                                             n, s2, D)
+            q = fits[D]
+            assert q.converged
+            assert len(q.elbo_path) == len(path)
+            assert _rel(q.Sigma_diag, Sigma) <= 1e-12
+            assert _rel(q.mu, mu) <= 1e-12
+            assert np.all(np.abs(q.elbo_path - path)
+                          <= 1e-12 * (np.abs(path) + scale))
 
 
 class TestKl:
