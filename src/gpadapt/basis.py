@@ -316,13 +316,12 @@ def _phase_blocks(z: np.ndarray, B: int, P: int, chunk: int):
                _powers(np.exp(1j * zc), B))
 
 
-def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048
-              ) -> np.ndarray:
-    """Re sum_{k < K} c_k exp(i k z) at every point, K = len(c).
-
-    With the coefficients laid out as a P x B array C (k = p B + q), each
-    chunk is the column-wise product of E_p' with C E_q': one complex GEMM
-    and no points x K block.
+def _trig_sum_blocks(z: np.ndarray, c: np.ndarray, chunk: int
+                     ) -> np.ndarray:
+    """:func:`_trig_sum` by blocks: with the coefficients laid out as a
+    P x B array C (k = p B + q), each chunk is the column-wise product of
+    E_p' with C E_q', one complex GEMM and no points x K block. About n K
+    complex multiply-adds; memory O(chunk sqrt(K) + K).
     """
     B, P = _block_shape(c.size)
     C = np.zeros(P * B, dtype=complex)
@@ -334,19 +333,15 @@ def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048
     return out
 
 
-def _trig_moments(x: np.ndarray, w: np.ndarray, K: int | Sequence[int],
-                  chunk: int) -> np.ndarray | list[np.ndarray]:
-    """Weighted trigonometric moments M_k = sum_i w_i exp(i k x_i), k < K.
+def _trig_moments_blocks(x: np.ndarray, w: np.ndarray, K: Sequence[int],
+                         chunk: int) -> list[np.ndarray]:
+    """:func:`_trig_moments` by blocks, for a stack of weight rows.
 
-    ``w`` is one weight row with one order K, or a stack of rows with one
-    order each in the sequence K, returned as a list. The rows share one
-    pass of :func:`_phase_blocks` at the largest order: each chunk adds
-    row r's complex GEMM E_p' (w_r E_q), over the first ceil(K_r / B)
-    columns of E_p only, to a P_r x B array whose row-major order is
-    k = p B + q. Memory is O(chunk sqrt(K) + K) per row.
+    The rows share one pass of :func:`_phase_blocks` at the largest order:
+    each chunk adds row r's complex GEMM E_p' (w_r E_q), over the first
+    ceil(K_r / B) columns of E_p only, to a P_r x B array whose row-major
+    order is k = p B + q. Memory is O(chunk sqrt(K) + K) per row.
     """
-    if np.ndim(w) == 1:
-        return _trig_moments(x, np.asarray(w)[None], [K], chunk)[0]
     B, P = _block_shape(max(K))
     tops = [-(-k // B) for k in K]
     accs = [np.zeros((p, B), dtype=complex) for p in tops]
@@ -354,6 +349,160 @@ def _trig_moments(x: np.ndarray, w: np.ndarray, K: int | Sequence[int],
         for acc, w_r, p in zip(accs, w, tops):
             acc += E_p[:, :p].T @ (w_r[rows, None] * E_q)
     return [acc.ravel()[:k] for acc, k in zip(accs, K)]
+
+
+#: 2 pi = DOMAIN_HI + _TWO_PI_LO to about 1e-32
+_TWO_PI_LO = 2.4492935982947064e-16
+#: the grid route's Taylor series in the node offset stops at the first
+#: term whose bound (pi K / N)^r / r! falls below this
+_TAYLOR_TOL = 2.0 ** -60
+
+
+def _grid_plan(K: int) -> tuple[int, int]:
+    """(N, R) for frequencies k < K: N the smallest power of two >= 2 K,
+    and R the number of Taylor terms, the least r with
+    (pi K / N)^r / r! < ``_TAYLOR_TOL`` (about 20 terms at pi K / N < pi/2).
+    """
+    N = 1 << (2 * K - 1).bit_length()
+    rho = math.pi * K / N
+    R, bound = 1, rho
+    while bound >= _TAYLOR_TOL:
+        R += 1
+        bound *= rho / R
+    return N, R
+
+
+def _grid_nodes(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node j (mod N) and offset u of each point, z = (j + u) h
+    with h = 2 pi / N and |u| <= 1/2.
+
+    z - j h is taken as (z - j h_hi) - j h_lo, where h_hi keeps
+    53 - bits(N) bits of h, so that j h_hi is exact and the difference
+    is exact too (z lies within h/2 of j h_hi), and h_lo carries the rest
+    of h including the part of 2 pi below DOMAIN_HI's rounding. A plain
+    z - j h would carry the rounding of j h into every phase k u h, near
+    K eps 2 pi.
+    """
+    h = DOMAIN_HI / N  # exact, N a power of two
+    t = float(2 ** N.bit_length() + 1) * h
+    h_hi = t - (t - h)
+    h_lo = (h - h_hi) + _TWO_PI_LO / N
+    j = np.rint(z * (N / DOMAIN_HI))
+    u = ((z - j * h_hi) - j * h_lo) * (N / DOMAIN_HI)
+    return j.astype(np.intp) & (N - 1), u
+
+
+def _trig_sum_grid(z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`_trig_sum` on the grid of :func:`_grid_plan`.
+
+    With z = 2 pi j / N + u h, exp(i k z) = exp(2 pi i k j / N) times
+    sum_r (i k h u)^r / r!, so the sum is sum_r u^r g_r(j), where
+    g_r = Re sum_k c_k (i k h)^r / r! exp(2 pi i k j / N) is one inverse
+    real FFT of length N read at the nodes j. O(R (N log N + n)) time and
+    O(N + n) memory.
+    """
+    N, R = _grid_plan(c.size)
+    j, u = _grid_nodes(z, N)
+    # irfft reads a half spectrum: Re sum_k b_k w^(kj) with b_k halved, k > 0
+    b = np.zeros(N // 2 + 1, dtype=complex)
+    b[:c.size] = c
+    b[1:] *= 0.5
+    step = 1j * (DOMAIN_HI / N) * np.arange(c.size)
+    out = np.fft.irfft(b, N, norm="forward")[j]
+    u_r = np.ones(z.size)
+    for r in range(1, R):
+        b[:c.size] *= step / r
+        u_r *= u
+        out += np.fft.irfft(b, N, norm="forward")[j] * u_r
+    return out
+
+
+def _trig_moments_grid(x: np.ndarray, w: np.ndarray, K: Sequence[int]
+                       ) -> list[np.ndarray]:
+    """:func:`_trig_moments` on the grid of :func:`_grid_plan` at the
+    largest order, for a stack of weight rows.
+
+    M_k = sum_r (i k h)^r / r! conj(F_r)_k, where F_r is the real FFT of
+    the node sums S_r(j) = sum over the points at node j of w u^r (one
+    bincount). The rows share j, u and each term's FFT call.
+    O(R (N log N + n)) time per row and O(N + n) memory.
+    """
+    top = max(K)
+    N, R = _grid_plan(top)
+    j, u = _grid_nodes(x, N)
+    rows = len(w)
+    at = (j + N * np.arange(rows)[:, None]).ravel()
+    w_u = np.array(w, dtype=float)
+    step = 1j * (DOMAIN_HI / N) * np.arange(top)
+    coef = np.ones(top, dtype=complex)
+    M = np.zeros((rows, top), dtype=complex)
+    for r in range(R):
+        if r:
+            w_u *= u
+            coef *= step / r
+        S = np.bincount(at, w_u.ravel(), minlength=rows * N)
+        M += coef * np.fft.rfft(S.reshape(rows, N))[:, :top].conj()
+    return [M_r[:k] for M_r, k in zip(M, K)]
+
+
+#: block-route cost of one point beyond its K multiply-adds: the two
+#: complex exponentials and the recurrences, in complex multiply-adds
+_POINT_OPS = 200
+#: block-route cost of one phase power per chunk, the per-call overhead
+#: of one vector product
+_POWER_OPS = 1000
+#: grid-route cost of one FFT butterfly, gathered point or call, relative
+#: to one multiply-add of the block route's GEMM
+_GRID_OPS = 2.5
+#: grid-route overhead of one Taylor term, its FFT and vector calls
+_TERM_OPS = 10_000
+
+
+def _grid_route(n: int, K: int, chunk: int) -> bool:
+    """Whether the grid route is cheaper for n points and K frequencies.
+
+    The block route costs about n (K + ``_POINT_OPS``) multiply-adds plus
+    ``_POWER_OPS`` per phase power (B + P of them) per chunk; the grid
+    route about ``_GRID_OPS`` R (N log2 N + n + ``_TERM_OPS``). The
+    constants were fitted to timings of both routes over n from 100 to
+    3e4 and K from 5 to 1.2e4.
+    """
+    B, P = _block_shape(K)
+    blocks = n * (K + _POINT_OPS) + _POWER_OPS * (B + P) * -(-n // chunk)
+    N, R = _grid_plan(K)
+    return _GRID_OPS * R * (N * math.log2(N) + n + _TERM_OPS) < blocks
+
+
+def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048
+              ) -> np.ndarray:
+    """Re sum_{k < K} c_k exp(i k z) at every point z in [0, 2 pi], K = len(c).
+
+    Routed by :func:`_grid_route`: by blocks of ``chunk`` points
+    (:func:`_trig_sum_blocks`, O(n K)) or on an oversampled grid with a
+    Taylor correction (:func:`_trig_sum_grid`, O(R (n + K log K))).
+    """
+    if _grid_route(z.size, c.size, chunk):
+        return _trig_sum_grid(z, c)
+    return _trig_sum_blocks(z, c, chunk)
+
+
+def _trig_moments(x: np.ndarray, w: np.ndarray, K: int | Sequence[int],
+                  chunk: int) -> np.ndarray | list[np.ndarray]:
+    """Weighted trigonometric moments M_k = sum_i w_i exp(i k x_i), k < K.
+
+    ``w`` is one weight row with one order K, or a stack of rows with one
+    order each in the sequence K, returned as a list. Routed at the
+    largest order by :func:`_grid_route`, as :func:`_trig_sum`: by blocks
+    of ``chunk`` points (:func:`_trig_moments_blocks`, O(n K) time and
+    O(chunk sqrt(K) + K) memory per row) or on the grid
+    (:func:`_trig_moments_grid`, O(R (n + K log K)) time and O(n + K)
+    memory per row).
+    """
+    if np.ndim(w) == 1:
+        return _trig_moments(x, np.asarray(w)[None], [K], chunk)[0]
+    if _grid_route(x.size, max(K), chunk):
+        return _trig_moments_grid(x, w, K)
+    return _trig_moments_blocks(x, w, K, chunk)
 
 
 def _series_phasors(spec: SignalSpec) -> np.ndarray:
@@ -376,10 +525,12 @@ def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
 
     The shift is applied inside the (periodic) basis argument, so any real
     x is accepted. The sum is Re sum_k a_k exp(i k z) with the coefficients
-    of :func:`_series_phasors`, evaluated by the block factorization
-    k = p B + q (B about sqrt(j_max / 2)) in chunks of points: two complex
-    exponentials per point, O(n sqrt(K)) complex multiplications for their
-    powers, one complex GEMM per chunk, and no point-by-frequency block.
+    of :func:`_series_phasors`, K = j_max // 2 + 1, by :func:`_trig_sum`:
+    few points go by the block factorization k = p B + q in chunks of
+    ``chunk`` points (O(n K) time, O(chunk sqrt(K) + K) memory), many by
+    FFTs on an oversampled grid with a Taylor correction (O(R (n + K log K))
+    time, R about 20, O(n + K) memory). Neither forms a point-by-frequency
+    block.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = _wrap(x_arr - spec.shift)

@@ -186,8 +186,9 @@ def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
     return model
 
 
-#: design rows per block when accumulating the trigonometric moments behind
-#: :class:`FeatureStats`; memory stays O(STATS_CHUNK sqrt(J) + m^2)
+#: design rows per block when the trigonometric moments behind
+#: :class:`FeatureStats` go by blocks; memory then stays
+#: O(STATS_CHUNK sqrt(J) + m^2)
 STATS_CHUNK = 128
 
 
@@ -223,10 +224,12 @@ def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
     Products of the cos/sin features of ``basis`` (the one-dimensional
     trigonometric basis) are sums of single waves, so with
     M_k = sum_i exp(i k x_i) up to order J and Y_k = sum_i y_i exp(i k x_i)
-    up to order m/2 (both from one pass over blocks of ``STATS_CHUNK`` rows):
+    up to order m/2 (both from one call of :func:`basis._trig_moments`):
     colsumsq is n +- Re M_2k, the Gram block is a Toeplitz term in
     M_|j-k| plus a Hankel term in M_j+k, and Phi'y reads off Y. No n x J
-    feature block is formed; peak memory is O(STATS_CHUNK sqrt(J) + m^2).
+    feature block is formed. Peak memory is O(STATS_CHUNK sqrt(J) + m^2)
+    when the moments go by blocks of ``STATS_CHUNK`` rows (few points), and
+    O(n + J + m^2) when they go on the FFT grid (many points).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gpadapt import basis
 from gpadapt.basis import (
     EigenBasis,
     ExpDecay,
@@ -14,14 +15,23 @@ from gpadapt.basis import (
     SignalSpec,
     Truncated,
     _hurwitz_zeta,
+    _grid_plan,
+    _grid_route,
     _midpoint_signal,
+    _series_phasors,
     _trig_moments,
+    _trig_moments_blocks,
+    _trig_moments_grid,
+    _trig_sum,
+    _trig_sum_blocks,
+    _trig_sum_grid,
     bench_signal,
     sample_prior,
     sobolev_norm_sq,
     synth_signal,
 )
 from gpadapt.experiments import _smooth_signal
+from gpadapt.inducing import STATS_CHUNK
 
 BASIS = EigenBasis()
 
@@ -291,7 +301,12 @@ class TestEmpiricalGramConcentration:
 
 def _longhand(spec, x):
     """c_1 + sum_j c_j phi_j(x - shift), one basis function at a time."""
-    z = np.mod(np.asarray(x, dtype=float) - spec.shift, 2 * np.pi)
+    return _longhand_at(spec, np.mod(np.asarray(x, dtype=float) - spec.shift,
+                                     2 * np.pi))
+
+
+def _longhand_at(spec, z):
+    """The series at basis argument z, unshifted and unwrapped."""
     c = spec.coeff_array()
     out = np.full(z.shape, c[0])
     for j in range(2, spec.j_max + 1):
@@ -301,14 +316,23 @@ def _longhand(spec, x):
     return out
 
 
+#: both routes of the trigonometric kernel, forced; the block route over
+#: chunks of 16 points so that a few dozen points span several chunks
+SUM_ROUTES = {"blocks": lambda z, c: _trig_sum_blocks(z, c, 16),
+              "grid": _trig_sum_grid}
+MOMENT_ROUTES = {"blocks": lambda x, w, K: _trig_moments_blocks(x, w, K, 16),
+                 "grid": _trig_moments_grid}
+
+
 class TestBlockTrigKernel:
-    """synth_signal sums frequencies k = pB + q by blocks; check it term by
-    term at frequency counts K = j_max // 2 + 1 of every shape."""
+    """synth_signal sums frequencies k = pB + q by blocks or on an FFT grid;
+    check both routes term by term at frequency counts K = j_max // 2 + 1
+    of every shape."""
 
     POINTS = np.r_[-3.0, -1e-9, np.linspace(0.0, 2 * np.pi, 61),
                    2 * np.pi + 1e-9, 9.0, 20.0]
 
-    @pytest.mark.parametrize("spec", [
+    SPECS = pytest.mark.parametrize("spec", [
         bench_signal(),
         SignalSpec(coefficients=lambda j: np.asarray(j, float) ** -1.5,
                    j_max=2001, shift=0.3),
@@ -320,6 +344,8 @@ class TestBlockTrigKernel:
         SignalSpec(coefficients=lambda j: np.asarray(j, float) ** -0.8,
                    j_max=286),
     ], ids=["bench", "dense", "K=1", "K=2", "prime-K=101", "square-K=144"])
+
+    @SPECS
     def test_equals_longhand_sum(self, spec):
         np.testing.assert_allclose(synth_signal(spec, self.POINTS),
                                    _longhand(spec, self.POINTS), rtol=0,
@@ -343,6 +369,89 @@ class TestBlockTrigKernel:
         block_bytes = 2048 * (K / 4) * 8
         assert peak < block_bytes, (peak, block_bytes)
 
+    @SPECS
+    @pytest.mark.parametrize("route", SUM_ROUTES)
+    def test_route_equals_longhand_sum(self, spec, route):
+        # every wrapped point, and the domain's ends 0 and 2 pi unwrapped
+        z = np.r_[np.mod(self.POINTS - spec.shift, 2 * np.pi), 0.0, 2 * np.pi]
+        got = SUM_ROUTES[route](z, _series_phasors(spec))
+        np.testing.assert_allclose(got, _longhand_at(spec, z), rtol=0,
+                                   atol=1e-12)
+
+    @SPECS
+    @pytest.mark.parametrize("route", MOMENT_ROUTES)
+    def test_route_equals_longhand_moments(self, spec, route):
+        K = spec.j_max // 2 + 1
+        x = np.r_[0.0, np.linspace(0.0, 2 * np.pi, 61)[1:-1], 2 * np.pi]
+        W = np.stack([np.ones(x.size),
+                      np.random.default_rng(K).standard_normal(x.size)])
+        orders = (K, max(K // 3, 1))
+        for got, w, k in zip(MOMENT_ROUTES[route](x, W, orders), W, orders):
+            ref_re, ref_im = _longdouble_moments(x, w, k)
+            err = max(np.max(np.abs(got.real - ref_re)),
+                      np.max(np.abs(got.imag - ref_im)))
+            assert got.shape == (k,)
+            assert err <= 1e-13 * np.sum(np.abs(w)), float(err)
+
+    def test_grid_route_memory_is_linear_in_grid_and_points(self):
+        # O(N + n): no points x sqrt(K) block, no Taylor term kept
+        a = _series_phasors(bench_signal())
+        N, _ = _grid_plan(a.size)
+        x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=10_000)
+        bound = 64 * (N + x.size)
+        for run in (lambda: _trig_sum_grid(x, a),
+                    lambda: _trig_moments_grid(x, np.ones((1, x.size)),
+                                               [a.size])):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (peak, bound)
+
+
+class TestRoute:
+    """Sums and moments go to the grid route when its operation count,
+    R (N log N + n), undercuts the block route's n K."""
+
+    @pytest.mark.parametrize("n, K, chunk, grid", [
+        (10_000, 5001, 2048, True),  # the benchmark's data draw
+        (10_000, 1001, STATS_CHUNK, True),  # its design moments
+        (8000, 1001, STATS_CHUNK, True),
+        (8000, 90, STATS_CHUNK, True),  # a dim replicate's moments
+        (512, 5001, 2048, False),  # the query truth
+        (500, 5001, 2048, False),  # the smallest contraction draw
+    ])
+    def test_pinned_shapes(self, n, K, chunk, grid):
+        assert _grid_route(n, K, chunk) is grid
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 90, 1001, 4096, 5001])
+    def test_plan(self, K):
+        N, R = _grid_plan(K)
+        assert N & (N - 1) == 0 and 2 * K <= N < max(4 * K, 4)
+        rho = math.pi * K / N
+        assert rho**R / math.factorial(R) < 2.0**-60
+        assert rho**(R - 1) / math.factorial(R - 1) >= 2.0**-60
+        assert R <= 25
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_dispatch_follows_the_rule(self, monkeypatch, grid):
+        monkeypatch.setattr(basis, "_grid_route", lambda n, K, chunk: grid)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 2 * np.pi, size=300)
+        c = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        W = np.stack([np.ones(x.size), rng.standard_normal(x.size)])
+        if grid:
+            assert np.array_equal(_trig_sum(x, c), _trig_sum_grid(x, c))
+            want = _trig_moments_grid(x, W, (40, 7))
+        else:
+            assert np.array_equal(_trig_sum(x, c, 64),
+                                  _trig_sum_blocks(x, c, 64))
+            want = _trig_moments_blocks(x, W, (40, 7), 64)
+        for got, ref in zip(_trig_moments(x, W, (40, 7), 64), want):
+            assert np.array_equal(got, ref)
+
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="needs an extended-precision long double")
@@ -358,34 +467,60 @@ def _longdouble_signal(spec, x):
     return ref
 
 
-class TestPhaseRecurrence:
-    """The block phases are powers of exp(i z) and exp(i B z); check them
-    against term-by-term sums in long double at the same float64 points."""
+def _longdouble_moments(x, w, K):
+    """Re and Im of sum_i w_i exp(i k x_i), k < K, summed in long double
+    at the same float64 points."""
+    ang = np.outer(np.arange(K).astype(np.longdouble), x.astype(np.longdouble))
+    wl = w.astype(np.longdouble)
+    return np.cos(ang) @ wl, np.sin(ang) @ wl
 
-    def test_bench_signal_to_extended_precision(self):
+
+class TestPhaseRecurrence:
+    """The block phases are powers of exp(i z) and exp(i B z), and the grid
+    route's are exact node phases times a Taylor series in the offset;
+    check both against term-by-term sums in long double at the same
+    float64 points."""
+
+    @staticmethod
+    def _signal_error(route):
         spec = bench_signal()
         x = np.random.default_rng(31).uniform(0.0, 2 * np.pi, size=300)
-        ref = _longdouble_signal(spec, x)
-        err = np.max(np.abs(synth_signal(spec, x).astype(np.longdouble) - ref))
-        assert err <= 1e-13, float(err)
+        z = np.mod(x - spec.shift, 2 * np.pi)
+        got = SUM_ROUTES[route](z, _series_phasors(spec))
+        return np.max(np.abs(got.astype(np.longdouble)
+                             - _longdouble_signal(spec, x)))
 
-    def test_moments_no_worse_than_direct_exponentials(self):
+    @staticmethod
+    def _moment_errors(route):
+        """(route's error, direct exponentials' error) at n = 500, K = 3000."""
         n, K = 500, 3000
         rng = np.random.default_rng(32)
         x = rng.uniform(0.0, 2 * np.pi, size=n)
         w = rng.standard_normal(n)
-        k = np.arange(K)
-        xl, wl = x.astype(np.longdouble), w.astype(np.longdouble)
-        ang = np.outer(k.astype(np.longdouble), xl)
-        ref_re, ref_im = np.cos(ang) @ wl, np.sin(ang) @ wl
-        direct = np.exp(1j * np.outer(k, x)) @ w
+        ref_re, ref_im = _longdouble_moments(x, w, K)
+        direct = np.exp(1j * np.outer(np.arange(K), x)) @ w
 
         def err(M):
             return max(np.max(np.abs(M.real.astype(np.longdouble) - ref_re)),
                        np.max(np.abs(M.imag.astype(np.longdouble) - ref_im)))
 
-        got = err(_trig_moments(x, w, K, 128))
-        assert got <= err(direct), (float(got), float(err(direct)))
+        return err(MOMENT_ROUTES[route](x, w[None], [K])[0]), err(direct)
+
+    def test_bench_signal_to_extended_precision(self):
+        err = self._signal_error("blocks")
+        assert err <= 1e-13, float(err)
+
+    def test_grid_route_bench_signal_to_extended_precision(self):
+        err = self._signal_error("grid")
+        assert err <= 1e-13, float(err)
+
+    def test_moments_no_worse_than_direct_exponentials(self):
+        got, direct = self._moment_errors("blocks")
+        assert got <= direct, (float(got), float(direct))
+
+    def test_grid_route_moments_no_worse_than_direct_exponentials(self):
+        got, direct = self._moment_errors("grid")
+        assert got <= direct, (float(got), float(direct))
 
     @pytest.mark.parametrize("orders", [(1001, 51), (90, 45), (7, 7),
                                         (2, 300), (1, 1)])

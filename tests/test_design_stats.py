@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpadapt import inducing
+from gpadapt import basis, inducing
 from gpadapt.basis import (
     EigenBasis,
     ExpDecay,
@@ -52,6 +52,11 @@ def _rel(a, b) -> float:
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
+def _force_route(monkeypatch, grid: bool) -> None:
+    """Send every trigonometric sum and moment to one route."""
+    monkeypatch.setattr(basis, "_grid_route", lambda n, K, chunk: grid)
+
+
 def _one_shot(x, y, J, m):
     Phi = BASIS.features(x, J)
     return ((Phi * Phi).sum(axis=0), Phi[:, :m].T @ Phi[:, :m],
@@ -60,9 +65,18 @@ def _one_shot(x, y, J, m):
 
 class TestFeatureStats:
     def test_chunks_sum_to_one_shot_build(self, monkeypatch):
+        _force_route(monkeypatch, grid=False)
+        monkeypatch.setattr(inducing, "STATS_CHUNK", 300)
+        self._check_one_shot_build()
+
+    def test_grid_route_sums_to_one_shot_build(self, monkeypatch):
+        _force_route(monkeypatch, grid=True)
+        self._check_one_shot_build()
+
+    @staticmethod
+    def _check_one_shot_build():
         data, _ = simulate_poly(1000, seed=3)
         J, m = 700, 40
-        monkeypatch.setattr(inducing, "STATS_CHUNK", 300)
         stats = feature_stats(BASIS, data.x, data.y, J, m)
         colsumsq, gram, phi_y = _one_shot(data.x, data.y, J, m)
         assert stats.n == 1000
@@ -82,18 +96,23 @@ class TestFeatureStats:
         m = max(ms)
         data, _ = simulate_poly(n, seed=11)
         block_bytes = n * J * 8
-        tracemalloc.start()
-        try:
-            stats = feature_stats(BASIS, data.x, data.y, J, m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < block_bytes / 4, (peak, block_bytes)
-        # a chunk that does not divide n sums to the same statistics
+        built = []
+        for grid in (False, True):
+            _force_route(monkeypatch, grid)
+            tracemalloc.start()
+            try:
+                built.append(feature_stats(BASIS, data.x, data.y, J, m))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < block_bytes / 4, (grid, peak, block_bytes)
+        # on the block route, a chunk that does not divide n sums to the
+        # same statistics
+        _force_route(monkeypatch, grid=False)
         monkeypatch.setattr(inducing, "STATS_CHUNK", 333)
-        chunked = feature_stats(BASIS, data.x, data.y, J, m)
+        built.append(feature_stats(BASIS, data.x, data.y, J, m))
         colsumsq, gram, phi_y = _one_shot(data.x, data.y, J, m)
-        for got in (stats, chunked):
+        for got in built:
             assert _rel(got.colsumsq, colsumsq) <= 1e-12
             assert _rel(got.gram, gram) <= 1e-12
             assert _rel(got.phi_y, phi_y) <= 1e-12
@@ -121,16 +140,28 @@ class TestMomentStatistics:
     """FeatureStats read off trigonometric moments (Toeplitz + Hankel Gram)
     against the feature block built in one shot."""
 
-    @pytest.mark.parametrize("J,m", [
+    ORDERS = pytest.mark.parametrize("J,m", [
         (700, 40), (701, 41), (700, 41), (701, 40), (1, 1), (50, 1),
         (2, 2), (37, 37), (64, 64),
     ])
+
+    @ORDERS
     def test_equal_one_shot_build(self, monkeypatch, J, m):
+        _force_route(monkeypatch, grid=False)
+        monkeypatch.setattr(inducing, "STATS_CHUNK", 100)
+        self._check_one_shot_build(J, m)
+
+    @ORDERS
+    def test_grid_route_equals_one_shot_build(self, monkeypatch, J, m):
+        _force_route(monkeypatch, grid=True)
+        self._check_one_shot_build(J, m)
+
+    @staticmethod
+    def _check_one_shot_build(J, m):
         rng = np.random.default_rng(J + 1000 * m)
         x = rng.uniform(0.0, 2 * np.pi, size=517)
         x[:2] = 0.0, 2 * np.pi
         y = rng.normal(size=x.size)
-        monkeypatch.setattr(inducing, "STATS_CHUNK", 100)
         stats = feature_stats(BASIS, x, y, J, m)
         colsumsq, gram, phi_y = _one_shot(x, y, J, m)
         assert stats.colsumsq.shape == (J,)

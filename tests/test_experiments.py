@@ -390,6 +390,29 @@ class TestQuadratureError:
         assert rep.l2_error == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+class TestRouteInvariance:
+    """The trigonometric kernel's two routes agree to rounding. The noise
+    search (``xatol`` 1e-7 in log sigma^2) can move sigma^2 by about 1e-7
+    relative on statistics that move by 1e-17, so sigma^2 is held to
+    1e-6 and the rest to rounding."""
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_block_route_run_matches_default(self, monkeypatch, seed):
+        import gpadapt.basis as basis
+
+        cfg = ExperimentConfig(experiment="unit", n=10_000, seed=seed,
+                               out_dir=None)
+        default = run_experiment(cfg)
+        monkeypatch.setattr(basis, "_grid_route", lambda n, K, chunk: False)
+        blocks = run_experiment(cfg)
+        assert blocks.chosen["alpha"] == default.chosen["alpha"]
+        assert blocks.chosen["m"] == default.chosen["m"]
+        assert blocks.chosen["sigma_sq"] == pytest.approx(
+            default.chosen["sigma_sq"], rel=1e-6, abs=0)
+        assert blocks.l2_error == pytest.approx(default.l2_error, rel=0,
+                                                abs=1e-9)
+
+
 class TestGridRows:
     def test_failed_rows_get_no_weight(self):
         from gpadapt.select import SelectionRecord, SelectionReport
