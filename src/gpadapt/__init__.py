@@ -1,6 +1,7 @@
 """Adaptive variational inference for series-prior Gaussian process regression."""
 
 from .basis import (
+    BASIS,
     EigenBasis,
     ExpDecay,
     PolyDecay,

@@ -10,18 +10,21 @@ which is orthonormal in L2 of the uniform distribution and uniformly bounded
 by sqrt(2). Series priors put independent N(0, s_j^2) weights on these
 functions; three spectra are provided (polynomial decay, exponential decay,
 and a flat truncated spectrum), with all proportionality constants fixed to 1.
+The covariate is one-dimensional, so one basis object, :data:`BASIS`, serves
+every module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.random import default_rng
 
 __all__ = [
+    "BASIS",
     "EigenBasis",
     "PolyDecay",
     "ExpDecay",
@@ -49,12 +52,6 @@ def _check_domain(x: np.ndarray) -> None:
 @dataclass(frozen=True)
 class EigenBasis:
     """Orthonormal trigonometric basis on [0, 2*pi], one-dimensional."""
-
-    d: int = 1
-
-    def __post_init__(self) -> None:
-        if self.d != 1:
-            raise ValueError("only the one-dimensional basis is implemented")
 
     def eval(self, j, x):
         """Evaluate phi_j at x. Both arguments broadcast.
@@ -105,9 +102,13 @@ class EigenBasis:
         return out
 
 
+#: the one basis: every feature block goes through ``BASIS.features``
+BASIS = EigenBasis()
+
+
 @dataclass(frozen=True)
 class PolyDecay:
-    """s_j = j^(-1/2 - alpha/d), alpha > 0."""
+    """s_j = j^(-1/2 - alpha), alpha > 0."""
 
     alpha: float
 
@@ -118,7 +119,7 @@ class PolyDecay:
 
 @dataclass(frozen=True)
 class ExpDecay:
-    """s_j = (tau^d * exp(-tau * j^(1/d)))^(1/2), 0 < tau <= 1."""
+    """s_j = (tau * exp(-tau * j))^(1/2), 0 < tau <= 1."""
 
     tau: float
 
@@ -143,17 +144,10 @@ Kind = Union[PolyDecay, ExpDecay, Truncated]
 
 @dataclass(frozen=True)
 class SeriesPrior:
-    """Gaussian series prior: independent N(0, s_j^2) basis weights."""
+    """Gaussian series prior: independent N(0, s_j^2) weights on the
+    functions of :data:`BASIS`."""
 
     kind: Kind
-    d: int = 1
-    basis: EigenBasis = field(default_factory=EigenBasis)
-
-    def __post_init__(self) -> None:
-        if self.d != 1:
-            raise ValueError(f"d = {self.d}: the prior sits on the "
-                             "one-dimensional trigonometric basis, so d "
-                             "must be 1")
 
     @property
     def support(self) -> float:
@@ -169,9 +163,9 @@ class SeriesPrior:
             raise ValueError("basis index starts at 1")
         k = self.kind
         if isinstance(k, PolyDecay):
-            out = j ** (-0.5 - k.alpha / self.d)
+            out = j ** (-0.5 - k.alpha)
         elif isinstance(k, ExpDecay):
-            out = np.sqrt(k.tau**self.d * np.exp(-k.tau * j ** (1.0 / self.d)))
+            out = np.sqrt(k.tau * np.exp(-k.tau * j))
         else:
             out = np.where(j <= k.dim, k.dim**-0.5, 0.0)
         return out if out.shape else float(out)
@@ -182,7 +176,7 @@ class SeriesPrior:
         if isinstance(k, Truncated):
             return max(k.dim - J, 0) / k.dim
         if isinstance(k, PolyDecay):
-            return _hurwitz_zeta(1.0 + 2.0 * k.alpha / self.d, J + 1)
+            return _hurwitz_zeta(1.0 + 2.0 * k.alpha, J + 1)
         r = np.exp(-k.tau)
         return float(k.tau * r ** (J + 1) / (1.0 - r))
 
@@ -246,8 +240,8 @@ def bench_signal(j_max: int = 10_000) -> SignalSpec:
     return SignalSpec(coefficients=coeff, j_max=j_max, shift=np.pi)
 
 
-def sobolev_norm_sq(coeffs, beta: float, J: int, d: int = 1) -> float:
-    """Partial sum sum_{j<=J} j^(2*beta/d) c_j^2.
+def sobolev_norm_sq(coeffs, beta: float, J: int) -> float:
+    """Partial sum sum_{j<=J} j^(2*beta) c_j^2.
 
     ``coeffs`` may be a vectorized rule j -> c_j or an array whose first
     entry is the j = 1 coefficient. Monotone non-decreasing in J.
@@ -263,7 +257,7 @@ def sobolev_norm_sq(coeffs, beta: float, J: int, d: int = 1) -> float:
         c = np.asarray(coeffs, dtype=float)[:J]
         if c.size < J:
             raise ValueError("coefficient array shorter than J")
-    return float(np.sum(js ** (2.0 * beta / d) * c * c))
+    return float(np.sum(js ** (2.0 * beta) * c * c))
 
 
 def _wrap(z: np.ndarray) -> np.ndarray:

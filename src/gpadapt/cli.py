@@ -131,7 +131,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    report = run_experiment(_build_config(args))
+    """Grid selection. --cm scales the poly grid's feature rule and
+    --features picks the inducing flavor of the poly and exp grids, so a
+    prior that reads neither refuses the flag (a config file may still
+    set the field)."""
+    config = _build_config(args)
+    for flag, given, priors in (("--cm", args.c_m, ("poly",)),
+                                ("--features", args.features,
+                                 ("poly", "exp"))):
+        if given is not None and config.prior not in priors:
+            raise ValueError(f"{flag} only applies to prior "
+                             f"{' or '.join(priors)}; prior {config.prior} "
+                             "ignores it")
+    report = run_experiment(config)
     _print_chosen(report)
     return 0
 

@@ -33,7 +33,8 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from . import _linalg
-from .basis import SeriesPrior, Truncated, _check_domain, _trig_sum, _wrap
+from .basis import (BASIS, SeriesPrior, Truncated, _check_domain, _trig_sum,
+                    _wrap)
 from .errors import ConditioningError
 
 __all__ = [
@@ -140,8 +141,8 @@ def kernel_cross(kernel: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     J = kernel.j_eff
     prior = kernel.prior
     s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
-    Fa = prior.basis.features(a, J)
-    Fb = Fa if b is a or np.array_equal(a, b) else prior.basis.features(b, J)
+    Fa = BASIS.features(a, J)
+    Fb = Fa if b is a or np.array_equal(a, b) else BASIS.features(b, J)
     return (Fa * s2) @ Fb.T
 
 
@@ -314,7 +315,7 @@ def _series_terms(kernel: SeriesKernel, x: np.ndarray, y: np.ndarray
     """
     J = kernel.j_eff
     s = kernel.prior.spectrum(np.arange(1, J + 1))
-    W = kernel.prior.basis.features(x, J) * s
+    W = BASIS.features(x, J) * s
     return s, W.T @ W, W.T @ y
 
 
@@ -355,35 +356,27 @@ def _posterior_series_form(kernel: SeriesKernel, data: Dataset,
     outside them. O(J^2 n + J^3).
     """
     J = kernel.j_eff
-    basis = kernel.prior.basis
     s, G, wy = _series_terms(kernel, data.x, data.y)
     w, C = _weight_posterior(s, *_eigen_terms(G, wy), data.sigma_sq)
     return GaussianPosterior.from_features(
-        query, lambda xs: basis.features(xs, J), w, C)
+        query, lambda xs: BASIS.features(xs, J), w, C)
 
 
-def exact_posterior(kernel: KernelSpec, data: Dataset, query: np.ndarray,
-                    method: str = "auto") -> GaussianPosterior:
+def exact_posterior(kernel: KernelSpec, data: Dataset, query: np.ndarray
+                    ) -> GaussianPosterior:
     """Exact GP posterior given ``data``, summarized at ``query``.
 
-    ``method`` picks the computation route: "kernel" conditions on the n x n
-    kernel matrix, "series" uses the weight-space form (flat truncated
-    spectra only), and "auto" takes the weight-space form for a flat
-    truncated spectrum and for any series kernel with J <= n, else the
-    kernel route.
+    The weight-space form (:func:`_posterior_series_form`) serves a flat
+    truncated spectrum and any series kernel with J <= n; otherwise the
+    posterior conditions on the n x n kernel matrix
+    (:func:`_posterior_kernel_form`, also the reference for the first).
     """
     if data.n < 1:
         raise ValueError("need at least one observation")
     flat = isinstance(kernel, SeriesKernel) and isinstance(
         kernel.prior.kind, Truncated)
-    if method == "series" and not flat:
-        raise ValueError("series form needs a flat truncated spectrum")
-    if method == "auto":
-        method = "series" if flat or _weight_space(kernel, data) else "kernel"
-    if method == "series":
+    if flat or _weight_space(kernel, data):
         return _posterior_series_form(kernel, data, query)
-    if method != "kernel":
-        raise ValueError(f"unknown method {method!r}")
     return _posterior_kernel_form(kernel, data, query)
 
 

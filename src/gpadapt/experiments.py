@@ -23,7 +23,6 @@ from ._linalg import brent_bounded
 from .basis import (
     DOMAIN_HI,
     DOMAIN_LO,
-    EigenBasis,
     ExpDecay,
     PolyDecay,
     SeriesPrior,
@@ -66,7 +65,6 @@ __all__ = [
     "emit_report",
 ]
 
-_BASIS = EigenBasis()
 _BENCH_SPEC = bench_signal()
 _PRIORS = ("poly", "exp", "dim")
 _FEATURES = ("population", "sample")
@@ -268,7 +266,7 @@ def _build_grid(config: ExperimentConfig, n: int):
     if config.prior == "poly":
         return poly_grid(config.beta_minus, config.beta_plus, n, c_m=config.c_m)
     if config.prior == "exp":
-        return exp_grid(config.beta_minus, 1, n)
+        return exp_grid(config.beta_minus, n)
     return dim_grid(n)
 
 
@@ -308,8 +306,7 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
 
     if config.prior == "dim":
         levels = [grid.m_rule(lam) for lam in grid.values]
-        stats = feature_stats(_BASIS, data.x, data.y, max(levels),
-                              max(levels))
+        stats = feature_stats(data.x, data.y, max(levels), max(levels))
         fits = mf_fit_levels(stats, levels, data.sigma_sq)
         for lam, D in zip(grid.values, levels):
             extras[lam] = {"diagnostics": {
@@ -326,7 +323,7 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
         ms = [grid.m_rule(lam) for lam in grid.values]
         J = max(feature_cutoff(_series_prior(config, lam), m)
                 for lam, m in zip(grid.values, ms))
-        stats = feature_stats(_BASIS, data.x, data.y, J, max(ms))
+        stats = feature_stats(data.x, data.y, J, max(ms))
 
         def candidate(lam):
             _, profile, fit = population_candidate(
@@ -470,7 +467,7 @@ def _select(config: ExperimentConfig, data: Dataset):
     """Grid sweep of ``config.prior`` on ``data``: selection and row extras."""
     grid = _build_grid(config, data.n)
     fitter, extras = _make_fitter(config, grid, data)
-    return select_discrete(grid, data, fitter), extras
+    return select_discrete(grid, fitter), extras
 
 
 def _grid_rows(sel: SelectionReport, extras: dict) -> list[dict]:
@@ -495,7 +492,7 @@ def _fit_grid(config: ExperimentConfig, data: Dataset):
     rows = _grid_rows(sel, extras)
     if config.prior == "dim":
         q = sel.posterior
-        posterior = lambda xs: mf_predict(q, _BASIS, xs)
+        posterior = lambda xs: mf_predict(q, xs)
         chosen = {"dim": int(round(sel.chosen)),
                   "sigma_sq": float(data.sigma_sq)}
     else:
@@ -661,6 +658,9 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
         raise ValueError(f"family must be one of {_PRIORS}")
     if not beta_true > 0:
         raise ValueError("beta_true must be positive")
+    if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
+        raise ValueError("sigma_sq must be positive and finite, "
+                         f"got {sigma_sq}")
 
     tasks = [(family, beta_true, n_list, seed + 1000 * r, sigma_sq)
              for r in range(replicates)]

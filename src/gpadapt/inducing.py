@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg
-from .basis import EigenBasis, SeriesPrior, _check_domain, _trig_moments
+from .basis import BASIS, SeriesPrior, _check_domain, _trig_moments
 from .errors import ConditioningError
 from .exact import (
     Dataset,
@@ -175,7 +175,7 @@ def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
         flavor="population",
         m=m,
         K_uu=np.diag(s2),
-        K_uf=(prior.basis.features(x, m) * s2).T.copy(),
+        K_uf=(BASIS.features(x, m) * s2).T.copy(),
         kff_diag=None,
         x_train=x,
         prior=prior,
@@ -217,12 +217,12 @@ def _toeplitz_hankel(M: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return T, M[k[:, None] + k]
 
 
-def feature_stats(basis: EigenBasis, x: np.ndarray, y: np.ndarray, J: int,
-                  m: int) -> FeatureStats:
+def feature_stats(x: np.ndarray, y: np.ndarray, J: int, m: int
+                  ) -> FeatureStats:
     """:class:`FeatureStats` from the trigonometric moments of the design.
 
-    Products of the cos/sin features of ``basis`` (the one-dimensional
-    trigonometric basis) are sums of single waves, so with
+    Products of the cos/sin features of :data:`basis.BASIS` (the
+    one-dimensional trigonometric basis) are sums of single waves, so with
     M_k = sum_i exp(i k x_i) up to order J and Y_k = sum_i y_i exp(i k x_i)
     up to order m/2 (both from one call of :func:`basis._trig_moments`):
     colsumsq is n +- Re M_2k, the Gram block is a Toeplitz term in
@@ -401,7 +401,7 @@ def _features(model: InducingModel, xs: np.ndarray) -> np.ndarray:
     """K_xu K_uu^{-1}: the inducing features at new points."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if model.flavor == "population":
-        return model.prior.basis.features(xs, model.m)
+        return BASIS.features(xs, model.m)
     if model.kernel is None or model.x_train is None:
         raise ValueError(
             "sample-feature prediction needs the kernel and training points")

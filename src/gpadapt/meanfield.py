@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _linalg
-from .basis import EigenBasis
+from .basis import BASIS
 from .exact import Dataset, GaussianPosterior
 from .inducing import FeatureStats
 
@@ -89,7 +89,7 @@ class MeanFieldPosterior:
     elbo_path: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def design_matrix(basis: EigenBasis, x: np.ndarray, D: int) -> DesignMatrix:
+def design_matrix(x: np.ndarray, D: int) -> DesignMatrix:
     """Evaluate the first D basis functions at x and cache Phi'Phi."""
     if D < 1:
         raise ValueError("D must be a positive integer")
@@ -97,7 +97,7 @@ def design_matrix(basis: EigenBasis, x: np.ndarray, D: int) -> DesignMatrix:
     if x.size == 0:
         Phi = np.zeros((0, D))
     else:
-        Phi = basis.features(x, D)
+        Phi = BASIS.features(x, D)
     return DesignMatrix(Phi=Phi, gram=Phi.T @ Phi, D=D)
 
 
@@ -122,15 +122,10 @@ def _bound(S: np.ndarray, M: np.ndarray, G: np.ndarray, b: np.ndarray,
     return fit - kl
 
 
-def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset,
-            hyper_mass: float = 1.0) -> float:
-    """Explicit bound value at q; ``hyper_mass`` is the prior mass of D.
-
-    Pass ``hyper_mass=1.0`` to get the bare fit term without the model-size
-    mass, which is what grid selection adds back separately.
-    """
-    if not (0.0 < hyper_mass <= 1.0):
-        raise ValueError("hyper_mass must lie in (0, 1]")
+def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset
+            ) -> float:
+    """Explicit bound value at q, without the prior mass of D, which grid
+    selection adds separately."""
     if np.any(q.Sigma_diag <= 0):
         raise ValueError("variational variances must be positive")
     if dm.D != q.D:
@@ -139,8 +134,7 @@ def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset,
         raise ValueError("design matrix was built for a different dataset")
     return float(_bound(q.Sigma_diag[:, None], q.mu[:, None], dm.gram,
                         dm.Phi.T @ data.y, float(data.y @ data.y), data.n,
-                        data.sigma_sq, np.array([float(q.D)]))[0]
-                 ) + float(np.log(hyper_mass))
+                        data.sigma_sq, np.array([float(q.D)]))[0])
 
 
 def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
@@ -311,9 +305,8 @@ def mf_kl_exact(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset
     )
 
 
-def mf_predict(q: MeanFieldPosterior, basis: EigenBasis, query: np.ndarray
-               ) -> GaussianPosterior:
+def mf_predict(q: MeanFieldPosterior, query: np.ndarray) -> GaussianPosterior:
     """Gaussian law of the fitted series on a query grid: weights mu with
-    diagonal covariance Sigma through the features ``basis.features(x, D)``."""
+    diagonal covariance Sigma through the features ``BASIS.features(x, D)``."""
     return GaussianPosterior.from_features(
-        query, lambda xs: basis.features(xs, q.D), q.mu, q.Sigma_diag)
+        query, lambda xs: BASIS.features(xs, q.D), q.mu, q.Sigma_diag)

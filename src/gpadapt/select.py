@@ -107,10 +107,10 @@ class SelectionReport:
 
 
 def poly_grid(beta_minus: float, beta_plus: float, n: int,
-              c_m: float = 1.0, d: int = 1) -> HyperGrid:
+              c_m: float = 1.0) -> HyperGrid:
     """Smoothness grid with spacing 1/log n on [beta_minus, beta_plus].
 
-    The feature rule is ceil(c_m * n^(d/(d+2*alpha))).
+    The feature rule is ceil(c_m * n^(1/(1+2*alpha))).
     """
     if not (0.0 < beta_minus < beta_plus):
         raise ValueError("need 0 < beta_minus < beta_plus")
@@ -123,47 +123,38 @@ def poly_grid(beta_minus: float, beta_plus: float, n: int,
     values = beta_minus + step * np.arange(k_max + 1)
 
     def m_rule(alpha: float) -> int:
-        return max(1, math.ceil(c_m * n ** (d / (d + 2.0 * alpha))))
+        return max(1, math.ceil(c_m * n ** (1 / (1 + 2.0 * alpha))))
 
     return HyperGrid("poly", values, np.full(values.size, 1.0 / values.size),
                      m_rule)
 
 
-def exp_grid(beta_minus: float, d: int, n: int) -> HyperGrid:
+def exp_grid(beta_minus: float, n: int) -> HyperGrid:
     """Scale grid {e^-j} for the exponentially decaying spectrum.
 
-    j runs to floor(log n / (d + 2*beta_minus)); the feature rule is
-    ceil(tau^-d * (log n)^(d+1)).
+    j runs to floor(log n / (1 + 2*beta_minus)); the feature rule is
+    ceil(tau^-1 * (log n)^2).
     """
     if beta_minus <= 0:
         raise ValueError("beta_minus must be positive")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    j_max = int(math.floor(math.log(n) / (d + 2.0 * beta_minus)))
+    j_max = int(math.floor(math.log(n) / (1 + 2.0 * beta_minus)))
     if j_max < 1:
         raise ValueError(f"n={n} is too small for beta_minus={beta_minus}")
     values = np.exp(-np.arange(j_max, 0, -1, dtype=float))
     log_n = math.log(n)
 
     def m_rule(tau: float) -> int:
-        return max(1, math.ceil(tau ** (-d) * log_n ** (d + 1)))
+        return max(1, math.ceil(tau ** -1 * log_n ** 2))
 
     return HyperGrid("exp", values, np.full(values.size, 1.0 / values.size),
                      m_rule)
 
 
-def dim_grid(n: int, powers_of_two: bool = False) -> HyperGrid:
-    """Truncation-level grid {1, ..., floor(sqrt n)}, optionally dyadic."""
+def dim_grid(n: int) -> HyperGrid:
+    """Truncation-level grid {1, ..., floor(sqrt n)}."""
     if n < 1:
         raise ValueError("n must be positive")
-    cap = math.isqrt(n)
-    if powers_of_two:
-        values = [1]
-        while values[-1] * 2 <= cap:
-            values.append(values[-1] * 2)
-        values = np.asarray(values, dtype=float)
-    else:
-        values = np.arange(1, cap + 1, dtype=float)
+    values = np.arange(1, math.isqrt(n) + 1, dtype=float)
 
     def m_rule(dim: float) -> int:
         return int(round(dim))
@@ -172,7 +163,7 @@ def dim_grid(n: int, powers_of_two: bool = False) -> HyperGrid:
                      m_rule)
 
 
-def select_discrete(grid: HyperGrid, data: Dataset,
+def select_discrete(grid: HyperGrid,
                     fitter: Callable[[float], tuple]) -> SelectionReport:
     """Fit every grid value and keep the best mass-weighted bound.
 
@@ -208,6 +199,8 @@ def select_discrete(grid: HyperGrid, data: Dataset,
     return SelectionReport(chosen=best[1], posterior=best[2], records=records)
 
 
+#: lattice points per coordinate of :func:`coarse_init`'s scan
+COARSE_POINTS_PER_AXIS = 3
 #: absolute tolerance on log tau at which the length-scale search stops
 LOG_TAU_XATOL = 1e-6
 #: first stride of the length-scale search away from its start, in log tau
@@ -234,19 +227,20 @@ def _rank(objective: str, m: int, n: int) -> int:
 
 
 def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
-                objective: str = "elbo",
-                points_per_axis: int = 3) -> tuple:
+                objective: str = "elbo") -> tuple:
     """Pick a starting triple for :func:`tune_continuous` by grid scan.
 
-    Scores the objective on a log-spaced lattice interior to the bounds and
-    returns the best (sigma, nu, tau). The kernel is factorized once per
-    lattice tau (:class:`_EigenFactor`); each (sigma, nu) point then costs
-    O(m). Lattice taus whose factorization fails are skipped; raises if
-    every one fails.
+    Scores the objective on a log-spaced lattice interior to the bounds,
+    ``COARSE_POINTS_PER_AXIS`` points per coordinate, and returns the best
+    (sigma, nu, tau). The kernel is factorized once per lattice tau
+    (:class:`_EigenFactor`); each (sigma, nu) point then costs O(m).
+    Lattice taus whose factorization fails are skipped; raises if every
+    one fails.
     """
     rank = _rank(objective, m, data.n)
     sigmas, nus, taus = (
-        np.exp(np.linspace(np.log(lo), np.log(hi), points_per_axis + 2))[1:-1]
+        np.exp(np.linspace(np.log(lo), np.log(hi),
+                           COARSE_POINTS_PER_AXIS + 2))[1:-1]
         for lo, hi in bounds)
     best = None
     for tau in taus:

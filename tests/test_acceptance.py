@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from gpadapt import (
+    BASIS,
     Dataset,
-    EigenBasis,
     HyperGrid,
     MeanFieldPosterior,
     PolyDecay,
@@ -52,7 +52,6 @@ from gpadapt.experiments import ExperimentConfig, load_running_csv
 from gpadapt.inducing import VariationalGP
 from gpadapt.select import coarse_init
 
-BASIS = EigenBasis()
 
 # optional real speed-series file; the related assertions only run when
 # someone has dropped it here
@@ -187,13 +186,13 @@ def test_02_gap_identity():
         x = rng.uniform(0.0, 2.0 * np.pi, size=n)
         y = np.cos(x) + rng.normal(0.0, np.sqrt(s2), size=n)
         data = Dataset(x=x, y=y, sigma_sq=s2)
-        dm = design_matrix(BASIS, x, D)
+        dm = design_matrix(x, D)
         q = mf_fit(dm, data)
         if i % 2 == 1:
             q = MeanFieldPosterior(D=D, mu=q.mu + 0.2 * rng.normal(size=D),
                                    Sigma_diag=q.Sigma_diag * 1.3)
         kern = SeriesKernel(SeriesPrior(Truncated(D)), j_max=D)
-        gap = log_evidence(kern, data) - mf_elbo(q, dm, data, 1.0)
+        gap = log_evidence(kern, data) - mf_elbo(q, dm, data)
         worst_mf = max(worst_mf, abs(gap - mf_kl_exact(q, dm, data)))
     elapsed = time.perf_counter() - t0
     assert worst_ind <= 1e-8
@@ -225,7 +224,7 @@ def test_03_shift_identity(tmp_path):
             return None, float(c[0] - (lam - c[1]) ** 2
                                + 0.1 * np.sin(5.0 * lam * c[2]))
 
-        report = select_discrete(grid, data, lambda lam: scorer(lam))
+        report = select_discrete(grid, lambda lam: scorer(lam))
         for rec in report.records:
             assert rec.elbo == rec.elbo_lambda + rec.log_mass
         plain_best = vals[int(np.argmax([scorer(v)[1] for v in vals]))]
@@ -285,13 +284,13 @@ def test_06_meanfield_fidelity():
     x = rng.uniform(0.0, 2.0 * np.pi, size=n)
     y = synth_signal(spec, x) + rng.normal(0.0, np.sqrt(s2), size=n)
     data = Dataset(x=x, y=y, sigma_sq=s2)
-    dm = design_matrix(BASIS, x, D)
+    dm = design_matrix(x, D)
     q = mf_fit(dm, data)
     # independent dense-algebra posterior for the D retained weights
     Sigma_hat = np.linalg.inv(D * np.eye(D) + dm.gram / s2)
     mu_hat = Sigma_hat @ (dm.Phi.T @ y) / s2
     query = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    mean_mf = mf_predict(q, BASIS, query).mean
+    mean_mf = mf_predict(q, query).mean
     mean_ex = BASIS.features(query, D) @ mu_hat
     rel = float(np.linalg.norm(mean_mf - mean_ex) / np.linalg.norm(mean_ex))
     sweeps_monotone = bool(np.all(np.diff(q.elbo_path) >= -1e-9))
@@ -378,7 +377,7 @@ def test_08_invariant_suite():
             mk = sample_features(kernel_matrix(kern, xk),
                                  int(rng.integers(1, 8)), kernel=kern, x=xk)
         min_kl = min(min_kl, kl_to_posterior(titsias_fit(mk, dk), dk, kern))
-        dmk = design_matrix(BASIS, xk, 5)
+        dmk = design_matrix(xk, 5)
         min_kl = min(min_kl, mf_kl_exact(mf_fit(dmk, dk), dmk, dk))
     assert min_kl >= -1e-9
 

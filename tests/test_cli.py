@@ -289,6 +289,34 @@ class TestFlagsEachCommandHonours:
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--cm", "5", "--prior", "exp"],
+        ["--cm", "5", "--prior", "dim", "--sigma2", "0.1"],
+        ["--features", "sample", "--prior", "dim", "--sigma2", "0.1"],
+    ])
+    def test_select_flag_its_prior_ignores_exits_two(self, flags, tmp_path,
+                                                      capsys):
+        # --cm scales only the poly grid, --features picks the flavor of
+        # the poly and exp grids
+        out = tmp_path / "out"
+        code = main(["select", "--n", "50", "--out", str(out)] + flags)
+        assert code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_select_prior_from_config_refuses_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prior = exp\n")
+        assert main(["select", "--config", str(cfg), "--cm", "5"]) == 2
+        assert "--cm" in capsys.readouterr().err
+
+    def test_select_config_fields_any_prior_reads(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prior = dim\nc_m = 5\nfeatures = sample\n"
+                       "sigma_sq = 0.1\nn = 50\n")
+        assert main(["select", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+
     def test_config_file_keeps_every_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("prior = exp\nfeatures = sample\nc_m = 7\n"
@@ -382,6 +410,15 @@ class TestContractionCommand:
         assert main(["contraction", "--beta", "0.8", "--sigma2", "0.5",
                      "--seed", "3", "--prior", "poly"]) == 0
         assert seen == {"family": "poly", "seed": 3, "sigma_sq": 0.5}
+
+
+    @pytest.mark.parametrize("value", ["-0.5", "0", "nan", "inf"])
+    def test_bad_noise_variance_exits_two(self, value, capsys):
+        code = main(["contraction", "--prior", "dim", "--beta", "1",
+                     "--sigma2", value, "--n-list", "100,200,400",
+                     "--replicates", "5"])
+        assert code == 2
+        assert "sigma_sq" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -14,6 +14,7 @@ import pytest
 
 from gpadapt import basis, inducing
 from gpadapt.basis import (
+    BASIS,
     EigenBasis,
     ExpDecay,
     PolyDecay,
@@ -43,7 +44,6 @@ from gpadapt.inducing import (
 from gpadapt.meanfield import design_matrix, mf_elbo, mf_fit
 from gpadapt.select import dim_grid, exp_grid, poly_grid, select_discrete
 
-BASIS = EigenBasis()
 RTOL = 1e-10
 
 
@@ -77,7 +77,7 @@ class TestFeatureStats:
     def _check_one_shot_build():
         data, _ = simulate_poly(1000, seed=3)
         J, m = 700, 40
-        stats = feature_stats(BASIS, data.x, data.y, J, m)
+        stats = feature_stats(data.x, data.y, J, m)
         colsumsq, gram, phi_y = _one_shot(data.x, data.y, J, m)
         assert stats.n == 1000
         assert _rel(stats.colsumsq, colsumsq) <= 1e-12
@@ -89,7 +89,7 @@ class TestFeatureStats:
                                                             monkeypatch):
         # the exp grid's widest candidate: tau = e^-2, m = 428, J = 4280
         n = 2000
-        grid = exp_grid(1.0, 1, n)
+        grid = exp_grid(1.0, n)
         ms = [grid.m_rule(t) for t in grid.values]
         J = max(feature_cutoff(SeriesPrior(ExpDecay(t)), m)
                 for t, m in zip(grid.values, ms))
@@ -101,7 +101,7 @@ class TestFeatureStats:
             _force_route(monkeypatch, grid)
             tracemalloc.start()
             try:
-                built.append(feature_stats(BASIS, data.x, data.y, J, m))
+                built.append(feature_stats(data.x, data.y, J, m))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -110,7 +110,7 @@ class TestFeatureStats:
         # same statistics
         _force_route(monkeypatch, grid=False)
         monkeypatch.setattr(inducing, "STATS_CHUNK", 333)
-        built.append(feature_stats(BASIS, data.x, data.y, J, m))
+        built.append(feature_stats(data.x, data.y, J, m))
         colsumsq, gram, phi_y = _one_shot(data.x, data.y, J, m)
         for got in built:
             assert _rel(got.colsumsq, colsumsq) <= 1e-12
@@ -131,9 +131,9 @@ class TestFeatureStats:
     def test_rejects_bad_shapes(self):
         x = np.linspace(0.0, 6.0, 10)
         with pytest.raises(ValueError):
-            feature_stats(BASIS, x, x[:-1], 20, 5)
+            feature_stats(x, x[:-1], 20, 5)
         with pytest.raises(ValueError):
-            feature_stats(BASIS, x, x, 5, 6)
+            feature_stats(x, x, 5, 6)
 
 
 class TestMomentStatistics:
@@ -162,7 +162,7 @@ class TestMomentStatistics:
         x = rng.uniform(0.0, 2 * np.pi, size=517)
         x[:2] = 0.0, 2 * np.pi
         y = rng.normal(size=x.size)
-        stats = feature_stats(BASIS, x, y, J, m)
+        stats = feature_stats(x, y, J, m)
         colsumsq, gram, phi_y = _one_shot(x, y, J, m)
         assert stats.colsumsq.shape == (J,)
         assert stats.gram.shape == (m, m)
@@ -176,15 +176,15 @@ class TestMomentStatistics:
         x = np.linspace(0.0, 6.0, 10)
         x[4] = bad
         with pytest.raises(ValueError, match="point outside the domain"):
-            feature_stats(BASIS, x, np.ones(10), 20, 5)
+            feature_stats(x, np.ones(10), 20, 5)
 
     def test_rejects_bad_orders_and_shapes(self):
         x = np.linspace(0.0, 6.0, 10)
         for J, m in [(5, 6), (5, 0), (0, 0)]:
             with pytest.raises(ValueError, match="need 1 <= m <= J"):
-                feature_stats(BASIS, x, x, J, m)
+                feature_stats(x, x, J, m)
         with pytest.raises(ValueError, match="matching length"):
-            feature_stats(BASIS, x, x[:-1], 20, 5)
+            feature_stats(x, x[:-1], 20, 5)
 
 
 class TestPopulationCandidate:
@@ -195,7 +195,7 @@ class TestPopulationCandidate:
     def test_bound_and_fit_match_population_features(self, prior, m):
         data, _ = simulate_poly(600, seed=5)
         J = feature_cutoff(prior, m)
-        stats = feature_stats(BASIS, data.x, data.y, J + 50, m + 7)
+        stats = feature_stats(data.x, data.y, J + 50, m + 7)
         _, profile, fit = population_candidate(prior, stats, m)
         model = population_features(prior, data.x, m)
         ref = elbo_profile(model, data.y)
@@ -213,7 +213,7 @@ class TestPopulationCandidate:
 
     def test_statistics_must_cover_the_candidate(self):
         data, _ = simulate_poly(100, seed=2)
-        stats = feature_stats(BASIS, data.x, data.y, 500, 10)
+        stats = feature_stats(data.x, data.y, 500, 10)
         with pytest.raises(ValueError, match="statistics cover"):
             population_candidate(SeriesPrior(PolyDecay(1.0)), stats, 11)
         with pytest.raises(ValueError, match="statistics cover"):
@@ -221,7 +221,7 @@ class TestPopulationCandidate:
 
     def test_scored_model_refuses_a_refit(self):
         data, _ = simulate_poly(100, seed=2)
-        stats = feature_stats(BASIS, data.x, data.y, 1000, 5)
+        stats = feature_stats(data.x, data.y, 1000, 5)
         model, _, fit = population_candidate(SeriesPrior(PolyDecay(1.0)),
                                              stats, 5)
         with pytest.raises(ValueError, match="design statistics"):
@@ -243,7 +243,7 @@ class TestPopulationCandidate:
         # over 10^4 points would be a 32 MB block
         prior, m = SeriesPrior(PolyDecay(1.0)), 400
         data, _ = simulate_poly(600, seed=4)
-        stats = feature_stats(BASIS, data.x, data.y, feature_cutoff(prior, m),
+        stats = feature_stats(data.x, data.y, feature_cutoff(prior, m),
                               m)
         q = population_candidate(prior, stats, m)[2](0.01)
         s2 = prior.spectrum(np.arange(1, m + 1)) ** 2
@@ -290,7 +290,7 @@ class TestDimensionStats:
         config = ExperimentConfig(n=500, prior="dim", sigma_sq=0.25)
         grid = dim_grid(data.n)
         fitter, _ = _make_fitter(config, grid, data)
-        select_discrete(grid, data, fitter)
+        select_discrete(grid, fitter)
         assert calls == []
 
 
@@ -314,8 +314,8 @@ class TestSweepSelection:
         config = ExperimentConfig(n=1500, prior="poly", sigma_sq=sigma_sq)
         grid = poly_grid(config.beta_minus, config.beta_plus, data.n)
         fitter, _ = _make_fitter(config, grid, data)
-        new = select_discrete(grid, data, fitter)
-        old = select_discrete(grid, data,
+        new = select_discrete(grid, fitter)
+        old = select_discrete(grid,
                               _per_candidate_fitter(config, grid, data))
         assert new.chosen == old.chosen
         for a, b in zip(new.records, old.records):
@@ -330,12 +330,12 @@ class TestSweepSelection:
         fitter, _ = _make_fitter(config, grid, data)
 
         def fresh(lam):
-            dm = design_matrix(BASIS, data.x, int(round(lam)))
+            dm = design_matrix(data.x, int(round(lam)))
             q = mf_fit(dm, data)
-            return q, mf_elbo(q, dm, data, hyper_mass=1.0)
+            return q, mf_elbo(q, dm, data)
 
-        new = select_discrete(grid, data, fitter)
-        old = select_discrete(grid, data, fresh)
+        new = select_discrete(grid, fitter)
+        old = select_discrete(grid, fresh)
         assert new.chosen == old.chosen
         for a, b in zip(new.records, old.records):
             assert a.elbo_lambda == pytest.approx(b.elbo_lambda, rel=RTOL)

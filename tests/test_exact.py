@@ -5,6 +5,7 @@ import pytest
 
 import gpadapt.exact as exact_mod
 from gpadapt.basis import (
+    BASIS,
     EigenBasis,
     ExpDecay,
     PolyDecay,
@@ -26,8 +27,6 @@ from gpadapt.exact import (
     lse_weights,
     mmle_select,
 )
-
-BASIS = EigenBasis()
 
 
 def _beta_one_signal(j_max=500):
@@ -160,8 +159,8 @@ class TestExactPosterior:
         data = Dataset(x, y, 0.2)
         kern = SeriesKernel(SeriesPrior(Truncated(dim=8)), j_max=8)
         q = np.linspace(0, 2 * np.pi, 33)
-        a = exact_posterior(kern, data, q, method="series")
-        b = exact_posterior(kern, data, q, method="kernel")
+        a = exact_mod._posterior_series_form(kern, data, q)
+        b = exact_mod._posterior_kernel_form(kern, data, q)
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-8)
         np.testing.assert_allclose(a.cov, b.cov, atol=1e-8)
 
@@ -169,14 +168,8 @@ class TestExactPosterior:
         data = Dataset([0.3, 1.0], [1.0, -1.0], 0.5)
         kern = SeriesKernel(SeriesPrior(Truncated(dim=3)), j_max=3)
         post = exact_posterior(kern, data, [0.7])
-        ref = exact_posterior(kern, data, [0.7], method="kernel")
+        ref = exact_mod._posterior_kernel_form(kern, data, [0.7])
         assert post.mean[0] == pytest.approx(ref.mean[0], abs=1e-10)
-
-    def test_series_route_rejected_for_decaying_spectrum(self):
-        data = Dataset([0.3], [1.0], 0.5)
-        kern = SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=10)
-        with pytest.raises(ValueError):
-            exact_posterior(kern, data, [0.7], method="series")
 
     def test_band_width_matches_cov_diagonal(self):
         data = _simulate(_beta_one_signal(), 40, 0.1, seed=5)
@@ -186,15 +179,17 @@ class TestExactPosterior:
         np.testing.assert_allclose(
             hi - lo, 2 * 1.96 * np.sqrt(np.diag(post.cov)), atol=1e-12)
 
-    @pytest.mark.parametrize("kern, method", [
-        (SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=120), "kernel"),
-        (SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=30), "auto"),
-        (SeriesKernel(SeriesPrior(Truncated(dim=8)), j_max=8), "series"),
+    # with n = 40: J = 120 > n conditions on the kernel matrix, J = 30 and
+    # the flat spectrum take the weight-space form
+    @pytest.mark.parametrize("kern", [
+        SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=120),
+        SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=30),
+        SeriesKernel(SeriesPrior(Truncated(dim=8)), j_max=8),
     ], ids=["series-kernel", "series-weights", "flat-series"])
-    def test_band_matches_cov_diagonal(self, kern, method):
+    def test_band_matches_cov_diagonal(self, kern):
         data = _simulate(_beta_one_signal(), 40, 0.1, seed=5)
         query = np.linspace(0, 2 * np.pi, 11)
-        post = exact_posterior(kern, data, query, method=method)
+        post = exact_posterior(kern, data, query)
         sd = np.sqrt(np.clip(np.diag(post.cov_fn(query, query)), 0, None))
         lo, hi = post.band95()
         np.testing.assert_allclose(lo, post.mean - 1.96 * sd, rtol=0,
@@ -387,7 +382,7 @@ class TestWeightSpaceRoute:
         kern, data = self._case(kind, J, n)
         q = np.linspace(0, 2 * np.pi, 41)
         a = exact_posterior(kern, data, q)
-        b = exact_posterior(kern, data, q, method="kernel")
+        b = exact_mod._posterior_kernel_form(kern, data, q)
         np.testing.assert_allclose(a.mean, b.mean, rtol=0, atol=1e-8)
         np.testing.assert_allclose(a.cov, b.cov, rtol=0, atol=1e-8)
 

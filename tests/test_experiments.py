@@ -488,6 +488,10 @@ class TestContraction:
             contraction_study("wavelet", 1.0, (100, 200, 400), 5, seed=0)
         with pytest.raises(ValueError):
             contraction_study("dim", -1.0, (100, 200, 400), 5, seed=0)
+        for s2 in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma_sq"):
+                contraction_study("dim", 1.0, (100, 200, 400), 5, seed=0,
+                                  sigma_sq=s2)
 
     def test_target_formula(self):
         rep = contraction_study("dim", 0.6, (50, 100, 200), 5, seed=1)

@@ -7,7 +7,7 @@ import scipy.linalg
 import gpadapt.exact as exact_mod
 import gpadapt.inducing as inducing_mod
 from gpadapt import _linalg
-from gpadapt.basis import EigenBasis, ExpDecay, PolyDecay, SeriesPrior, Truncated
+from gpadapt.basis import BASIS, EigenBasis, ExpDecay, PolyDecay, SeriesPrior, Truncated
 from gpadapt.errors import ConditioningError
 from gpadapt.exact import (
     Dataset,
@@ -32,8 +32,6 @@ from gpadapt.inducing import (
     titsias_fit,
 )
 from gpadapt.meanfield import design_matrix, mf_fit, mf_predict
-
-BASIS = EigenBasis()
 
 
 def _random_series_instance(seed, n_max=40, flavor="population"):
@@ -142,7 +140,7 @@ class TestPopulationFeatures:
         model = population_features(prior, x, m)
         assert np.count_nonzero(np.diag(model.K_uu) == 0) > 0
         _, profile, fit = population_candidate(
-            prior, feature_stats(BASIS, x, data.y, model.feature_cutoff, m),
+            prior, feature_stats(x, data.y, model.feature_cutoff, m),
             m)
         q, q_ref = titsias_fit(model, data), fit(data.sigma_sq)
         assert elbo_lambda(model, data) == pytest.approx(
@@ -360,7 +358,7 @@ class TestDiagonalInducingCovariance:
         data = Dataset(x, np.sin(x) + 0.3 * rng.standard_normal(40), 0.09)
         prior = SeriesPrior(PolyDecay(0.6))
         model, _, fit = population_candidate(
-            prior, feature_stats(BASIS, x, data.y, 1000, 10), 10)
+            prior, feature_stats(x, data.y, 1000, 10), 10)
         yield "population_candidate", model, lambda: fit(data.sigma_sq)
         model = population_features(prior, x, 10)
         yield "population_features", model, lambda: titsias_fit(model, data)
@@ -601,7 +599,7 @@ class TestPredictiveLaw:
         x, data = self._fit(2)
         m = 10
         model, _, fit = population_candidate(
-            prior, feature_stats(BASIS, x, data.y, 1000, m), m)
+            prior, feature_stats(x, data.y, 1000, m), m)
         assert model.feature_cutoff == 1000
         k, cross = self._series(prior, 1000, prior.tail_variance(1000))
         self._check(fit(data.sigma_sq), cross(m), k)
@@ -616,8 +614,8 @@ class TestPredictiveLaw:
 
     def test_mean_field_cross_covariance(self):
         x, data = self._fit(4)
-        q = mf_fit(design_matrix(BASIS, x, 7), data)
-        post = mf_predict(q, BASIS, self.XS)
+        q = mf_fit(design_matrix(x, 7), data)
+        post = mf_predict(q, self.XS)
         Fa = BASIS.features(self.XS, q.D)
         Fb = BASIS.features(self.YS, q.D)
         np.testing.assert_allclose(post.cov_fn(self.XS, self.YS),
@@ -632,7 +630,7 @@ class TestPredictiveLaw:
         m, J = 6, 1000
         fits = [
             titsias_fit(population_features(prior, x, m, j_cutoff=J), data),
-            population_candidate(prior, feature_stats(BASIS, x, data.y, J, m),
+            population_candidate(prior, feature_stats(x, data.y, J, m),
                                  m)[2](data.sigma_sq),
         ]
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gpadapt.basis import EigenBasis, SeriesPrior, Truncated, bench_signal, synth_signal
+from gpadapt.basis import BASIS, SeriesPrior, Truncated, bench_signal, synth_signal
 from gpadapt.exact import Dataset, SeriesKernel, exact_posterior, log_evidence
 from gpadapt.inducing import FeatureStats, feature_stats
 from gpadapt.meanfield import (
@@ -28,8 +28,6 @@ from gpadapt.meanfield import (
     mf_witness,
 )
 from gpadapt.select import dim_grid
-
-BASIS = EigenBasis()
 
 
 def _simulate(n, seed, sigma_sq=0.01):
@@ -47,7 +45,7 @@ def _random_instance(seed, n_max=50):
     x = rng.uniform(0.0, 2 * np.pi, size=n)
     y = rng.normal(0.0, 1.0, size=n)
     data = Dataset(x=x, y=y, sigma_sq=sigma_sq)
-    return design_matrix(BASIS, x, D), data
+    return design_matrix(x, D), data
 
 
 def _exact_weight_posterior(dm, data):
@@ -61,34 +59,34 @@ def _exact_weight_posterior(dm, data):
 
 class TestDesignMatrix:
     def test_d1_is_all_ones_column(self):
-        dm = design_matrix(BASIS, np.array([0.1, 2.0, 5.5]), 1)
+        dm = design_matrix(np.array([0.1, 2.0, 5.5]), 1)
         np.testing.assert_array_equal(dm.Phi, np.ones((3, 1)))
         assert dm.gram.shape == (1, 1) and dm.gram[0, 0] == 3.0
 
     def test_empty_data(self):
-        dm = design_matrix(BASIS, np.array([]), 4)
+        dm = design_matrix(np.array([]), 4)
         assert dm.Phi.shape == (0, 4)
         np.testing.assert_array_equal(dm.gram, np.zeros((4, 4)))
         assert dm.n == 0
 
     def test_entries_bounded_by_sqrt2(self):
-        dm = design_matrix(BASIS, np.random.default_rng(0).uniform(0, 2 * np.pi, 200), 15)
+        dm = design_matrix(np.random.default_rng(0).uniform(0, 2 * np.pi, 200), 15)
         assert np.max(np.abs(dm.Phi)) <= np.sqrt(2.0) + 1e-12
 
     def test_gram_is_phi_t_phi(self):
-        dm = design_matrix(BASIS, np.random.default_rng(1).uniform(0, 2 * np.pi, 37), 6)
+        dm = design_matrix(np.random.default_rng(1).uniform(0, 2 * np.pi, 37), 6)
         np.testing.assert_allclose(dm.gram, dm.Phi.T @ dm.Phi, rtol=0, atol=1e-12)
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
-            design_matrix(BASIS, np.array([0.5]), 0)
+            design_matrix(np.array([0.5]), 0)
 
     def test_gram_concentration(self):
         # 50/50 seeds landed within 0.05 when frozen (worst dev 0.0459)
         hits = 0
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            dm = design_matrix(BASIS, rng.uniform(0, 2 * np.pi, 5000), 10)
+            dm = design_matrix(rng.uniform(0, 2 * np.pi, 5000), 10)
             hits += np.max(np.abs(dm.gram / 5000 - np.eye(10))) <= 0.05
         assert hits >= 48
 
@@ -96,50 +94,37 @@ class TestDesignMatrix:
 class TestElbo:
     def test_no_data_elbo_is_log_mass(self):
         D = 3
-        dm = design_matrix(BASIS, np.array([]), D)
+        dm = design_matrix(np.array([]), D)
         data = Dataset(x=np.array([]), y=np.array([]), sigma_sq=1.0)
         q = MeanFieldPosterior(D=D, Sigma_diag=np.full(D, 1.0 / D), mu=np.zeros(D))
-        assert mf_elbo(q, dm, data, hyper_mass=1.0) == pytest.approx(0.0, abs=1e-14)
-        assert mf_elbo(q, dm, data, hyper_mass=0.25) == pytest.approx(np.log(0.25), abs=1e-14)
+        # log 1: the bound carries no model-size mass
+        assert mf_elbo(q, dm, data) == pytest.approx(0.0, abs=1e-14)
 
     def test_scalar_hand_value(self):
         # frozen from the Gauss-Hermite + generic-KL oracle
-        dm = design_matrix(BASIS, np.array([0.7]), 1)
+        dm = design_matrix(np.array([0.7]), 1)
         data = Dataset(x=np.array([0.7]), y=np.array([1.0]), sigma_sq=1.0)
         q = MeanFieldPosterior(D=1, Sigma_diag=np.array([0.5]), mu=np.array([0.5]))
-        assert mf_elbo(q, dm, data, 1.0) == pytest.approx(-1.5155121234846454, abs=1e-12)
-
-    def test_halved_mass_shifts_by_log_half(self):
-        dm, data = _random_instance(7)
-        q = mf_witness(dm, data)
-        full = mf_elbo(q, dm, data, 1.0)
-        assert mf_elbo(q, dm, data, 0.5) == full + np.log(0.5)
+        assert mf_elbo(q, dm, data) == pytest.approx(-1.5155121234846454, abs=1e-12)
 
     def test_rejects_nonpositive_variance(self):
         dm, data = _random_instance(8)
         q = mf_witness(dm, data)
         bad = MeanFieldPosterior(D=q.D, Sigma_diag=q.Sigma_diag * 0.0, mu=q.mu)
         with pytest.raises(ValueError):
-            mf_elbo(bad, dm, data, 1.0)
-
-    def test_rejects_bad_mass(self):
-        dm, data = _random_instance(9)
-        q = mf_witness(dm, data)
-        for mass in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                mf_elbo(q, dm, data, mass)
+            mf_elbo(bad, dm, data)
 
     def test_rejects_mismatched_dims(self):
         dm, data = _random_instance(10)
         q = mf_witness(dm, data)
-        other = design_matrix(BASIS, data.x, dm.D + 1)
+        other = design_matrix(data.x, dm.D + 1)
         with pytest.raises(ValueError):
-            mf_elbo(q, other, data, 1.0)
+            mf_elbo(q, other, data)
 
 
 class TestWitness:
     def test_formula_d1_n3(self):
-        dm = design_matrix(BASIS, np.array([0.2, 1.0, 4.0]), 1)
+        dm = design_matrix(np.array([0.2, 1.0, 4.0]), 1)
         data = Dataset(x=np.array([0.2, 1.0, 4.0]), y=np.zeros(3), sigma_sq=1.0)
         np.testing.assert_array_equal(mf_witness(dm, data).Sigma_diag, [0.25])
 
@@ -168,7 +153,7 @@ class TestFit:
     def test_d1_hand_anchor(self):
         # one closed-form step lands exactly on the exact posterior
         x = np.array([0.3, 1.1])
-        dm = design_matrix(BASIS, x, 1)
+        dm = design_matrix(x, 1)
         data = Dataset(x=x, y=np.array([0.5, -0.2]), sigma_sq=0.04)
         q = mf_fit(dm, data)
         assert q.converged
@@ -177,7 +162,7 @@ class TestFit:
 
     def test_zero_data_gives_zero_mean(self):
         x = np.random.default_rng(3).uniform(0, 2 * np.pi, 20)
-        dm = design_matrix(BASIS, x, 5)
+        dm = design_matrix(x, 5)
         data = Dataset(x=x, y=np.zeros(20), sigma_sq=0.5)
         q = mf_fit(dm, data)
         np.testing.assert_array_equal(q.mu, np.zeros(5))
@@ -188,7 +173,7 @@ class TestFit:
         x = 2 * np.pi * np.arange(n) / n
         rng = np.random.default_rng(4)
         data = Dataset(x=x, y=rng.normal(0, 1, n), sigma_sq=0.3)
-        dm = design_matrix(BASIS, x, D)
+        dm = design_matrix(x, D)
         assert np.max(np.abs(dm.gram - n * np.eye(D))) < 1e-10
         q = mf_fit(dm, data)
         mu_hat, Sigma_hat = _exact_weight_posterior(dm, data)
@@ -199,7 +184,7 @@ class TestFit:
         kern = SeriesKernel(SeriesPrior(Truncated(dim=D)), j_max=D)
         query = np.linspace(0.0, 2 * np.pi, 33)
         post = exact_posterior(kern, data, query)
-        np.testing.assert_allclose(mf_predict(q, BASIS, query).mean, post.mean, atol=1e-8)
+        np.testing.assert_allclose(mf_predict(q, query).mean, post.mean, atol=1e-8)
 
     def test_elbo_path_monotone_and_dominates_witness(self):
         for seed in range(12):
@@ -207,7 +192,7 @@ class TestFit:
             q = mf_fit(dm, data)
             assert q.converged
             assert np.all(np.diff(q.elbo_path) >= -1e-9)
-            wit = mf_elbo(mf_witness(dm, data), dm, data, 1.0)
+            wit = mf_elbo(mf_witness(dm, data), dm, data)
             assert q.elbo_path[-1] >= wit - 1e-9
             assert q.elbo_path[-1] == mf_elbo(q, dm, data)
 
@@ -216,7 +201,7 @@ class TestFit:
         dm, data = _random_instance(14)
         x2 = np.concatenate([data.x, data.x])
         y2 = np.concatenate([data.y, data.y])
-        dm2 = design_matrix(BASIS, x2, dm.D)
+        dm2 = design_matrix(x2, dm.D)
         q_dup = mf_fit(dm2, Dataset(x=x2, y=y2, sigma_sq=data.sigma_sq))
         q_half = mf_fit(dm, data.with_sigma_sq(data.sigma_sq / 2.0))
         np.testing.assert_allclose(q_dup.mu, q_half.mu, rtol=1e-8)
@@ -225,7 +210,7 @@ class TestFit:
     def test_huge_noise_returns_prior(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 2 * np.pi, 30)
-        dm = design_matrix(BASIS, x, 6)
+        dm = design_matrix(x, 6)
         data = Dataset(x=x, y=rng.normal(0, 1, 30), sigma_sq=1e12)
         q = mf_fit(dm, data)
         np.testing.assert_allclose(q.Sigma_diag, np.full(6, 1.0 / 6.0), rtol=1e-6)
@@ -238,7 +223,7 @@ class TestFit:
         x = rng.uniform(0.0, 2 * np.pi, 2000)
         y = synth_signal(bench_signal(), x) + rng.normal(0.0, 1e-2, 2000)
         data = Dataset(x=x, y=y, sigma_sq=1e-4)
-        q = mf_fit(design_matrix(BASIS, x, 30), data)
+        q = mf_fit(design_matrix(x, 30), data)
         assert q.converged
         rounding = 16 * np.finfo(float).eps * float(y @ y) / data.sigma_sq
         assert np.all(np.diff(q.elbo_path) >= -rounding)
@@ -253,7 +238,7 @@ class TestFit:
         assert not q.converged
 
     def test_rejects_empty_data(self):
-        dm = design_matrix(BASIS, np.array([]), 2)
+        dm = design_matrix(np.array([]), 2)
         with pytest.raises(ValueError):
             mf_fit(dm, Dataset(x=np.array([]), y=np.array([]), sigma_sq=1.0))
 
@@ -266,16 +251,20 @@ class TestLockstepLevels:
     """mf_fit_levels fits a whole truncation grid in one coordinate ascent."""
 
     @staticmethod
-    def _sweep(n=2000, seed=8, powers_of_two=False):
+    def _sweep(n=2000, seed=8, dyadic=False):
+        """The dim grid's levels, or only its powers of two {1, 2, 4, ...},
+        which leave gaps between consecutive levels."""
         data = _simulate(n, seed, sigma_sq=0.25)
-        grid = dim_grid(n, powers_of_two=powers_of_two)
+        grid = dim_grid(n)
         levels = [grid.m_rule(v) for v in grid.values]
-        stats = feature_stats(BASIS, data.x, data.y, max(levels), max(levels))
+        if dyadic:
+            levels = [D for D in levels if D & (D - 1) == 0]
+        stats = feature_stats(data.x, data.y, max(levels), max(levels))
         return stats, levels, data.sigma_sq
 
-    @pytest.mark.parametrize("powers_of_two", [False, True])
-    def test_each_level_matches_its_one_level_fit(self, powers_of_two):
-        stats, levels, s2 = self._sweep(powers_of_two=powers_of_two)
+    @pytest.mark.parametrize("dyadic", [False, True])
+    def test_each_level_matches_its_one_level_fit(self, dyadic):
+        stats, levels, s2 = self._sweep(dyadic=dyadic)
         fits = mf_fit_levels(stats, levels, s2)
         assert sorted(fits) == levels
         for D in levels:
@@ -290,7 +279,7 @@ class TestLockstepLevels:
 
     def test_one_level_is_mf_fit(self):
         dm, data = _random_instance(19)
-        stats = feature_stats(BASIS, data.x, data.y, dm.D, dm.D)
+        stats = feature_stats(data.x, data.y, dm.D, dm.D)
         q = mf_fit_levels(stats, [dm.D], data.sigma_sq)[dm.D]
         ref = mf_fit(dm, data)
         assert len(q.elbo_path) == len(ref.elbo_path)
@@ -380,7 +369,7 @@ class TestScalarReference:
         s2 = float(rng.uniform(0.05, 1.0))
         x = rng.uniform(0.0, 2 * np.pi, size=n)
         y = np.sin(x) + rng.normal(0.0, np.sqrt(s2), size=n)
-        dm = design_matrix(BASIS, x, top)
+        dm = design_matrix(x, top)
         stats = FeatureStats(n=n, colsumsq=np.diag(dm.gram), gram=dm.gram,
                              phi_y=dm.Phi.T @ y, yty=float(y @ y))
         levels = [1, 2, top // 2 + 1, top]
@@ -425,12 +414,12 @@ class TestKl:
                 MeanFieldPosterior(D=dm.D, Sigma_diag=sig, mu=rng.normal(0, 1, dm.D))
             )
             for q in members:
-                gap = log_ev - mf_elbo(q, dm, data, hyper_mass=1.0)
+                gap = log_ev - mf_elbo(q, dm, data)
                 assert gap == pytest.approx(mf_kl_exact(q, dm, data), abs=1e-8)
 
     def test_guard_on_large_n(self):
         x = np.zeros(2001)
-        dm = design_matrix(BASIS, x, 2)
+        dm = design_matrix(x, 2)
         data = Dataset(x=x, y=np.zeros(2001), sigma_sq=1.0)
         q = mf_witness(dm, data)
         with pytest.raises(ValueError):
@@ -446,7 +435,7 @@ class TestNearDiagonalConsistency:
             dists = []
             for seed in range(10):
                 data = _simulate(n, 1000 + seed)
-                dm = design_matrix(BASIS, data.x, D)
+                dm = design_matrix(data.x, D)
                 q = mf_fit(dm, data)
                 mu_hat, _ = _exact_weight_posterior(dm, data)
                 dists.append(np.linalg.norm(q.mu - mu_hat) / np.linalg.norm(mu_hat))
@@ -462,7 +451,7 @@ class TestPredict:
         dm, data = _random_instance(16)
         q = mf_fit(dm, data)
         query = np.linspace(0, 2 * np.pi, 17)
-        post = mf_predict(q, BASIS, query)
+        post = mf_predict(q, query)
         assert post.mean.shape == (17,)
         assert post.cov.shape == (17, 17)
         np.testing.assert_allclose(post.cov, post.cov.T, atol=1e-12)
@@ -472,12 +461,12 @@ class TestPredict:
         dm, data = _random_instance(17)
         q = mf_fit(dm, data)
         query = np.array([0.1, 3.0, 6.0])
-        post = mf_predict(q, BASIS, query)
+        post = mf_predict(q, query)
         np.testing.assert_allclose(post.mean, BASIS.features(query, q.D) @ q.mu, atol=1e-14)
 
     def test_band_covers_mean(self):
         dm, data = _random_instance(18)
         q = mf_fit(dm, data)
-        post = mf_predict(q, BASIS, np.linspace(0, 6, 9))
+        post = mf_predict(q, np.linspace(0, 6, 9))
         lo, hi = post.band95()
         assert np.all(lo <= post.mean) and np.all(post.mean <= hi)

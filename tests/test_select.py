@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gpadapt.select as select_module
-from gpadapt.basis import EigenBasis, PolyDecay, SeriesPrior
+from gpadapt.basis import BASIS, PolyDecay, SeriesPrior
 from gpadapt.errors import ConditioningError
 from gpadapt.exact import (
     Dataset,
@@ -38,8 +38,6 @@ from gpadapt.select import (
     select_discrete,
     tune_continuous,
 )
-
-BASIS = EigenBasis()
 
 
 class TestPolyGrid:
@@ -79,28 +77,26 @@ class TestExpGrid:
     def test_example_values(self):
         # floor(log(22027)/5) = 2 -> {e^-2, e^-1}; 22026 sits just below
         # 10.0 in log and keeps only one point
-        grid = exp_grid(2.0, 1, 22_027)
+        grid = exp_grid(2.0, 22_027)
         np.testing.assert_allclose(grid.values, [np.exp(-2.0), np.exp(-1.0)])
-        assert len(exp_grid(2.0, 1, 22_026)) == 1
+        assert len(exp_grid(2.0, 22_026)) == 1
 
     def test_m_rule(self):
         # ceil(e^2 * log(1e4)^2) = 627
-        assert exp_grid(0.5, 1, 10_000).m_rule(np.exp(-2.0)) == 627
+        assert exp_grid(0.5, 10_000).m_rule(np.exp(-2.0)) == 627
 
     def test_values_in_unit_interval(self):
-        grid = exp_grid(0.5, 1, 10_000)
+        grid = exp_grid(0.5, 10_000)
         assert np.all(grid.values > 0)
         assert np.all(grid.values <= np.exp(-1.0) + 1e-15)
 
     def test_too_small_n_raises(self):
         with pytest.raises(ValueError):
-            exp_grid(2.0, 1, 100)  # floor(log(100)/5) = 0
+            exp_grid(2.0, 100)  # floor(log(100)/5) = 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            exp_grid(0.0, 1, 10_000)
-        with pytest.raises(ValueError):
-            exp_grid(1.0, 0, 10_000)
+            exp_grid(0.0, 10_000)
 
 
 class TestDimGrid:
@@ -109,10 +105,6 @@ class TestDimGrid:
         np.testing.assert_array_equal(grid.values, np.arange(1, 11))
         np.testing.assert_allclose(grid.masses, np.full(10, 0.1))
         assert grid.m_rule(7.0) == 7
-
-    def test_powers_of_two(self):
-        np.testing.assert_array_equal(dim_grid(100, powers_of_two=True).values,
-                                      [1, 2, 4, 8])
 
     def test_tiny_n(self):
         assert list(dim_grid(1).values) == [1.0]
@@ -147,14 +139,14 @@ def _stub_fitter(table):
 class TestSelectDiscrete:
     def test_uniform_masses_pick_larger_bound(self):
         grid = _stub_grid([1.0, 2.0], [0.5, 0.5])
-        report = select_discrete(grid, None, _stub_fitter({1.0: 5.0, 2.0: 7.0}))
+        report = select_discrete(grid, _stub_fitter({1.0: 5.0, 2.0: 7.0}))
         assert report.chosen == 2.0
         assert report.posterior == ("fit", 2.0)
 
     def test_mass_weighting_flips_choice(self):
         # 5 + log(0.9) = 4.894639 beats 7 + log(0.1) = 4.697415
         grid = _stub_grid([1.0, 2.0], [0.9, 0.1])
-        report = select_discrete(grid, None, _stub_fitter({1.0: 5.0, 2.0: 7.0}))
+        report = select_discrete(grid, _stub_fitter({1.0: 5.0, 2.0: 7.0}))
         assert report.chosen == 1.0
         assert report.record_for(1.0).elbo == pytest.approx(4.894639484342174)
         assert report.record_for(2.0).elbo == pytest.approx(4.697414907005955)
@@ -165,14 +157,14 @@ class TestSelectDiscrete:
         masses = rng.dirichlet(np.ones(6))
         masses = masses / masses.sum()
         table = dict(zip(values, rng.normal(0, 10, 6)))
-        report = select_discrete(_stub_grid(values, masses), None,
+        report = select_discrete(_stub_grid(values, masses),
                                  _stub_fitter(table))
         for rec in report.records:
             assert rec.elbo == rec.elbo_lambda + rec.log_mass
 
     def test_tie_goes_to_smaller(self):
         grid = _stub_grid([1.0, 2.0, 3.0], [1 / 3] * 3)
-        report = select_discrete(grid, None,
+        report = select_discrete(grid,
                                  _stub_fitter({1.0: 4.0, 2.0: 9.0, 3.0: 9.0}))
         assert report.chosen == 2.0
 
@@ -183,7 +175,7 @@ class TestSelectDiscrete:
             return ("fit", lam), 3.0
 
         grid = _stub_grid([1.0, 2.0], [0.5, 0.5])
-        report = select_discrete(grid, None, fitter)
+        report = select_discrete(grid, fitter)
         assert report.chosen == 2.0
         rec = report.record_for(1.0)
         assert rec.error is not None and "boom" in rec.error
@@ -194,7 +186,7 @@ class TestSelectDiscrete:
             raise ConditioningError("nope")
 
         with pytest.raises(ConditioningError):
-            select_discrete(_stub_grid([1.0, 2.0], [0.5, 0.5]), None, fitter)
+            select_discrete(_stub_grid([1.0, 2.0], [0.5, 0.5]), fitter)
 
     def test_uniform_equivalence_on_random_grids(self):
         rng = np.random.default_rng(42)
@@ -206,7 +198,7 @@ class TestSelectDiscrete:
             bounds = rng.normal(0, 50, k)
             table = dict(zip(values, bounds))
             report = select_discrete(
-                _stub_grid(values, np.full(k, 1.0 / k)), None,
+                _stub_grid(values, np.full(k, 1.0 / k)),
                 _stub_fitter(table))
             assert report.chosen == values[int(np.argmax(bounds))]
 
@@ -222,7 +214,7 @@ class TestSelectDiscrete:
                                         data.x, grid.m_rule(alpha))
             return titsias_fit(model, data), elbo_lambda(model, data)
 
-        report = select_discrete(grid, data, fitter)
+        report = select_discrete(grid, fitter)
         assert isinstance(report.posterior, VariationalGP)
         assert report.chosen in grid.values
         for rec in report.records:
@@ -231,7 +223,7 @@ class TestSelectDiscrete:
             assert rec.wall_time >= 0.0
 
     def test_record_for_missing_key(self):
-        report = select_discrete(_stub_grid([1.0], [1.0]), None,
+        report = select_discrete(_stub_grid([1.0], [1.0]),
                                  _stub_fitter({1.0: 2.0}))
         with pytest.raises(KeyError):
             report.record_for(9.9)
@@ -256,7 +248,7 @@ class TestSelectorConsistency:
                     grid.m_rule(alpha))
                 return None, elbo_lambda(model, data)
 
-            chosen.append(select_discrete(grid, data, fitter).chosen)
+            chosen.append(select_discrete(grid, fitter).chosen)
         assert abs(np.median(chosen) - 1.0) <= 0.3
 
 

@@ -1,11 +1,13 @@
-"""Every imported name and every private definition in the package is used.
+"""Every imported name, private definition and parameter in the package is
+used.
 
 Standard-library ``ast`` scans. A name bound by ``import`` or
 ``from ... import`` in a module under ``src/gpadapt`` (``__init__.py``
 aside, which exists to re-export) must appear in that module's code, in a
 quoted annotation, or in its ``__all__``. A module-level private function,
 class or constant must be referenced somewhere in ``src/gpadapt`` outside
-its own definition.
+its own definition. Every parameter of a function or method (``self`` and
+``cls`` aside) must be read in that function's body.
 """
 
 import ast
@@ -113,3 +115,27 @@ def test_every_private_definition_is_referenced():
 
 def test_scan_sees_the_package():
     assert {"exact.py", "inducing.py", "experiments.py"} <= set(MODULES)
+
+
+def _parameters(fn: ast.FunctionDef | ast.AsyncFunctionDef):
+    args = fn.args
+    for arg in (*args.posonlyargs, *args.args, args.vararg,
+                *args.kwonlyargs, args.kwarg):
+        if arg is not None and arg.arg not in ("self", "cls"):
+            yield arg.arg
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module):
+    """A parameter that no line of its function reads is a setting with no
+    effect: every caller's value gives the same result."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{fn.name}({name}) (line {fn.lineno})"
+                   for name in _parameters(fn) if name not in read]
+    assert not unread, f"{module} has unread parameters: {', '.join(unread)}"
