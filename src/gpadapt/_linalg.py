@@ -4,10 +4,11 @@ Cholesky policy, used wherever a factorization might meet a semidefinite
 matrix: start at 1e-10 * mean(diag), escalate by factors of 10 up to
 1e-4 * mean(diag), then give up with :class:`ConditioningError`. The
 whitened m x m solves factor G = W W' by :func:`eigh_psd` instead, so every
-noise variance costs O(m) after one eigendecomposition. :func:`brent_bounded`
-is the one bounded 1-D search of the package. scipy serves only
-:func:`chol_solve`, which the n x n kernel-form references call, and is
-imported there.
+noise variance costs O(m) after one eigendecomposition.
+:func:`pivoted_cholesky` factors a kernel of low numerical rank from its
+columns alone. :func:`brent_bounded` is the one bounded 1-D search of the
+package. scipy serves only :func:`chol_solve`, which the n x n kernel-form
+references call, and is imported there.
 """
 
 from __future__ import annotations
@@ -61,6 +62,39 @@ def eigh_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConditioningError("matrix has non-finite entries; cannot factor")
     lam, vecs = np.linalg.eigh(mat)
     return np.clip(lam, 0.0, None), vecs
+
+
+def pivoted_cholesky(column: Callable[[int], np.ndarray], diag: np.ndarray,
+                     tol: float, max_rank: int
+                     ) -> tuple[np.ndarray, float] | None:
+    """Greedy pivoted Cholesky of a positive semidefinite n x n matrix K.
+
+    ``column(i)`` returns the fresh column K[:, i] (it may be overwritten)
+    and ``diag`` is the diagonal of K. Each step pivots on the largest
+    residual diagonal entry, builds that one column and updates it against
+    the rows found so far in O(n k), so K itself is never formed
+    (Harbrecht, Peters & Schneider 2012). Returns ``(L, residual)`` with L
+    of shape (k, n), K ~ L'L, and the residual trace tr(K - L'L) <= ``tol``;
+    or None once ``max_rank`` steps have not reached ``tol``.
+    """
+    d = np.array(diag, dtype=float)
+    n = d.size
+    L = np.empty((min(max_rank, n), n))
+    residual = float(d.sum())
+    k = 0
+    while residual > tol:
+        if k == L.shape[0]:
+            return None
+        i = int(d.argmax())
+        row = column(i)
+        row -= L[:k, i] @ L[:k]
+        row *= 1.0 / math.sqrt(d[i])
+        L[k] = row
+        row *= row
+        d -= row
+        residual = float(d.sum())
+        k += 1
+    return L[:k], residual
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -73,8 +73,9 @@ class Dataset:
                 i = int(bad[0])
                 raise ValueError(f"{name} must be finite: {name}[{i}] = "
                                  f"{float(values[i])}")
-        if not self.sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
+        if not (self.sigma_sq > 0 and math.isfinite(self.sigma_sq)):
+            raise ValueError("sigma_sq must be positive and finite, "
+                             f"got {self.sigma_sq}")
 
     @property
     def n(self) -> int:
@@ -211,7 +212,9 @@ class GaussianPosterior:
         x -> k0(x, x) (both zero when None). Mean rule x -> F(x) w,
         evaluated over blocks of ``MEAN_BLOCK`` points, covariance rule
         (x, x') -> k0(x, x') + F(x) C F(x')', and query variance
-        k0(x, x) + the row sums of (F C) * F.
+        k0(x, x) + the row sums of (F C) * F. A query of at most
+        ``MEAN_BLOCK`` points reads its mean off the F built for its
+        variance, as the one block the mean rule would build.
         """
         if (prior_cov is None) != (prior_var is None):
             raise ValueError("prior_cov and prior_var go together")
@@ -238,7 +241,8 @@ class GaussianPosterior:
         var = np.einsum("ij,ij->i", times_C(F), F)
         if prior_var is not None:
             var += prior_var(query)
-        return cls(query, mean_fn(query), var, mean_fn, cov_fn)
+        mean = F @ weights if query.size <= MEAN_BLOCK else mean_fn(query)
+        return cls(query, mean, var, mean_fn, cov_fn)
 
     def band95(self) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise central 95 percent band on the query grid."""

@@ -45,12 +45,12 @@ from .meanfield import mf_fit_levels, mf_predict
 from .select import (
     SelectionRecord,
     SelectionReport,
-    coarse_init,
+    _coarse_scan,
+    _tune,
     dim_grid,
     exp_grid,
     poly_grid,
     select_discrete,
-    tune_continuous,
 )
 
 __all__ = [
@@ -127,8 +127,9 @@ class ExperimentConfig:
                 raise ValueError('sigma_sq must be positive or "estimate"')
             if self.prior == "dim":
                 raise ValueError('prior "dim" needs a fixed sigma_sq')
-        elif not self.sigma_sq > 0:
-            raise ValueError('sigma_sq must be positive or "estimate"')
+        elif not (self.sigma_sq > 0 and math.isfinite(self.sigma_sq)):
+            raise ValueError('sigma_sq must be positive and finite, or '
+                             f'"estimate"; got {self.sigma_sq}')
 
     @property
     def estimate_noise(self) -> bool:
@@ -208,8 +209,9 @@ def simulate_poly(n: int, seed: int, sigma_sq: float = DEFAULT_NOISE_SQ
     """Benchmark draw: uniform design on the basis domain, Gaussian noise."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not sigma_sq > 0:
-        raise ValueError("sigma_sq must be positive")
+    if not (sigma_sq > 0 and math.isfinite(sigma_sq)):
+        raise ValueError("sigma_sq must be positive and finite, "
+                         f"got {sigma_sq}")
     return _draw(_BENCH_SPEC, n, seed, sigma_sq), _BENCH_SPEC
 
 
@@ -535,19 +537,18 @@ def _fit_kernel(config: ExperimentConfig, data: Dataset):
         raise ValueError("continuous tuning needs at least two points")
     m = min(config.m if config.m is not None else 150, data.n)
     bounds = _continuous_bounds(data)
-    if config.estimate_noise:
-        free = (True, True, True)
-        init = coarse_init(data, m, bounds, objective="elbo")
-    else:
+    free = (True, True, True)
+    if not config.estimate_noise:
         sigma0 = math.sqrt(config.sigma_sq)
         lo, hi = bounds[0]
         bounds[0] = (min(lo, sigma0), max(hi, sigma0))
         free = (False, True, True)
-        init0 = coarse_init(data.with_sigma_sq(config.sigma_sq), m, bounds,
-                            objective="elbo")
-        init = (sigma0, init0[1], init0[2])
-    rep = tune_continuous(data, m, init, bounds, free=free,
-                          objective="elbo", maxiter=200)
+    # the scan's factor at its tau serves the tune's first tau; it reads
+    # the design and y alone, so a fixed noise shares it too
+    init, start = _coarse_scan(data, m, bounds, "elbo")
+    if not config.estimate_noise:
+        init = (sigma0, *init[1:])
+    rep = _tune(data, m, init, bounds, free, "elbo", 200, start)
     sigma, nu, tau = rep.chosen
     s2 = float(sigma) ** 2
     chosen = {"sigma": float(sigma), "nu": float(nu), "tau": float(tau),

@@ -38,7 +38,10 @@ matrix products), they let every candidate be scored and fitted in
 O(m^3 + J) (:func:`population_candidate`).
 Sample features have G = diag(eigenvalues), so the bound and q(u) of
 every nu K read off one eigendecomposition of K (:class:`_EigenFactor`),
-which the tuner and the sample-feature sweep both score and fit from.
+which the tuner and the sample-feature sweep both score and fit from. It
+comes either from the n x n matrix K or, for a kernel of low numerical
+rank r, from a factor K ~ L L' with L of size n x r, through the r x r
+eigenproblem of L'L.
 """
 
 from __future__ import annotations
@@ -327,9 +330,11 @@ class _EigenFactor:
     """Sample-feature model of every multiple nu K of a kernel matrix K.
 
     ``lam`` and ``V`` are the eigenpairs of K that :func:`sample_features`
-    keeps, ``p = V'y``, ``gap = tr K - sum lam``; ``dropped`` counts those
-    cut. nu K has G = nu diag(lam) and W y = sqrt(nu lam) p, so its bound
-    costs O(m) and its q(u) O(m^2), with no further eigendecomposition.
+    keeps, ``p = V'y``, ``gap = tr K - sum lam``; ``dropped`` counts the m
+    requested less those kept, and ``rank`` is the rank of the matrix the
+    eigenpairs come from (n for K itself). nu K has G = nu diag(lam) and
+    W y = sqrt(nu lam) p, so its bound costs O(m) and its q(u) O(m^2), with
+    no further eigendecomposition.
     """
 
     lam: np.ndarray
@@ -340,15 +345,44 @@ class _EigenFactor:
     gap: float
     n: int
     dropped: int
+    rank: int
+
+    @classmethod
+    def _build(cls, lam: np.ndarray, V: np.ndarray, y: np.ndarray, m: int,
+               trace: float, rank: int) -> "_EigenFactor":
+        p, yty = V.T @ y, float(y @ y)
+        return cls(lam=lam, V=V, p=p, yty=yty, rest=yty - float(p @ p),
+                   gap=trace - float(np.sum(lam)), n=y.size,
+                   dropped=m - lam.size, rank=rank)
 
     @classmethod
     def from_kernel(cls, K: np.ndarray, y: np.ndarray, m: int
                     ) -> "_EigenFactor":
+        """From the n x n matrix K: one n x n eigendecomposition."""
         lam, V = _top_eigenpairs(K, m)
-        p, yty = V.T @ y, float(y @ y)
-        return cls(lam=lam, V=V, p=p, yty=yty, rest=yty - float(p @ p),
-                   gap=float(np.trace(K)) - float(np.sum(lam)), n=y.size,
-                   dropped=m - lam.size)
+        return cls._build(lam, V, y, m, float(np.trace(K)), y.size)
+
+    @classmethod
+    def from_factor(cls, L: np.ndarray, y: np.ndarray, m: int, trace: float
+                    ) -> "_EigenFactor":
+        """From a low-rank factor K ~ L L' (L of size n x r) and tr K.
+
+        The eigenpairs of the r x r matrix L'L = Q diag(lam) Q' give those of
+        L L': lam and V = L Q diag(lam)^(-1/2). The top min(m, r) go through
+        the drop rule of :func:`sample_features`, with its n; the trace of K
+        the factor misses lands in ``gap``. O(r^2 n + r^3 + m r n).
+        """
+        n, r = L.shape
+        if not 1 <= m <= n:
+            raise ValueError("m must lie in 1..n")
+        vals, Q = np.linalg.eigh(L.T @ L)
+        vals, Q = vals[::-1][:m], Q[:, ::-1][:, :m]  # descending
+        keep = vals > max(vals[0], 0.0) * n * np.finfo(float).eps
+        if not np.any(keep):
+            raise ConditioningError("kernel matrix has no positive eigenvalues")
+        vals = vals[keep]
+        return cls._build(vals, L @ (Q[:, keep] / np.sqrt(vals)), y, m,
+                          trace, r)
 
     def profile(self, nu: float) -> Callable[[float], float]:
         """The collapsed bound of nu K as a function of sigma^2."""

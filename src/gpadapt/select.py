@@ -11,13 +11,18 @@ The continuous tuner fits (sigma, nu, tau) of the squared-exponential
 kernel nu exp(-(x - x')^2 / tau^2). Its eigenvectors depend on tau alone
 and nu only scales its eigenvalues, so the unit-variance kernel is
 factorized once per tau; in that eigenbasis the collapsed bound at any
-(sigma, nu) is a closed form costing O(m). A bounded 1-D search over
-log tau calls that factorization, and at each tau the free (sigma, nu)
-are solved within their bounds by one more bounded 1-D search, with the
-noise profiled out in closed form. The bound and q(u) reported come from
-the factorization at the chosen tau. The exact evidence is the same bound
-at m = n. Every search is the package's own Brent search
-(:func:`~gpadapt._linalg.brent_bounded`), so this module needs numpy alone.
+(sigma, nu) is a closed form costing O(m). The factorization is a greedy
+pivoted Cholesky factor of rank r, built one kernel column at a time, and
+the r x r eigenproblem behind it, O(n r^2 + r^3); a kernel whose rank
+passes a cap fitted to timings of both routes is factorized whole, by one
+n x n eigendecomposition, instead. A bounded 1-D search over log tau calls
+that factorization, and at each tau the free (sigma, nu) are solved within
+their bounds by one more bounded 1-D search, with the noise profiled out
+in closed form. The coarse scan's factor at its winning tau starts that
+search. The bound and q(u) reported come from the factorization at the
+chosen tau. The exact evidence is the same bound at m = n. Every search is
+the package's own Brent search (:func:`~gpadapt._linalg.brent_bounded`),
+so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import brent_bounded
+from ._linalg import brent_bounded, pivoted_cholesky
 from .errors import ConditioningError
 from .exact import (Dataset, SquaredExponential, exact_posterior,
                     kernel_matrix, log_evidence)
@@ -209,10 +214,51 @@ _GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
 _NAMES = ("sigma", "nu", "tau")
 
 
+#: cost model of :func:`_pivot_cap`, in multiply-adds: the Python and numpy
+#: calls of one pivoted step, the r x r eigenproblem per r^3, the kernel
+#: matrix per entry and the n x n eigendecomposition per n^3; fitted to
+#: timings of both routes over n from 100 to 1000 and ranks from 0.06 n to
+#: 0.95 n (the n x n route at ranks above 0.6 n, near the crossover)
+_STEP_OPS = 60_000
+_GRAM_EIG_OPS = 1.0
+_KERNEL_OPS = 430
+_EIG_OPS = 0.48
+
+
+def _pivot_cap(n: int) -> int:
+    """Most pivoted-Cholesky steps :func:`_factor` takes for n points.
+
+    At rank r the pivoted route (the steps, then the r x r eigenproblem of
+    :meth:`_EigenFactor.from_factor`) costs about
+    ``_STEP_OPS`` r + n r^2 + ``_GRAM_EIG_OPS`` r^3 multiply-adds, the
+    n x n route (kernel and eigendecomposition) about
+    ``_KERNEL_OPS`` n^2 + ``_EIG_OPS`` n^3; the cap is the largest r at
+    which the first is no dearer, and below n, so that rank n marks a
+    factor of the whole kernel.
+    """
+    r = np.arange(n + 1.0)
+    pivoted = r * (_STEP_OPS + r * (n + _GRAM_EIG_OPS * r))
+    cap = np.count_nonzero(pivoted <= n * n * (_KERNEL_OPS + _EIG_OPS * n))
+    return min(int(cap) - 1, n - 1)
+
+
 def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
-    """The one factorization at ``tau``, of the unit-variance kernel."""
-    return _EigenFactor.from_kernel(
-        kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, rank)
+    """The one factorization at ``tau``, of the unit-variance kernel.
+
+    Greedy pivoted Cholesky down to a residual trace of n^2 eps, about what
+    the drop rule discards, then :meth:`_EigenFactor.from_factor`; a kernel
+    whose rank passes :func:`_pivot_cap` is factorized whole instead
+    (:meth:`_EigenFactor.from_kernel`).
+    """
+    n = data.n
+    xs = data.x / tau
+    piv = pivoted_cholesky(lambda i: np.exp(-np.square(xs - xs[i])),
+                           np.ones(n), n * n * np.finfo(float).eps,
+                           _pivot_cap(n))
+    if piv is None:
+        return _EigenFactor.from_kernel(
+            kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, rank)
+    return _EigenFactor.from_factor(piv[0].T, data.y, rank, float(n))
 
 
 def _rank(objective: str, m: int, n: int) -> int:
@@ -237,12 +283,19 @@ def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
     Lattice taus whose factorization fails are skipped; raises if every
     one fails.
     """
+    return _coarse_scan(data, m, bounds, objective)[0]
+
+
+def _coarse_scan(data: Dataset, m: int, bounds: Sequence[tuple],
+                 objective: str) -> tuple[tuple, _EigenFactor]:
+    """:func:`coarse_init`'s triple and the factor at its tau, which
+    :func:`_tune` takes over instead of factorizing that tau again."""
     rank = _rank(objective, m, data.n)
     sigmas, nus, taus = (
         np.exp(np.linspace(np.log(lo), np.log(hi),
                            COARSE_POINTS_PER_AXIS + 2))[1:-1]
         for lo, hi in bounds)
-    best = None
+    best = None  # (value, triple, factor)
     for tau in taus:
         try:
             fac = _factor(data, rank, float(tau))
@@ -252,10 +305,11 @@ def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
             for nu in nus:
                 val = fac.bound(sigma, nu)
                 if best is None or val > best[0]:
-                    best = (val, (float(sigma), float(nu), float(tau)))
+                    best = (val, (float(sigma), float(nu), float(tau)), fac)
+        del fac  # a losing factor goes before the next is built
     if best is None:
         raise ConditioningError("every coarse-grid evaluation failed")
-    return best[1]
+    return best[1], best[2]
 
 
 #: absolute tolerance of the (sigma, nu) search at one tau, in log units
@@ -383,17 +437,29 @@ def tune_continuous(data: Dataset, m: int,
     sample-spectral model; ``objective="evidence"`` maximizes the exact
     marginal likelihood (the empirical-Bayes reference), which is the same
     bound at m = n. The kernel is factorized once per length-scale tau
-    (:class:`_EigenFactor`): a bounded 1-D search over log tau starts at
+    (:func:`_factor`): a bounded 1-D search over log tau starts at
     ``init`` and takes at most ``maxiter`` steps, and at each tau the free
     (sigma, nu) are solved within the bounds in O(m) per evaluation.
     ``free`` pins coordinates (False entries stay at ``init``); a pinned tau
     makes one factorization. The report's posterior is a callable mapping
     query points to a Gaussian law; for ``"elbo"``, it and the bound come
     from the factorization at the chosen tau. Its diagnostics hold the tau
-    steps (``iterations``), the factorizations (``evaluations``) and how many
-    failed, whether the tau search met its tolerance, the names ``pinned``
-    at bounds and the eigenvalues dropped at the chosen tau.
+    steps (``iterations``), the taus factorized (``evaluations``) and how
+    many failed, whether the tau search met its tolerance, the names
+    ``pinned`` at bounds, the eigenvalues dropped at the chosen tau, the
+    rank of that tau's factor (``factor_rank``, n when it was factorized
+    whole) and how many taus were factorized whole
+    (``full_factorizations``).
     """
+    return _tune(data, m, init, bounds, free, objective, maxiter)
+
+
+def _tune(data: Dataset, m: int, init: Sequence[float],
+          bounds: Sequence[tuple], free: Sequence[bool], objective: str,
+          maxiter: int, start: _EigenFactor | None = None
+          ) -> SelectionReport:
+    """:func:`tune_continuous`; ``start``, when given, is the factor at
+    init's tau (from :func:`_coarse_scan`) and serves that tau."""
     rank = _rank(objective, m, data.n)
     init = np.asarray(init, dtype=float)
     free = np.asarray(free, dtype=bool)
@@ -414,6 +480,7 @@ def tune_continuous(data: Dataset, m: int,
     log_lo, log_hi = np.log(lo), np.log(hi)
     n_evals = 0
     n_fails = 0
+    n_full = 0
     best = None  # (bound, log (sigma, nu, tau), factor)
     seen: dict[float, float] = {}  # tau -> profile value
 
@@ -421,17 +488,20 @@ def tune_continuous(data: Dataset, m: int,
         """Best bound over the free (sigma, nu) at tau = e^t; a tau the
         search revisits (Brent's first point can be the walk's last probe,
         or a log tau one ulp from it) is read back, not factorized again."""
-        nonlocal n_evals, n_fails, best
+        nonlocal n_evals, n_fails, n_full, best, start
         tau = math.exp(t)
         if tau in seen:
             return seen[tau]
         n_evals += 1
+        fac, start = start, None  # a handed factor serves the first tau
         try:
-            fac = _factor(data, rank, tau)
+            if fac is None:
+                fac = _factor(data, rank, tau)
         except _FAIL:
             n_fails += 1
             value = -np.inf
         else:
+            n_full += fac.rank == data.n
             value, z = _solve_sigma_nu(fac, log_init[:2], free[:2],
                                        log_lo[:2], log_hi[:2])
             if best is None or value > best[0]:
@@ -476,4 +546,6 @@ def tune_continuous(data: Dataset, m: int,
         chosen=(sigma, nu, kern.tau), posterior=handle, records=[record],
         diagnostics={"iterations": iterations, "evaluations": n_evals,
                      "failures": n_fails, "converged": converged,
-                     "pinned": pinned, "dropped_eigenvalues": fac.dropped})
+                     "pinned": pinned, "dropped_eigenvalues": fac.dropped,
+                     "factor_rank": fac.rank,
+                     "full_factorizations": n_full})

@@ -128,6 +128,28 @@ class TestNonFiniteInput:
         assert "sigma_sq must be positive" not in err
 
 
+class TestNonFiniteNoiseVariance:
+    """A noise variance of inf or nan is refused where it enters, by name."""
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["select", "--n", "50"],
+        ["simulate", "--n", "5"],
+        ["fit", "--data", None],
+    ], ids=["select", "simulate", "fit"])
+    def test_exits_two_naming_sigma_sq(self, tmp_path, capsys, command,
+                                       value):
+        if "--data" in command:
+            command = command[:-1] + [str(_write_series_csv(
+                tmp_path / "series.csv"))]
+        code = main(command + ["--sigma2", value, "--out",
+                               str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sigma_sq must be positive and finite" in err
+        assert "y must be finite" not in err
+
+
 class TestDesignOutsideDomain:
     def test_select_names_the_span(self, tmp_path, capsys):
         # a series timed in seconds lies outside the basis domain
@@ -166,10 +188,13 @@ class TestFitAndRunningCommands:
         row = json.loads((out / "report.json").read_text())["selection"][0]
         diag = row["diagnostics"]
         assert set(diag) == {"iterations", "evaluations", "failures",
-                             "converged", "pinned", "dropped_eigenvalues"}
+                             "converged", "pinned", "dropped_eigenvalues",
+                             "factor_rank", "full_factorizations"}
         assert diag["evaluations"] >= 1 and diag["failures"] == 0
         assert isinstance(diag["pinned"], list)
         assert diag["dropped_eigenvalues"] >= 0
+        assert 1 <= diag["factor_rank"] <= 40
+        assert 0 <= diag["full_factorizations"] <= diag["evaluations"]
         header = (out / "selection.csv").read_text().splitlines()[0]
         assert header == ("lam,log_mass,elbo_lambda,elbo,m,sigma_sq,"
                           "wall_time,error")

@@ -23,7 +23,7 @@ from gpadapt.basis import (
     _trig_moments,
     synth_signal,
 )
-from gpadapt.exact import Dataset, GaussianPosterior
+from gpadapt.exact import MEAN_BLOCK, Dataset, GaussianPosterior
 from gpadapt.experiments import (
     ExperimentConfig,
     _make_fitter,
@@ -236,6 +236,24 @@ class TestPopulationCandidate:
         xs = np.linspace(0.0, 2.0 * np.pi, 257)
         np.testing.assert_array_equal(predict_mean(q, xs),
                                       predict(q, xs).mean)
+
+    @pytest.mark.parametrize("size", [257, MEAN_BLOCK + 3])
+    def test_query_features_are_built_once(self, size):
+        # a query of one mean block reads its mean off the variance's F
+        m = 9
+        s2 = SeriesPrior(PolyDecay(1.2)).spectrum(np.arange(1, m + 1)) ** 2
+        w = np.random.default_rng(2).standard_normal(m)
+        calls = []
+
+        def features(x):
+            calls.append(x.size)
+            return BASIS.features(x, m) * s2
+
+        xs = np.linspace(0.0, 2.0 * np.pi, size)
+        post = GaussianPosterior.from_features(xs, features, w, np.ones(m))
+        assert calls == ([size] if size <= MEAN_BLOCK
+                         else [size, MEAN_BLOCK, 3])
+        np.testing.assert_array_equal(post.mean, post.mean_fn(xs))
 
     @pytest.mark.parametrize("rule", ["predict_mean", "from_features"])
     def test_mean_rules_stay_below_the_feature_block(self, rule):

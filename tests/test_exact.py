@@ -53,6 +53,18 @@ class TestDataset:
                            match=rf"^{name} must be finite: {name}\[3\]"):
             Dataset(arrays["x"], arrays["y"], 0.1)
 
+    @pytest.mark.parametrize("sigma_sq", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_noise_variance_outside_the_positive_reals(self,
+                                                               sigma_sq):
+        with pytest.raises(ValueError,
+                           match="^sigma_sq must be positive and finite"):
+            Dataset(np.linspace(0.0, 1.0, 4), np.ones(4), sigma_sq)
+
+    def test_with_sigma_sq_checks_the_new_value(self):
+        data = Dataset(np.linspace(0.0, 1.0, 4), np.ones(4), 0.1)
+        with pytest.raises(ValueError, match="sigma_sq"):
+            data.with_sigma_sq(np.inf)
+
 
 class TestKernels:
     def test_squared_exponential_value(self):

@@ -58,6 +58,10 @@ class TestSimulatePoly:
             simulate_poly(0, seed=0)
         with pytest.raises(ValueError):
             simulate_poly(10, seed=0, sigma_sq=0.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma_sq must be positive"
+                                                 " and finite"):
+                simulate_poly(10, seed=0, sigma_sq=bad)
 
 
 class TestLoadRunningCsv:
@@ -134,6 +138,10 @@ class TestExperimentConfig:
             ExperimentConfig(sigma_sq="guess")
         with pytest.raises(ValueError):
             ExperimentConfig(sigma_sq=-0.5)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="sigma_sq must be positive"
+                                                 " and finite"):
+                ExperimentConfig(sigma_sq=bad)
         with pytest.raises(ValueError):
             ExperimentConfig(query_points=0)
 

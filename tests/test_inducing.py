@@ -19,6 +19,7 @@ from gpadapt.exact import (
     log_evidence,
 )
 from gpadapt.inducing import (
+    _EigenFactor,
     elbo_at,
     elbo_lambda,
     elbo_profile,
@@ -32,6 +33,21 @@ from gpadapt.inducing import (
     titsias_fit,
 )
 from gpadapt.meanfield import design_matrix, mf_fit, mf_predict
+
+
+def _se_factor_case(n, span, tau, seed=3):
+    """An SE draw's design and response, its unit-variance kernel matrix and
+    a pivoted-Cholesky factor of that kernel (residual trace <= n^2 eps)."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, span, n))
+    K = kernel_matrix(SquaredExponential(1.0, tau), x)
+    y = (np.linalg.cholesky(2.0 * K + 1e-10 * np.eye(n))
+         @ rng.standard_normal(n) + rng.standard_normal(n))
+    xs = x / tau
+    L, _ = _linalg.pivoted_cholesky(
+        lambda i: np.exp(-np.square(xs - xs[i])), np.ones(n),
+        n * n * np.finfo(float).eps, n)
+    return x, y, K, L.T
 
 
 def _random_series_instance(seed, n_max=40, flavor="population"):
@@ -642,3 +658,48 @@ class TestPredictiveLaw:
         for q in fits:
             lo, hi = predict(q, self.XS).band95()
             assert np.all(lo < hi)
+
+
+class TestFromFactor:
+    """The low-rank constructor scores and fits as the n x n one."""
+
+    def test_below_rank_matches_kernel_route(self):
+        x, y, K, L = _se_factor_case(150, 15.0, 0.8)
+        m = 30
+        low = _EigenFactor.from_factor(L, y, m, float(x.size))
+        full = _EigenFactor.from_kernel(K, y, m)
+        assert low.rank == L.shape[1] > m and full.rank == x.size
+        assert low.dropped == full.dropped == 0
+        for sigma, nu in ((0.5, 1.0), (1.0, 2.0), (0.2, 0.5)):
+            assert low.bound(sigma, nu) == pytest.approx(
+                full.bound(sigma, nu), rel=1e-10)
+        nu, s2 = 2.0, 0.8
+        kern = SquaredExponential(nu, 0.8)
+        query = np.linspace(-1.0, 16.0, 101)
+        got = predict(low.fit(s2, nu, kern, x), query)
+        want = predict(full.fit(s2, nu, kern, x), query)
+        for a, b in ((got.mean, want.mean), (got.var, want.var)):
+            np.testing.assert_allclose(a, b, rtol=1e-8,
+                                       atol=1e-8 * np.max(np.abs(b)))
+
+    def test_above_rank_drops_as_kernel_route(self):
+        x, y, K, L = _se_factor_case(150, 15.0, 4.0)
+        m = 40
+        low = _EigenFactor.from_factor(L, y, m, float(x.size))
+        with pytest.warns(RuntimeWarning, match="dropping"):
+            model = sample_features(K, m)
+        full = _EigenFactor.from_kernel(K, y, m)
+        assert low.rank < m
+        assert low.dropped == full.dropped == m - model.m > 0
+        assert low.lam.size == full.lam.size
+        for sigma, nu in ((0.5, 1.0), (1.0, 2.0)):
+            assert low.bound(sigma, nu) == pytest.approx(
+                full.bound(sigma, nu), rel=1e-10)
+
+    def test_all_features_give_log_evidence(self):
+        x, y, _, L = _se_factor_case(90, 9.0, 0.6)
+        low = _EigenFactor.from_factor(L, y, x.size, float(x.size))
+        for sigma, nu in ((0.7, 1.5), (1.2, 3.0)):
+            evidence = log_evidence(SquaredExponential(nu, 0.6),
+                                    Dataset(x, y, sigma * sigma))
+            assert low.bound(sigma, nu) == pytest.approx(evidence, rel=1e-8)

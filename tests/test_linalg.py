@@ -75,3 +75,34 @@ def test_eigh_psd_clips_and_rejects_non_finite():
     np.testing.assert_allclose((Q * lam) @ Q.T, mat, atol=1e-14)
     with pytest.raises(ConditioningError):
         _linalg.eigh_psd(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def _se_columns(n, tau, seed=0):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 10.0, n)) / tau
+    K = np.exp(-np.square(x[:, None] - x))
+    return K, lambda i: np.exp(-np.square(x - x[i]))
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 4.0])
+def test_pivoted_cholesky_meets_its_tolerance(tau):
+    n = 120
+    K, column = _se_columns(n, tau)
+    tol = n * n * np.finfo(float).eps
+    L, residual = _linalg.pivoted_cholesky(column, np.ones(n), tol, n)
+    assert L.shape[1] == n and L.shape[0] < n
+    assert residual <= tol
+    assert residual == pytest.approx(np.trace(K - L.T @ L), abs=1e-12)
+    # the residual is PSD, so no entry exceeds its trace
+    assert np.max(np.abs(K - L.T @ L)) <= tol
+
+
+def test_pivoted_cholesky_gives_up_at_its_cap():
+    n = 80
+    _, column = _se_columns(n, 0.3)
+    L, _ = _linalg.pivoted_cholesky(column, np.ones(n), 1e-9, n)
+    assert _linalg.pivoted_cholesky(column, np.ones(n), 1e-9,
+                                    L.shape[0] - 1) is None
+    again, _ = _linalg.pivoted_cholesky(column, np.ones(n), 1e-9,
+                                        L.shape[0])
+    assert np.array_equal(again, L)

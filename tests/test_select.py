@@ -23,6 +23,7 @@ from gpadapt.exact import (
 )
 from gpadapt.inducing import (
     VariationalGP,
+    _EigenFactor,
     elbo_lambda,
     population_features,
     predict,
@@ -30,6 +31,7 @@ from gpadapt.inducing import (
     titsias_fit,
 )
 from gpadapt.select import (
+    COARSE_POINTS_PER_AXIS,
     HyperGrid,
     coarse_init,
     dim_grid,
@@ -397,6 +399,24 @@ class TestPerTauFactor:
             assert fac.bound(sigma, nu) == pytest.approx(evidence,
                                                          rel=1e-8)
 
+    def test_each_side_of_the_cap_takes_its_route(self, monkeypatch):
+        data = _se_dataset(21, n=90, span=9.0)
+        calls = _count_factorizations(monkeypatch)
+        cap = select_module._pivot_cap(data.n)
+        low = select_module._factor(data, 25, 3.0)
+        assert calls == ["from_factor"] and low.rank <= cap
+        calls.clear()
+        full = select_module._factor(data, 25, 0.4)
+        assert calls == ["from_kernel"] and full.rank == data.n
+        # a cap above the rank takes the pivoted route at the same tau
+        monkeypatch.setattr(select_module, "_pivot_cap", lambda n: n)
+        calls.clear()
+        again = select_module._factor(data, 25, 0.4)
+        assert calls == ["from_factor"] and cap < again.rank < data.n
+        for sigma, nu, _ in _random_triples(4, 3):
+            assert again.bound(sigma, nu) == pytest.approx(
+                full.bound(sigma, nu), rel=1e-10)
+
     def test_coarse_init_matches_brute_force_lattice(self):
         data = _se_dataset(13, n=60, span=6.0)
         axes = [np.exp(np.linspace(np.log(lo), np.log(hi), 5))[1:-1]
@@ -407,38 +427,61 @@ class TestPerTauFactor:
         assert coarse_init(data, m=15, bounds=TUNE_BOUNDS) == best
 
 
+def _count_factorizations(monkeypatch) -> list[str]:
+    """Record every factorization made, by either constructor's name."""
+    calls = []
+    for name in ("from_kernel", "from_factor"):
+        real = getattr(_EigenFactor, name)
+
+        def counted(cls, *args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_EigenFactor, name, classmethod(counted))
+    return calls
+
+
 class TestTunerFactorizations:
     """The tuner's cost is counted in kernel factorizations, one per tau."""
 
     @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        calls = []
-        real = select_module.kernel_matrix
+    def factorizations(self, monkeypatch):
+        return _count_factorizations(monkeypatch)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(select_module, "kernel_matrix", counted)
-        return calls
-
-    def test_pinned_tau_factorizes_once(self, kernel_calls):
+    def test_pinned_tau_factorizes_once(self, factorizations):
         data = _se_dataset(12, n=60, span=6.0)
         rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
                               bounds=TUNE_BOUNDS, free=(True, True, False))
-        assert len(kernel_calls) == 1
+        assert len(factorizations) == 1
         assert rep.diagnostics["evaluations"] == 1
         assert rep.chosen[2] == pytest.approx(0.7, rel=1e-15)
 
     @pytest.mark.parametrize("maxiter", [3, 8, 200])
-    def test_free_tau_factorizes_at_most_maxiter_plus_two(self, kernel_calls,
-                                                          maxiter):
+    def test_free_tau_factorizes_at_most_maxiter_plus_two(
+            self, factorizations, maxiter):
         data = _se_dataset(12, n=60, span=6.0)
         rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
                               bounds=TUNE_BOUNDS, maxiter=maxiter)
-        assert 1 < len(kernel_calls) <= maxiter + 2
-        assert rep.diagnostics["evaluations"] == len(kernel_calls)
+        assert 1 < len(factorizations) <= maxiter + 2
+        assert rep.diagnostics["evaluations"] == len(factorizations)
         assert rep.diagnostics["iterations"] <= maxiter
+        assert (rep.diagnostics["full_factorizations"]
+                == factorizations.count("from_kernel"))
+
+    def test_coarse_factor_serves_the_first_tau(self, factorizations):
+        data = _se_dataset(12, n=60, span=6.0)
+        init, start = select_module._coarse_scan(data, 20, TUNE_BOUNDS,
+                                                 "elbo")
+        assert len(factorizations) == COARSE_POINTS_PER_AXIS
+        factorizations.clear()
+        rep = select_module._tune(data, 20, init, TUNE_BOUNDS,
+                                  (True, True, True), "elbo", 200, start)
+        assert len(factorizations) == rep.diagnostics["evaluations"] - 1
+        # the same search as from a fresh factorization at init's tau
+        ref = tune_continuous(data, m=20, init=init, bounds=TUNE_BOUNDS)
+        np.testing.assert_allclose(rep.chosen, ref.chosen, rtol=1e-6)
+        assert rep.records[0].elbo == pytest.approx(ref.records[0].elbo,
+                                                    rel=1e-9)
 
     def test_no_worse_than_start(self):
         data = _se_dataset(14, n=80, span=8.0)
