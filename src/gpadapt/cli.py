@@ -229,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="500,2000,8000",
                    help="comma-separated sample sizes")
     p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes to spread the sample sizes over, at most "
+                        "one per usable CPU and per size; results do not "
+                        "depend on it")
     p.set_defaults(func=_cmd_contraction)
 
     p = sub.add_parser("report", help="re-emit artifacts from a report JSON")

@@ -33,6 +33,7 @@ from .basis import (
 )
 from .exact import Dataset, SeriesKernel, kernel_matrix, lse_weights
 from .inducing import (
+    FeatureStats,
     _EigenFactor,
     _warn_dropped,
     feature_cutoff,
@@ -41,7 +42,7 @@ from .inducing import (
     predict,
     predict_mean,
 )
-from .meanfield import mf_fit_levels, mf_predict
+from .meanfield import _mf_fit_replicates, mf_fit_levels, mf_predict
 from .select import (
     SelectionRecord,
     SelectionReport,
@@ -292,6 +293,32 @@ def _profile_noise(profile) -> tuple[float, float, dict]:
     return math.exp(t), float(-f), diagnostics
 
 
+def _sizes(grid) -> list[int]:
+    """The feature count of every grid value (the level D for ``dim``)."""
+    return [grid.m_rule(lam) for lam in grid.values]
+
+
+def _dim_stats(grid, data: Dataset) -> FeatureStats:
+    """Design statistics up to a ``dim`` grid's largest level."""
+    top = max(_sizes(grid))
+    return feature_stats(data.x, data.y, top, top)
+
+
+def _dim_fitter(grid, fits: dict):
+    """Fitter and row extras of a ``dim`` grid whose levels are all fitted
+    already (``fits``, keyed by level): the fitter looks a level up, and
+    the extras hold each level's sweep ``diagnostics``."""
+    extras = {lam: {"diagnostics": {"sweeps": len(fits[D].elbo_path) - 1,
+                                    "converged": fits[D].converged}}
+              for lam, D in zip(grid.values, _sizes(grid))}
+
+    def fitter(lam):
+        q = fits[grid.m_rule(lam)]
+        return q, float(q.elbo_path[-1])
+
+    return fitter, extras
+
+
 def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     """Per-candidate fit closure plus a side table of extra selection-row
     fields by grid value: the profiled noise ``sigma_sq`` with its search's
@@ -304,25 +331,14 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     candidate then reads only their leading blocks. Every ``dim`` level is
     fitted here too, in one lockstep ascent, and the fitter looks it up.
     """
-    extras: dict[float, dict] = {}
-
     if config.prior == "dim":
-        levels = [grid.m_rule(lam) for lam in grid.values]
-        stats = feature_stats(data.x, data.y, max(levels), max(levels))
-        fits = mf_fit_levels(stats, levels, data.sigma_sq)
-        for lam, D in zip(grid.values, levels):
-            extras[lam] = {"diagnostics": {
-                "sweeps": len(fits[D].elbo_path) - 1,
-                "converged": fits[D].converged}}
+        stats = _dim_stats(grid, data)
+        return _dim_fitter(grid, mf_fit_levels(stats, _sizes(grid),
+                                               data.sigma_sq))
 
-        def fitter(lam):
-            q = fits[grid.m_rule(lam)]
-            return q, float(q.elbo_path[-1])
-
-        return fitter, extras
-
+    extras: dict[float, dict] = {}
     if config.features == "population":
-        ms = [grid.m_rule(lam) for lam in grid.values]
+        ms = _sizes(grid)
         J = max(feature_cutoff(_series_prior(config, lam), m)
                 for lam, m in zip(grid.values, ms))
         stats = feature_stats(data.x, data.y, J, max(ms))
@@ -597,33 +613,41 @@ def _smooth_signal(beta: float) -> SignalSpec:
                       j_max=SIGNAL_J_MAX)
 
 
-def _contraction_fit(family: str, beta_true: float, n: int, seed: int,
-                     sigma_sq: float) -> tuple[float, float, bool]:
-    """One replicate at one n: simulate and adaptively fit. Returns the L2
-    error to the truth, the chosen grid value and whether it sits on the
-    grid's edge."""
+def _contraction_size(args) -> list[tuple[float, float, bool]]:
+    """Every replicate at one sample size: simulate and adaptively fit.
+
+    Returns, per seed, the L2 error to the truth, the chosen grid value
+    and whether it sits on the grid's edge. ``dim`` keeps only each
+    draw's design statistics and fits all replicates' levels in one
+    lockstep ascent; the other families fit one draw after another.
+    """
+    family, beta_true, n, seeds, sigma_sq = args
     spec = _smooth_signal(beta_true)
-    data = _draw(spec, n, seed, sigma_sq)
-    config = ExperimentConfig(experiment="contraction", n=n, seed=seed,
-                              prior=family, sigma_sq=sigma_sq)
-    sel, _ = _select(config, data)
-    edge = sel.chosen in (sel.records[0].lam, sel.records[-1].lam)
-    if family == "dim":
+    config = ExperimentConfig(experiment="contraction", n=n, prior=family,
+                              sigma_sq=sigma_sq)
+
+    def row(sel, error):
+        edge = sel.chosen in (sel.records[0].lam, sel.records[-1].lam)
+        return error, float(sel.chosen), edge
+
+    rows = []
+    if family != "dim":
+        for seed in seeds:
+            sel, _ = _select(config, _draw(spec, n, seed, sigma_sq))
+            rows.append(row(sel, _quadrature_error(
+                lambda xs: predict_mean(sel.posterior, xs), spec)))
+        return rows
+    grid = _build_grid(config, n)
+    stats = [_dim_stats(grid, _draw(spec, n, seed, sigma_sq))
+             for seed in seeds]
+    coeffs = spec.coeff_array()
+    for fits in _mf_fit_replicates(stats, _sizes(grid), sigma_sq):
+        sel = select_discrete(grid, _dim_fitter(grid, fits)[0])
         q = sel.posterior
-        coeffs = spec.coeff_array()
         head = q.mu - coeffs[:q.D]
         tail = coeffs[q.D:]
-        error = float(np.sqrt(head @ head + tail @ tail))
-    else:
-        error = _quadrature_error(
-            lambda xs: predict_mean(sel.posterior, xs), spec)
-    return error, float(sel.chosen), edge
-
-
-def _replicate(args) -> list[tuple[float, float, bool]]:
-    family, beta_true, n_list, seed, sigma_sq = args
-    return [_contraction_fit(family, beta_true, n, seed + i, sigma_sq)
-            for i, n in enumerate(n_list)]
+        rows.append(row(sel, float(np.sqrt(head @ head + tail @ tail))))
+    return rows
 
 
 def _usable_workers(requested: int) -> int:
@@ -644,9 +668,12 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
     grid value its fit chose and whether that is a grid edge; the headline
     slope is the least-squares fit of log mean-error against log n, and
     its standard error comes from the spread of per-replicate slopes.
-    ``workers > 1`` fans replicates out across processes, at most one per
-    CPU the process may use; results are deterministic either way because
-    every replicate owns its seed.
+    Sample sizes run one after another, each fitting all its replicates
+    together (for ``dim``, in one lockstep ascent). ``workers > 1`` fans
+    the sample sizes out across processes, at most one per CPU the
+    process may use and one per size; every batch holds all replicates
+    of its size and each replicate owns its seed, so the results are the
+    same for every ``workers``.
     """
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3:
@@ -663,19 +690,21 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
         raise ValueError("sigma_sq must be positive and finite, "
                          f"got {sigma_sq}")
 
-    tasks = [(family, beta_true, n_list, seed + 1000 * r, sigma_sq)
-             for r in range(replicates)]
-    workers = _usable_workers(workers)
+    # replicate r draws its data at the i-th size from seed + 1000 r + i
+    tasks = [(family, beta_true, n,
+              [seed + 1000 * r + i for r in range(replicates)], sigma_sq)
+             for i, n in enumerate(n_list)]
+    workers = min(_usable_workers(workers), len(n_list))
     if workers > 1:
         # imported here: process pools cost every command's start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_replicate, tasks))
+            rows = list(pool.map(_contraction_size, tasks))
     else:
-        rows = [_replicate(t) for t in tasks]
+        rows = [_contraction_size(t) for t in tasks]
     # replicates x sizes x (error, chosen, at_grid_edge)
-    cells = np.asarray(rows, dtype=float)
+    cells = np.asarray(rows, dtype=float).transpose(1, 0, 2)
     errors, chosen = cells[..., 0].copy(), cells[..., 1].copy()
     mean_errors = errors.mean(axis=0)
     log_n = np.log(np.asarray(n_list, dtype=float))

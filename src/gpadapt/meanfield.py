@@ -28,10 +28,15 @@ sweep over truncation levels reads the leading blocks of one
 ``inducing.feature_stats``, and :func:`mf_fit_levels` fits all its levels
 in lockstep: one coordinate ascent over a D_max x levels matrix, each
 coordinate one vector step over the levels that own it, its couplings one
-matrix-vector product. A level's zero padding changes its iterates only
-by rounding, so each level matches its own one-level fit to rounding.
-:func:`mf_fit` is the one-level case, and its last bound equals
-:func:`mf_elbo` at its iterate exactly, both from one bound function.
+matrix-vector product. The ascent takes a replicate axis too: R datasets
+at the same levels share it as an R x D_max x levels state, with one
+stacked matrix product per coordinate (``_mf_fit_replicates``, which the
+contraction study runs once per sample size). A column's zero padding,
+and which other columns share the state, change its iterates only by
+rounding, so each (dataset, level) matches its own one-level fit to
+rounding. :func:`mf_fit` is the one-level case, and its last bound
+equals :func:`mf_elbo` at its iterate exactly, both from one bound
+function.
 """
 
 from __future__ import annotations
@@ -101,25 +106,41 @@ def design_matrix(x: np.ndarray, D: int) -> DesignMatrix:
     return DesignMatrix(Phi=Phi, gram=Phi.T @ Phi, D=D)
 
 
-def _bound(S: np.ndarray, M: np.ndarray, G: np.ndarray, b: np.ndarray,
-           yty: float, n: int, sigma_sq: float, D: np.ndarray) -> np.ndarray:
-    """Bounds without the model-size mass, one per column, from the design
-    statistics. Column c holds level D[c]'s variances S and means M (a
-    coordinates x levels array), zero beyond D[c]. The residual reads
+def _bound(S: np.ndarray, M: np.ndarray, off: np.ndarray, g: np.ndarray,
+           b: np.ndarray, yty: np.ndarray, n: np.ndarray, sigma_sq: float,
+           D: np.ndarray) -> np.ndarray:
+    """Bounds without the model-size mass, fits x levels, from the design
+    statistics of a stack of fits. Fit r's column c holds level D[c]'s
+    variances S[r, :, c] and means M[r, :, c], zero beyond D[c]; off[r] is
+    its Gram matrix with the diagonal g[r] set to zero. The residual reads
     mu'G mu = mu'(G - diag G) mu + sum_j G_jj mu_j^2, the coupling term
     from the same off-diagonal product that a coordinate step reads."""
-    g = np.diag(G)[:, None]
-    R = (G - np.diag(np.diag(G))) @ M
-    rss = (M * (R + g * M)).sum(axis=0) - 2.0 * (b @ M) + yty
-    tr_smear = (S * g).sum(axis=0)
+    # two state-sized buffers, each product formed in place
+    gc = g[:, :, None]
+    quad, work = off @ M, np.multiply(gc, M)
+    quad += work
+    quad *= M
+    rss = (quad.sum(axis=1) - 2.0 * (b[:, None, :] @ M)[:, 0]
+           + yty[:, None])
+    del quad
+    tr_smear = np.multiply(S, gc, out=work).sum(axis=1)
     fit = (
-        -0.5 * n * np.log(2.0 * np.pi * sigma_sq)
+        -0.5 * n[:, None] * np.log(2.0 * np.pi * sigma_sq)
         - 0.5 * (tr_smear + rss) / sigma_sq
     )
-    log_S = np.log(S, out=np.zeros_like(S), where=S > 0)
-    log_det = D * np.log(D) + log_S.sum(axis=0)
-    kl = 0.5 * (-log_det - D + D * S.sum(axis=0) + D * (M * M).sum(axis=0))
+    work.fill(0.0)
+    log_det = D * np.log(D) + np.log(S, out=work, where=S > 0).sum(axis=1)
+    mu_sq = np.multiply(M, M, out=work).sum(axis=1)
+    kl = 0.5 * (-log_det - D + D * S.sum(axis=1) + D * mu_sq)
     return fit - kl
+
+
+def _split_gram(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of Gram matrices as (G - diag G, diag G), the first in place
+    of G."""
+    g = np.diagonal(G, axis1=1, axis2=2).copy()
+    np.einsum("rjj->rj", G)[...] = 0.0
+    return G, g
 
 
 def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset
@@ -132,9 +153,12 @@ def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset
         raise ValueError("design matrix and posterior disagree on D")
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
-    return float(_bound(q.Sigma_diag[:, None], q.mu[:, None], dm.gram,
-                        dm.Phi.T @ data.y, float(data.y @ data.y), data.n,
-                        data.sigma_sq, np.array([float(q.D)]))[0])
+    off, g = _split_gram(dm.gram[None].copy())
+    return float(_bound(q.Sigma_diag[None, :, None], q.mu[None, :, None],
+                        off, g, (dm.Phi.T @ data.y)[None],
+                        np.array([float(data.y @ data.y)]),
+                        np.array([data.n]), data.sigma_sq,
+                        np.array([float(q.D)]))[0, 0])
 
 
 def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
@@ -150,86 +174,130 @@ def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
                               mu=Sigma * (dm.Phi.T @ data.y) / data.sigma_sq)
 
 
-def _ascent(G: np.ndarray, b: np.ndarray, yty: float, n: int, s2: float,
-            levels: list[int]) -> list[MeanFieldPosterior]:
-    """Coordinate ascent for the distinct ascending ``levels`` in lockstep.
+def _sweep(views: list[tuple]) -> None:
+    """One Gauss-Seidel pass: the coordinate steps of :func:`_ascent` in
+    order, each on the views of what it reads and writes."""
+    for off_j, M_k, A0_j, B4_j, S_j, M_j, b_s4_j, b_s2_j in views:
+        A = A0_j - b_s4_j * (off_j @ M_k)
+        # positive root of -(B4/2) t^2 + A t + 1/2, written so neither
+        # branch subtracts nearly equal quantities; B4 = 0 (b_j = 0) only
+        # with A < 0, where the root is -1 / (2 A) = 1 / w
+        w = np.sqrt(A * A + B4_j) + np.abs(A)
+        t = 1.0 / w
+        np.divide(w, B4_j, out=t, where=A >= 0.0)
+        S_j[...] = t
+        M_j[...] = b_s2_j * t
 
-    Level D reads the leading D x D block of G = Phi'Phi and the first D
-    entries of b = Phi'y. Columns of S and M hold one level each, zero
-    beyond its D, so the levels that own coordinate j are a suffix of the
-    columns. One step updates them all: their couplings
-    r_j = sum_{l != j} G_jl mu_l are one matvec of row j of G - diag G
-    with the current iterate, which holds this sweep's values below j and
-    the last sweep's above (Gauss-Seidel order). A level leaves the batch,
-    frozen, on the sweep that gains at most SWEEP_RTOL (|bound| +
-    y'y / sigma^2).
+
+def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
+            ) -> list[list[MeanFieldPosterior]]:
+    """Coordinate ascent for R datasets at the distinct ascending
+    ``levels``, all in lockstep.
+
+    Fit (r, D) reads the leading D x D block of G = Phi'Phi and the first
+    D entries of b = Phi'y from ``stats[r]``. The state is fits x
+    coordinates x levels; column c of fit r holds level D_c, zero beyond
+    it, so the levels that own coordinate j are a suffix of the columns.
+    One step updates them all: their couplings r_j = sum_{l != j} G_jl mu_l
+    are one stacked matmul of row j of each fit's G - diag G with its
+    current iterate, which holds this sweep's values below j and the last
+    sweep's above (Gauss-Seidel order). A fit stops, frozen, on the sweep
+    that gains at most SWEEP_RTOL (|bound| + y'y / sigma^2); a level leaves
+    the state once all R of its fits have stopped, and until then its
+    stopped columns keep iterating unread. One warning names the fits that
+    hit the sweep cap. Returns ``fits[r][i]``, dataset r at ``levels[i]``.
     """
     top = levels[-1]
-    G, b = G[:top, :top], b[:top]
-    g = np.diag(G)
-    off = G - np.diag(g)
+    off, g = _split_gram(np.stack([st.gram[:top, :top] for st in stats]))
+    b = np.stack([st.phi_y[:top] for st in stats])
+    yty = np.array([st.yty for st in stats])
+    nv = np.array([float(st.n) for st in stats])
     Dv = np.asarray(levels, dtype=float)
-    S = np.where(np.arange(top)[:, None] < Dv, 1.0 / (Dv + n / s2), 0.0)
-    M = S * b[:, None] / s2
+    S = np.where(np.arange(top)[:, None] < Dv,
+                 (1.0 / (Dv + nv[:, None] / s2))[:, None, :], 0.0)
+    M = S * b[:, :, None]
+    M /= s2
     # the coordinate update maximizes (1/2) log t + A t + B t^2 with
     # A = A0 - b_j r_j / sigma^4 and B = -B4 / 4 <= 0; A0 and B4 depend
-    # on the level, not on the iterate
-    A0 = (-g / (2 * s2))[:, None] - 0.5 * Dv + (b**2 / s2**2)[:, None]
-    B4 = 4.0 * ((b**2 / (2 * s2**2))[:, None] * ((g / s2)[:, None] + Dv))
-    curved = (b**2 / (2 * s2**2) > 0.0).tolist()
-    b_s4, b_s2 = (b / s2**2).tolist(), (b / s2).tolist()
-    scale = yty / s2
-    cols = list(range(len(levels)))
-    last = _bound(S, M, G, b, yty, n, s2, Dv)
-    paths = [[v] for v in last.tolist()]
-    fits: list[MeanFieldPosterior | None] = [None] * len(levels)
+    # on the level, not on the iterate (each built in place)
+    A0 = (-g / (2 * s2))[:, :, None] - 0.5 * Dv
+    A0 += (b**2 / s2**2)[:, :, None]
+    B4 = (g / s2)[:, :, None] + Dv
+    B4 *= (b**2 / (2 * s2**2))[:, :, None]
+    B4 *= 4.0
+    b_s4, b_s2 = (b / s2**2)[:, :, None], (b / s2)[:, :, None]
+    scale = (yty / s2)[:, None]
+    R, L = len(stats), len(levels)
+    cols = np.arange(L)  # the level index of each column
+    live = np.ones((R, L), dtype=bool)  # fits not yet stopped
+    last = _bound(S, M, off, g, b, yty, nv, s2, Dv)
+    history = [last]  # bounds per sweep, fits x levels
+    stop = np.full((R, L), -1)  # sweep each fit stopped on
+    fits: list[list] = [[None] * L for _ in range(R)]
 
-    def freeze(i, col, converged):
-        D = levels[i]
-        fits[i] = MeanFieldPosterior(
-            D=D, Sigma_diag=S[:D, col].copy(), mu=M[:D, col].copy(),
-            converged=converged, elbo_path=np.asarray(paths[i]))
+    def freeze(r, c, converged):
+        i, D = cols[c], levels[cols[c]]
+        stop[r, i] = len(history) - 1
+        fits[r][i] = MeanFieldPosterior(
+            D=D, Sigma_diag=S[r, :D, c].copy(), mu=M[r, :D, c].copy(),
+            converged=converged)
 
-    for _ in range(MAX_SWEEPS):
+    def steps():
+        """Per coordinate j, views of what its step reads and writes: row j
+        of every fit's G - diag G, the iterate's columns that own j, and
+        their rows j of A0, B4, S and M."""
         starts = np.searchsorted(Dv, np.arange(top), side="right").tolist()
-        for j in range(top):
-            k = starts[j]
-            A = A0[j, k:] - b_s4[j] * (off[j] @ M[:, k:])
-            if curved[j]:
-                # positive root of -(B4/2) t^2 + A t + 1/2, written so
-                # neither branch subtracts nearly equal quantities; both
-                # are finite everywhere (w > 0, B4 > 0), so np.where can
-                # evaluate both without floating-point warnings
-                B4j = B4[j, k:]
-                w = np.sqrt(A * A + B4j) + np.abs(A)
-                t = np.where(A < 0.0, 1.0 / w, w / B4j)
-            else:
-                # b_j = 0: maximizer of (1/2) log t + A t with A < 0
-                t = -0.5 / A
-            S[j, k:] = t
-            M[j, k:] = b_s2[j] * t
-        val = _bound(S, M, G, b, yty, n, s2, Dv)
-        done = val - last <= SWEEP_RTOL * (np.abs(val) + scale)
-        for col, i in enumerate(cols):
-            paths[i].append(float(val[col]))
-            if done[col]:
-                freeze(i, col, True)
-        if done.all():
+        # one dataset: 2-D views, each step a plain vector-matrix product
+        r = 0 if R == 1 else slice(None)
+        return [(off[r, j:j + 1], M[r, :, k:], A0[r, j:j + 1, k:],
+                 B4[r, j:j + 1, k:], S[r, j:j + 1, k:], M[r, j:j + 1, k:],
+                 b_s4[r, j:j + 1], b_s2[r, j:j + 1])
+                for j, k in enumerate(starts)]
+
+    views = steps()
+    for _ in range(MAX_SWEEPS):
+        _sweep(views)
+        val = _bound(S, M, off, g, b, yty, nv, s2, Dv)
+        full = np.full((R, L), np.nan)
+        full[:, cols] = val
+        history.append(full)
+        done = live & (val - last <= SWEEP_RTOL * (np.abs(val) + scale))
+        for r, c in zip(*np.nonzero(done)):
+            freeze(r, c, True)
+        live &= ~done
+        last = val
+        keep = live.any(axis=0)
+        if not keep.any():
             break
-        keep = ~done
-        cols = [i for i, d in zip(cols, done) if not d]
-        Dv, last = Dv[keep], val[keep]
-        top = int(Dv[-1])
-        G, b, off = G[:top, :top], b[:top], off[:top, :top]
-        S, M = S[:top, keep], M[:top, keep]
-        A0, B4 = A0[:top, keep], B4[:top, keep]
+        if not keep.all():
+            cols, Dv = cols[keep], Dv[keep]
+            live, last = live[:, keep], last[:, keep]
+            top = int(Dv[-1])
+            off, g, b = off[:, :top, :top], g[:, :top], b[:, :top]
+            b_s4, b_s2 = b_s4[:, :top], b_s2[:, :top]
+            # the views pin the old state: drop them, then replace one
+            # array at a time
+            views = None
+            S = S[:, :top, keep]
+            M = M[:, :top, keep]
+            A0 = A0[:, :top, keep]
+            B4 = B4[:, :top, keep]
+            views = steps()
     else:
-        for col, i in enumerate(cols):
-            freeze(i, col, False)
-        capped = ", ".join(str(levels[i]) for i in cols)
+        capped = [(r, [levels[cols[c]] for c in np.flatnonzero(row)])
+                  for r, row in enumerate(live) if row.any()]
+        for r, c in zip(*np.nonzero(live)):
+            freeze(r, c, False)
+        named = "; ".join(
+            ("" if R == 1 else f"in fit {r} of {R} ")
+            + "at D = " + ", ".join(map(str, Ds)) for r, Ds in capped)
         warnings.warn("coordinate ascent hit the sweep cap before the "
-                      f"per-sweep tolerance at D = {capped}", RuntimeWarning,
+                      f"per-sweep tolerance {named}", RuntimeWarning,
                       stacklevel=3)
+    paths = np.stack(history)
+    for r, row in enumerate(fits):
+        for i, q in enumerate(row):
+            q.elbo_path = paths[:stop[r, i] + 1, r, i].copy()
     return fits
 
 
@@ -247,20 +315,15 @@ def mf_fit(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
         raise ValueError("need at least one observation")
     if dm.n != data.n:
         raise ValueError("design matrix was built for a different dataset")
-    return _ascent(dm.gram, dm.Phi.T @ data.y, float(data.y @ data.y),
-                   data.n, data.sigma_sq, [dm.D])[0]
+    stats = FeatureStats(n=data.n, colsumsq=np.diag(dm.gram), gram=dm.gram,
+                         phi_y=dm.Phi.T @ data.y, yty=float(data.y @ data.y))
+    return _ascent([stats], [dm.D], data.sigma_sq)[0][0]
 
 
-def mf_fit_levels(stats: FeatureStats, levels: Sequence[int],
-                  sigma_sq: float) -> dict[int, MeanFieldPosterior]:
-    """:func:`mf_fit` for every truncation level in ``levels`` at once.
-
-    ``stats`` holds Phi'Phi and Phi'y over at least max(levels) features,
-    and level D reads their leading D x D block. All levels are fitted
-    in lockstep, one vector step per coordinate, and each stops on the
-    same rule as :func:`mf_fit`. One warning names the levels that hit the
-    sweep cap. Returns the posteriors keyed by level.
-    """
+def _check_levels(stats: FeatureStats, levels: Sequence[int],
+                  sigma_sq: float) -> list[int]:
+    """The distinct ``levels`` in ascending order, once ``stats`` and
+    ``sigma_sq`` can fit them all."""
     levels = sorted({int(D) for D in levels})
     if not levels or levels[0] < 1:
         raise ValueError("levels must be positive integers")
@@ -271,9 +334,35 @@ def mf_fit_levels(stats: FeatureStats, levels: Sequence[int],
         raise ValueError("need at least one observation")
     if not sigma_sq > 0:
         raise ValueError("sigma_sq must be positive")
-    fits = _ascent(stats.gram, stats.phi_y, stats.yty, stats.n, sigma_sq,
-                   levels)
-    return dict(zip(levels, fits))
+    return levels
+
+
+def mf_fit_levels(stats: FeatureStats, levels: Sequence[int],
+                  sigma_sq: float) -> dict[int, MeanFieldPosterior]:
+    """:func:`mf_fit` for every truncation level in ``levels`` at once.
+
+    ``stats`` holds Phi'Phi and Phi'y over at least max(levels) features,
+    and level D reads their leading D x D block. All levels are fitted
+    in lockstep, one vector step per coordinate, and each stops on the
+    same rule as :func:`mf_fit`. One warning names the levels that hit the
+    sweep cap. Returns the posteriors keyed by level. This is the
+    one-dataset case of :func:`_mf_fit_replicates`.
+    """
+    levels = _check_levels(stats, levels, sigma_sq)
+    return dict(zip(levels, _ascent([stats], levels, sigma_sq)[0]))
+
+
+def _mf_fit_replicates(stats: Sequence[FeatureStats], levels: Sequence[int],
+                       sigma_sq: float) -> list[dict[int, MeanFieldPosterior]]:
+    """:func:`mf_fit_levels` for several datasets at the same levels, all
+    in one lockstep ascent; one warning names the fits that hit the sweep
+    cap. Returns one dict of posteriors per dataset."""
+    if not stats:
+        raise ValueError("need at least one dataset")
+    for st in stats:
+        checked = _check_levels(st, levels, sigma_sq)
+    return [dict(zip(checked, row))
+            for row in _ascent(stats, checked, sigma_sq)]
 
 
 def mf_kl_exact(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset

@@ -208,6 +208,9 @@ def select_discrete(grid: HyperGrid,
 COARSE_POINTS_PER_AXIS = 3
 #: absolute tolerance on log tau at which the length-scale search stops
 LOG_TAU_XATOL = 1e-6
+#: log taus this many ulps (of max(|log tau|, 1)) apart share one
+#: factorization, far below LOG_TAU_XATOL
+_REVISIT_ULPS = 4
 #: first stride of the length-scale search away from its start, in log tau
 _LOG_TAU_STRIDE = 0.25
 _GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
@@ -482,21 +485,23 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
     n_fails = 0
     n_full = 0
     best = None  # (bound, log (sigma, nu, tau), factor)
-    seen: dict[float, float] = {}  # tau -> profile value
+    seen: list[tuple[float, float]] = []  # (log tau, profile value)
 
     def profile(t: float) -> float:
-        """Best bound over the free (sigma, nu) at tau = e^t; a tau the
-        search revisits (Brent's first point can be the walk's last probe,
-        or a log tau one ulp from it) is read back, not factorized again."""
+        """Best bound over the free (sigma, nu) at tau = e^t; a log tau the
+        search revisits (Brent's first point can be the walk's last probe)
+        or that lies within ``_REVISIT_ULPS`` of a probe is read back, not
+        factorized again."""
         nonlocal n_evals, n_fails, n_full, best, start
-        tau = math.exp(t)
-        if tau in seen:
-            return seen[tau]
+        near = _REVISIT_ULPS * math.ulp(max(abs(t), 1.0))
+        for probe, value in seen:
+            if abs(t - probe) <= near:
+                return value
         n_evals += 1
         fac, start = start, None  # a handed factor serves the first tau
         try:
             if fac is None:
-                fac = _factor(data, rank, tau)
+                fac = _factor(data, rank, math.exp(t))
         except _FAIL:
             n_fails += 1
             value = -np.inf
@@ -506,7 +511,7 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
                                        log_lo[:2], log_hi[:2])
             if best is None or value > best[0]:
                 best = (value, np.append(z, t), fac)
-        seen[tau] = value
+        seen.append((t, value))
         return value
 
     t0 = time.perf_counter()

@@ -19,6 +19,7 @@ from gpadapt.meanfield import (
     MAX_SWEEPS,
     SWEEP_RTOL,
     MeanFieldPosterior,
+    _mf_fit_replicates,
     design_matrix,
     mf_elbo,
     mf_fit,
@@ -307,6 +308,47 @@ class TestLockstepLevels:
         for D in expect:
             assert len(fits[D].elbo_path) == cap + 1
 
+    def test_each_replicate_matches_its_own_fit(self):
+        # five datasets of one size in one ascent: every (replicate, level)
+        # column stops on its own sweep and matches its one-dataset fit
+        sweeps = [self._sweep(seed=seed) for seed in range(8, 13)]
+        levels, s2 = sweeps[0][1], sweeps[0][2]
+        batch = _mf_fit_replicates([st for st, _, _ in sweeps], levels, s2)
+        assert len(batch) == len(sweeps)
+        for (stats, _, _), fits in zip(sweeps, batch):
+            alone = mf_fit_levels(stats, levels, s2)
+            assert sorted(fits) == levels
+            for D in levels:
+                q, one = fits[D], alone[D]
+                assert q.D == D and q.converged
+                assert len(q.elbo_path) == len(one.elbo_path)
+                assert _rel(q.mu, one.mu) <= 1e-12
+                assert _rel(q.Sigma_diag, one.Sigma_diag) <= 1e-12
+                assert abs(q.elbo_path[-1] - one.elbo_path[-1]) <= (
+                    1e-12 * abs(one.elbo_path[-1]))
+
+    def test_one_warning_names_the_capped_fits_of_a_batch(self,
+                                                          monkeypatch):
+        import gpadapt.meanfield as mf
+
+        monkeypatch.setattr(mf, "MAX_SWEEPS", 1)
+        sweeps = [self._sweep(n=300, seed=seed) for seed in (1, 2, 3)]
+        levels, s2 = sweeps[0][1], sweeps[0][2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = _mf_fit_replicates([st for st, _, _ in sweeps], levels,
+                                       s2)
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, RuntimeWarning)
+        named = str(caught[0].message).split("tolerance ")[1].split("; ")
+        expect = [f"in fit {r} of 3 at D = "
+                  + ", ".join(str(D) for D in levels if not fits[D].converged)
+                  for r, fits in enumerate(batch)
+                  if not all(q.converged for q in fits.values())]
+        assert named == expect and len(expect) > 0
+        for fits in batch:
+            assert all(len(q.elbo_path) <= 2 for q in fits.values())
+
     def test_rejects_bad_levels(self):
         stats, _, s2 = self._sweep(n=100)
         for levels in ([], [0, 3], [11]):
@@ -314,6 +356,10 @@ class TestLockstepLevels:
                 mf_fit_levels(stats, levels, s2)
         with pytest.raises(ValueError):
             mf_fit_levels(stats, [3], 0.0)
+        with pytest.raises(ValueError):
+            _mf_fit_replicates([], [3], s2)
+        with pytest.raises(ValueError):
+            _mf_fit_replicates([stats, stats], [11], s2)
 
 
 def _scalar_ascent(G, b, yty, n, s2, D):

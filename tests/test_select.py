@@ -468,6 +468,29 @@ class TestTunerFactorizations:
         assert (rep.diagnostics["full_factorizations"]
                 == factorizations.count("from_kernel"))
 
+    def test_log_tau_one_ulp_from_a_probe_is_read_back(
+            self, factorizations, monkeypatch):
+        # Brent's first point can land one ulp of log tau from the walk's
+        # last probe, and the two taus need not round to one float
+        up = lambda v: math.nextafter(v, math.inf)  # noqa: E731
+        t = math.log(0.6435928942025502)
+        while math.exp(up(t)) == math.exp(t):
+            t = up(t)
+        probes = []
+
+        def search(profile, t0, lo, hi, maxiter):
+            probes.extend([profile(t), profile(up(t)), profile(up(up(t)))])
+            return 3, True
+
+        monkeypatch.setattr(select_module, "_search_log_tau", search)
+        data = _se_dataset(12, n=60, span=6.0)
+        rep = select_module._tune(data, 20, (0.8, 1.5, math.exp(t)),
+                                  TUNE_BOUNDS, (True, True, True), "elbo",
+                                  200)
+        assert len(factorizations) == 1
+        assert rep.diagnostics["evaluations"] == 1
+        assert probes[0] == probes[1] == probes[2]
+
     def test_coarse_factor_serves_the_first_tau(self, factorizations):
         data = _se_dataset(12, n=60, span=6.0)
         init, start = select_module._coarse_scan(data, 20, TUNE_BOUNDS,
