@@ -7,14 +7,15 @@ whitened m x m solves factor G = W W' by :func:`eigh_psd` instead, so every
 noise variance costs O(m) after one eigendecomposition.
 :func:`pivoted_cholesky` factors a kernel of low numerical rank from its
 columns alone. :func:`brent_bounded` is the one bounded 1-D search of the
-package. scipy serves only :func:`chol_solve`, which the n x n kernel-form
-references call, and is imported there.
+package; :func:`brent_from_points` is the same search started from points
+already evaluated. scipy serves only :func:`chol_solve`, which the n x n
+kernel-form references call, and is imported there.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -126,23 +127,57 @@ def brent_bounded(func: Callable[[float], float], lo: float, hi: float,
     ``maxiter`` calls. Returns ``(x, f, nfev, converged)``; ``converged`` is
     False when the call cap stopped the search or a value was NaN.
     """
+    x, f, nfev, stop = _brent(func, lo, hi, (), xatol, maxiter)
+    return x, f, nfev, stop == "bracket"
+
+
+def brent_from_points(func: Callable[[float], float], lo: float, hi: float,
+                      points: Sequence[tuple[float, float]],
+                      xatol: float = 1e-5, maxiter: int = 500
+                      ) -> tuple[float, float, int, str]:
+    """:func:`brent_bounded` started from ``points``, (x, func(x)) pairs in
+    [lo, hi] already evaluated, instead of a golden-section point.
+
+    The best three points are Brent's state, so the first step may already
+    be parabolic, and the search stops on the first accepted parabolic step
+    shorter than the tolerance (``"step"``) as well as once the bracket
+    closes (``"bracket"``): that step says the best point is within the
+    tolerance of the parabola's vertex, which the closing probes would only
+    confirm. ``nfev`` counts new calls alone. Returns
+    ``(x, f, nfev, stop)``, x the best point evaluated and ``stop`` one of
+    ``"step"``, ``"bracket"``, ``"maxiter"`` or ``"nan"``.
+    """
+    if not points:
+        raise ValueError("brent_from_points needs at least one point")
+    return _brent(func, lo, hi, points, xatol, maxiter)
+
+
+def _brent(func: Callable[[float], float], lo: float, hi: float,
+           points: Sequence[tuple[float, float]], xatol: float, maxiter: int
+           ) -> tuple[float, float, int, str]:
+    """The loop of both Brent searches; see :func:`brent_from_points`."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("search bounds must be finite")
     if lo > hi:
         raise ValueError("the lower bound exceeds the upper bound")
     a, b = float(lo), float(hi)
-    fulc = a + _GOLDEN_STEP * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    x = xf
-    fx = float(func(x))
-    num = 1
+    if points:
+        ranked = sorted(points, key=lambda point: point[1])
+        (xf, fx), (nfc, fnfc), (fulc, ffulc) = (ranked + ranked[-1:] * 2)[:3]
+        rat = e = b - a  # the first parabolic step may span half the bracket
+        num = 0
+    else:
+        fulc = a + _GOLDEN_STEP * (b - a)
+        nfc = xf = fulc
+        rat = e = 0.0
+        fx = float(func(xf))
+        num = 1
+        ffulc = fnfc = fx
     fu = math.inf
-    ffulc = fnfc = fx
     xm = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
-    capped = False
+    stop = "bracket"
     while abs(xf - xm) > tol2 - 0.5 * (b - a):
         golden = True
         if abs(e) > tol1:  # try a parabola through the three best points
@@ -158,6 +193,9 @@ def brent_bounded(func: Callable[[float], float], lo: float, hi: float,
             e = rat
             if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
                 rat = (p + 0.0) / q
+                if points and abs(rat) < tol1:
+                    stop = "step"
+                    break
                 x = xf + rat
                 if x - a < tol2 or b - x < tol2:
                     rat = tol1 if xm - xf >= 0 else -tol1
@@ -191,7 +229,8 @@ def brent_bounded(func: Callable[[float], float], lo: float, hi: float,
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if num >= maxiter:
-            capped = True
+            stop = "maxiter"
             break
-    nan = math.isnan(xf) or math.isnan(fx) or math.isnan(fu)
-    return xf, fx, num, not (capped or nan)
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        stop = "nan"
+    return xf, fx, num, stop

@@ -145,9 +145,36 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _dumps(payload) -> str:
+def _json(payload) -> str:
     return json.dumps(payload, default=_json_default, indent=2,
                       sort_keys=True)
+
+
+def _float_list(values: np.ndarray) -> str:
+    """A top-level 1-D float array as :func:`_json` renders it."""
+    if not values.size:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(float.__repr__, values.tolist())) \
+        + "\n  ]"
+
+
+def _dumps(payload) -> str:
+    """:func:`_json`, with the finite 1-D float arrays of a dict payload's
+    top level rendered by :func:`_float_list` and spliced in where a
+    placeholder stood; a placeholder the rest of the text repeats sends
+    the whole payload down the ``json`` path."""
+    if not isinstance(payload, dict):
+        return _json(payload)
+    marks = {key: f"\0{key}" for key, value in payload.items()
+             if isinstance(value, np.ndarray) and value.ndim == 1
+             and value.dtype == float and np.isfinite(value).all()}
+    text = _json({**payload, **marks})
+    for key, mark in marks.items():
+        quoted = json.dumps(mark)
+        if text.count(quoted) != 1:
+            return _json(payload)
+        text = text.replace(quoted, _float_list(payload[key]))
+    return text
 
 
 @dataclass
@@ -725,14 +752,15 @@ def _g17(v) -> str:
 
 
 def _write_band_csv(report: RunReport, path: Path) -> None:
+    columns = [report.query, report.mean, report.lo95, report.hi95]
+    row = "%.17g,%.17g,%.17g,%.17g,\n"  # an empty truth without one
+    if report.truth is not None:
+        columns.append(report.truth)
+        row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("x,mean,lo95,hi95,truth\n")
-        for i in range(report.query.size):
-            truth = "" if report.truth is None else _g17(report.truth[i])
-            fh.write(",".join([
-                _g17(report.query[i]), _g17(report.mean[i]),
-                _g17(report.lo95[i]), _g17(report.hi95[i]), truth,
-            ]) + "\n")
+        fh.write("".join(map(row.__mod__,
+                             zip(*(c.tolist() for c in columns)))))
 
 
 def _write_selection_csv(report: RunReport, path: Path) -> None:
@@ -769,7 +797,7 @@ def _svg_xy(xs, ys, x0, x1, y0, y1):
 
 
 def _points(px, py) -> str:
-    return " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    return " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
 
 
 def _render_svg(report: RunReport) -> str:

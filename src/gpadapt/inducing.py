@@ -329,16 +329,17 @@ def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
 class _EigenFactor:
     """Sample-feature model of every multiple nu K of a kernel matrix K.
 
-    ``lam`` and ``V`` are the eigenpairs of K that :func:`sample_features`
-    keeps, ``p = V'y``, ``gap = tr K - sum lam``; ``dropped`` counts the m
-    requested less those kept, and ``rank`` is the rank of the matrix the
-    eigenpairs come from (n for K itself). nu K has G = nu diag(lam) and
-    W y = sqrt(nu lam) p, so its bound costs O(m) and its q(u) O(m^2), with
-    no further eigendecomposition.
+    ``lam`` are the eigenvalues of K that :func:`sample_features` keeps and
+    ``vectors()`` forms their eigenvectors V; ``p = V'y``,
+    ``gap = tr K - sum lam``; ``dropped`` counts the m requested less those
+    kept, and ``rank`` is the rank of the matrix the eigenpairs come from
+    (n for K itself). nu K has G = nu diag(lam) and W y = sqrt(nu lam) p,
+    so its bound costs O(m) and its q(u) O(m^2), with no further
+    eigendecomposition; only q(u) reads V.
     """
 
     lam: np.ndarray
-    V: np.ndarray
+    vectors: Callable[[], np.ndarray]
     p: np.ndarray
     yty: float
     rest: float  # y'y - p'p: energy of y outside the kept eigenvectors
@@ -348,29 +349,34 @@ class _EigenFactor:
     rank: int
 
     @classmethod
-    def _build(cls, lam: np.ndarray, V: np.ndarray, y: np.ndarray, m: int,
-               trace: float, rank: int) -> "_EigenFactor":
-        p, yty = V.T @ y, float(y @ y)
-        return cls(lam=lam, V=V, p=p, yty=yty, rest=yty - float(p @ p),
-                   gap=trace - float(np.sum(lam)), n=y.size,
-                   dropped=m - lam.size, rank=rank)
+    def _build(cls, lam: np.ndarray, vectors: Callable[[], np.ndarray],
+               p: np.ndarray, y: np.ndarray, m: int, trace: float, rank: int
+               ) -> "_EigenFactor":
+        yty = float(y @ y)
+        return cls(lam=lam, vectors=vectors, p=p, yty=yty,
+                   rest=yty - float(p @ p), gap=trace - float(np.sum(lam)),
+                   n=y.size, dropped=m - lam.size, rank=rank)
 
     @classmethod
     def from_kernel(cls, K: np.ndarray, y: np.ndarray, m: int
                     ) -> "_EigenFactor":
         """From the n x n matrix K: one n x n eigendecomposition."""
         lam, V = _top_eigenpairs(K, m)
-        return cls._build(lam, V, y, m, float(np.trace(K)), y.size)
+        return cls._build(lam, lambda: V, V.T @ y, y, m, float(np.trace(K)),
+                          y.size)
 
     @classmethod
-    def from_factor(cls, L: np.ndarray, y: np.ndarray, m: int, trace: float
-                    ) -> "_EigenFactor":
+    def from_factor(cls, L: np.ndarray, y: np.ndarray, m: int, trace: float,
+                    refactor: Callable[[], np.ndarray]) -> "_EigenFactor":
         """From a low-rank factor K ~ L L' (L of size n x r) and tr K.
 
         The eigenpairs of the r x r matrix L'L = Q diag(lam) Q' give those of
         L L': lam and V = L Q diag(lam)^(-1/2). The top min(m, r) go through
         the drop rule of :func:`sample_features`, with its n; the trace of K
-        the factor misses lands in ``gap``. O(r^2 n + r^3 + m r n).
+        the factor misses lands in ``gap``. p = diag(lam)^(-1/2) Q'(L'y)
+        needs no V: O(r^2 n + r^3). The factor keeps the r x m matrix
+        Q diag(lam)^(-1/2), not L, and ``vectors()`` forms V from
+        ``refactor()``, which returns L again, in O(m r n) more.
         """
         n, r = L.shape
         if not 1 <= m <= n:
@@ -381,8 +387,9 @@ class _EigenFactor:
         if not np.any(keep):
             raise ConditioningError("kernel matrix has no positive eigenvalues")
         vals = vals[keep]
-        return cls._build(vals, L @ (Q[:, keep] / np.sqrt(vals)), y, m,
-                          trace, r)
+        W = Q[:, keep] / np.sqrt(vals)
+        return cls._build(vals, lambda: refactor() @ W, W.T @ (L.T @ y), y,
+                          m, trace, r)
 
     def profile(self, nu: float) -> Callable[[float], float]:
         """The collapsed bound of nu K as a function of sigma^2."""
@@ -400,7 +407,7 @@ class _EigenFactor:
         g = nu * self.lam
         model = InducingModel(flavor="sample", m=g.size, K_uu=np.diag(g),
                               K_uf=None, kff_diag=None, x_train=x,
-                              V=self.V, eigvals=g, kernel=kernel)
+                              V=self.vectors(), eigvals=g, kernel=kernel)
         return _optimal_q(model, (g, np.eye(g.size), np.sqrt(g) * self.p),
                           sigma_sq)
 

@@ -13,16 +13,21 @@ and nu only scales its eigenvalues, so the unit-variance kernel is
 factorized once per tau; in that eigenbasis the collapsed bound at any
 (sigma, nu) is a closed form costing O(m). The factorization is a greedy
 pivoted Cholesky factor of rank r, built one kernel column at a time, and
-the r x r eigenproblem behind it, O(n r^2 + r^3); a kernel whose rank
-passes a cap fitted to timings of both routes is factorized whole, by one
-n x n eigendecomposition, instead. A bounded 1-D search over log tau calls
-that factorization, and at each tau the free (sigma, nu) are solved within
-their bounds by one more bounded 1-D search, with the noise profiled out
-in closed form. The coarse scan's factor at its winning tau starts that
-search. The bound and q(u) reported come from the factorization at the
-chosen tau. The exact evidence is the same bound at m = n. Every search is
-the package's own Brent search (:func:`~gpadapt._linalg.brent_bounded`),
-so this module needs numpy alone.
+the r x r eigenproblem behind it, O(n r^2 + r^3), which yields the bound's
+terms without the n x m eigenvectors; a kernel whose rank passes a cap
+fitted to timings of both routes, or a tau at or below one that did, is
+factorized whole, by one n x n eigendecomposition, instead. A 1-D search
+over log tau calls that factorization: an uphill walk from the start
+brackets the optimum, and Brent's method continues from the walk's probes
+in the bracket, stopping at its first parabolic step shorter than its
+tolerance, so it ends on a tau already factorized. At each tau the free
+(sigma, nu) are solved within their bounds by one more bounded 1-D search
+over nu / sigma^2, with the noise profiled out in closed form. The coarse
+scan's factor at its winning tau starts the search. The bound, the
+eigenvectors and q(u) reported come from the factorization at the chosen
+tau. The exact evidence is the same bound at m = n. Every search is the
+package's own Brent search (:mod:`gpadapt._linalg`), so this module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import brent_bounded, pivoted_cholesky
+from ._linalg import brent_bounded, brent_from_points, pivoted_cholesky
 from .errors import ConditioningError
-from .exact import (Dataset, SquaredExponential, exact_posterior,
+from .exact import (_LOG_2PI, Dataset, SquaredExponential, exact_posterior,
                     kernel_matrix, log_evidence)
 from .inducing import _EigenFactor, predict
 
@@ -245,23 +250,32 @@ def _pivot_cap(n: int) -> int:
     return min(int(cap) - 1, n - 1)
 
 
-def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
+def _factor(data: Dataset, rank: int, tau: float, whole: bool = False
+            ) -> _EigenFactor:
     """The one factorization at ``tau``, of the unit-variance kernel.
 
     Greedy pivoted Cholesky down to a residual trace of n^2 eps, about what
-    the drop rule discards, then :meth:`_EigenFactor.from_factor`; a kernel
-    whose rank passes :func:`_pivot_cap` is factorized whole instead
-    (:meth:`_EigenFactor.from_kernel`).
+    the drop rule discards, then :meth:`_EigenFactor.from_factor`; the
+    factor keeps no eigenvectors and runs the same Cholesky again should a
+    fit ask for them. A kernel whose rank passes :func:`_pivot_cap` is
+    factorized whole instead (:meth:`_EigenFactor.from_kernel`), and so is
+    a tau flagged ``whole``: one at or below a tau that passed the cap, as
+    the rank grows when tau shrinks.
     """
     n = data.n
     xs = data.x / tau
-    piv = pivoted_cholesky(lambda i: np.exp(-np.square(xs - xs[i])),
-                           np.ones(n), n * n * np.finfo(float).eps,
-                           _pivot_cap(n))
+
+    def cholesky():
+        return pivoted_cholesky(lambda i: np.exp(-np.square(xs - xs[i])),
+                                np.ones(n), n * n * np.finfo(float).eps,
+                                _pivot_cap(n))
+
+    piv = None if whole else cholesky()
     if piv is None:
         return _EigenFactor.from_kernel(
             kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, rank)
-    return _EigenFactor.from_factor(piv[0].T, data.y, rank, float(n))
+    return _EigenFactor.from_factor(piv[0].T, data.y, rank, float(n),
+                                    lambda: cholesky()[0].T)
 
 
 def _rank(objective: str, m: int, n: int) -> int:
@@ -329,6 +343,36 @@ def _maximize(h: Callable[[float], float], lo: float, hi: float,
     return max([(-f, t)] + [(h(c), c) for c in (lo, hi, *corners)])
 
 
+def _ratio_bound(fac: _EigenFactor, lo: np.ndarray, hi: np.ndarray
+                 ) -> Callable[[float], tuple[float, np.ndarray]]:
+    """``fac``'s bound over log ratio t = log(nu / sigma^2), with sigma^2
+    profiled out and clamped to the box of log bounds ``lo``, ``hi``.
+
+    At ratio r = e^t and noise s^2 the bound reads
+
+        -(n log 2 pi + n log s^2 + sum log(1 + r lam)
+          + Q(r) / s^2 + r gap) / 2,   Q(r) = rest + sum p^2 / (1 + r lam),
+
+    so each t costs two O(m) sums. Returns t -> (value, (log sigma,
+    log nu)).
+    """
+    lam, p2, n = fac.lam, fac.p * fac.p, fac.n
+    s2_lo, s2_hi = math.exp(2.0 * lo[0]), math.exp(2.0 * hi[0])
+    nu_lo, nu_hi = math.exp(lo[1]), math.exp(hi[1])
+    const = n * _LOG_2PI
+
+    def at(t: float) -> tuple[float, np.ndarray]:
+        r = math.exp(t)
+        d = 1.0 + r * lam
+        quad = fac.rest + float(np.sum(p2 / d))
+        s2 = min(max(quad / n, s2_lo, nu_lo / r), s2_hi, nu_hi / r)
+        value = -0.5 * (const + n * math.log(s2) + float(np.sum(np.log(d)))
+                        + quad / s2 + r * fac.gap)
+        return value, np.array([0.5 * math.log(s2), math.log(r * s2)])
+
+    return at
+
+
 def _solve_sigma_nu(fac: _EigenFactor, start: np.ndarray, free: np.ndarray,
                     lo: np.ndarray, hi: np.ndarray
                     ) -> tuple[float, np.ndarray]:
@@ -342,25 +386,19 @@ def _solve_sigma_nu(fac: _EigenFactor, start: np.ndarray, free: np.ndarray,
 
     unimodal in log sigma^2, so sigma^2 = Q(r) / n clamped to the sigma
     bounds and to the nu bounds over r is the exact optimum at that r, and
-    one bounded search over log r remains. Its kinks are the r of the box
-    corners (sigma, nu) at (lo, lo) and (hi, hi), where the clamp changes
-    sides. With one free entry, one bounded search over it. Returns the
-    maximum and the log parameters reaching it.
+    one bounded search over log r remains (:func:`_ratio_bound`). Its kinks
+    are the r of the box corners (sigma, nu) at (lo, lo) and (hi, hi),
+    where the clamp changes sides. With one free entry, one bounded search
+    over it. Returns the maximum, as :meth:`_EigenFactor.bound` reads it,
+    and the log parameters reaching it.
     """
     if free.all():
-        lam, p2, n = fac.lam, fac.p * fac.p, fac.n
-
-        def at(t: float) -> np.ndarray:
-            r = math.exp(t)
-            s2 = (fac.rest + float(np.sum(p2 / (1.0 + r * lam)))) / n
-            s2 = min(max(s2, math.exp(2.0 * lo[0]), math.exp(lo[1]) / r),
-                     math.exp(2.0 * hi[0]), math.exp(hi[1]) / r)
-            return np.array([0.5 * math.log(s2), math.log(r * s2)])
-
-        value, t = _maximize(lambda t: fac.bound(*np.exp(at(t))),
-                             lo[1] - 2.0 * hi[0], hi[1] - 2.0 * lo[0],
-                             (lo[1] - 2.0 * lo[0], hi[1] - 2.0 * hi[0]))
-        return value, at(t)
+        at = _ratio_bound(fac, lo, hi)
+        _, t = _maximize(lambda t: at(t)[0],
+                         lo[1] - 2.0 * hi[0], hi[1] - 2.0 * lo[0],
+                         (lo[1] - 2.0 * lo[0], hi[1] - 2.0 * hi[0]))
+        z = at(t)[1]
+        return fac.bound(*np.exp(z)), z
     z = start.copy()
     if free.any():
         (i,) = np.flatnonzero(free)
@@ -375,31 +413,34 @@ def _solve_sigma_nu(fac: _EigenFactor, start: np.ndarray, free: np.ndarray,
 
 
 def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
-                    hi: float, maxiter: int) -> tuple[int, bool]:
+                    hi: float, maxiter: int) -> tuple[int, str]:
     """Maximize ``h`` over [lo, hi] from ``t0`` in at most ``maxiter`` steps.
 
     Walks uphill from t0 with a stride growing by the golden ratio until h
-    falls or a bound is reached, then runs bounded Brent inside that bracket
-    to ``LOG_TAU_XATOL``. Every step is one call of h, which keeps the best
-    point itself. Returns the steps taken and whether the tolerance was met.
+    falls or a bound is reached, then runs Brent inside that bracket to
+    ``LOG_TAU_XATOL``, started from the walk's probes that lie in it
+    (:func:`~gpadapt._linalg.brent_from_points`). Every step is one call
+    of h, which keeps the best point itself. Returns the steps taken and
+    how the search ended: ``"step"`` or ``"bracket"`` (Brent's stops, the
+    tolerance met), ``"maxiter"`` or ``"nan"``.
     """
-    steps = 0
     f0 = h(t0)
+    probes = [(t0, f0)]  # every (t, h(t)) so far
 
     def probe(t):
-        nonlocal steps
-        steps += 1
-        return h(t)
+        f = h(t)
+        probes.append((t, f))
+        return f
 
     if maxiter < 1:
-        return 0, False
+        return 0, "maxiter"
     stride = _LOG_TAU_STRIDE
     cur = min(t0 + stride, hi)
     f_cur = probe(cur)
     direction = 1.0
     if f_cur <= f0:
-        if steps == maxiter:
-            return steps, False
+        if len(probes) - 1 == maxiter:
+            return maxiter, "maxiter"
         left = max(t0 - stride, lo)
         f_left = probe(left)
         if f_left <= f0:
@@ -412,8 +453,8 @@ def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
         if cur in (lo, hi):
             bracket = (prev, cur)
             break
-        if steps == maxiter:
-            return steps, False
+        if len(probes) - 1 == maxiter:
+            return maxiter, "maxiter"
         stride *= _GOLDEN
         nxt = min(max(cur + direction * stride, lo), hi)
         f_nxt = probe(nxt)
@@ -421,12 +462,14 @@ def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
             bracket = (prev, nxt)
             break
         prev, cur, f_cur = cur, nxt, f_nxt
-    if maxiter - steps < 2:  # bounded Brent makes at least two calls
-        return steps, False
-    _, _, nfev, converged = brent_bounded(
-        lambda t: -h(t), min(bracket), max(bracket), xatol=LOG_TAU_XATOL,
-        maxiter=maxiter - steps)
-    return steps + nfev, converged
+    steps = len(probes) - 1
+    if steps == maxiter:
+        return steps, "maxiter"
+    a, b = min(bracket), max(bracket)
+    _, _, nfev, stop = brent_from_points(
+        lambda t: -h(t), a, b, [(t, -f) for t, f in probes if a <= t <= b],
+        xatol=LOG_TAU_XATOL, maxiter=maxiter - steps)
+    return steps + nfev, stop
 
 
 def tune_continuous(data: Dataset, m: int,
@@ -451,8 +494,9 @@ def tune_continuous(data: Dataset, m: int,
     many failed, whether the tau search met its tolerance, the names
     ``pinned`` at bounds, the eigenvalues dropped at the chosen tau, the
     rank of that tau's factor (``factor_rank``, n when it was factorized
-    whole) and how many taus were factorized whole
-    (``full_factorizations``).
+    whole), how many taus were factorized whole (``full_factorizations``)
+    and how the tau search ended (``tau_stop``: ``"step"``, ``"bracket"``,
+    ``"maxiter"``, or None for a pinned tau).
     """
     return _tune(data, m, init, bounds, free, objective, maxiter)
 
@@ -484,15 +528,16 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
     n_evals = 0
     n_fails = 0
     n_full = 0
+    # the largest log tau factorized whole; any tau at or below it is too
+    whole_to = -math.inf
     best = None  # (bound, log (sigma, nu, tau), factor)
     seen: list[tuple[float, float]] = []  # (log tau, profile value)
 
     def profile(t: float) -> float:
         """Best bound over the free (sigma, nu) at tau = e^t; a log tau the
-        search revisits (Brent's first point can be the walk's last probe)
-        or that lies within ``_REVISIT_ULPS`` of a probe is read back, not
-        factorized again."""
-        nonlocal n_evals, n_fails, n_full, best, start
+        search revisits, or that lies within ``_REVISIT_ULPS`` of a probe,
+        is read back, not factorized again."""
+        nonlocal n_evals, n_fails, n_full, whole_to, best, start
         near = _REVISIT_ULPS * math.ulp(max(abs(t), 1.0))
         for probe, value in seen:
             if abs(t - probe) <= near:
@@ -501,12 +546,14 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
         fac, start = start, None  # a handed factor serves the first tau
         try:
             if fac is None:
-                fac = _factor(data, rank, math.exp(t))
+                fac = _factor(data, rank, math.exp(t), t <= whole_to)
         except _FAIL:
             n_fails += 1
             value = -np.inf
         else:
-            n_full += fac.rank == data.n
+            if fac.rank == data.n:
+                n_full += 1
+                whole_to = max(whole_to, t)
             value, z = _solve_sigma_nu(fac, log_init[:2], free[:2],
                                        log_lo[:2], log_hi[:2])
             if best is None or value > best[0]:
@@ -516,11 +563,11 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
 
     t0 = time.perf_counter()
     if free[2]:
-        iterations, converged = _search_log_tau(
+        iterations, tau_stop = _search_log_tau(
             profile, log_init[2], log_lo[2], log_hi[2], maxiter)
     else:
         profile(log_init[2])
-        iterations, converged = 0, True
+        iterations, tau_stop = 0, None
     wall = time.perf_counter() - t0
     if best is None:
         raise ConditioningError(
@@ -550,7 +597,9 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
     return SelectionReport(
         chosen=(sigma, nu, kern.tau), posterior=handle, records=[record],
         diagnostics={"iterations": iterations, "evaluations": n_evals,
-                     "failures": n_fails, "converged": converged,
-                     "pinned": pinned, "dropped_eigenvalues": fac.dropped,
+                     "failures": n_fails,
+                     "converged": tau_stop in (None, "step", "bracket"),
+                     "tau_stop": tau_stop, "pinned": pinned,
+                     "dropped_eigenvalues": fac.dropped,
                      "factor_rank": fac.rank,
                      "full_factorizations": n_full})

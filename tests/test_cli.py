@@ -188,9 +188,12 @@ class TestFitAndRunningCommands:
         row = json.loads((out / "report.json").read_text())["selection"][0]
         diag = row["diagnostics"]
         assert set(diag) == {"iterations", "evaluations", "failures",
-                             "converged", "pinned", "dropped_eigenvalues",
-                             "factor_rank", "full_factorizations"}
+                             "converged", "tau_stop", "pinned",
+                             "dropped_eigenvalues", "factor_rank",
+                             "full_factorizations"}
         assert diag["evaluations"] >= 1 and diag["failures"] == 0
+        assert diag["tau_stop"] in ("step", "bracket", "maxiter")
+        assert diag["converged"] == (diag["tau_stop"] != "maxiter")
         assert isinstance(diag["pinned"], list)
         assert diag["dropped_eigenvalues"] >= 0
         assert 1 <= diag["factor_rank"] <= 40

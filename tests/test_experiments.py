@@ -651,6 +651,75 @@ class TestEmitReport:
             emit_report(self._report(), "pdf", tmp_path)
 
 
+def _band_reference(report):
+    """band.csv as the per-cell writer rendered it."""
+    g17 = lambda v: format(float(v), ".17g")  # noqa: E731
+    lines = ["x,mean,lo95,hi95,truth\n"]
+    for i in range(report.query.size):
+        truth = "" if report.truth is None else g17(report.truth[i])
+        lines.append(",".join([g17(report.query[i]), g17(report.mean[i]),
+                               g17(report.lo95[i]), g17(report.hi95[i]),
+                               truth]) + "\n")
+    return "".join(lines)
+
+
+def _json_reference(report):
+    """report.json through ``json`` alone."""
+    def default(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, (np.floating, np.integer)):
+            return obj.item()
+        raise TypeError(type(obj))
+
+    return json.dumps({f: getattr(report, f) for f in (
+        "experiment", "chosen", "query", "mean", "lo95", "hi95", "truth",
+        "l2_error", "coverage", "wall_time", "selection")},
+        default=default, indent=2, sort_keys=True)
+
+
+class TestWritersKeepTheirBytes:
+    """The vectorized writers give the bytes of the per-value ones."""
+
+    def _reports(self):
+        rng = np.random.default_rng(9)
+        base = TestEmitReport()._report(k=64)
+        nan = TestEmitReport()._report(k=5)
+        nan.mean[2] = np.nan
+        nan.hi95[0] = -np.inf
+        nan.truth[4] = np.inf
+        odd = TestEmitReport()._report(k=9)
+        odd.mean[:] = rng.standard_normal(9) * np.logspace(-300, 300, 9)
+        odd.lo95[3] = -0.0
+        return [base, TestEmitReport()._report(k=6, truth=False),
+                TestEmitReport()._report(k=0), nan, odd]
+
+    def test_band_csv(self, tmp_path):
+        for i, rep in enumerate(self._reports()):
+            emit_report(rep, "csv", tmp_path / str(i))
+            assert ((tmp_path / str(i) / "band.csv").read_text()
+                    == _band_reference(rep))
+
+    def test_svg_points(self):
+        from gpadapt.experiments import _points
+
+        for rep in self._reports():
+            px, py = rep.query * 123.456 - 7.0, rep.mean * 1e3
+            assert _points(px, py) == " ".join(
+                f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+
+    def test_report_json(self):
+        for rep in self._reports():
+            assert rep.to_json() == _json_reference(rep)
+            back = RunReport.from_json(rep.to_json())
+            np.testing.assert_array_equal(back.mean, rep.mean)
+
+    def test_report_json_repeated_placeholder_takes_the_json_path(self):
+        rep = TestEmitReport()._report(k=3)
+        rep.chosen = {"note": "\0mean"}
+        assert rep.to_json() == _json_reference(rep)
+
+
 class TestStatisticalInvariants:
     """Cross-module checks on the benchmark-scale fixtures."""
 

@@ -3,6 +3,7 @@
 ``brent_bounded`` ports ``scipy.optimize.minimize_scalar(method="bounded")``
 and must evaluate the same points, so its ``x``, ``f`` and call count are
 compared for exact equality. scipy is imported here as the reference only.
+``brent_from_points`` is the same search started from evaluated points.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from gpadapt import _linalg
-from gpadapt._linalg import brent_bounded
+from gpadapt._linalg import brent_bounded, brent_from_points
 from gpadapt.errors import ConditioningError
 
 
@@ -65,6 +66,55 @@ def test_brent_rejects_bad_intervals():
         brent_bounded(abs, 1.0, 0.0)
     with pytest.raises(ValueError):
         brent_bounded(abs, 0.0, math.inf)
+
+
+def _walk_points(func, lo, hi):
+    """Three points of ``func`` that bracket its minimum on [lo, hi]."""
+    ts = (lo, lo + 0.4 * (hi - lo), hi)
+    return [(t, func(t)) for t in ts]
+
+
+@pytest.mark.parametrize("name", ["smooth", "kink", "multimodal"])
+def test_brent_from_points_meets_the_bracket_search(name):
+    func, lo, hi, xatol, _ = CASES[name]
+    lo, hi = {"smooth": (-3.0, 4.0), "kink": (-2.0, 5.0),
+              "multimodal": (-1.5, -0.5)}[name]
+    points = _walk_points(func, lo, hi)
+    calls = []
+
+    def recorded(t):
+        calls.append(t)
+        return func(t)
+
+    x, f, nfev, stop = brent_from_points(recorded, lo, hi, points, xatol)
+    ref, f_ref, _, converged = brent_bounded(func, lo, hi, 1e-12)
+    assert converged and stop in ("step", "bracket")
+    assert nfev == len(calls)
+    assert not set(calls) & {t for t, _ in points}
+    assert f == func(x) == min([f for _, f in points]
+                               + [func(t) for t in calls])
+    assert abs(x - ref) <= xatol + 1e-7 * abs(ref)
+    assert f <= f_ref + 1e-9
+
+
+def test_brent_from_points_stops_on_a_short_parabolic_step():
+    # three points on a parabola: the first step lands on its vertex and
+    # the next parabola moves it by less than the tolerance
+    func = lambda t: (t - 0.3) ** 2  # noqa: E731
+    x, f, nfev, stop = brent_from_points(func, -1.0, 2.0,
+                                         _walk_points(func, -1.0, 2.0), 1e-6)
+    assert stop == "step" and nfev == 1
+    assert x == pytest.approx(0.3, abs=1e-12)
+
+
+def test_brent_from_points_reports_the_cap_and_needs_a_point():
+    func, lo, hi, xatol, _ = CASES["multimodal"]
+    _, _, nfev, stop = brent_from_points(func, lo, hi,
+                                         _walk_points(func, lo, hi),
+                                         1e-12, maxiter=3)
+    assert nfev == 3 and stop == "maxiter"
+    with pytest.raises(ValueError):
+        brent_from_points(abs, 0.0, 1.0, [])
 
 
 def test_eigh_psd_clips_and_rejects_non_finite():

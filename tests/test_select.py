@@ -480,7 +480,7 @@ class TestTunerFactorizations:
 
         def search(profile, t0, lo, hi, maxiter):
             probes.extend([profile(t), profile(up(t)), profile(up(up(t)))])
-            return 3, True
+            return 3, "bracket"
 
         monkeypatch.setattr(select_module, "_search_log_tau", search)
         data = _se_dataset(12, n=60, span=6.0)
@@ -548,6 +548,56 @@ class TestTunerFactorizations:
         assert rep.diagnostics["evaluations"] > 1
         assert calls == {"eigh": rep.diagnostics["evaluations"],
                          "eigh_psd": 0}
+
+    def test_eigenvectors_formed_once_per_tune(self, monkeypatch,
+                                               factorizations):
+        # every probe's factor holds Q diag(lam)^(-1/2) alone; the chosen
+        # tau's Cholesky runs a second time, for its V, and no other does
+        data = _se_dataset(12, n=300, span=30.0)
+        choleskies = []
+        real = select_module.pivoted_cholesky
+
+        def counted(*args):
+            choleskies.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(select_module, "pivoted_cholesky", counted)
+        rep = tune_continuous(data, m=150, init=(0.8, 1.5, 0.7),
+                              bounds=TUNE_BOUNDS)
+        assert rep.diagnostics["factor_rank"] < data.n
+        assert factorizations.count("from_kernel") == 0
+        assert len(choleskies) == len(factorizations) + 1
+
+    def test_tau_below_a_whole_factorization_skips_the_pivoted_route(
+            self, monkeypatch):
+        # tau = 0.4 passes the cap on this design (the test above); the
+        # rank only grows as tau shrinks, so 0.35 and 0.3 go straight to
+        # the n x n route, while 3.0 still takes the pivoted one
+        data = _se_dataset(21, n=90, span=9.0)
+        events = _count_factorizations(monkeypatch)
+        real = select_module.pivoted_cholesky
+
+        def counted(*args):
+            events.append("pivoted")
+            return real(*args)
+
+        monkeypatch.setattr(select_module, "pivoted_cholesky", counted)
+
+        def search(profile, t0, lo, hi, maxiter):
+            for tau in (0.4, 0.35, 3.0, 0.3):
+                events.append(tau)
+                profile(math.log(tau))
+            return 4, "bracket"
+
+        monkeypatch.setattr(select_module, "_search_log_tau", search)
+        rep = select_module._tune(data, 25, (0.8, 1.5, 0.4), TUNE_BOUNDS,
+                                  (True, True, True), "elbo", 200)
+        assert events == [0.4, "pivoted", "from_kernel",
+                          0.35, "from_kernel",
+                          3.0, "pivoted", "from_factor",
+                          0.3, "from_kernel"] + ["pivoted"] * (
+                              rep.diagnostics["factor_rank"] < data.n)
+        assert rep.diagnostics["full_factorizations"] == 3
 
     def test_diagnostics_record_pins_and_drops(self):
         # tau = 10 on a span of 20 leaves fewer than 30 positive
@@ -629,6 +679,21 @@ def _pinned(z, free, lo, hi):
 class TestSigmaNuSolve:
     """The profiled (sigma, nu) search reaches at least what L-BFGS-B does."""
 
+    def test_ratio_bound_equals_the_bound_at_its_point(self):
+        lo, hi = np.log(np.array([(0.05, 20.0), (0.05, 200.0)])).T
+        for seed, tau in ((31, 0.4), (32, 0.7), (33, 1.3)):
+            data = _se_dataset(seed, n=120, span=12.0)
+            fac = select_module._factor(data, 40, tau)
+            at = select_module._ratio_bound(fac, lo, hi)
+            # log ratios across the box, clamps on both sides included
+            for t in np.linspace(lo[1] - 2.0 * hi[0], hi[1] - 2.0 * lo[0],
+                                 41):
+                value, z = at(t)
+                assert np.all((lo <= z + 1e-12) & (z <= hi + 1e-12))
+                assert z[1] - 2.0 * z[0] == pytest.approx(t, abs=1e-12)
+                assert value == pytest.approx(fac.bound(*np.exp(z)),
+                                              rel=1e-12)
+
     @pytest.mark.parametrize("free", [(True, True), (True, False),
                                       (False, True)])
     @pytest.mark.parametrize("bounds", [
@@ -650,3 +715,46 @@ class TestSigmaNuSolve:
             assert value >= ref - 1e-9
             assert np.all(z[~free] == start[~free])
             assert _pinned(z, free, lo, hi) == _pinned(z_ref, free, lo, hi)
+
+
+class TestLengthScaleSearch:
+    """Brent from the walk's probes, stopped by its own short step."""
+
+    def test_meets_a_tight_search_in_fewer_factorizations(self,
+                                                          monkeypatch):
+        from gpadapt._linalg import brent_bounded
+        from gpadapt.experiments import _continuous_bounds
+
+        calls = _count_factorizations(monkeypatch)
+
+        def closing(func, lo, hi, points, xatol, maxiter):
+            # the bracket-closing search: Brent from a golden-section point
+            x, f, nfev, converged = brent_bounded(func, lo, hi, xatol,
+                                                  maxiter)
+            return x, f, nfev, "bracket" if converged else "maxiter"
+
+        def tune(data, bounds, init, start):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rep = select_module._tune(data, 150, init, bounds,
+                                          (True, True, True), "elbo", 200,
+                                          start)
+            return rep, len(calls)
+
+        for seed in range(1, 11):
+            data = _se_dataset(seed, n=300, span=30.0)
+            bounds = _continuous_bounds(data)
+            init, start = select_module._coarse_scan(data, 150, bounds,
+                                                     "elbo")
+            rep, count = tune(data, bounds, init, start)
+            with monkeypatch.context() as patch:
+                patch.setattr(select_module, "LOG_TAU_XATOL", 1e-11)
+                tight, _ = tune(data, bounds, init, start)
+            with monkeypatch.context() as patch:
+                patch.setattr(select_module, "brent_from_points", closing)
+                _, closing_count = tune(data, bounds, init, start)
+            assert rep.diagnostics["tau_stop"] in ("step", "bracket")
+            assert abs(math.log(rep.chosen[2] / tight.chosen[2])) \
+                <= select_module.LOG_TAU_XATOL
+            assert count <= closing_count
