@@ -515,6 +515,12 @@ def _select(config: ExperimentConfig, data: Dataset):
     return select_discrete(grid, fitter), extras
 
 
+def _at_grid_edge(sel: SelectionReport, lam: float) -> bool:
+    """Whether ``lam`` is the first or last grid value: ``sel`` holds one
+    record per value of its strictly increasing grid."""
+    return lam in (sel.records[0].lam, sel.records[-1].lam)
+
+
 def _grid_rows(sel: SelectionReport, extras: dict) -> list[dict]:
     """Selection rows plus each value's variational weight and grid edge.
 
@@ -525,11 +531,10 @@ def _grid_rows(sel: SelectionReport, extras: dict) -> list[dict]:
     """
     scored = [rec.elbo for rec in sel.records if rec.error is None]
     weights = iter(lse_weights(scored).tolist())
-    last = len(sel.records) - 1
     return [_row(rec, **extras.get(rec.lam, {}),
                  weight=None if rec.error is not None else next(weights),
-                 at_grid_edge=i in (0, last))
-            for i, rec in enumerate(sel.records)]
+                 at_grid_edge=_at_grid_edge(sel, rec.lam))
+            for rec in sel.records]
 
 
 def _fit_grid(config: ExperimentConfig, data: Dataset):
@@ -654,8 +659,7 @@ def _contraction_size(args) -> list[tuple[float, float, bool]]:
                               sigma_sq=sigma_sq)
 
     def row(sel, error):
-        edge = sel.chosen in (sel.records[0].lam, sel.records[-1].lam)
-        return error, float(sel.chosen), edge
+        return error, float(sel.chosen), _at_grid_edge(sel, sel.chosen)
 
     rows = []
     if family != "dim":

@@ -22,25 +22,30 @@ the other coordinates, the objective in one variance t is
 strictly concave on t > 0 with a quadratic-formula maximizer, so every
 sweep increases the bound by construction.
 
-Fit and bound read the data only through G = Phi'Phi, b = Phi'y, y'y, n
-and sigma^2 (the residual by |Phi mu - y|^2 = mu'G mu - 2 mu'b + y'y), so a
-sweep over truncation levels reads the leading blocks of one
-``inducing.feature_stats``, and :func:`mf_fit_levels` fits all its levels
-in lockstep: one coordinate ascent over a D_max x levels matrix, each
-coordinate one vector step over the levels that own it, its couplings one
-matrix-vector product. The ascent takes a replicate axis too: R datasets
-at the same levels share it as an R x D_max x levels state, with one
-stacked matrix product per coordinate (``_mf_fit_replicates``, which the
-contraction study runs once per sample size). A column's zero padding,
-and which other columns share the state, change its iterates only by
-rounding, so each (dataset, level) matches its own one-level fit to
-rounding. :func:`mf_fit` is the one-level case, and its last bound
-equals :func:`mf_elbo` at its iterate exactly, both from one bound
-function.
+Fit, bound, witness and KL read the data only through an
+``inducing.FeatureStats``: G = Phi'Phi, b = Phi'y, y'y and n, with sigma^2
+passed beside it (the residual by |Phi mu - y|^2 = mu'G mu - 2 mu'b + y'y).
+Level D reads the leading D x D block of G and the first D entries of b, so
+one ``inducing.feature_stats`` serves a whole sweep over truncation levels,
+and :func:`mf_fit_levels` fits all its levels in lockstep: one coordinate
+ascent over a D_max x levels matrix, each coordinate one vector step over
+the levels that own it, its couplings one matrix-vector product. The
+ascent takes a replicate axis too: R datasets at the same levels share it
+as an R x D_max x levels state, with one stacked matrix product per
+coordinate (``_mf_fit_replicates``, which the contraction study runs once
+per sample size). A column's zero padding, and which other columns share
+the state, change its iterates only by rounding, so each (dataset, level)
+matches its own one-level fit to rounding. :func:`mf_fit` is the one-level
+case of :func:`mf_fit_levels`, itself the one-dataset case of
+``_mf_fit_replicates``, and its last bound equals :func:`mf_elbo` at
+its iterate exactly, both from one bound function. :func:`design_matrix` forms
+the n x D feature block directly and returns its statistics, the reference
+for ``inducing.feature_stats``, which forms no block.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -53,7 +58,6 @@ from .exact import Dataset, GaussianPosterior
 from .inducing import FeatureStats
 
 __all__ = [
-    "DesignMatrix",
     "MeanFieldPosterior",
     "design_matrix",
     "mf_elbo",
@@ -71,19 +75,6 @@ SWEEP_RTOL = 1e-14
 
 
 @dataclass
-class DesignMatrix:
-    """Basis evaluations at the design plus the cached Gram matrix."""
-
-    Phi: np.ndarray
-    gram: np.ndarray
-    D: int
-
-    @property
-    def n(self) -> int:
-        return self.Phi.shape[0]
-
-
-@dataclass
 class MeanFieldPosterior:
     """Diagonal-covariance weight posterior with the tied mean."""
 
@@ -94,16 +85,17 @@ class MeanFieldPosterior:
     elbo_path: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def design_matrix(x: np.ndarray, D: int) -> DesignMatrix:
-    """Evaluate the first D basis functions at x and cache Phi'Phi."""
+def design_matrix(data: Dataset, D: int) -> FeatureStats:
+    """The statistics of the first D basis functions at ``data.x``, from
+    the feature block ``BASIS.features(data.x, D)`` formed directly and
+    then dropped: the reference for ``inducing.feature_stats`` at
+    J = m = D, which forms no block."""
     if D < 1:
         raise ValueError("D must be a positive integer")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size == 0:
-        Phi = np.zeros((0, D))
-    else:
-        Phi = BASIS.features(x, D)
-    return DesignMatrix(Phi=Phi, gram=Phi.T @ Phi, D=D)
+    Phi = BASIS.features(data.x, D)
+    gram = Phi.T @ Phi
+    return FeatureStats(n=data.n, colsumsq=np.diag(gram).copy(), gram=gram,
+                        phi_y=Phi.T @ data.y, yty=float(data.y @ data.y))
 
 
 def _bound(S: np.ndarray, M: np.ndarray, off: np.ndarray, g: np.ndarray,
@@ -143,35 +135,42 @@ def _split_gram(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G, g
 
 
-def mf_elbo(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset
+def mf_elbo(q: MeanFieldPosterior, stats: FeatureStats, sigma_sq: float
             ) -> float:
-    """Explicit bound value at q, without the prior mass of D, which grid
-    selection adds separately."""
+    """Explicit bound value at q, from the leading q.D block of ``stats``,
+    without the prior mass of D, which grid selection adds separately."""
+    D = _check_levels(stats, [q.D], sigma_sq)[0]
     if np.any(q.Sigma_diag <= 0):
         raise ValueError("variational variances must be positive")
-    if dm.D != q.D:
-        raise ValueError("design matrix and posterior disagree on D")
-    if dm.n != data.n:
-        raise ValueError("design matrix was built for a different dataset")
-    off, g = _split_gram(dm.gram[None].copy())
+    off, g = _split_gram(stats.gram[None, :D, :D].copy())
     return float(_bound(q.Sigma_diag[None, :, None], q.mu[None, :, None],
-                        off, g, (dm.Phi.T @ data.y)[None],
-                        np.array([float(data.y @ data.y)]),
-                        np.array([data.n]), data.sigma_sq,
-                        np.array([float(q.D)]))[0, 0])
+                        off, g, stats.phi_y[None, :D],
+                        np.array([stats.yty]), np.array([stats.n]),
+                        sigma_sq, np.array([float(D)]))[0, 0])
 
 
-def mf_witness(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
-    """Constant-variance member Sigma_jj = (D + n / sigma^2)^{-1}.
+def mf_witness(stats: FeatureStats, sigma_sq: float) -> MeanFieldPosterior:
+    """Constant-variance member Sigma_jj = (D + n / sigma^2)^{-1}, at the
+    D = ``stats.gram.shape[0]`` features of the statistics.
 
     This is the exact posterior's variance under a perfectly balanced
     design, and the initializer for :func:`mf_fit`.
     """
-    if dm.n != data.n:
-        raise ValueError("design matrix was built for a different dataset")
-    Sigma = np.full(dm.D, 1.0 / (dm.D + data.n / data.sigma_sq))
-    return MeanFieldPosterior(D=dm.D, Sigma_diag=Sigma,
-                              mu=Sigma * (dm.Phi.T @ data.y) / data.sigma_sq)
+    D = _check_levels(stats, [stats.gram.shape[0]], sigma_sq)[0]
+    Sigma = np.full(D, 1.0 / (D + stats.n / sigma_sq))
+    return MeanFieldPosterior(D=D, Sigma_diag=Sigma,
+                              mu=Sigma * stats.phi_y / sigma_sq)
+
+
+def _caller_level() -> int:
+    """The stacklevel at which a ``warnings.warn`` in this function's
+    caller names the first frame outside this module: the code that
+    called in, however many of the module's own frames lie between."""
+    frame, level = sys._getframe(1), 1
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__") == __name__):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _sweep(views: list[tuple]) -> None:
@@ -293,7 +292,7 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
             + "at D = " + ", ".join(map(str, Ds)) for r, Ds in capped)
         warnings.warn("coordinate ascent hit the sweep cap before the "
                       f"per-sweep tolerance {named}", RuntimeWarning,
-                      stacklevel=3)
+                      stacklevel=_caller_level())
     paths = np.stack(history)
     for r, row in enumerate(fits):
         for i, q in enumerate(row):
@@ -301,37 +300,31 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
     return fits
 
 
-def mf_fit(dm: DesignMatrix, data: Dataset) -> MeanFieldPosterior:
-    """Coordinate ascent over the D variances with exact 1-D updates.
+def mf_fit(stats: FeatureStats, sigma_sq: float) -> MeanFieldPosterior:
+    """Coordinate ascent over the D = ``stats.gram.shape[0]`` variances
+    with exact 1-D updates.
 
-    Starts from the witness and reads the data only through G = Phi'Phi,
-    Phi'y, y'y, n and sigma^2. Sweeps until one sweep raises the bound by
+    Starts from the witness. Sweeps until one sweep raises the bound by
     at most ``SWEEP_RTOL`` (|bound| + y'y / sigma^2), or 500 sweeps elapse;
     non-convergence returns the last iterate with ``converged=False`` and a
     warning. ``elbo_path[-1]`` is the bound at the returned iterate, equal
-    to :func:`mf_elbo` there.
+    to :func:`mf_elbo` there. This is the one-level case of
+    :func:`mf_fit_levels`.
     """
-    if data.n < 1:
-        raise ValueError("need at least one observation")
-    if dm.n != data.n:
-        raise ValueError("design matrix was built for a different dataset")
-    stats = FeatureStats(n=data.n, colsumsq=np.diag(dm.gram), gram=dm.gram,
-                         phi_y=dm.Phi.T @ data.y, yty=float(data.y @ data.y))
-    return _ascent([stats], [dm.D], data.sigma_sq)[0][0]
+    D = stats.gram.shape[0]
+    return mf_fit_levels(stats, [D], sigma_sq)[D]
 
 
 def _check_levels(stats: FeatureStats, levels: Sequence[int],
                   sigma_sq: float) -> list[int]:
-    """The distinct ``levels`` in ascending order, once ``stats`` and
-    ``sigma_sq`` can fit them all."""
+    """The distinct ``levels`` in ascending order, once ``stats`` holds
+    them all and ``sigma_sq`` is positive."""
     levels = sorted({int(D) for D in levels})
     if not levels or levels[0] < 1:
         raise ValueError("levels must be positive integers")
     if levels[-1] > stats.gram.shape[0]:
         raise ValueError(f"level {levels[-1]} exceeds the "
                          f"{stats.gram.shape[0]} features in the statistics")
-    if stats.n < 1:
-        raise ValueError("need at least one observation")
     if not sigma_sq > 0:
         raise ValueError("sigma_sq must be positive")
     return levels
@@ -348,8 +341,7 @@ def mf_fit_levels(stats: FeatureStats, levels: Sequence[int],
     sweep cap. Returns the posteriors keyed by level. This is the
     one-dataset case of :func:`_mf_fit_replicates`.
     """
-    levels = _check_levels(stats, levels, sigma_sq)
-    return dict(zip(levels, _ascent([stats], levels, sigma_sq)[0]))
+    return _mf_fit_replicates([stats], levels, sigma_sq)[0]
 
 
 def _mf_fit_replicates(stats: Sequence[FeatureStats], levels: Sequence[int],
@@ -360,30 +352,29 @@ def _mf_fit_replicates(stats: Sequence[FeatureStats], levels: Sequence[int],
     if not stats:
         raise ValueError("need at least one dataset")
     for st in stats:
+        if st.n < 1:
+            raise ValueError("need at least one observation")
         checked = _check_levels(st, levels, sigma_sq)
     return [dict(zip(checked, row))
             for row in _ascent(stats, checked, sigma_sq)]
 
 
-def mf_kl_exact(q: MeanFieldPosterior, dm: DesignMatrix, data: Dataset
+def mf_kl_exact(q: MeanFieldPosterior, stats: FeatureStats, sigma_sq: float
                 ) -> float:
-    """KL(q || exact weight posterior) in closed form.
+    """KL(q || exact weight posterior) in closed form, from the leading
+    q.D block of ``stats``.
 
     The exact posterior for the flat D-dimensional prior is
     N(mu_hat, Sigma_hat) with Sigma_hat = (D I + Phi'Phi / sigma^2)^{-1}
     and mu_hat = sigma^{-2} Sigma_hat Phi' y. Reference-scale helper
     (n <= 2000).
     """
-    if data.n > 2000:
+    if stats.n > 2000:
         raise ValueError("mf_kl_exact is a reference path; n must be <= 2000")
-    if dm.D != q.D:
-        raise ValueError("design matrix and posterior disagree on D")
-    s2 = data.sigma_sq
-    D = dm.D
-    P_hat = D * np.eye(D) + dm.gram / s2  # Sigma_hat^{-1}
+    D = _check_levels(stats, [q.D], sigma_sq)[0]
+    P_hat = D * np.eye(D) + stats.gram[:D, :D] / sigma_sq  # Sigma_hat^{-1}
     L, _ = _linalg.chol_jitter(P_hat)
-    b = dm.Phi.T @ data.y
-    mu_hat = _linalg.chol_solve(L, b) / s2
+    mu_hat = _linalg.chol_solve(L, stats.phi_y[:D]) / sigma_sq
     diff = q.mu - mu_hat
     logdet_Sigma_hat = -_linalg.logdet_from_chol(L)
     return 0.5 * (

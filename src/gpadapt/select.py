@@ -15,19 +15,18 @@ factorized once per tau; in that eigenbasis the collapsed bound at any
 pivoted Cholesky factor of rank r, built one kernel column at a time, and
 the r x r eigenproblem behind it, O(n r^2 + r^3), which yields the bound's
 terms without the n x m eigenvectors; a kernel whose rank passes a cap
-fitted to timings of both routes, or a tau at or below one that did, is
-factorized whole, by one n x n eigendecomposition, instead. A 1-D search
-over log tau calls that factorization: an uphill walk from the start
-brackets the optimum, and Brent's method continues from the walk's probes
-in the bracket, stopping at its first parabolic step shorter than its
-tolerance, so it ends on a tau already factorized. At each tau the free
-(sigma, nu) are solved within their bounds by one more bounded 1-D search
-over nu / sigma^2, with the noise profiled out in closed form. The coarse
-scan's factor at its winning tau starts the search. The bound, the
-eigenvectors and q(u) reported come from the factorization at the chosen
-tau. The exact evidence is the same bound at m = n. Every search is the
-package's own Brent search (:mod:`gpadapt._linalg`), so this module needs
-numpy alone.
+fitted to timings of both routes is factorized whole, by one n x n
+eigendecomposition, instead. A 1-D search over log tau calls that
+factorization: an uphill walk from the start brackets the optimum, and
+Brent's method continues from the walk's probes in the bracket, stopping
+at its first parabolic step shorter than its tolerance, so it ends on a
+tau already factorized. At each tau the free (sigma, nu) are solved within
+their bounds by one more bounded 1-D search over nu / sigma^2, with the
+noise profiled out in closed form. The coarse scan's factor at its winning
+tau starts the search. The bound, the eigenvectors and q(u) reported come
+from the factorization at the chosen tau. The exact evidence is the same
+bound at m = n. Every search is the package's own Brent search
+(:mod:`gpadapt._linalg`), so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -213,9 +212,6 @@ def select_discrete(grid: HyperGrid,
 COARSE_POINTS_PER_AXIS = 3
 #: absolute tolerance on log tau at which the length-scale search stops
 LOG_TAU_XATOL = 1e-6
-#: log taus this many ulps (of max(|log tau|, 1)) apart share one
-#: factorization, far below LOG_TAU_XATOL
-_REVISIT_ULPS = 4
 #: first stride of the length-scale search away from its start, in log tau
 _LOG_TAU_STRIDE = 0.25
 _GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
@@ -250,17 +246,14 @@ def _pivot_cap(n: int) -> int:
     return min(int(cap) - 1, n - 1)
 
 
-def _factor(data: Dataset, rank: int, tau: float, whole: bool = False
-            ) -> _EigenFactor:
+def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
     """The one factorization at ``tau``, of the unit-variance kernel.
 
     Greedy pivoted Cholesky down to a residual trace of n^2 eps, about what
     the drop rule discards, then :meth:`_EigenFactor.from_factor`; the
     factor keeps no eigenvectors and runs the same Cholesky again should a
     fit ask for them. A kernel whose rank passes :func:`_pivot_cap` is
-    factorized whole instead (:meth:`_EigenFactor.from_kernel`), and so is
-    a tau flagged ``whole``: one at or below a tau that passed the cap, as
-    the rank grows when tau shrinks.
+    factorized whole instead (:meth:`_EigenFactor.from_kernel`).
     """
     n = data.n
     xs = data.x / tau
@@ -270,7 +263,7 @@ def _factor(data: Dataset, rank: int, tau: float, whole: bool = False
                                 np.ones(n), n * n * np.finfo(float).eps,
                                 _pivot_cap(n))
 
-    piv = None if whole else cholesky()
+    piv = cholesky()
     if piv is None:
         return _EigenFactor.from_kernel(
             kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, rank)
@@ -528,37 +521,26 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
     n_evals = 0
     n_fails = 0
     n_full = 0
-    # the largest log tau factorized whole; any tau at or below it is too
-    whole_to = -math.inf
     best = None  # (bound, log (sigma, nu, tau), factor)
-    seen: list[tuple[float, float]] = []  # (log tau, profile value)
 
     def profile(t: float) -> float:
-        """Best bound over the free (sigma, nu) at tau = e^t; a log tau the
-        search revisits, or that lies within ``_REVISIT_ULPS`` of a probe,
-        is read back, not factorized again."""
-        nonlocal n_evals, n_fails, n_full, whole_to, best, start
-        near = _REVISIT_ULPS * math.ulp(max(abs(t), 1.0))
-        for probe, value in seen:
-            if abs(t - probe) <= near:
-                return value
+        """Best bound over the free (sigma, nu) at tau = e^t."""
+        nonlocal n_evals, n_fails, n_full, best, start
         n_evals += 1
         fac, start = start, None  # a handed factor serves the first tau
         try:
             if fac is None:
-                fac = _factor(data, rank, math.exp(t), t <= whole_to)
+                fac = _factor(data, rank, math.exp(t))
         except _FAIL:
             n_fails += 1
             value = -np.inf
         else:
             if fac.rank == data.n:
                 n_full += 1
-                whole_to = max(whole_to, t)
             value, z = _solve_sigma_nu(fac, log_init[:2], free[:2],
                                        log_lo[:2], log_hi[:2])
             if best is None or value > best[0]:
                 best = (value, np.append(z, t), fac)
-        seen.append((t, value))
         return value
 
     t0 = time.perf_counter()

@@ -2,8 +2,9 @@
 
 Each statistics path is checked against the per-candidate construction it
 replaces: population candidates against ``population_features`` plus
-``elbo_profile``/``titsias_fit``, truncation levels against a fresh
-``design_matrix``, and whole sweeps against a fitter built that way.
+``elbo_profile``/``titsias_fit``, truncation levels against the statistics
+of a fresh ``design_matrix``, and whole sweeps against a fitter built that
+way.
 """
 
 import math
@@ -163,13 +164,18 @@ class TestMomentStatistics:
         x[:2] = 0.0, 2 * np.pi
         y = rng.normal(size=x.size)
         stats = feature_stats(x, y, J, m)
-        colsumsq, gram, phi_y = _one_shot(x, y, J, m)
+        refs = [_one_shot(x, y, J, m)]
+        if J == m:  # the mean-field layer's reference statistics too
+            ref = design_matrix(Dataset(x=x, y=y, sigma_sq=1.0), J)
+            assert ref.n == stats.n and ref.yty == stats.yty
+            refs.append((ref.colsumsq, ref.gram, ref.phi_y))
         assert stats.colsumsq.shape == (J,)
         assert stats.gram.shape == (m, m)
         assert stats.phi_y.shape == (m,)
-        assert _rel(stats.colsumsq, colsumsq) <= 1e-12
-        assert _rel(stats.gram, gram) <= 1e-12
-        assert _rel(stats.phi_y, phi_y) <= 1e-12
+        for colsumsq, gram, phi_y in refs:
+            assert _rel(stats.colsumsq, colsumsq) <= 1e-12
+            assert _rel(stats.gram, gram) <= 1e-12
+            assert _rel(stats.phi_y, phi_y) <= 1e-12
 
     @pytest.mark.parametrize("bad", [-1e-9, 2 * np.pi + 1e-9, 7.0])
     def test_rejects_points_outside_the_domain(self, bad):
@@ -348,9 +354,9 @@ class TestSweepSelection:
         fitter, _ = _make_fitter(config, grid, data)
 
         def fresh(lam):
-            dm = design_matrix(data.x, int(round(lam)))
-            q = mf_fit(dm, data)
-            return q, mf_elbo(q, dm, data)
+            stats = design_matrix(data, int(round(lam)))
+            q = mf_fit(stats, data.sigma_sq)
+            return q, mf_elbo(q, stats, data.sigma_sq)
 
         new = select_discrete(grid, fitter)
         old = select_discrete(grid, fresh)

@@ -630,7 +630,7 @@ class TestPredictiveLaw:
 
     def test_mean_field_cross_covariance(self):
         x, data = self._fit(4)
-        q = mf_fit(design_matrix(x, 7), data)
+        q = mf_fit(design_matrix(data, 7), data.sigma_sq)
         post = mf_predict(q, self.XS)
         Fa = BASIS.features(self.XS, q.D)
         Fb = BASIS.features(self.YS, q.D)

@@ -14,7 +14,7 @@ import pytest
 
 from gpadapt.basis import BASIS, SeriesPrior, Truncated, bench_signal, synth_signal
 from gpadapt.exact import Dataset, SeriesKernel, exact_posterior, log_evidence
-from gpadapt.inducing import FeatureStats, feature_stats
+from gpadapt.inducing import feature_stats
 from gpadapt.meanfield import (
     MAX_SWEEPS,
     SWEEP_RTOL,
@@ -46,126 +46,150 @@ def _random_instance(seed, n_max=50):
     x = rng.uniform(0.0, 2 * np.pi, size=n)
     y = rng.normal(0.0, 1.0, size=n)
     data = Dataset(x=x, y=y, sigma_sq=sigma_sq)
-    return design_matrix(x, D), data
+    return design_matrix(data, D), data
 
 
-def _exact_weight_posterior(dm, data):
-    """Independent route: dense solve, no Cholesky helpers."""
-    D = dm.D
-    P = D * np.eye(D) + dm.gram / data.sigma_sq
-    b = dm.Phi.T @ data.y
+def _exact_weight_posterior(data, D):
+    """Independent route: the feature block and a dense solve, no
+    Cholesky helpers."""
+    Phi = BASIS.features(data.x, D)
+    P = D * np.eye(D) + Phi.T @ Phi / data.sigma_sq
+    b = Phi.T @ data.y
     mu_hat = np.linalg.solve(P, b / data.sigma_sq)
     return mu_hat, np.linalg.inv(P)
 
 
+def _data(x, y=None, sigma_sq=1.0):
+    x = np.asarray(x, dtype=float)
+    return Dataset(x=x, y=np.zeros(x.size) if y is None else y,
+                   sigma_sq=sigma_sq)
+
+
 class TestDesignMatrix:
     def test_d1_is_all_ones_column(self):
-        dm = design_matrix(np.array([0.1, 2.0, 5.5]), 1)
-        np.testing.assert_array_equal(dm.Phi, np.ones((3, 1)))
-        assert dm.gram.shape == (1, 1) and dm.gram[0, 0] == 3.0
+        # phi_1 = 1: G = n, Phi'y = sum y
+        stats = design_matrix(_data([0.1, 2.0, 5.5], [1.0, 2.0, 4.0]), 1)
+        assert stats.gram.shape == (1, 1) and stats.gram[0, 0] == 3.0
+        np.testing.assert_array_equal(stats.colsumsq, [3.0])
+        np.testing.assert_array_equal(stats.phi_y, [7.0])
+        assert stats.n == 3 and stats.yty == 21.0
 
     def test_empty_data(self):
-        dm = design_matrix(np.array([]), 4)
-        assert dm.Phi.shape == (0, 4)
-        np.testing.assert_array_equal(dm.gram, np.zeros((4, 4)))
-        assert dm.n == 0
+        stats = design_matrix(_data([]), 4)
+        np.testing.assert_array_equal(stats.gram, np.zeros((4, 4)))
+        np.testing.assert_array_equal(stats.phi_y, np.zeros(4))
+        assert stats.n == 0 and stats.yty == 0.0
 
     def test_entries_bounded_by_sqrt2(self):
-        dm = design_matrix(np.random.default_rng(0).uniform(0, 2 * np.pi, 200), 15)
-        assert np.max(np.abs(dm.Phi)) <= np.sqrt(2.0) + 1e-12
+        # |phi_j| <= sqrt 2 bounds each column's sum of squares by 2 n and
+        # each |(Phi'y)_j| by sqrt 2 sum |y_i|
+        rng = np.random.default_rng(0)
+        data = _data(rng.uniform(0, 2 * np.pi, 200), rng.normal(size=200))
+        stats = design_matrix(data, 15)
+        assert np.max(stats.colsumsq) <= 2.0 * 200 * (1 + 1e-12)
+        assert np.max(np.abs(stats.phi_y)) <= (
+            np.sqrt(2.0) * np.sum(np.abs(data.y)) * (1 + 1e-12))
 
     def test_gram_is_phi_t_phi(self):
-        dm = design_matrix(np.random.default_rng(1).uniform(0, 2 * np.pi, 37), 6)
-        np.testing.assert_allclose(dm.gram, dm.Phi.T @ dm.Phi, rtol=0, atol=1e-12)
+        rng = np.random.default_rng(1)
+        data = _data(rng.uniform(0, 2 * np.pi, 37), rng.normal(size=37))
+        stats = design_matrix(data, 6)
+        Phi = BASIS.features(data.x, 6)
+        np.testing.assert_allclose(stats.gram, Phi.T @ Phi, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(stats.colsumsq, np.diag(stats.gram))
+        np.testing.assert_allclose(stats.phi_y, Phi.T @ data.y, rtol=0,
+                                   atol=1e-12)
+        assert stats.yty == float(data.y @ data.y)
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):
-            design_matrix(np.array([0.5]), 0)
+            design_matrix(_data([0.5]), 0)
 
     def test_gram_concentration(self):
         # 50/50 seeds landed within 0.05 when frozen (worst dev 0.0459)
         hits = 0
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            dm = design_matrix(rng.uniform(0, 2 * np.pi, 5000), 10)
-            hits += np.max(np.abs(dm.gram / 5000 - np.eye(10))) <= 0.05
+            stats = design_matrix(_data(rng.uniform(0, 2 * np.pi, 5000)), 10)
+            hits += np.max(np.abs(stats.gram / 5000 - np.eye(10))) <= 0.05
         assert hits >= 48
 
 
 class TestElbo:
     def test_no_data_elbo_is_log_mass(self):
         D = 3
-        dm = design_matrix(np.array([]), D)
-        data = Dataset(x=np.array([]), y=np.array([]), sigma_sq=1.0)
+        stats = design_matrix(_data([]), D)
         q = MeanFieldPosterior(D=D, Sigma_diag=np.full(D, 1.0 / D), mu=np.zeros(D))
         # log 1: the bound carries no model-size mass
-        assert mf_elbo(q, dm, data) == pytest.approx(0.0, abs=1e-14)
+        assert mf_elbo(q, stats, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_scalar_hand_value(self):
         # frozen from the Gauss-Hermite + generic-KL oracle
-        dm = design_matrix(np.array([0.7]), 1)
-        data = Dataset(x=np.array([0.7]), y=np.array([1.0]), sigma_sq=1.0)
+        stats = design_matrix(_data([0.7], np.array([1.0])), 1)
         q = MeanFieldPosterior(D=1, Sigma_diag=np.array([0.5]), mu=np.array([0.5]))
-        assert mf_elbo(q, dm, data) == pytest.approx(-1.5155121234846454, abs=1e-12)
+        assert mf_elbo(q, stats, 1.0) == pytest.approx(-1.5155121234846454, abs=1e-12)
 
     def test_rejects_nonpositive_variance(self):
-        dm, data = _random_instance(8)
-        q = mf_witness(dm, data)
+        stats, data = _random_instance(8)
+        q = mf_witness(stats, data.sigma_sq)
         bad = MeanFieldPosterior(D=q.D, Sigma_diag=q.Sigma_diag * 0.0, mu=q.mu)
         with pytest.raises(ValueError):
-            mf_elbo(bad, dm, data)
+            mf_elbo(bad, stats, data.sigma_sq)
 
     def test_rejects_mismatched_dims(self):
-        dm, data = _random_instance(10)
-        q = mf_witness(dm, data)
-        other = design_matrix(data.x, dm.D + 1)
+        # q reads the leading q.D block of wider statistics, and statistics
+        # narrower than q are refused
+        stats, data = _random_instance(10)
+        q = mf_witness(stats, data.sigma_sq)
+        wider = design_matrix(data, q.D + 1)
+        assert mf_elbo(q, wider, data.sigma_sq) == pytest.approx(
+            mf_elbo(q, stats, data.sigma_sq), rel=1e-12)
+        q_wide = mf_witness(wider, data.sigma_sq)
         with pytest.raises(ValueError):
-            mf_elbo(q, other, data)
+            mf_elbo(q_wide, stats, data.sigma_sq)
 
 
 class TestWitness:
     def test_formula_d1_n3(self):
-        dm = design_matrix(np.array([0.2, 1.0, 4.0]), 1)
-        data = Dataset(x=np.array([0.2, 1.0, 4.0]), y=np.zeros(3), sigma_sq=1.0)
-        np.testing.assert_array_equal(mf_witness(dm, data).Sigma_diag, [0.25])
+        stats = design_matrix(_data([0.2, 1.0, 4.0]), 1)
+        np.testing.assert_array_equal(mf_witness(stats, 1.0).Sigma_diag, [0.25])
 
     def test_mu_tied(self):
-        dm, data = _random_instance(11)
-        q = mf_witness(dm, data)
+        stats, data = _random_instance(11)
+        q = mf_witness(stats, data.sigma_sq)
+        Phi = BASIS.features(data.x, q.D)
         np.testing.assert_allclose(
-            q.mu, q.Sigma_diag * (dm.Phi.T @ data.y) / data.sigma_sq, rtol=0, atol=0
+            q.mu, q.Sigma_diag * (Phi.T @ data.y) / data.sigma_sq, rtol=0, atol=0
         )
 
     def test_scaling_mu_exact_at_power_of_two(self):
-        dm, data = _random_instance(12)
-        q1 = mf_witness(dm, data)
-        q2 = mf_witness(dm, Dataset(x=data.x, y=2.0 * data.y, sigma_sq=data.sigma_sq))
+        stats, data = _random_instance(12)
+        q1 = mf_witness(stats, data.sigma_sq)
+        q2 = mf_witness(design_matrix(_data(data.x, 2.0 * data.y), q1.D),
+                        data.sigma_sq)
         np.testing.assert_array_equal(q2.mu, 2.0 * q1.mu)
         np.testing.assert_array_equal(q2.Sigma_diag, q1.Sigma_diag)
 
     def test_scaling_mu_generic_factor(self):
-        dm, data = _random_instance(13)
-        q1 = mf_witness(dm, data)
-        q2 = mf_witness(dm, Dataset(x=data.x, y=3.7 * data.y, sigma_sq=data.sigma_sq))
+        stats, data = _random_instance(13)
+        q1 = mf_witness(stats, data.sigma_sq)
+        q2 = mf_witness(design_matrix(_data(data.x, 3.7 * data.y), q1.D),
+                        data.sigma_sq)
         np.testing.assert_allclose(q2.mu, 3.7 * q1.mu, rtol=1e-14)
 
 
 class TestFit:
     def test_d1_hand_anchor(self):
         # one closed-form step lands exactly on the exact posterior
-        x = np.array([0.3, 1.1])
-        dm = design_matrix(x, 1)
-        data = Dataset(x=x, y=np.array([0.5, -0.2]), sigma_sq=0.04)
-        q = mf_fit(dm, data)
+        data = _data([0.3, 1.1], np.array([0.5, -0.2]), sigma_sq=0.04)
+        q = mf_fit(design_matrix(data, 1), data.sigma_sq)
         assert q.converged
         assert q.Sigma_diag[0] == pytest.approx(1.0 / 51.0, rel=1e-14)
         assert q.mu[0] == pytest.approx(0.1470588235294118, rel=1e-13)
 
     def test_zero_data_gives_zero_mean(self):
         x = np.random.default_rng(3).uniform(0, 2 * np.pi, 20)
-        dm = design_matrix(x, 5)
-        data = Dataset(x=x, y=np.zeros(20), sigma_sq=0.5)
-        q = mf_fit(dm, data)
+        q = mf_fit(design_matrix(_data(x), 5), 0.5)
         np.testing.assert_array_equal(q.mu, np.zeros(5))
 
     def test_orthogonal_design_matches_exact(self):
@@ -174,13 +198,13 @@ class TestFit:
         x = 2 * np.pi * np.arange(n) / n
         rng = np.random.default_rng(4)
         data = Dataset(x=x, y=rng.normal(0, 1, n), sigma_sq=0.3)
-        dm = design_matrix(x, D)
-        assert np.max(np.abs(dm.gram - n * np.eye(D))) < 1e-10
-        q = mf_fit(dm, data)
-        mu_hat, Sigma_hat = _exact_weight_posterior(dm, data)
+        stats = design_matrix(data, D)
+        assert np.max(np.abs(stats.gram - n * np.eye(D))) < 1e-10
+        q = mf_fit(stats, data.sigma_sq)
+        mu_hat, Sigma_hat = _exact_weight_posterior(data, D)
         np.testing.assert_allclose(q.mu, mu_hat, rtol=0, atol=1e-8)
         np.testing.assert_allclose(q.Sigma_diag, np.diag(Sigma_hat), rtol=0, atol=1e-8)
-        assert mf_kl_exact(q, dm, data) < 1e-10
+        assert mf_kl_exact(q, stats, data.sigma_sq) < 1e-10
         # function-space agreement with the kernel-route posterior
         kern = SeriesKernel(SeriesPrior(Truncated(dim=D)), j_max=D)
         query = np.linspace(0.0, 2 * np.pi, 33)
@@ -189,31 +213,30 @@ class TestFit:
 
     def test_elbo_path_monotone_and_dominates_witness(self):
         for seed in range(12):
-            dm, data = _random_instance(100 + seed)
-            q = mf_fit(dm, data)
+            stats, data = _random_instance(100 + seed)
+            s2 = data.sigma_sq
+            q = mf_fit(stats, s2)
             assert q.converged
             assert np.all(np.diff(q.elbo_path) >= -1e-9)
-            wit = mf_elbo(mf_witness(dm, data), dm, data)
+            wit = mf_elbo(mf_witness(stats, s2), stats, s2)
             assert q.elbo_path[-1] >= wit - 1e-9
-            assert q.elbo_path[-1] == mf_elbo(q, dm, data)
+            assert q.elbo_path[-1] == mf_elbo(q, stats, s2)
 
     def test_duplication_equals_half_noise(self):
         # doubling every row of (x, y) must match halving sigma^2
-        dm, data = _random_instance(14)
+        stats, data = _random_instance(14)
         x2 = np.concatenate([data.x, data.x])
         y2 = np.concatenate([data.y, data.y])
-        dm2 = design_matrix(x2, dm.D)
-        q_dup = mf_fit(dm2, Dataset(x=x2, y=y2, sigma_sq=data.sigma_sq))
-        q_half = mf_fit(dm, data.with_sigma_sq(data.sigma_sq / 2.0))
+        stats2 = design_matrix(_data(x2, y2), stats.gram.shape[0])
+        q_dup = mf_fit(stats2, data.sigma_sq)
+        q_half = mf_fit(stats, data.sigma_sq / 2.0)
         np.testing.assert_allclose(q_dup.mu, q_half.mu, rtol=1e-8)
         np.testing.assert_allclose(q_dup.Sigma_diag, q_half.Sigma_diag, rtol=1e-8)
 
     def test_huge_noise_returns_prior(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 2 * np.pi, 30)
-        dm = design_matrix(x, 6)
-        data = Dataset(x=x, y=rng.normal(0, 1, 30), sigma_sq=1e12)
-        q = mf_fit(dm, data)
+        q = mf_fit(design_matrix(_data(x, rng.normal(0, 1, 30)), 6), 1e12)
         np.testing.assert_allclose(q.Sigma_diag, np.full(6, 1.0 / 6.0), rtol=1e-6)
         assert np.max(np.abs(q.mu)) < 1e-6
 
@@ -224,7 +247,7 @@ class TestFit:
         x = rng.uniform(0.0, 2 * np.pi, 2000)
         y = synth_signal(bench_signal(), x) + rng.normal(0.0, 1e-2, 2000)
         data = Dataset(x=x, y=y, sigma_sq=1e-4)
-        q = mf_fit(design_matrix(x, 30), data)
+        q = mf_fit(design_matrix(data, 30), data.sigma_sq)
         assert q.converged
         rounding = 16 * np.finfo(float).eps * float(y @ y) / data.sigma_sq
         assert np.all(np.diff(q.elbo_path) >= -rounding)
@@ -233,15 +256,20 @@ class TestFit:
         import gpadapt.meanfield as mf
 
         monkeypatch.setattr(mf, "MAX_SWEEPS", 1)
-        dm, data = _random_instance(15)
-        with pytest.warns(RuntimeWarning):
-            q = mf_fit(dm, data)
-        assert not q.converged
+        stats, data = _random_instance(15)
+        D = stats.gram.shape[0]
+        # the warning points at the caller, through either entry point
+        for fit in (lambda: mf_fit(stats, data.sigma_sq),
+                    lambda: mf_fit_levels(stats, [D], data.sigma_sq)[D]):
+            with pytest.warns(RuntimeWarning) as caught:
+                q = fit()
+            assert not q.converged
+            assert [w.filename for w in caught] == [__file__]
 
     def test_rejects_empty_data(self):
-        dm = design_matrix(np.array([]), 2)
+        stats = design_matrix(_data([]), 2)
         with pytest.raises(ValueError):
-            mf_fit(dm, Dataset(x=np.array([]), y=np.array([]), sigma_sq=1.0))
+            mf_fit(stats, 1.0)
 
 
 def _rel(a, b) -> float:
@@ -279,10 +307,11 @@ class TestLockstepLevels:
                 1e-12 * abs(one.elbo_path[-1]))
 
     def test_one_level_is_mf_fit(self):
-        dm, data = _random_instance(19)
-        stats = feature_stats(data.x, data.y, dm.D, dm.D)
-        q = mf_fit_levels(stats, [dm.D], data.sigma_sq)[dm.D]
-        ref = mf_fit(dm, data)
+        ref_stats, data = _random_instance(19)
+        D = ref_stats.gram.shape[0]
+        stats = feature_stats(data.x, data.y, D, D)
+        q = mf_fit_levels(stats, [D], data.sigma_sq)[D]
+        ref = mf_fit(ref_stats, data.sigma_sq)
         assert len(q.elbo_path) == len(ref.elbo_path)
         np.testing.assert_allclose(q.mu, ref.mu, rtol=1e-10)
         np.testing.assert_allclose(q.Sigma_diag, ref.Sigma_diag, rtol=1e-10)
@@ -415,15 +444,13 @@ class TestScalarReference:
         s2 = float(rng.uniform(0.05, 1.0))
         x = rng.uniform(0.0, 2 * np.pi, size=n)
         y = np.sin(x) + rng.normal(0.0, np.sqrt(s2), size=n)
-        dm = design_matrix(x, top)
-        stats = FeatureStats(n=n, colsumsq=np.diag(dm.gram), gram=dm.gram,
-                             phi_y=dm.Phi.T @ y, yty=float(y @ y))
+        stats = design_matrix(Dataset(x=x, y=y, sigma_sq=s2), top)
         levels = [1, 2, top // 2 + 1, top]
         fits = mf_fit_levels(stats, levels, s2)
         scale = stats.yty / s2
         for D in levels:
-            Sigma, mu, path = _scalar_ascent(dm.gram, stats.phi_y, stats.yty,
-                                             n, s2, D)
+            Sigma, mu, path = _scalar_ascent(stats.gram, stats.phi_y,
+                                             stats.yty, n, s2, D)
             q = fits[D]
             assert q.converged
             assert len(q.elbo_path) == len(path)
@@ -436,40 +463,40 @@ class TestScalarReference:
 class TestKl:
     def test_nonnegative_on_random_instances(self):
         for seed in range(100):
-            dm, data = _random_instance(200 + seed)
-            q = mf_witness(dm, data)
-            assert mf_kl_exact(q, dm, data) >= -1e-10
+            stats, data = _random_instance(200 + seed)
+            q = mf_witness(stats, data.sigma_sq)
+            assert mf_kl_exact(q, stats, data.sigma_sq) >= -1e-10
 
     def test_fit_reduces_kl(self):
         for seed in range(8):
-            dm, data = _random_instance(300 + seed)
-            kl_w = mf_kl_exact(mf_witness(dm, data), dm, data)
-            kl_f = mf_kl_exact(mf_fit(dm, data), dm, data)
+            stats, data = _random_instance(300 + seed)
+            s2 = data.sigma_sq
+            kl_w = mf_kl_exact(mf_witness(stats, s2), stats, s2)
+            kl_f = mf_kl_exact(mf_fit(stats, s2), stats, s2)
             assert kl_f <= kl_w + 1e-10
 
     def test_gap_identity(self):
         # log evidence - ELBO == KL(q || exact posterior), any member q
         for seed in range(30):
-            dm, data = _random_instance(400 + seed)
-            kern = SeriesKernel(SeriesPrior(Truncated(dim=dm.D)), j_max=dm.D)
+            stats, data = _random_instance(400 + seed)
+            D, s2 = stats.gram.shape[0], data.sigma_sq
+            kern = SeriesKernel(SeriesPrior(Truncated(dim=D)), j_max=D)
             log_ev = log_evidence(kern, data)
             rng = np.random.default_rng(10_000 + seed)
-            members = [mf_witness(dm, data), mf_fit(dm, data)]
-            sig = rng.uniform(0.05, 2.0, size=dm.D)
+            members = [mf_witness(stats, s2), mf_fit(stats, s2)]
+            sig = rng.uniform(0.05, 2.0, size=D)
             members.append(
-                MeanFieldPosterior(D=dm.D, Sigma_diag=sig, mu=rng.normal(0, 1, dm.D))
+                MeanFieldPosterior(D=D, Sigma_diag=sig, mu=rng.normal(0, 1, D))
             )
             for q in members:
-                gap = log_ev - mf_elbo(q, dm, data)
-                assert gap == pytest.approx(mf_kl_exact(q, dm, data), abs=1e-8)
+                gap = log_ev - mf_elbo(q, stats, s2)
+                assert gap == pytest.approx(mf_kl_exact(q, stats, s2), abs=1e-8)
 
     def test_guard_on_large_n(self):
-        x = np.zeros(2001)
-        dm = design_matrix(x, 2)
-        data = Dataset(x=x, y=np.zeros(2001), sigma_sq=1.0)
-        q = mf_witness(dm, data)
+        stats = design_matrix(_data(np.zeros(2001)), 2)
+        q = mf_witness(stats, 1.0)
         with pytest.raises(ValueError):
-            mf_kl_exact(q, dm, data)
+            mf_kl_exact(q, stats, 1.0)
 
 
 class TestNearDiagonalConsistency:
@@ -481,9 +508,8 @@ class TestNearDiagonalConsistency:
             dists = []
             for seed in range(10):
                 data = _simulate(n, 1000 + seed)
-                dm = design_matrix(data.x, D)
-                q = mf_fit(dm, data)
-                mu_hat, _ = _exact_weight_posterior(dm, data)
+                q = mf_fit(design_matrix(data, D), data.sigma_sq)
+                mu_hat, _ = _exact_weight_posterior(data, D)
                 dists.append(np.linalg.norm(q.mu - mu_hat) / np.linalg.norm(mu_hat))
             means.append(np.mean(dists))
         assert means[0] <= 0.05
@@ -494,8 +520,8 @@ class TestNearDiagonalConsistency:
 
 class TestPredict:
     def test_mean_and_cov_shapes(self):
-        dm, data = _random_instance(16)
-        q = mf_fit(dm, data)
+        stats, data = _random_instance(16)
+        q = mf_fit(stats, data.sigma_sq)
         query = np.linspace(0, 2 * np.pi, 17)
         post = mf_predict(q, query)
         assert post.mean.shape == (17,)
@@ -504,15 +530,15 @@ class TestPredict:
         assert np.all(np.linalg.eigvalsh(post.cov) > -1e-10)
 
     def test_mean_is_series_combination(self):
-        dm, data = _random_instance(17)
-        q = mf_fit(dm, data)
+        stats, data = _random_instance(17)
+        q = mf_fit(stats, data.sigma_sq)
         query = np.array([0.1, 3.0, 6.0])
         post = mf_predict(q, query)
         np.testing.assert_allclose(post.mean, BASIS.features(query, q.D) @ q.mu, atol=1e-14)
 
     def test_band_covers_mean(self):
-        dm, data = _random_instance(18)
-        q = mf_fit(dm, data)
+        stats, data = _random_instance(18)
+        q = mf_fit(stats, data.sigma_sq)
         post = mf_predict(q, np.linspace(0, 6, 9))
         lo, hi = post.band95()
         assert np.all(lo <= post.mean) and np.all(post.mean <= hi)

@@ -468,29 +468,6 @@ class TestTunerFactorizations:
         assert (rep.diagnostics["full_factorizations"]
                 == factorizations.count("from_kernel"))
 
-    def test_log_tau_one_ulp_from_a_probe_is_read_back(
-            self, factorizations, monkeypatch):
-        # Brent's first point can land one ulp of log tau from the walk's
-        # last probe, and the two taus need not round to one float
-        up = lambda v: math.nextafter(v, math.inf)  # noqa: E731
-        t = math.log(0.6435928942025502)
-        while math.exp(up(t)) == math.exp(t):
-            t = up(t)
-        probes = []
-
-        def search(profile, t0, lo, hi, maxiter):
-            probes.extend([profile(t), profile(up(t)), profile(up(up(t)))])
-            return 3, "bracket"
-
-        monkeypatch.setattr(select_module, "_search_log_tau", search)
-        data = _se_dataset(12, n=60, span=6.0)
-        rep = select_module._tune(data, 20, (0.8, 1.5, math.exp(t)),
-                                  TUNE_BOUNDS, (True, True, True), "elbo",
-                                  200)
-        assert len(factorizations) == 1
-        assert rep.diagnostics["evaluations"] == 1
-        assert probes[0] == probes[1] == probes[2]
-
     def test_coarse_factor_serves_the_first_tau(self, factorizations):
         data = _se_dataset(12, n=60, span=6.0)
         init, start = select_module._coarse_scan(data, 20, TUNE_BOUNDS,
@@ -567,37 +544,6 @@ class TestTunerFactorizations:
         assert rep.diagnostics["factor_rank"] < data.n
         assert factorizations.count("from_kernel") == 0
         assert len(choleskies) == len(factorizations) + 1
-
-    def test_tau_below_a_whole_factorization_skips_the_pivoted_route(
-            self, monkeypatch):
-        # tau = 0.4 passes the cap on this design (the test above); the
-        # rank only grows as tau shrinks, so 0.35 and 0.3 go straight to
-        # the n x n route, while 3.0 still takes the pivoted one
-        data = _se_dataset(21, n=90, span=9.0)
-        events = _count_factorizations(monkeypatch)
-        real = select_module.pivoted_cholesky
-
-        def counted(*args):
-            events.append("pivoted")
-            return real(*args)
-
-        monkeypatch.setattr(select_module, "pivoted_cholesky", counted)
-
-        def search(profile, t0, lo, hi, maxiter):
-            for tau in (0.4, 0.35, 3.0, 0.3):
-                events.append(tau)
-                profile(math.log(tau))
-            return 4, "bracket"
-
-        monkeypatch.setattr(select_module, "_search_log_tau", search)
-        rep = select_module._tune(data, 25, (0.8, 1.5, 0.4), TUNE_BOUNDS,
-                                  (True, True, True), "elbo", 200)
-        assert events == [0.4, "pivoted", "from_kernel",
-                          0.35, "from_kernel",
-                          3.0, "pivoted", "from_factor",
-                          0.3, "from_kernel"] + ["pivoted"] * (
-                              rep.diagnostics["factor_rank"] < data.n)
-        assert rep.diagnostics["full_factorizations"] == 3
 
     def test_diagnostics_record_pins_and_drops(self):
         # tau = 10 on a span of 20 leaves fewer than 30 positive
