@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from numpy.random import default_rng
@@ -386,28 +386,45 @@ def _grid_nodes(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     return j.astype(np.intp) & (N - 1), u
 
 
-def _trig_sum_grid(z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """:func:`_trig_sum` on the grid of :func:`_grid_plan`.
-
-    With z = 2 pi j / N + u h, exp(i k z) = exp(2 pi i k j / N) times
-    sum_r (i k h u)^r / r!, so the sum is sum_r u^r g_r(j), where
-    g_r = Re sum_k c_k (i k h)^r / r! exp(2 pi i k j / N) is one inverse
-    real FFT of length N read at the nodes j. O(R (N log N + n)) time and
-    O(N + n) memory.
+def _grid_tables(c: np.ndarray) -> Iterator[np.ndarray]:
+    """The R tables g_r of :func:`_trig_sum_grid`, in order of r, on the
+    grid of :func:`_grid_plan` for K = c.size frequencies: one inverse real
+    FFT of length N each, yielded one at a time, so that a single sum
+    holds one table and a caller that sums many point sets can keep the
+    list.
     """
     N, R = _grid_plan(c.size)
-    j, u = _grid_nodes(z, N)
     # irfft reads a half spectrum: Re sum_k b_k w^(kj) with b_k halved, k > 0
     b = np.zeros(N // 2 + 1, dtype=complex)
     b[:c.size] = c
     b[1:] *= 0.5
     step = 1j * (DOMAIN_HI / N) * np.arange(c.size)
-    out = np.fft.irfft(b, N, norm="forward")[j]
-    u_r = np.ones(z.size)
+    yield np.fft.irfft(b, N, norm="forward")
     for r in range(1, R):
         b[:c.size] *= step / r
+        yield np.fft.irfft(b, N, norm="forward")
+
+
+def _trig_sum_grid(z: np.ndarray, c: np.ndarray,
+                   tables: Iterable[np.ndarray] | None = None
+                   ) -> np.ndarray:
+    """:func:`_trig_sum` on the grid of :func:`_grid_plan`.
+
+    With z = 2 pi j / N + u h, exp(i k z) = exp(2 pi i k j / N) times
+    sum_r (i k h u)^r / r!, so the sum is sum_r u^r g_r(j), where
+    g_r = Re sum_k c_k (i k h)^r / r! exp(2 pi i k j / N) is one inverse
+    real FFT of length N read at the nodes j (:func:`_grid_tables`, or
+    ``tables``, the list it yields for these coefficients). O(R (N log N
+    + n)) time and O(N + n) memory, or O(R n) given the tables.
+    """
+    N, _ = _grid_plan(c.size)
+    j, u = _grid_nodes(z, N)
+    g = iter(_grid_tables(c) if tables is None else tables)
+    out = next(g)[j]
+    u_r = np.ones(z.size)
+    for g_r in g:
         u_r *= u
-        out += np.fft.irfft(b, N, norm="forward")[j] * u_r
+        out += g_r[j] * u_r
     return out
 
 
@@ -467,16 +484,17 @@ def _grid_route(n: int, K: int, chunk: int) -> bool:
     return _GRID_OPS * R * (N * math.log2(N) + n + _TERM_OPS) < blocks
 
 
-def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048
-              ) -> np.ndarray:
+def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048,
+              tables: list[np.ndarray] | None = None) -> np.ndarray:
     """Re sum_{k < K} c_k exp(i k z) at every point z in [0, 2 pi], K = len(c).
 
     Routed by :func:`_grid_route`: by blocks of ``chunk`` points
     (:func:`_trig_sum_blocks`, O(n K)) or on an oversampled grid with a
     Taylor correction (:func:`_trig_sum_grid`, O(R (n + K log K))).
+    Given ``tables``, the grid tables of c, the sum takes the grid route.
     """
-    if _grid_route(z.size, c.size, chunk):
-        return _trig_sum_grid(z, c)
+    if tables is not None or _grid_route(z.size, c.size, chunk):
+        return _trig_sum_grid(z, c, tables)
     return _trig_sum_blocks(z, c, chunk)
 
 
@@ -514,7 +532,8 @@ def _series_phasors(spec: SignalSpec) -> np.ndarray:
     return a
 
 
-def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
+def synth_signal(spec: SignalSpec, x, chunk: int = 2048,
+                 tables: list[np.ndarray] | None = None):
     """Evaluate the partial sum of ``spec`` at x (scalar or array).
 
     The shift is applied inside the (periodic) basis argument, so any real
@@ -524,12 +543,23 @@ def synth_signal(spec: SignalSpec, x, chunk: int = 2048):
     ``chunk`` points (O(n K) time, O(chunk sqrt(K) + K) memory), many by
     FFTs on an oversampled grid with a Taylor correction (O(R (n + K log K))
     time, R about 20, O(n + K) memory). Neither forms a point-by-frequency
-    block.
+    block. ``tables``, from :func:`_signal_tables`, spares the grid route
+    its FFTs.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = _wrap(x_arr - spec.shift)
-    out = _trig_sum(z, _series_phasors(spec), chunk)
+    out = _trig_sum(z, _series_phasors(spec), chunk, tables)
     return out if np.asarray(x).shape else float(out[0])
+
+
+def _signal_tables(spec: SignalSpec, n: int, chunk: int = 2048
+                   ) -> list[np.ndarray] | None:
+    """The grid tables of :func:`synth_signal` for ``spec`` at n points,
+    for every draw of n points to share; None when n points take the
+    block route. Each sum then costs O(R n), bit-identical to one that
+    builds its own tables."""
+    a = _series_phasors(spec)
+    return list(_grid_tables(a)) if _grid_route(n, a.size, chunk) else None
 
 
 def _midpoint_signal(spec: SignalSpec, N: int) -> np.ndarray:

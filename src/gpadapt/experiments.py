@@ -28,6 +28,7 @@ from .basis import (
     SeriesPrior,
     SignalSpec,
     _midpoint_signal,
+    _signal_tables,
     bench_signal,
     synth_signal,
 )
@@ -243,11 +244,15 @@ def simulate_poly(n: int, seed: int, sigma_sq: float = DEFAULT_NOISE_SQ
     return _draw(_BENCH_SPEC, n, seed, sigma_sq), _BENCH_SPEC
 
 
-def _draw(spec: SignalSpec, n: int, seed: int, sigma_sq: float) -> Dataset:
-    """Uniform design on the basis domain, signal ``spec`` plus noise."""
+def _draw(spec: SignalSpec, n: int, seed: int, sigma_sq: float,
+          tables: list[np.ndarray] | None = None) -> Dataset:
+    """Uniform design on the basis domain, signal ``spec`` plus noise;
+    ``tables`` are the signal's grid tables at n points
+    (``basis._signal_tables``), shared by draws of one size."""
     rng = default_rng(seed)
     x = rng.uniform(DOMAIN_LO, DOMAIN_HI, size=n)
-    y = synth_signal(spec, x) + rng.normal(0.0, math.sqrt(sigma_sq), size=n)
+    y = (synth_signal(spec, x, tables=tables)
+         + rng.normal(0.0, math.sqrt(sigma_sq), size=n))
     return Dataset(x=x, y=y, sigma_sq=sigma_sq)
 
 
@@ -325,25 +330,23 @@ def _sizes(grid) -> list[int]:
     return [grid.m_rule(lam) for lam in grid.values]
 
 
-def _dim_stats(grid, data: Dataset) -> FeatureStats:
-    """Design statistics up to a ``dim`` grid's largest level."""
-    top = max(_sizes(grid))
+def _dim_stats(top: int, data: Dataset) -> FeatureStats:
+    """Design statistics up to a ``dim`` grid's largest level ``top``."""
     return feature_stats(data.x, data.y, top, top)
 
 
-def _dim_fitter(grid, fits: dict):
-    """Fitter and row extras of a ``dim`` grid whose levels are all fitted
-    already (``fits``, keyed by level): the fitter looks a level up, and
-    the extras hold each level's sweep ``diagnostics``."""
-    extras = {lam: {"diagnostics": {"sweeps": len(fits[D].elbo_path) - 1,
-                                    "converged": fits[D].converged}}
-              for lam, D in zip(grid.values, _sizes(grid))}
+def _dim_fitter(grid, sizes: list[int], fits: dict):
+    """Fitter of a ``dim`` grid whose levels (``sizes``, one per grid
+    value) are all fitted already (``fits``, keyed by level): it looks a
+    grid value's fit up, and scores a level that a pruning ascent
+    dropped (None) as -inf, which selection never keeps."""
+    by_value = {lam: fits[D] for lam, D in zip(grid.values, sizes)}
 
     def fitter(lam):
-        q = fits[grid.m_rule(lam)]
-        return q, float(q.elbo_path[-1])
+        q = by_value[lam]
+        return q, -math.inf if q is None else float(q.elbo_path[-1])
 
-    return fitter, extras
+    return fitter
 
 
 def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
@@ -356,12 +359,18 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     ``FeatureStats`` up to the largest truncation level for ``dim``, and up
     to the largest feature count and cutoff for population features. Each
     candidate then reads only their leading blocks. Every ``dim`` level is
-    fitted here too, in one lockstep ascent, and the fitter looks it up.
+    fitted here too, in one lockstep ascent without pruning, and the
+    fitter looks it up.
     """
     if config.prior == "dim":
-        stats = _dim_stats(grid, data)
-        return _dim_fitter(grid, mf_fit_levels(stats, _sizes(grid),
-                                               data.sigma_sq))
+        sizes = _sizes(grid)
+        fits = mf_fit_levels(_dim_stats(max(sizes), data), sizes,
+                             data.sigma_sq)
+        extras = {lam: {"diagnostics": {
+            "sweeps": len(fits[D].elbo_path) - 1,
+            "converged": fits[D].converged}}
+            for lam, D in zip(grid.values, sizes)}
+        return _dim_fitter(grid, sizes, fits), extras
 
     extras: dict[float, dict] = {}
     if config.features == "population":
@@ -649,14 +658,19 @@ def _contraction_size(args) -> list[tuple[float, float, bool]]:
     """Every replicate at one sample size: simulate and adaptively fit.
 
     Returns, per seed, the L2 error to the truth, the chosen grid value
-    and whether it sits on the grid's edge. ``dim`` keeps only each
-    draw's design statistics and fits all replicates' levels in one
-    lockstep ascent; the other families fit one draw after another.
+    and whether it sits on the grid's edge. The draws share the signal's
+    grid tables, built once for the size. ``dim`` keeps only each draw's
+    design statistics and fits all replicates' levels in one pruning
+    lockstep ascent (``meanfield._mf_fit_replicates``): a level whose
+    evidence bound cannot beat its replicate's best bound stops early and
+    scores -inf, so every replicate keeps the level an unpruned sweep
+    keeps. The other families fit one draw after another.
     """
     family, beta_true, n, seeds, sigma_sq = args
     spec = _smooth_signal(beta_true)
     config = ExperimentConfig(experiment="contraction", n=n, prior=family,
                               sigma_sq=sigma_sq)
+    tables = _signal_tables(spec, n)
 
     def row(sel, error):
         return error, float(sel.chosen), _at_grid_edge(sel, sel.chosen)
@@ -664,16 +678,18 @@ def _contraction_size(args) -> list[tuple[float, float, bool]]:
     rows = []
     if family != "dim":
         for seed in seeds:
-            sel, _ = _select(config, _draw(spec, n, seed, sigma_sq))
+            sel, _ = _select(config, _draw(spec, n, seed, sigma_sq, tables))
             rows.append(row(sel, _quadrature_error(
                 lambda xs: predict_mean(sel.posterior, xs), spec)))
         return rows
     grid = _build_grid(config, n)
-    stats = [_dim_stats(grid, _draw(spec, n, seed, sigma_sq))
+    sizes = _sizes(grid)
+    stats = [_dim_stats(max(sizes), _draw(spec, n, seed, sigma_sq, tables))
              for seed in seeds]
+    del tables
     coeffs = spec.coeff_array()
-    for fits in _mf_fit_replicates(stats, _sizes(grid), sigma_sq):
-        sel = select_discrete(grid, _dim_fitter(grid, fits)[0])
+    for fits in _mf_fit_replicates(stats, sizes, sigma_sq, prune=True):
+        sel = select_discrete(grid, _dim_fitter(grid, sizes, fits))
         q = sel.posterior
         head = q.mu - coeffs[:q.D]
         tail = coeffs[q.D:]

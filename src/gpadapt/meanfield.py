@@ -33,7 +33,9 @@ the levels that own it, its couplings one matrix-vector product. The
 ascent takes a replicate axis too: R datasets at the same levels share it
 as an R x D_max x levels state, with one stacked matrix product per
 coordinate (``_mf_fit_replicates``, which the contraction study runs once
-per sample size). A column's zero padding, and which other columns share
+per sample size, pruning: :func:`_evidence_bounds` bounds each level's
+log evidence in closed form, and a level that cannot be its dataset's
+best stops early). A column's zero padding, and which other columns share
 the state, change its iterates only by rounding, so each (dataset, level)
 matches its own one-level fit to rounding. :func:`mf_fit` is the one-level
 case of :func:`mf_fit_levels`, itself the one-dataset case of
@@ -72,6 +74,10 @@ MAX_SWEEPS = 500
 #: a fit stops once a sweep gains at most SWEEP_RTOL (|bound| + y'y / sigma^2):
 #: above the rounding of the Gram identity's terms, of size y'y / sigma^2
 SWEEP_RTOL = 1e-14
+#: a pruning ascent drops a level whose evidence bound falls below its
+#: fit's best current bound by more than PRUNE_RTOL (|best| + y'y / sigma^2):
+#: far above the rounding of either, far below the gaps between levels
+PRUNE_RTOL = 1e-9
 
 
 @dataclass
@@ -125,6 +131,61 @@ def _bound(S: np.ndarray, M: np.ndarray, off: np.ndarray, g: np.ndarray,
     mu_sq = np.multiply(M, M, out=work).sum(axis=1)
     kl = 0.5 * (-log_det - D + D * S.sum(axis=1) + D * mu_sq)
     return fit - kl
+
+
+def _evidence_bounds(stats: Sequence[FeatureStats], levels: list[int],
+                     s2: float) -> np.ndarray:
+    """Upper bounds on each level's log evidence, fits x levels.
+
+    Level D's evidence is log N(y; 0, sigma^2 I + Phi_D Phi_D' / D)
+    = -(n/2) log 2 pi sigma^2 - y'y / (2 sigma^2) + (1/2) z'P^{-1} z
+    - (1/2) log|P| + (D/2) log D, with P = D I + G_D / sigma^2 and
+    z = Phi_D'y / sigma^2. Replacing D I by c I with c <= D lowers P, so
+    raises the quadratic term and lowers the log determinant: an upper
+    bound, exact at D = c. For every shift c = 1, 2, 4, ... one batched
+    Cholesky over the fits, of the bordered matrix
+    [[c I + G_k / sigma^2, z_k], [z_k', |z_k|^2 / c + 1]] with k the
+    largest level in [c, 2c), bounds all those levels at once: the
+    factor's last row is w = L^{-1} z_k and the leading D x D block of L
+    factors the leading block of P, so the bound at D reads
+    (1/2) sum_{i <= D} w_i^2 - sum_{i <= D} log L_ii. The border's corner
+    exceeds |w|^2 by at least 1, so the bordered matrix is positive
+    definite whenever its leading block is. O(R D_max^3) in all. A shift
+    whose Cholesky fails, and every non-finite bound, reads +inf: it
+    rules nothing out. Every level's mean-field bound lies below its
+    evidence, so below this bound.
+    """
+    top = levels[-1]
+    Dv = np.asarray(levels, dtype=float)
+    base = np.array([-0.5 * st.n * np.log(2.0 * np.pi * s2)
+                     - 0.5 * st.yty / s2 for st in stats])
+    out = np.full((len(stats), len(levels)), np.inf)
+    for c in (1 << p for p in range(top.bit_length())):
+        at = [i for i, D in enumerate(levels) if c <= D < 2 * c]
+        if not at:
+            continue
+        k = levels[at[-1]]
+        A = np.empty((len(stats), k + 1, k + 1))
+        for r, st in enumerate(stats):
+            A[r, :k, :k] = st.gram[:k, :k]
+            A[r, :k, k] = st.phi_y[:k]
+        A /= s2
+        z = A[:, :k, k]
+        A[:, k, :k] = z
+        A[:, k, k] = np.einsum("ri,ri->r", z, z) / c + 1.0
+        np.einsum("rjj->rj", A)[:, :k] += c
+        try:
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            continue
+        w = L[:, k, :k]
+        cum = np.cumsum(0.5 * w * w - np.log(
+            np.diagonal(L, axis1=1, axis2=2)[:, :k]), axis=1)
+        D = Dv[at]
+        out[:, at] = (base[:, None] + cum[:, D.astype(int) - 1]
+                      + 0.5 * D * np.log(D))
+    out[~np.isfinite(out)] = np.inf
+    return out
 
 
 def _split_gram(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +249,8 @@ def _sweep(views: list[tuple]) -> None:
         M_j[...] = b_s2_j * t
 
 
-def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
-            ) -> list[list[MeanFieldPosterior]]:
+def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float,
+            prune: bool = False) -> list[list[MeanFieldPosterior | None]]:
     """Coordinate ascent for R datasets at the distinct ascending
     ``levels``, all in lockstep.
 
@@ -205,7 +266,17 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
     the state once all R of its fits have stopped, and until then its
     stopped columns keep iterating unread. One warning names the fits that
     hit the sweep cap. Returns ``fits[r][i]``, dataset r at ``levels[i]``.
+
+    With ``prune``, for levels of equal prior mass, a fit also stops where
+    it cannot be the best level of its dataset: at the witness and after
+    every sweep, a live fit whose :func:`_evidence_bounds` value (taken
+    before the state is allocated) falls below the best current bound of
+    its dataset's fits by more than PRUNE_RTOL (|best| + y'y / sigma^2)
+    stops unfrozen and comes back None. Its mean-field bound lies below
+    its evidence, so below that best, at convergence too: the level with
+    the best final bound is never pruned.
     """
+    ub = _evidence_bounds(stats, levels, s2) if prune else None
     top = levels[-1]
     off, g = _split_gram(np.stack([st.gram[:top, :top] for st in stats]))
     b = np.stack([st.phi_y[:top] for st in stats])
@@ -233,6 +304,7 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
     history = [last]  # bounds per sweep, fits x levels
     stop = np.full((R, L), -1)  # sweep each fit stopped on
     fits: list[list] = [[None] * L for _ in range(R)]
+    best = np.full(R, -np.inf)  # each dataset's best bound so far
 
     def freeze(r, c, converged):
         i, D = cols[c], levels[cols[c]]
@@ -240,6 +312,13 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
         fits[r][i] = MeanFieldPosterior(
             D=D, Sigma_diag=S[r, :D, c].copy(), mu=M[r, :D, c].copy(),
             converged=converged)
+
+    def pruned(val):
+        """The live fits that cannot be their dataset's best level, once
+        the live fits' bounds ``val`` count towards the best."""
+        np.fmax(best, np.where(live, val, -np.inf).max(axis=1), out=best)
+        floor = best - PRUNE_RTOL * (np.abs(best) + scale[:, 0])
+        return live & (ub[:, cols] < floor[:, None])
 
     def steps():
         """Per coordinate j, views of what its step reads and writes: row j
@@ -253,18 +332,10 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
                  b_s4[r, j:j + 1], b_s2[r, j:j + 1])
                 for j, k in enumerate(starts)]
 
-    views = steps()
+    if prune:
+        live &= ~pruned(last)
+    views = None
     for _ in range(MAX_SWEEPS):
-        _sweep(views)
-        val = _bound(S, M, off, g, b, yty, nv, s2, Dv)
-        full = np.full((R, L), np.nan)
-        full[:, cols] = val
-        history.append(full)
-        done = live & (val - last <= SWEEP_RTOL * (np.abs(val) + scale))
-        for r, c in zip(*np.nonzero(done)):
-            freeze(r, c, True)
-        live &= ~done
-        last = val
         keep = live.any(axis=0)
         if not keep.any():
             break
@@ -281,8 +352,21 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
             M = M[:, :top, keep]
             A0 = A0[:, :top, keep]
             B4 = B4[:, :top, keep]
+        if views is None:
             views = steps()
-    else:
+        _sweep(views)
+        val = _bound(S, M, off, g, b, yty, nv, s2, Dv)
+        full = np.full((R, L), np.nan)
+        full[:, cols] = val
+        history.append(full)
+        done = live & (val - last <= SWEEP_RTOL * (np.abs(val) + scale))
+        for r, c in zip(*np.nonzero(done)):
+            freeze(r, c, True)
+        if prune:
+            done |= pruned(val)
+        live &= ~done
+        last = val
+    if live.any():
         capped = [(r, [levels[cols[c]] for c in np.flatnonzero(row)])
                   for r, row in enumerate(live) if row.any()]
         for r, c in zip(*np.nonzero(live)):
@@ -296,7 +380,8 @@ def _ascent(stats: Sequence[FeatureStats], levels: list[int], s2: float
     paths = np.stack(history)
     for r, row in enumerate(fits):
         for i, q in enumerate(row):
-            q.elbo_path = paths[:stop[r, i] + 1, r, i].copy()
+            if q is not None:
+                q.elbo_path = paths[:stop[r, i] + 1, r, i].copy()
     return fits
 
 
@@ -345,10 +430,18 @@ def mf_fit_levels(stats: FeatureStats, levels: Sequence[int],
 
 
 def _mf_fit_replicates(stats: Sequence[FeatureStats], levels: Sequence[int],
-                       sigma_sq: float) -> list[dict[int, MeanFieldPosterior]]:
+                       sigma_sq: float, prune: bool = False
+                       ) -> list[dict[int, MeanFieldPosterior | None]]:
     """:func:`mf_fit_levels` for several datasets at the same levels, all
     in one lockstep ascent; one warning names the fits that hit the sweep
-    cap. Returns one dict of posteriors per dataset."""
+    cap. Returns one dict of posteriors per dataset.
+
+    ``prune`` is for levels of equal prior mass, where only each dataset's
+    best level matters: a level whose closed-form evidence bound
+    (:func:`_evidence_bounds`) falls below the best current bound of its
+    dataset by more than PRUNE_RTOL (|best| + y'y / sigma^2) stops early
+    and maps to None (see :func:`_ascent`). The best level's fit is the
+    one an unpruned ascent returns, up to rounding."""
     if not stats:
         raise ValueError("need at least one dataset")
     for st in stats:
@@ -356,7 +449,7 @@ def _mf_fit_replicates(stats: Sequence[FeatureStats], levels: Sequence[int],
             raise ValueError("need at least one observation")
         checked = _check_levels(st, levels, sigma_sq)
     return [dict(zip(checked, row))
-            for row in _ascent(stats, checked, sigma_sq)]
+            for row in _ascent(stats, checked, sigma_sq, prune)]
 
 
 def mf_kl_exact(q: MeanFieldPosterior, stats: FeatureStats, sigma_sq: float

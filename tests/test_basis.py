@@ -19,6 +19,7 @@ from gpadapt.basis import (
     _grid_route,
     _midpoint_signal,
     _series_phasors,
+    _signal_tables,
     _trig_moments,
     _trig_moments_blocks,
     _trig_moments_grid,
@@ -390,6 +391,24 @@ class TestBlockTrigKernel:
                       np.max(np.abs(got.imag - ref_im)))
             assert got.shape == (k,)
             assert err <= 1e-13 * np.sum(np.abs(w)), float(err)
+
+    @pytest.mark.parametrize("n", [3000, 9000])
+    def test_shared_tables_sum_bit_identically(self, n):
+        # tables built once for n points serve every draw of n points,
+        # each value bit-equal to a sum that builds its own
+        spec = _smooth_signal(1.0)
+        tables = _signal_tables(spec, n)
+        assert tables is not None
+        assert len(tables) == _grid_plan(spec.j_max // 2 + 1)[1]
+        for seed in range(3):
+            x = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=n)
+            np.testing.assert_array_equal(
+                synth_signal(spec, x, tables=tables), synth_signal(spec, x))
+
+    def test_no_tables_where_points_take_the_block_route(self):
+        spec = _smooth_signal(1.0)
+        assert not _grid_route(500, spec.j_max // 2 + 1, 2048)
+        assert _signal_tables(spec, 500) is None
 
     def test_grid_route_memory_is_linear_in_grid_and_points(self):
         # O(N + n): no points x sqrt(K) block, no Taylor term kept

@@ -29,6 +29,8 @@ from gpadapt.experiments import (
     _usable_workers,
     simulate_poly,
 )
+from gpadapt.inducing import feature_stats
+from gpadapt.meanfield import mf_fit_levels
 from gpadapt.select import poly_grid
 
 
@@ -582,6 +584,58 @@ class TestContraction:
                 error = math.sqrt(head @ head + tail @ tail)
                 assert rep.errors[r, i] == pytest.approx(error, rel=1e-9)
                 assert rep.chosen[r, i] == sel.chosen
+
+    @staticmethod
+    def _counted_study(monkeypatch, seed, prune):
+        """The benchmark study at ``seed`` and its coordinate-step count;
+        ``prune=False`` hands the ascent bounds that rule nothing out."""
+        import gpadapt.meanfield as mf
+
+        steps, sweep = [0], mf._sweep
+
+        def spy(views):
+            steps[0] += len(views)
+            sweep(views)
+
+        with monkeypatch.context() as m:
+            m.setattr(mf, "_sweep", spy)
+            if not prune:
+                m.setattr(mf, "_evidence_bounds", lambda st, lv, s2: np.full(
+                    (len(st), len(lv)), np.inf))
+            rep = contraction_study("dim", 1.0, (500, 2000, 8000), 5,
+                                    seed=seed)
+        return rep, steps[0]
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_pruning_keeps_the_study_and_halves_its_steps(self, monkeypatch,
+                                                          seed):
+        rep, steps = self._counted_study(monkeypatch, seed, prune=True)
+        ref, ref_steps = self._counted_study(monkeypatch, seed, prune=False)
+        np.testing.assert_array_equal(rep.chosen, ref.chosen)
+        np.testing.assert_array_equal(rep.at_grid_edge, ref.at_grid_edge)
+        np.testing.assert_allclose(rep.errors, ref.errors, rtol=1e-8)
+        assert rep.slope == pytest.approx(ref.slope, rel=1e-8)
+        assert 0 < 2 * steps <= ref_steps, (steps, ref_steps)
+
+    def test_select_dim_fits_every_level_unpruned(self, monkeypatch):
+        import gpadapt.meanfield as mf
+
+        calls = []
+        monkeypatch.setattr(mf, "_evidence_bounds",
+                            lambda *args: calls.append(args))
+        data = _draw(_smooth_signal(1.0), 2000, 3, 0.25)
+        config = ExperimentConfig(experiment="contraction", n=2000,
+                                  prior="dim", sigma_sq=0.25)
+        sel, extras = _select(config, data)
+        assert calls == []
+        stats = feature_stats(data.x, data.y, 44, 44)
+        fits = mf_fit_levels(stats, list(range(1, 45)), 0.25)
+        assert [r.lam for r in sel.records] == list(range(1, 45))
+        for rec in sel.records:
+            q = fits[int(rec.lam)]
+            assert rec.elbo_lambda == q.elbo_path[-1]
+            assert extras[rec.lam]["diagnostics"] == {
+                "sweeps": len(q.elbo_path) - 1, "converged": True}
 
     def test_workers_match_sequential(self):
         seq = contraction_study("dim", 0.8, (60, 120, 240), 5, seed=5)

@@ -14,11 +14,12 @@ import pytest
 
 from gpadapt.basis import BASIS, SeriesPrior, Truncated, bench_signal, synth_signal
 from gpadapt.exact import Dataset, SeriesKernel, exact_posterior, log_evidence
-from gpadapt.inducing import feature_stats
+from gpadapt.inducing import FeatureStats, feature_stats
 from gpadapt.meanfield import (
     MAX_SWEEPS,
     SWEEP_RTOL,
     MeanFieldPosterior,
+    _evidence_bounds,
     _mf_fit_replicates,
     design_matrix,
     mf_elbo,
@@ -389,6 +390,114 @@ class TestLockstepLevels:
             _mf_fit_replicates([], [3], s2)
         with pytest.raises(ValueError):
             _mf_fit_replicates([stats, stats], [11], s2)
+
+
+def _dense_log_evidence(data, D):
+    """log N(y; 0, sigma^2 I + Phi Phi' / D) from the n x n Cholesky of
+    the feature block's covariance."""
+    from scipy.linalg import solve_triangular
+
+    Phi = BASIS.features(data.x, D)
+    L = np.linalg.cholesky(data.sigma_sq * np.eye(data.n) + Phi @ Phi.T / D)
+    a = solve_triangular(L, data.y, lower=True)
+    return float(-0.5 * a @ a - np.sum(np.log(np.diag(L)))
+                 - 0.5 * data.n * math.log(2 * math.pi))
+
+
+class TestEvidenceBounds:
+    """Closed-form upper bounds on each level's log evidence, from one
+    bordered Cholesky per shift c = 1, 2, 4, ..."""
+
+    @staticmethod
+    def _design(n, seed, top, sigma_sq=0.25):
+        data = _simulate(n, seed, sigma_sq=sigma_sq)
+        return data, feature_stats(data.x, data.y, top, top)
+
+    @pytest.mark.parametrize("n, seed, levels", [
+        (200, 1, list(range(1, 15))),
+        (900, 2, [1, 2, 3, 4, 5, 8, 11, 16, 23, 30]),
+        (1500, 3, [1, 2, 4, 8, 13, 38]),
+    ])
+    def test_bounds_the_evidence_and_the_fitted_bound(self, n, seed, levels):
+        data, stats = self._design(n, seed, max(levels))
+        ub = _evidence_bounds([stats], levels, data.sigma_sq)[0]
+        fits = mf_fit_levels(stats, levels, data.sigma_sq)
+        for D, bound in zip(levels, ub):
+            evidence = _dense_log_evidence(data, D)
+            tol = 1e-10 * abs(evidence)
+            if D & (D - 1) == 0:  # exact at every shift c = D
+                assert abs(bound - evidence) <= tol, (D, bound, evidence)
+            else:
+                assert bound >= evidence - tol, (D, bound, evidence)
+            assert evidence >= fits[D].elbo_path[-1] - tol
+            assert fits[D].converged
+
+    def test_replicates_bound_each_dataset_alone(self):
+        designs = [self._design(600, seed, 24)[1] for seed in (4, 5, 6)]
+        levels = [1, 3, 7, 12, 24]
+        batch = _evidence_bounds(designs, levels, 0.25)
+        for stats, row in zip(designs, batch):
+            np.testing.assert_allclose(
+                row, _evidence_bounds([stats], levels, 0.25)[0],
+                rtol=1e-13)
+
+    def test_non_finite_statistics_rule_nothing_out(self):
+        _, stats = self._design(300, 7, 12)
+        levels = list(range(1, 13))
+        for field, value in (("yty", np.nan), ("yty", np.inf)):
+            bad = FeatureStats(n=stats.n, colsumsq=stats.colsumsq,
+                               gram=stats.gram, phi_y=stats.phi_y,
+                               yty=value)
+            assert np.all(_evidence_bounds([bad], levels, 0.25) == np.inf)
+        for where in ("gram", "phi_y"):
+            bad = FeatureStats(n=stats.n, colsumsq=stats.colsumsq,
+                               gram=stats.gram.copy(),
+                               phi_y=stats.phi_y.copy(), yty=stats.yty)
+            getattr(bad, where)[0] = np.nan
+            assert np.all(_evidence_bounds([bad], levels, 0.25) == np.inf)
+
+    def test_failed_cholesky_rules_out_nothing_at_its_shift(self):
+        # an indefinite entry at index 3 breaks the shifts whose blocks
+        # reach it (c = 4, 8) and leaves levels 1..3 bounded
+        _, stats = self._design(300, 8, 12)
+        gram = stats.gram.copy()
+        gram[3, 3] = -1e6
+        bad = FeatureStats(n=stats.n, colsumsq=stats.colsumsq, gram=gram,
+                           phi_y=stats.phi_y, yty=stats.yty)
+        ub = _evidence_bounds([bad], list(range(1, 13)), 0.25)[0]
+        assert np.all(np.isfinite(ub[:3]))
+        assert np.all(ub[3:] == np.inf)
+
+    def test_unusable_bounds_prune_nothing(self, monkeypatch):
+        import gpadapt.meanfield as mf
+
+        _, stats = self._design(2000, 9, 44)
+        levels = list(range(1, 45))
+        plain = mf_fit_levels(stats, levels, 0.25)
+        for fill in (np.nan, np.inf):
+            monkeypatch.setattr(mf, "_evidence_bounds",
+                                lambda st, lv, s2: np.full((len(st), len(lv)),
+                                                           fill))
+            fits = _mf_fit_replicates([stats], levels, 0.25, prune=True)[0]
+            for D in levels:
+                assert fits[D] is not None
+                assert len(fits[D].elbo_path) == len(plain[D].elbo_path)
+
+    def test_pruning_keeps_each_replicates_best_level(self):
+        designs = [self._design(2000, seed, 44)[1] for seed in range(10, 15)]
+        levels = list(range(1, 45))
+        pruned = _mf_fit_replicates(designs, levels, 0.25, prune=True)
+        plain = _mf_fit_replicates(designs, levels, 0.25)
+        for got, ref in zip(pruned, plain):
+            bounds = {D: q.elbo_path[-1] for D, q in ref.items()}
+            best = max(bounds, key=bounds.get)
+            dropped = [D for D in levels if got[D] is None]
+            assert got[best] is not None and len(dropped) > len(levels) // 2
+            assert got[best].elbo_path[-1] == pytest.approx(bounds[best],
+                                                            rel=1e-12)
+            for D in levels:
+                if got[D] is not None:
+                    assert len(got[D].elbo_path) == len(ref[D].elbo_path)
 
 
 def _scalar_ascent(G, b, yty, n, s2, D):
