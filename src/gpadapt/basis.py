@@ -467,6 +467,8 @@ _POWER_OPS = 1000
 _GRID_OPS = 2.5
 #: grid-route overhead of one Taylor term, its FFT and vector calls
 _TERM_OPS = 10_000
+#: points per block of :func:`_trig_sum`'s block route
+SUM_CHUNK = 2048
 
 
 def _grid_route(n: int, K: int, chunk: int) -> bool:
@@ -484,18 +486,18 @@ def _grid_route(n: int, K: int, chunk: int) -> bool:
     return _GRID_OPS * R * (N * math.log2(N) + n + _TERM_OPS) < blocks
 
 
-def _trig_sum(z: np.ndarray, c: np.ndarray, chunk: int = 2048,
+def _trig_sum(z: np.ndarray, c: np.ndarray,
               tables: list[np.ndarray] | None = None) -> np.ndarray:
     """Re sum_{k < K} c_k exp(i k z) at every point z in [0, 2 pi], K = len(c).
 
-    Routed by :func:`_grid_route`: by blocks of ``chunk`` points
+    Routed by :func:`_grid_route`: by blocks of ``SUM_CHUNK`` points
     (:func:`_trig_sum_blocks`, O(n K)) or on an oversampled grid with a
     Taylor correction (:func:`_trig_sum_grid`, O(R (n + K log K))).
     Given ``tables``, the grid tables of c, the sum takes the grid route.
     """
-    if tables is not None or _grid_route(z.size, c.size, chunk):
+    if tables is not None or _grid_route(z.size, c.size, SUM_CHUNK):
         return _trig_sum_grid(z, c, tables)
-    return _trig_sum_blocks(z, c, chunk)
+    return _trig_sum_blocks(z, c, SUM_CHUNK)
 
 
 def _trig_moments(x: np.ndarray, w: np.ndarray, K: int | Sequence[int],
@@ -532,7 +534,7 @@ def _series_phasors(spec: SignalSpec) -> np.ndarray:
     return a
 
 
-def synth_signal(spec: SignalSpec, x, chunk: int = 2048,
+def synth_signal(spec: SignalSpec, x,
                  tables: list[np.ndarray] | None = None):
     """Evaluate the partial sum of ``spec`` at x (scalar or array).
 
@@ -540,26 +542,26 @@ def synth_signal(spec: SignalSpec, x, chunk: int = 2048,
     x is accepted. The sum is Re sum_k a_k exp(i k z) with the coefficients
     of :func:`_series_phasors`, K = j_max // 2 + 1, by :func:`_trig_sum`:
     few points go by the block factorization k = p B + q in chunks of
-    ``chunk`` points (O(n K) time, O(chunk sqrt(K) + K) memory), many by
-    FFTs on an oversampled grid with a Taylor correction (O(R (n + K log K))
-    time, R about 20, O(n + K) memory). Neither forms a point-by-frequency
-    block. ``tables``, from :func:`_signal_tables`, spares the grid route
-    its FFTs.
+    ``SUM_CHUNK`` points (O(n K) time, O(SUM_CHUNK sqrt(K) + K) memory),
+    many by FFTs on an oversampled grid with a Taylor correction
+    (O(R (n + K log K)) time, R about 20, O(n + K) memory). Neither forms
+    a point-by-frequency block. ``tables``, from :func:`_signal_tables`,
+    spares the grid route its FFTs.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = _wrap(x_arr - spec.shift)
-    out = _trig_sum(z, _series_phasors(spec), chunk, tables)
+    out = _trig_sum(z, _series_phasors(spec), tables)
     return out if np.asarray(x).shape else float(out[0])
 
 
-def _signal_tables(spec: SignalSpec, n: int, chunk: int = 2048
-                   ) -> list[np.ndarray] | None:
+def _signal_tables(spec: SignalSpec, n: int) -> list[np.ndarray] | None:
     """The grid tables of :func:`synth_signal` for ``spec`` at n points,
     for every draw of n points to share; None when n points take the
     block route. Each sum then costs O(R n), bit-identical to one that
     builds its own tables."""
     a = _series_phasors(spec)
-    return list(_grid_tables(a)) if _grid_route(n, a.size, chunk) else None
+    return (list(_grid_tables(a)) if _grid_route(n, a.size, SUM_CHUNK)
+            else None)
 
 
 def _midpoint_signal(spec: SignalSpec, N: int) -> np.ndarray:

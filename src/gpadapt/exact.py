@@ -456,13 +456,6 @@ class HierarchicalPosterior:
         lam = max(self.weights, key=lambda k: self.weights[k])
         return self.components[lam]
 
-    def mixture_mean(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros(xs.size)
-        for lam, w in self.weights.items():
-            out += w * self.components[lam].mean_fn(xs)
-        return out
-
 
 def lse_weights(log_scores: np.ndarray) -> np.ndarray:
     """Normalized exp of log-scores, stabilized by subtracting the max.

@@ -34,7 +34,6 @@ from .basis import (
 )
 from .exact import Dataset, SeriesKernel, kernel_matrix, lse_weights
 from .inducing import (
-    FeatureStats,
     _EigenFactor,
     _warn_dropped,
     feature_cutoff,
@@ -325,25 +324,14 @@ def _profile_noise(profile) -> tuple[float, float, dict]:
     return math.exp(t), float(-f), diagnostics
 
 
-def _sizes(grid) -> list[int]:
-    """The feature count of every grid value (the level D for ``dim``)."""
-    return [grid.m_rule(lam) for lam in grid.values]
-
-
-def _dim_stats(top: int, data: Dataset) -> FeatureStats:
-    """Design statistics up to a ``dim`` grid's largest level ``top``."""
-    return feature_stats(data.x, data.y, top, top)
-
-
-def _dim_fitter(grid, sizes: list[int], fits: dict):
-    """Fitter of a ``dim`` grid whose levels (``sizes``, one per grid
-    value) are all fitted already (``fits``, keyed by level): it looks a
-    grid value's fit up, and scores a level that a pruning ascent
-    dropped (None) as -inf, which selection never keeps."""
-    by_value = {lam: fits[D] for lam, D in zip(grid.values, sizes)}
+def _dim_fitter(fits: dict):
+    """Fitter of a ``dim`` grid whose levels are all fitted already
+    (``fits``, keyed by level, which is the grid value): it looks a grid
+    value's fit up, and scores a level that a pruning ascent dropped
+    (None) as -inf, which selection never keeps."""
 
     def fitter(lam):
-        q = by_value[lam]
+        q = fits[int(lam)]
         return q, -math.inf if q is None else float(q.elbo_path[-1])
 
     return fitter
@@ -363,21 +351,20 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     fitter looks it up.
     """
     if config.prior == "dim":
-        sizes = _sizes(grid)
-        fits = mf_fit_levels(_dim_stats(max(sizes), data), sizes,
-                             data.sigma_sq)
+        top = max(grid.sizes)
+        fits = mf_fit_levels(feature_stats(data.x, data.y, top, top),
+                             grid.sizes, data.sigma_sq)
         extras = {lam: {"diagnostics": {
             "sweeps": len(fits[D].elbo_path) - 1,
             "converged": fits[D].converged}}
-            for lam, D in zip(grid.values, sizes)}
-        return _dim_fitter(grid, sizes, fits), extras
+            for lam, D in zip(grid.values, grid.sizes)}
+        return _dim_fitter(fits), extras
 
     extras: dict[float, dict] = {}
     if config.features == "population":
-        ms = _sizes(grid)
         J = max(feature_cutoff(_series_prior(config, lam), m)
-                for lam, m in zip(grid.values, ms))
-        stats = feature_stats(data.x, data.y, J, max(ms))
+                for lam, m in zip(grid.values, grid.sizes))
+        stats = feature_stats(data.x, data.y, J, max(grid.sizes))
 
         def candidate(lam):
             _, profile, fit = population_candidate(
@@ -594,18 +581,12 @@ def _fit_kernel(config: ExperimentConfig, data: Dataset):
         raise ValueError("continuous tuning needs at least two points")
     m = min(config.m if config.m is not None else 150, data.n)
     bounds = _continuous_bounds(data)
-    free = (True, True, True)
     if not config.estimate_noise:
         sigma0 = math.sqrt(config.sigma_sq)
-        lo, hi = bounds[0]
-        bounds[0] = (min(lo, sigma0), max(hi, sigma0))
-        free = (False, True, True)
-    # the scan's factor at its tau serves the tune's first tau; it reads
-    # the design and y alone, so a fixed noise shares it too
+        bounds[0] = (sigma0, sigma0)  # equal bounds pin the noise
+    # the scan's factor at its tau serves the tune's first tau
     init, start = _coarse_scan(data, m, bounds, "elbo")
-    if not config.estimate_noise:
-        init = (sigma0, *init[1:])
-    rep = _tune(data, m, init, bounds, free, "elbo", 200, start)
+    rep = _tune(data, m, init, bounds, "elbo", 200, start)
     sigma, nu, tau = rep.chosen
     s2 = float(sigma) ** 2
     chosen = {"sigma": float(sigma), "nu": float(nu), "tau": float(tau),
@@ -683,13 +664,13 @@ def _contraction_size(args) -> list[tuple[float, float, bool]]:
                 lambda xs: predict_mean(sel.posterior, xs), spec)))
         return rows
     grid = _build_grid(config, n)
-    sizes = _sizes(grid)
-    stats = [_dim_stats(max(sizes), _draw(spec, n, seed, sigma_sq, tables))
-             for seed in seeds]
+    top = max(grid.sizes)
+    draws = (_draw(spec, n, seed, sigma_sq, tables) for seed in seeds)
+    stats = [feature_stats(d.x, d.y, top, top) for d in draws]
     del tables
     coeffs = spec.coeff_array()
-    for fits in _mf_fit_replicates(stats, sizes, sigma_sq, prune=True):
-        sel = select_discrete(grid, _dim_fitter(grid, sizes, fits))
+    for fits in _mf_fit_replicates(stats, grid.sizes, sigma_sq, prune=True):
+        sel = select_discrete(grid, _dim_fitter(fits))
         q = sel.posterior
         head = q.mu - coeffs[:q.D]
         tail = coeffs[q.D:]

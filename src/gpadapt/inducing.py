@@ -270,6 +270,15 @@ def feature_stats(x: np.ndarray, y: np.ndarray, J: int, m: int
                         phi_y=(scale * phi_y)[:m], yty=float(y @ y))
 
 
+def _kept(vals: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the descending eigenvalues of an n x n kernel above
+    n eps max(lam_max, 0); raises when it keeps none."""
+    keep = vals > max(vals[0], 0.0) * n * np.finfo(float).eps
+    if not np.any(keep):
+        raise ConditioningError("kernel matrix has no positive eigenvalues")
+    return keep
+
+
 def _top_eigenpairs(K_ff: np.ndarray, m: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Top-m eigenpairs, descending, less those at or below n eps lam_max."""
@@ -294,9 +303,7 @@ def _top_eigenpairs(K_ff: np.ndarray, m: int
 
         vals, vecs = scipy.linalg.eigh(K_sym, subset_by_index=[n - m, n - 1])
     vals, vecs = vals[::-1], vecs[:, ::-1]  # eigh's order is ascending
-    keep = vals > max(vals[0], 0.0) * n * np.finfo(float).eps
-    if not np.any(keep):
-        raise ConditioningError("kernel matrix has no positive eigenvalues")
+    keep = _kept(vals, n)
     return vals[keep], vecs[:, keep]
 
 
@@ -383,9 +390,7 @@ class _EigenFactor:
             raise ValueError("m must lie in 1..n")
         vals, Q = np.linalg.eigh(L.T @ L)
         vals, Q = vals[::-1][:m], Q[:, ::-1][:, :m]  # descending
-        keep = vals > max(vals[0], 0.0) * n * np.finfo(float).eps
-        if not np.any(keep):
-            raise ConditioningError("kernel matrix has no positive eigenvalues")
+        keep = _kept(vals, n)
         vals = vals[keep]
         W = Q[:, keep] / np.sqrt(vals)
         return cls._build(vals, lambda: refactor() @ W, W.T @ (L.T @ y), y,

@@ -215,7 +215,8 @@ def mf_witness(stats: FeatureStats, sigma_sq: float) -> MeanFieldPosterior:
     D = ``stats.gram.shape[0]`` features of the statistics.
 
     This is the exact posterior's variance under a perfectly balanced
-    design, and the initializer for :func:`mf_fit`.
+    design, and the start of :func:`mf_fit`: the ascent builds this member
+    for every level at once, each from its leading block.
     """
     D = _check_levels(stats, [stats.gram.shape[0]], sigma_sq)[0]
     Sigma = np.full(D, 1.0 / (D + stats.n / sigma_sq))

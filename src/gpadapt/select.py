@@ -20,13 +20,15 @@ eigendecomposition, instead. A 1-D search over log tau calls that
 factorization: an uphill walk from the start brackets the optimum, and
 Brent's method continues from the walk's probes in the bracket, stopping
 at its first parabolic step shorter than its tolerance, so it ends on a
-tau already factorized. At each tau the free (sigma, nu) are solved within
-their bounds by one more bounded 1-D search over nu / sigma^2, with the
-noise profiled out in closed form. The coarse scan's factor at its winning
-tau starts the search. The bound, the eigenvectors and q(u) reported come
-from the factorization at the chosen tau. The exact evidence is the same
-bound at m = n. Every search is the package's own Brent search
-(:mod:`gpadapt._linalg`), so this module needs numpy alone.
+tau already factorized. At each tau (sigma, nu) are solved within their
+bounds by one more bounded 1-D search over nu / sigma^2, with the noise
+profiled out in closed form; a coordinate whose two bounds are equal is
+pinned there, so a known noise is the box (sigma, sigma). The coarse
+scan's factor at its winning tau starts the search. The bound, the
+eigenvectors and q(u) reported come from the factorization at the chosen
+tau. The exact evidence is the same bound at m = n. Every search is the
+package's own Brent search (:mod:`gpadapt._linalg`), so this module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -62,12 +64,14 @@ _FAIL = (ConditioningError, np.linalg.LinAlgError)
 
 @dataclass(frozen=True)
 class HyperGrid:
-    """Finite hyperparameter grid with its mass function and feature rule."""
+    """Finite hyperparameter grid with its mass function and feature rule;
+    ``sizes`` holds the rule's feature count at every value."""
 
     family: str
     values: np.ndarray
     masses: np.ndarray
     m_rule: Callable[[float], int]
+    sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -82,9 +86,11 @@ class HyperGrid:
             raise ValueError("masses must align with values")
         if np.any(masses <= 0) or abs(float(masses.sum()) - 1.0) > 1e-12:
             raise ValueError("masses must be a probability vector")
-        for lam in values:
-            if self.m_rule(lam) < 1:
+        sizes = tuple(self.m_rule(lam) for lam in values)
+        for lam, m in zip(values, sizes):
+            if m < 1:
                 raise ValueError(f"m_rule must be >= 1 (violated at {lam})")
+        object.__setattr__(self, "sizes", sizes)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -182,7 +188,7 @@ def select_discrete(grid: HyperGrid,
     """
     records: list[SelectionRecord] = []
     best = None  # (score, lam, fit)
-    for lam, mass in zip(grid.values, grid.masses):
+    for lam, mass, size in zip(grid.values, grid.masses, grid.sizes):
         log_mass = float(np.log(mass))
         t0 = time.perf_counter()
         try:
@@ -195,7 +201,7 @@ def select_discrete(grid: HyperGrid,
             continue
         score = bound + log_mass
         model = getattr(fit, "model", None)
-        m = int(model.m) if model is not None else grid.m_rule(lam)
+        m = int(model.m) if model is not None else size
         records.append(SelectionRecord(
             lam=float(lam), log_mass=log_mass,
             wall_time=time.perf_counter() - t0,
@@ -287,8 +293,9 @@ def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
     """Pick a starting triple for :func:`tune_continuous` by grid scan.
 
     Scores the objective on a log-spaced lattice interior to the bounds,
-    ``COARSE_POINTS_PER_AXIS`` points per coordinate, and returns the best
-    (sigma, nu, tau). The kernel is factorized once per lattice tau
+    ``COARSE_POINTS_PER_AXIS`` points per coordinate, one point, exactly
+    the bound, for a coordinate pinned by equal bounds, and returns the
+    best (sigma, nu, tau). The kernel is factorized once per lattice tau
     (:class:`_EigenFactor`); each (sigma, nu) point then costs O(m).
     Lattice taus whose factorization fails are skipped; raises if every
     one fails.
@@ -302,6 +309,7 @@ def _coarse_scan(data: Dataset, m: int, bounds: Sequence[tuple],
     :func:`_tune` takes over instead of factorizing that tau again."""
     rank = _rank(objective, m, data.n)
     sigmas, nus, taus = (
+        np.array([lo]) if lo == hi else
         np.exp(np.linspace(np.log(lo), np.log(hi),
                            COARSE_POINTS_PER_AXIS + 2))[1:-1]
         for lo, hi in bounds)
@@ -324,16 +332,6 @@ def _coarse_scan(data: Dataset, m: int, bounds: Sequence[tuple],
 
 #: absolute tolerance of the (sigma, nu) search at one tau, in log units
 _SIGMA_NU_XATOL = 1e-10
-
-
-def _maximize(h: Callable[[float], float], lo: float, hi: float,
-              corners: Sequence[float] = ()) -> tuple[float, float]:
-    """Best of Brent's bounded search for max ``h`` on [lo, hi] and of ``h``
-    at the ends and ``corners`` (kinks of h), which the search only
-    approaches within its tolerance. Returns the value and its point."""
-    t, f, _, _ = brent_bounded(lambda t: -h(t), lo, hi,
-                               xatol=_SIGMA_NU_XATOL)
-    return max([(-f, t)] + [(h(c), c) for c in (lo, hi, *corners)])
 
 
 def _ratio_bound(fac: _EigenFactor, lo: np.ndarray, hi: np.ndarray
@@ -366,42 +364,34 @@ def _ratio_bound(fac: _EigenFactor, lo: np.ndarray, hi: np.ndarray
     return at
 
 
-def _solve_sigma_nu(fac: _EigenFactor, start: np.ndarray, free: np.ndarray,
-                    lo: np.ndarray, hi: np.ndarray
+def _solve_sigma_nu(fac: _EigenFactor, lo: np.ndarray, hi: np.ndarray
                     ) -> tuple[float, np.ndarray]:
-    """Maximize ``fac``'s bound over the free entries of (log sigma, log nu).
+    """Maximize ``fac``'s bound over (log sigma, log nu) in the box of log
+    bounds ``lo``, ``hi``; a pinned coordinate has lo = hi.
 
-    Pinned entries stay at ``start``; ``lo`` and ``hi`` are the log bounds.
-    With both free, write nu = r sigma^2: at fixed r the bound is
+    Write nu = r sigma^2: at fixed r the bound is
 
         -(n log sigma^2 + Q(r) / sigma^2) / 2 + c(r),
         Q(r) = rest + sum p^2 / (1 + r lam),
 
     unimodal in log sigma^2, so sigma^2 = Q(r) / n clamped to the sigma
     bounds and to the nu bounds over r is the exact optimum at that r, and
-    one bounded search over log r remains (:func:`_ratio_bound`). Its kinks
-    are the r of the box corners (sigma, nu) at (lo, lo) and (hi, hi),
-    where the clamp changes sides. With one free entry, one bounded search
-    over it. Returns the maximum, as :meth:`_EigenFactor.bound` reads it,
-    and the log parameters reaching it.
+    one bounded search over log r remains (:func:`_ratio_bound`). A pinned
+    coordinate is held by that clamp, so the same search serves every
+    pinning. Its kinks are the r of the box corners (sigma, nu) at (lo, lo)
+    and (hi, hi), where the clamp changes sides, and the search only
+    approaches them and its ends within its tolerance, so the best of the
+    search and those four points is kept. Returns the maximum, as
+    :meth:`_EigenFactor.bound` reads it, and the log parameters reaching
+    it, a pinned one exactly its bound.
     """
-    if free.all():
-        at = _ratio_bound(fac, lo, hi)
-        _, t = _maximize(lambda t: at(t)[0],
-                         lo[1] - 2.0 * hi[0], hi[1] - 2.0 * lo[0],
-                         (lo[1] - 2.0 * lo[0], hi[1] - 2.0 * hi[0]))
-        z = at(t)[1]
-        return fac.bound(*np.exp(z)), z
-    z = start.copy()
-    if free.any():
-        (i,) = np.flatnonzero(free)
-
-        def h(t: float) -> float:
-            z[i] = t
-            return fac.bound(*np.exp(z))
-
-        value, z[i] = _maximize(h, lo[i], hi[i])
-        return value, z
+    at = _ratio_bound(fac, lo, hi)
+    a, b = lo[1] - 2.0 * hi[0], hi[1] - 2.0 * lo[0]
+    t, f, _, _ = brent_bounded(lambda t: -at(t)[0], a, b,
+                               xatol=_SIGMA_NU_XATOL)
+    corners = (a, b, lo[1] - 2.0 * lo[0], hi[1] - 2.0 * hi[0])
+    _, t = max([(-f, t)] + [(at(c)[0], c) for c in corners])
+    z = np.where(lo == hi, lo, at(t)[1])
     return fac.bound(*np.exp(z)), z
 
 
@@ -467,7 +457,6 @@ def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
 
 def tune_continuous(data: Dataset, m: int,
                     init: Sequence[float], bounds: Sequence[tuple],
-                    free: Sequence[bool] = (True, True, True),
                     objective: str = "elbo",
                     maxiter: int = 200) -> SelectionReport:
     """Tune (sigma, nu, tau) of the squared-exponential kernel.
@@ -477,93 +466,97 @@ def tune_continuous(data: Dataset, m: int,
     marginal likelihood (the empirical-Bayes reference), which is the same
     bound at m = n. The kernel is factorized once per length-scale tau
     (:func:`_factor`): a bounded 1-D search over log tau starts at
-    ``init`` and takes at most ``maxiter`` steps, and at each tau the free
-    (sigma, nu) are solved within the bounds in O(m) per evaluation.
-    ``free`` pins coordinates (False entries stay at ``init``); a pinned tau
+    ``init`` and takes at most ``maxiter`` steps, and at each tau
+    (sigma, nu) are solved within the bounds in O(m) per evaluation. A
+    coordinate whose two bounds are equal is pinned there and reported
+    exactly at that value, with ``init`` equal to it too; a pinned tau
     makes one factorization. The report's posterior is a callable mapping
     query points to a Gaussian law; for ``"elbo"``, it and the bound come
     from the factorization at the chosen tau. Its diagnostics hold the tau
     steps (``iterations``), the taus factorized (``evaluations``) and how
-    many failed, whether the tau search met its tolerance, the names
-    ``pinned`` at bounds, the eigenvalues dropped at the chosen tau, the
-    rank of that tau's factor (``factor_rank``, n when it was factorized
-    whole), how many taus were factorized whole (``full_factorizations``)
-    and how the tau search ended (``tau_stop``: ``"step"``, ``"bracket"``,
-    ``"maxiter"``, or None for a pinned tau).
+    many failed, whether the tau search met its tolerance, the names of
+    unpinned coordinates ending at a bound (``pinned``), the eigenvalues
+    dropped at the chosen tau, the rank of that tau's factor
+    (``factor_rank``, n when it was factorized whole), how many taus were
+    factorized whole (``full_factorizations``) and how the tau search
+    ended (``tau_stop``: ``"step"``, ``"bracket"``, ``"maxiter"``, or None
+    for a pinned tau).
     """
-    return _tune(data, m, init, bounds, free, objective, maxiter)
+    return _tune(data, m, init, bounds, objective, maxiter)
 
 
 def _tune(data: Dataset, m: int, init: Sequence[float],
-          bounds: Sequence[tuple], free: Sequence[bool], objective: str,
-          maxiter: int, start: _EigenFactor | None = None
-          ) -> SelectionReport:
+          bounds: Sequence[tuple], objective: str, maxiter: int,
+          start: _EigenFactor | None = None) -> SelectionReport:
     """:func:`tune_continuous`; ``start``, when given, is the factor at
     init's tau (from :func:`_coarse_scan`) and serves that tau."""
     rank = _rank(objective, m, data.n)
     init = np.asarray(init, dtype=float)
-    free = np.asarray(free, dtype=bool)
-    if init.shape != (3,) or free.shape != (3,):
-        raise ValueError("init and free must have length 3 (sigma, nu, tau)")
-    if not free.any():
-        raise ValueError("at least one coordinate must be free")
+    if init.shape != (3,):
+        raise ValueError("init must have length 3 (sigma, nu, tau)")
     if np.any(init <= 0):
         raise ValueError("init must be positive")
     lo = np.asarray([b[0] for b in bounds], dtype=float)
     hi = np.asarray([b[1] for b in bounds], dtype=float)
     if lo.shape != (3,) or np.any(lo <= 0) or not np.all(np.isfinite(hi)):
         raise ValueError("bounds must be three finite positive intervals")
-    if np.any(init <= lo) or np.any(init >= hi):
-        raise ValueError("init must be interior to bounds")
+    fixed = lo == hi
+    if fixed.all():
+        raise ValueError("at least one coordinate must be free")
+    if np.any(np.where(fixed, init != lo, (init <= lo) | (init >= hi))):
+        raise ValueError("init must be interior to bounds, or equal to a "
+                         "pinned coordinate's bounds")
 
     log_init = np.log(init)
     log_lo, log_hi = np.log(lo), np.log(hi)
     n_evals = 0
     n_fails = 0
     n_full = 0
-    best = None  # (bound, log (sigma, nu, tau), factor)
+    best = None  # (bound, log (sigma, nu), tau, factor)
 
-    def profile(t: float) -> float:
-        """Best bound over the free (sigma, nu) at tau = e^t."""
+    def profile(tau: float) -> float:
+        """Best bound over (sigma, nu) at ``tau``."""
         nonlocal n_evals, n_fails, n_full, best, start
         n_evals += 1
         fac, start = start, None  # a handed factor serves the first tau
         try:
             if fac is None:
-                fac = _factor(data, rank, math.exp(t))
+                fac = _factor(data, rank, tau)
         except _FAIL:
             n_fails += 1
             value = -np.inf
         else:
             if fac.rank == data.n:
                 n_full += 1
-            value, z = _solve_sigma_nu(fac, log_init[:2], free[:2],
-                                       log_lo[:2], log_hi[:2])
+            value, z = _solve_sigma_nu(fac, log_lo[:2], log_hi[:2])
             if best is None or value > best[0]:
-                best = (value, np.append(z, t), fac)
+                best = (value, z, tau, fac)
         return value
 
     t0 = time.perf_counter()
-    if free[2]:
-        iterations, tau_stop = _search_log_tau(
-            profile, log_init[2], log_lo[2], log_hi[2], maxiter)
-    else:
-        profile(log_init[2])
+    if fixed[2]:
+        profile(lo[2])
         iterations, tau_stop = 0, None
+    else:
+        iterations, tau_stop = _search_log_tau(
+            lambda t: profile(math.exp(t)), log_init[2], log_lo[2],
+            log_hi[2], maxiter)
     wall = time.perf_counter() - t0
     if best is None:
         raise ConditioningError(
             f"continuous tuning failed on all {n_evals} evaluations")
 
-    _, z, fac = best
-    at_bound = free & ((z - log_lo < 1e-6) | (log_hi - z < 1e-6))
+    _, z, tau, fac = best
+    z = np.append(z, math.log(tau))
+    at_bound = ~fixed & ((z - log_lo < 1e-6) | (log_hi - z < 1e-6))
     pinned = [name for name, hit in zip(_NAMES, at_bound) if hit]
     if pinned:
         warnings.warn("tuned value pinned at bounds: " + ", ".join(pinned),
                       RuntimeWarning, stacklevel=2)
 
-    sigma, nu = (float(v) for v in np.exp(z[:2]))
-    kern = SquaredExponential(nu, math.exp(z[2]))
+    sigma, nu = (float(v) for v in np.where(fixed[:2], lo[:2],
+                                            np.exp(z[:2])))
+    kern = SquaredExponential(nu, tau)
     if objective == "elbo":
         q = fac.fit(sigma * sigma, nu, kern, data.x)
         bound, m_used = fac.bound(sigma, nu), q.model.m

@@ -11,6 +11,7 @@ from gpadapt.basis import (
     BASIS,
     ExpDecay,
     PolyDecay,
+    SUM_CHUNK,
     SeriesPrior,
     SignalSpec,
     Truncated,
@@ -407,7 +408,7 @@ class TestBlockTrigKernel:
 
     def test_no_tables_where_points_take_the_block_route(self):
         spec = _smooth_signal(1.0)
-        assert not _grid_route(500, spec.j_max // 2 + 1, 2048)
+        assert not _grid_route(500, spec.j_max // 2 + 1, SUM_CHUNK)
         assert _signal_tables(spec, 500) is None
 
     def test_grid_route_memory_is_linear_in_grid_and_points(self):
@@ -433,12 +434,12 @@ class TestRoute:
     R (N log N + n), undercuts the block route's n K."""
 
     @pytest.mark.parametrize("n, K, chunk, grid", [
-        (10_000, 5001, 2048, True),  # the benchmark's data draw
+        (10_000, 5001, SUM_CHUNK, True),  # the benchmark's data draw
         (10_000, 1001, STATS_CHUNK, True),  # its design moments
         (8000, 1001, STATS_CHUNK, True),
         (8000, 90, STATS_CHUNK, True),  # a dim replicate's moments
-        (512, 5001, 2048, False),  # the query truth
-        (500, 5001, 2048, False),  # the smallest contraction draw
+        (512, 5001, SUM_CHUNK, False),  # the query truth
+        (500, 5001, SUM_CHUNK, False),  # the smallest contraction draw
     ])
     def test_pinned_shapes(self, n, K, chunk, grid):
         assert _grid_route(n, K, chunk) is grid
@@ -463,8 +464,8 @@ class TestRoute:
             assert np.array_equal(_trig_sum(x, c), _trig_sum_grid(x, c))
             want = _trig_moments_grid(x, W, (40, 7))
         else:
-            assert np.array_equal(_trig_sum(x, c, 64),
-                                  _trig_sum_blocks(x, c, 64))
+            assert np.array_equal(_trig_sum(x, c),
+                                  _trig_sum_blocks(x, c, SUM_CHUNK))
             want = _trig_moments_blocks(x, W, (40, 7), 64)
         for got, ref in zip(_trig_moments(x, W, (40, 7), 64), want):
             assert np.array_equal(got, ref)

@@ -307,6 +307,17 @@ class TestLockstepLevels:
             assert abs(q.elbo_path[-1] - one.elbo_path[-1]) <= (
                 1e-12 * abs(one.elbo_path[-1]))
 
+    def test_each_level_starts_at_its_witness(self):
+        # the ascent builds every level's start at once; each is the
+        # witness of the statistics' leading block
+        stats, levels, s2 = self._sweep()
+        for D, q in mf_fit_levels(stats, levels, s2).items():
+            block = FeatureStats(n=stats.n, colsumsq=stats.colsumsq[:D],
+                                 gram=stats.gram[:D, :D],
+                                 phi_y=stats.phi_y[:D], yty=stats.yty)
+            start = mf_elbo(mf_witness(block, s2), block, s2)
+            assert abs(q.elbo_path[0] - start) <= 1e-12 * abs(start)
+
     def test_one_level_is_mf_fit(self):
         ref_stats, data = _random_instance(19)
         D = ref_stats.gram.shape[0]

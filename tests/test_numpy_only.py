@@ -50,6 +50,9 @@ def test_commands_load_no_scipy(tmp_path):
          "--out", str(tmp_path / "select")],
         ["fit", "--data", str(_se_csv(tmp_path / "series.csv")),
          "--m", "40", "--out", str(tmp_path / "fit")],
+        # a known noise pins sigma by equal bounds
+        ["fit", "--data", str(tmp_path / "series.csv"), "--m", "40",
+         "--sigma2", "1.0", "--out", str(tmp_path / "fit-fixed")],
         # five replicates is the study's minimum
         ["contraction", "--prior", "dim", "--beta", "1.0",
          "--n-list", "100,200,400", "--replicates", "5", "--seed", "3",
@@ -61,5 +64,5 @@ def test_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["after_import"] == []
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["after_runs"] == []

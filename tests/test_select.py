@@ -274,8 +274,9 @@ class TestTuneContinuous:
         with pytest.raises(ValueError):
             tune_continuous(data, 10, (1, 1), TUNE_BOUNDS)
         with pytest.raises(ValueError):
-            tune_continuous(data, 10, (1, 1, 1), TUNE_BOUNDS,
-                            free=(False, False, False))
+            tune_continuous(data, 10, (1, 1, 1), [(1, 1)] * 3)
+        with pytest.raises(ValueError):  # init off a pinned coordinate
+            tune_continuous(data, 10, (1, 1, 1), [(2, 2)] + TUNE_BOUNDS[1:])
         with pytest.raises(ValueError):
             tune_continuous(data, 10, (-1, 1, 1), TUNE_BOUNDS)
         with pytest.raises(ValueError):
@@ -294,8 +295,8 @@ class TestTuneContinuous:
             data = Dataset(x=x, y=y, sigma_sq=0.01)
             rep = tune_continuous(
                 data, m=30, init=(0.5, 2.0, 10.0),
-                bounds=[(0.01, 10.0), (0.1, 100.0), (0.05, 50.0)],
-                free=(True, False, False), maxiter=60)
+                bounds=[(0.01, 10.0), (2.0, 2.0), (10.0, 10.0)],
+                maxiter=60)
             s_hats.append(rep.chosen[0] ** 2)
         assert 0.008 <= np.median(s_hats) <= 0.012
 
@@ -306,8 +307,7 @@ class TestTuneContinuous:
         with pytest.warns(RuntimeWarning, match="pinned"):
             rep = tune_continuous(
                 data, m=10, init=(4.0, 2.0, 5.0),
-                bounds=[(3.0, 5.0), (0.1, 10.0), (1.0, 20.0)],
-                free=(True, False, False), maxiter=80)
+                bounds=[(3.0, 5.0), (2.0, 2.0), (5.0, 5.0)], maxiter=80)
         assert rep.chosen[0] == pytest.approx(3.0, rel=1e-3)
 
     def test_full_rank_objectives_agree(self):
@@ -451,10 +451,10 @@ class TestTunerFactorizations:
     def test_pinned_tau_factorizes_once(self, factorizations):
         data = _se_dataset(12, n=60, span=6.0)
         rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
-                              bounds=TUNE_BOUNDS, free=(True, True, False))
+                              bounds=TUNE_BOUNDS[:2] + [(0.7, 0.7)])
         assert len(factorizations) == 1
         assert rep.diagnostics["evaluations"] == 1
-        assert rep.chosen[2] == pytest.approx(0.7, rel=1e-15)
+        assert rep.chosen[2] == 0.7
 
     @pytest.mark.parametrize("maxiter", [3, 8, 200])
     def test_free_tau_factorizes_at_most_maxiter_plus_two(
@@ -474,8 +474,8 @@ class TestTunerFactorizations:
                                                  "elbo")
         assert len(factorizations) == COARSE_POINTS_PER_AXIS
         factorizations.clear()
-        rep = select_module._tune(data, 20, init, TUNE_BOUNDS,
-                                  (True, True, True), "elbo", 200, start)
+        rep = select_module._tune(data, 20, init, TUNE_BOUNDS, "elbo", 200,
+                                  start)
         assert len(factorizations) == rep.diagnostics["evaluations"] - 1
         # the same search as from a fresh factorization at init's tau
         ref = tune_continuous(data, m=20, init=init, bounds=TUNE_BOUNDS)
@@ -552,8 +552,7 @@ class TestTunerFactorizations:
         with pytest.warns(RuntimeWarning, match="pinned at bounds: sigma"):
             rep = tune_continuous(
                 data, m=30, init=(0.5, 2.0, 10.0),
-                bounds=[(0.3, 10.0), (0.1, 100.0), (0.05, 50.0)],
-                free=(True, False, False))
+                bounds=[(0.3, 10.0), (2.0, 2.0), (10.0, 10.0)])
         assert rep.diagnostics["pinned"] == ["sigma"]
         assert rep.diagnostics["dropped_eigenvalues"] == 30 - rep.records[0].m
         assert rep.diagnostics["dropped_eigenvalues"] > 0
@@ -652,10 +651,12 @@ class TestSigmaNuSolve:
         free = np.array(free)
         lo, hi = np.log(np.array(bounds)).T
         start = 0.5 * (lo + hi)
+        # a coordinate that is not free is pinned at start by equal bounds
+        lo, hi = np.where(free, lo, start), np.where(free, hi, start)
         for seed, tau in ((31, 0.4), (32, 0.7), (33, 1.3)):
             data = _se_dataset(seed, n=120, span=12.0)
             fac = select_module._factor(data, 40, tau)
-            value, z = select_module._solve_sigma_nu(fac, start, free, lo, hi)
+            value, z = select_module._solve_sigma_nu(fac, lo, hi)
             ref, z_ref = _lbfgsb_sigma_nu(fac, start, free, lo, hi)
             assert value == pytest.approx(fac.bound(*np.exp(z)), abs=1e-12)
             assert value >= ref - 1e-9
@@ -683,9 +684,8 @@ class TestLengthScaleSearch:
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                rep = select_module._tune(data, 150, init, bounds,
-                                          (True, True, True), "elbo", 200,
-                                          start)
+                rep = select_module._tune(data, 150, init, bounds, "elbo",
+                                          200, start)
             return rep, len(calls)
 
         for seed in range(1, 11):
