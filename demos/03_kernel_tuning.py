@@ -1,7 +1,8 @@
 """Continuous hyperparameter tuning: evidence bound vs exact evidence.
 
 Squared-exponential data, three free hyperparameters (noise sd, signal
-sd, length-scale). Two tuners run from the same coarse-scan start: one
+sd, length-scale). Two tuners run from the same coarse-scan length-scale
+(sigma and nu are solved at every length-scale, so they need no start): one
 maximizes the sparse evidence LOWER BOUND (the only option at scale),
 the other the exact log evidence (affordable here because n is small).
 With enough features the bound is tight and both land on nearly the
@@ -24,7 +25,7 @@ data = Dataset(x=x, y=f + sigma * rng.normal(size=n), sigma_sq=sigma**2)
 
 bounds = [(0.05, 20.0), (0.05, 200.0), (0.02, 10.0)]
 init = coarse_init(data, m=80, bounds=bounds, objective="evidence")
-print(f"coarse start: sigma={init[0]:.3f} nu={init[1]:.3f} tau={init[2]:.3f}")
+print(f"coarse start: tau={init:.3f}")
 
 fits = {}
 for objective in ("elbo", "evidence"):

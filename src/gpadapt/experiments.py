@@ -46,7 +46,7 @@ from .meanfield import _mf_fit_replicates, mf_fit_levels, mf_predict
 from .select import (
     SelectionRecord,
     SelectionReport,
-    _coarse_scan,
+    _coarse_taus,
     _tune,
     dim_grid,
     exp_grid,
@@ -361,6 +361,7 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
         return _dim_fitter(fits), extras
 
     extras: dict[float, dict] = {}
+    sizes = dict(zip(grid.values, grid.sizes))
     if config.features == "population":
         J = max(feature_cutoff(_series_prior(config, lam), m)
                 for lam, m in zip(grid.values, grid.sizes))
@@ -368,11 +369,11 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
 
         def candidate(lam):
             _, profile, fit = population_candidate(
-                _series_prior(config, lam), stats, grid.m_rule(lam))
+                _series_prior(config, lam), stats, sizes[lam])
             return profile, fit, {}
     else:
         def candidate(lam):
-            m = grid.m_rule(lam)
+            m = sizes[lam]
             kern = SeriesKernel(_series_prior(config, lam),
                                 j_max=max(SIGNAL_J_MAX, 4 * m))
             fac = _EigenFactor.from_kernel(kernel_matrix(kern, data.x),
@@ -584,9 +585,7 @@ def _fit_kernel(config: ExperimentConfig, data: Dataset):
     if not config.estimate_noise:
         sigma0 = math.sqrt(config.sigma_sq)
         bounds[0] = (sigma0, sigma0)  # equal bounds pin the noise
-    # the scan's factor at its tau serves the tune's first tau
-    init, start = _coarse_scan(data, m, bounds, "elbo")
-    rep = _tune(data, m, init, bounds, "elbo", 200, start)
+    rep = _tune(data, m, _coarse_taus(*bounds[2]), bounds, "elbo", 200)
     sigma, nu, tau = rep.chosen
     s2 = float(sigma) ** 2
     chosen = {"sigma": float(sigma), "nu": float(nu), "tau": float(tau),

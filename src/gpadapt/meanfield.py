@@ -47,7 +47,6 @@ for ``inducing.feature_stats``, which forms no block.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -56,6 +55,7 @@ import numpy as np
 
 from . import _linalg
 from .basis import BASIS
+from .errors import _caller_level
 from .exact import Dataset, GaussianPosterior
 from .inducing import FeatureStats
 
@@ -222,17 +222,6 @@ def mf_witness(stats: FeatureStats, sigma_sq: float) -> MeanFieldPosterior:
     Sigma = np.full(D, 1.0 / (D + stats.n / sigma_sq))
     return MeanFieldPosterior(D=D, Sigma_diag=Sigma,
                               mu=Sigma * stats.phi_y / sigma_sq)
-
-
-def _caller_level() -> int:
-    """The stacklevel at which a ``warnings.warn`` in this function's
-    caller names the first frame outside this module: the code that
-    called in, however many of the module's own frames lie between."""
-    frame, level = sys._getframe(1), 1
-    while (frame.f_back is not None
-           and frame.f_globals.get("__name__") == __name__):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def _sweep(views: list[tuple]) -> None:

@@ -24,7 +24,9 @@ tau already factorized. At each tau (sigma, nu) are solved within their
 bounds by one more bounded 1-D search over nu / sigma^2, with the noise
 profiled out in closed form; a coordinate whose two bounds are equal is
 pinned there, so a known noise is the box (sigma, sigma). The coarse
-scan's factor at its winning tau starts the search. The bound, the
+scan scores a few lattice taus the same way, as the search's first
+probes: the search runs from the best of them, each counted and none
+factorized twice, and its start is a length-scale alone. The bound, the
 eigenvectors and q(u) reported come from the factorization at the chosen
 tau. The exact evidence is the same bound at m = n. Every search is the
 package's own Brent search (:mod:`gpadapt._linalg`), so this module needs
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._linalg import brent_bounded, brent_from_points, pivoted_cholesky
-from .errors import ConditioningError
+from .errors import ConditioningError, _caller_level
 from .exact import (_LOG_2PI, Dataset, SquaredExponential, exact_posterior,
                     kernel_matrix, log_evidence)
 from .inducing import _EigenFactor, predict
@@ -214,8 +216,8 @@ def select_discrete(grid: HyperGrid,
     return SelectionReport(chosen=best[1], posterior=best[2], records=records)
 
 
-#: lattice points per coordinate of :func:`coarse_init`'s scan
-COARSE_POINTS_PER_AXIS = 3
+#: length-scales in :func:`coarse_init`'s scan
+COARSE_TAUS = 3
 #: absolute tolerance on log tau at which the length-scale search stops
 LOG_TAU_XATOL = 1e-6
 #: first stride of the length-scale search away from its start, in log tau
@@ -288,46 +290,60 @@ def _rank(objective: str, m: int, n: int) -> int:
     return m if objective == "elbo" else n
 
 
-def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
-                objective: str = "elbo") -> tuple:
-    """Pick a starting triple for :func:`tune_continuous` by grid scan.
-
-    Scores the objective on a log-spaced lattice interior to the bounds,
-    ``COARSE_POINTS_PER_AXIS`` points per coordinate, one point, exactly
-    the bound, for a coordinate pinned by equal bounds, and returns the
-    best (sigma, nu, tau). The kernel is factorized once per lattice tau
-    (:class:`_EigenFactor`); each (sigma, nu) point then costs O(m).
-    Lattice taus whose factorization fails are skipped; raises if every
-    one fails.
-    """
-    return _coarse_scan(data, m, bounds, objective)[0]
+def _coarse_taus(lo: float, hi: float) -> list[float]:
+    """:func:`coarse_init`'s lattice: ``COARSE_TAUS`` log-spaced taus
+    interior to [lo, hi], or lo alone when lo = hi."""
+    taus = np.exp(np.linspace(np.log(lo), np.log(hi), COARSE_TAUS + 2))
+    return [float(lo)] if lo == hi else [float(t) for t in taus[1:-1]]
 
 
-def _coarse_scan(data: Dataset, m: int, bounds: Sequence[tuple],
-                 objective: str) -> tuple[tuple, _EigenFactor]:
-    """:func:`coarse_init`'s triple and the factor at its tau, which
-    :func:`_tune` takes over instead of factorizing that tau again."""
-    rank = _rank(objective, m, data.n)
-    sigmas, nus, taus = (
-        np.array([lo]) if lo == hi else
-        np.exp(np.linspace(np.log(lo), np.log(hi),
-                           COARSE_POINTS_PER_AXIS + 2))[1:-1]
-        for lo, hi in bounds)
-    best = None  # (value, triple, factor)
-    for tau in taus:
+class _TauProfile:
+    """The objective at a length-scale tau, maximized over (sigma, nu):
+    one :func:`_factor` and :func:`_solve_sigma_nu` within the log bounds
+    ``lo``, ``hi`` of (sigma, nu). Counts the taus factorized, failed and
+    factorized whole, and keeps the best tau's (value, log (sigma, nu),
+    tau, factor); a losing factor goes before the next is built."""
+
+    def __init__(self, data: Dataset, rank: int, lo: np.ndarray,
+                 hi: np.ndarray):
+        self.data, self.rank, self.lo, self.hi = data, rank, lo, hi
+        self.evals = self.fails = self.full = 0
+        self.best = None
+
+    def __call__(self, tau: float) -> float:
+        self.evals += 1
         try:
-            fac = _factor(data, rank, float(tau))
+            fac = _factor(self.data, self.rank, tau)
         except _FAIL:
-            continue
-        for sigma in sigmas:
-            for nu in nus:
-                val = fac.bound(sigma, nu)
-                if best is None or val > best[0]:
-                    best = (val, (float(sigma), float(nu), float(tau)), fac)
-        del fac  # a losing factor goes before the next is built
-    if best is None:
+            self.fails += 1
+            return -np.inf
+        self.full += fac.rank == self.data.n
+        value, z = _solve_sigma_nu(fac, self.lo, self.hi)
+        if self.best is None or value > self.best[0]:
+            self.best = (value, z, tau, fac)
+        return value
+
+
+def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
+                objective: str = "elbo") -> float:
+    """Pick the starting length-scale of :func:`tune_continuous`.
+
+    Scores ``COARSE_TAUS`` log-spaced taus interior to tau's bounds as the
+    tuner scores every tau (:class:`_TauProfile`: one factorization, then
+    (sigma, nu) solved within their bounds) and returns the best; a tau
+    pinned by equal bounds is returned as is, unfactorized. Taus whose
+    factorization fails are skipped; raises if every one fails.
+    """
+    lo, hi = bounds[2]
+    if lo == hi:
+        return float(lo)
+    log_lo, log_hi = np.log(np.asarray(bounds[:2], dtype=float)).T
+    profile = _TauProfile(data, _rank(objective, m, data.n), log_lo, log_hi)
+    for tau in _coarse_taus(lo, hi):
+        profile(tau)
+    if profile.best is None:
         raise ConditioningError("every coarse-grid evaluation failed")
-    return best[1], best[2]
+    return profile.best[2]
 
 
 #: absolute tolerance of the (sigma, nu) search at one tau, in log units
@@ -395,19 +411,20 @@ def _solve_sigma_nu(fac: _EigenFactor, lo: np.ndarray, hi: np.ndarray
     return fac.bound(*np.exp(z)), z
 
 
-def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
-                    hi: float, maxiter: int) -> tuple[int, str]:
-    """Maximize ``h`` over [lo, hi] from ``t0`` in at most ``maxiter`` steps.
+def _search_log_tau(h: Callable[[float], float], t0: float, f0: float,
+                    lo: float, hi: float, maxiter: int) -> tuple[int, str]:
+    """Maximize ``h`` over [lo, hi] from ``t0``, where h is ``f0``, in at
+    most ``maxiter`` steps.
 
     Walks uphill from t0 with a stride growing by the golden ratio until h
     falls or a bound is reached, then runs Brent inside that bracket to
     ``LOG_TAU_XATOL``, started from the walk's probes that lie in it
     (:func:`~gpadapt._linalg.brent_from_points`). Every step is one call
-    of h, which keeps the best point itself. Returns the steps taken and
-    how the search ended: ``"step"`` or ``"bracket"`` (Brent's stops, the
-    tolerance met), ``"maxiter"`` or ``"nan"``.
+    of h, which keeps the best point itself; t0 costs none, its value is
+    the caller's. Returns the steps taken and how the search ended:
+    ``"step"`` or ``"bracket"`` (Brent's stops, the tolerance met),
+    ``"maxiter"`` or ``"nan"``.
     """
-    f0 = h(t0)
     probes = [(t0, f0)]  # every (t, h(t)) so far
 
     def probe(t):
@@ -455,9 +472,8 @@ def _search_log_tau(h: Callable[[float], float], t0: float, lo: float,
     return steps + nfev, stop
 
 
-def tune_continuous(data: Dataset, m: int,
-                    init: Sequence[float], bounds: Sequence[tuple],
-                    objective: str = "elbo",
+def tune_continuous(data: Dataset, m: int, init: float,
+                    bounds: Sequence[tuple], objective: str = "elbo",
                     maxiter: int = 200) -> SelectionReport:
     """Tune (sigma, nu, tau) of the squared-exponential kernel.
 
@@ -465,37 +481,33 @@ def tune_continuous(data: Dataset, m: int,
     sample-spectral model; ``objective="evidence"`` maximizes the exact
     marginal likelihood (the empirical-Bayes reference), which is the same
     bound at m = n. The kernel is factorized once per length-scale tau
-    (:func:`_factor`): a bounded 1-D search over log tau starts at
-    ``init`` and takes at most ``maxiter`` steps, and at each tau
-    (sigma, nu) are solved within the bounds in O(m) per evaluation. A
-    coordinate whose two bounds are equal is pinned there and reported
-    exactly at that value, with ``init`` equal to it too; a pinned tau
-    makes one factorization. The report's posterior is a callable mapping
-    query points to a Gaussian law; for ``"elbo"``, it and the bound come
-    from the factorization at the chosen tau. Its diagnostics hold the tau
-    steps (``iterations``), the taus factorized (``evaluations``) and how
-    many failed, whether the tau search met its tolerance, the names of
-    unpinned coordinates ending at a bound (``pinned``), the eigenvalues
-    dropped at the chosen tau, the rank of that tau's factor
-    (``factor_rank``, n when it was factorized whole), how many taus were
-    factorized whole (``full_factorizations``) and how the tau search
-    ended (``tau_stop``: ``"step"``, ``"bracket"``, ``"maxiter"``, or None
-    for a pinned tau).
+    (:func:`_factor`): a bounded 1-D search over log tau starts at the
+    length-scale ``init`` (such as :func:`coarse_init`'s) and takes at
+    most ``maxiter`` steps, and at each tau (sigma, nu) are solved within
+    the bounds in O(m) per evaluation, so they need no start. A coordinate
+    whose two bounds are equal is pinned there and reported exactly at
+    that value; a pinned tau, which ``init`` must equal, is factorized once.
+    The report's posterior is a callable mapping query points to a
+    Gaussian law; for ``"elbo"``, it and the bound come from the
+    factorization at the chosen tau. Its diagnostics hold the tau steps
+    (``iterations``), the taus factorized (``evaluations``, init's
+    included) and how many failed, whether the tau search met its
+    tolerance, the names of unpinned coordinates ending at a bound
+    (``pinned``), the eigenvalues dropped at the chosen tau, the rank of
+    that tau's factor (``factor_rank``, n when it was factorized whole),
+    how many taus were factorized whole (``full_factorizations``) and how
+    the tau search ended (``tau_stop``: ``"step"``, ``"bracket"``,
+    ``"maxiter"``, or None for a pinned tau).
     """
-    return _tune(data, m, init, bounds, objective, maxiter)
+    return _tune(data, m, [init], bounds, objective, maxiter)
 
 
-def _tune(data: Dataset, m: int, init: Sequence[float],
-          bounds: Sequence[tuple], objective: str, maxiter: int,
-          start: _EigenFactor | None = None) -> SelectionReport:
-    """:func:`tune_continuous`; ``start``, when given, is the factor at
-    init's tau (from :func:`_coarse_scan`) and serves that tau."""
+def _tune(data: Dataset, m: int, starts: Sequence[float],
+          bounds: Sequence[tuple], objective: str,
+          maxiter: int) -> SelectionReport:
+    """:func:`tune_continuous` from the best of the length-scales
+    ``starts``, each factorized once and counted in ``evaluations``."""
     rank = _rank(objective, m, data.n)
-    init = np.asarray(init, dtype=float)
-    if init.shape != (3,):
-        raise ValueError("init must have length 3 (sigma, nu, tau)")
-    if np.any(init <= 0):
-        raise ValueError("init must be positive")
     lo = np.asarray([b[0] for b in bounds], dtype=float)
     hi = np.asarray([b[1] for b in bounds], dtype=float)
     if lo.shape != (3,) or np.any(lo <= 0) or not np.all(np.isfinite(hi)):
@@ -503,56 +515,37 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
     fixed = lo == hi
     if fixed.all():
         raise ValueError("at least one coordinate must be free")
-    if np.any(np.where(fixed, init != lo, (init <= lo) | (init >= hi))):
-        raise ValueError("init must be interior to bounds, or equal to a "
-                         "pinned coordinate's bounds")
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 1 or starts.size == 0:
+        raise ValueError("init must be one length-scale")
+    if not np.all(starts == lo[2] if fixed[2]
+                  else (lo[2] < starts) & (starts < hi[2])):
+        raise ValueError("init must be interior to tau's bounds, or equal "
+                         "to a pinned tau")
 
-    log_init = np.log(init)
     log_lo, log_hi = np.log(lo), np.log(hi)
-    n_evals = 0
-    n_fails = 0
-    n_full = 0
-    best = None  # (bound, log (sigma, nu), tau, factor)
-
-    def profile(tau: float) -> float:
-        """Best bound over (sigma, nu) at ``tau``."""
-        nonlocal n_evals, n_fails, n_full, best, start
-        n_evals += 1
-        fac, start = start, None  # a handed factor serves the first tau
-        try:
-            if fac is None:
-                fac = _factor(data, rank, tau)
-        except _FAIL:
-            n_fails += 1
-            value = -np.inf
-        else:
-            if fac.rank == data.n:
-                n_full += 1
-            value, z = _solve_sigma_nu(fac, log_lo[:2], log_hi[:2])
-            if best is None or value > best[0]:
-                best = (value, z, tau, fac)
-        return value
-
+    profile = _TauProfile(data, rank, log_lo[:2], log_hi[:2])
     t0 = time.perf_counter()
+    values = [profile(float(tau)) for tau in starts]
     if fixed[2]:
-        profile(lo[2])
         iterations, tau_stop = 0, None
     else:
+        best = int(np.argmax(values))
         iterations, tau_stop = _search_log_tau(
-            lambda t: profile(math.exp(t)), log_init[2], log_lo[2],
-            log_hi[2], maxiter)
+            lambda t: profile(math.exp(t)), np.log(starts)[best],
+            values[best], log_lo[2], log_hi[2], maxiter)
     wall = time.perf_counter() - t0
-    if best is None:
+    if profile.best is None:
         raise ConditioningError(
-            f"continuous tuning failed on all {n_evals} evaluations")
+            f"continuous tuning failed on all {profile.evals} evaluations")
 
-    _, z, tau, fac = best
+    _, z, tau, fac = profile.best
     z = np.append(z, math.log(tau))
     at_bound = ~fixed & ((z - log_lo < 1e-6) | (log_hi - z < 1e-6))
     pinned = [name for name, hit in zip(_NAMES, at_bound) if hit]
     if pinned:
         warnings.warn("tuned value pinned at bounds: " + ", ".join(pinned),
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=_caller_level())
 
     sigma, nu = (float(v) for v in np.where(fixed[:2], lo[:2],
                                             np.exp(z[:2])))
@@ -571,10 +564,10 @@ def _tune(data: Dataset, m: int, init: Sequence[float],
                              m=m_used)
     return SelectionReport(
         chosen=(sigma, nu, kern.tau), posterior=handle, records=[record],
-        diagnostics={"iterations": iterations, "evaluations": n_evals,
-                     "failures": n_fails,
+        diagnostics={"iterations": iterations, "evaluations": profile.evals,
+                     "failures": profile.fails,
                      "converged": tau_stop in (None, "step", "bracket"),
                      "tau_stop": tau_stop, "pinned": pinned,
                      "dropped_eigenvalues": fac.dropped,
                      "factor_rank": fac.rank,
-                     "full_factorizations": n_full})
+                     "full_factorizations": profile.full})

@@ -51,8 +51,8 @@ def vb_eb_runs():
     """Bound-tuned vs evidence-tuned hyperparameters and predictions.
 
     Ten seeds of smooth-kernel data (n=1000, m=150 features); both tuners
-    start from the same coarse scan so the comparison isolates the
-    objectives themselves.
+    start from the same coarse-scan length-scale so the comparison
+    isolates the objectives themselves.
     """
     from gpadapt.select import coarse_init, tune_continuous
 
@@ -62,10 +62,10 @@ def vb_eb_runs():
     rows = []
     for seed in range(100, 110):
         data = _se_dataset(seed)
-        init = coarse_init(data, m=150, bounds=bounds, objective="evidence")
-        vb = tune_continuous(data, m=150, init=init, bounds=bounds,
+        tau0 = coarse_init(data, m=150, bounds=bounds, objective="evidence")
+        vb = tune_continuous(data, m=150, init=tau0, bounds=bounds,
                              objective="elbo", maxiter=35)
-        eb = tune_continuous(data, m=150, init=init, bounds=bounds,
+        eb = tune_continuous(data, m=150, init=tau0, bounds=bounds,
                              objective="evidence", maxiter=35)
         rows.append({
             "vb": np.asarray(vb.chosen, dtype=float),

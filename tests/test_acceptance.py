@@ -318,8 +318,8 @@ def test_07_tuner_agreement(vb_eb_runs):
         data = load_running_csv(RUNNING_CSV)
         assert data.n == 4022
         bounds = [(0.05, 20.0), (0.05, 500.0), (0.02, 200.0)]
-        init = coarse_init(data, m=150, bounds=bounds, objective="elbo")
-        fit = tune_continuous(data, m=150, init=init, bounds=bounds,
+        tau0 = coarse_init(data, m=150, bounds=bounds, objective="elbo")
+        fit = tune_continuous(data, m=150, init=tau0, bounds=bounds,
                               objective="elbo", maxiter=200)
         reference = np.array([3.88, 99.58, 59.24])
         rel = np.abs(np.asarray(fit.chosen, float) - reference) / reference

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import gpadapt.experiments as experiments_module
 from gpadapt.basis import DOMAIN_HI, DOMAIN_LO, synth_signal
 from gpadapt.errors import ConditioningError
 from gpadapt.experiments import (
@@ -29,9 +30,9 @@ from gpadapt.experiments import (
     _usable_workers,
     simulate_poly,
 )
-from gpadapt.inducing import feature_stats
+from gpadapt.inducing import _EigenFactor, feature_stats
 from gpadapt.meanfield import mf_fit_levels
-from gpadapt.select import poly_grid
+from gpadapt.select import HyperGrid, poly_grid
 
 
 class TestSimulatePoly:
@@ -222,6 +223,30 @@ class TestRunExperiment:
         # 1.0 + k/log(400) stays below 2.05 for k = 0..6
         assert len(rep.selection) == 7
         assert all(r["error"] is None for r in rep.selection)
+
+    @pytest.mark.parametrize("features", ["population", "sample"])
+    def test_feature_rule_runs_once_per_grid_value(self, monkeypatch,
+                                                   features):
+        # the grid keeps every value's feature count; fitters read it
+        calls, grids = [], []
+
+        def counting_grid(*args, **kwargs):
+            grid = poly_grid(*args, **kwargs)
+
+            def m_rule(lam):
+                calls.append(lam)
+                return grid.m_rule(lam)
+
+            grids.append(HyperGrid(grid.family, grid.values, grid.masses,
+                                   m_rule))
+            return grids[-1]
+
+        monkeypatch.setattr(experiments_module, "poly_grid", counting_grid)
+        cfg = ExperimentConfig(experiment="unit", n=200, seed=5,
+                               features=features, query_points=16)
+        rep = run_experiment(cfg)
+        assert len(grids) == 1
+        assert len(calls) == len(grids[0]) == len(rep.selection)
 
     def test_poly_estimated_noise_lands_near_truth(self):
         cfg = ExperimentConfig(experiment="unit", n=2000, seed=1,
@@ -457,6 +482,23 @@ class TestRunContinuous:
         assert set(rep.chosen) == {"sigma", "nu", "tau", "sigma_sq", "m"}
         assert rep.chosen["m"] == 12
         assert rep.query.size == 32
+
+    def test_one_factor_per_evaluation(self, monkeypatch):
+        # the scan's taus are the search's first probes: every factor
+        # built is an evaluation, none is built twice
+        calls = []
+        for name in ("from_kernel", "from_factor"):
+            real = getattr(_EigenFactor, name)
+
+            def counted(cls, *args, real=real, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(_EigenFactor, name, classmethod(counted))
+        cfg = ExperimentConfig(experiment="unit", n=150, seed=3, m=12,
+                               query_points=16)
+        rep = run_continuous(cfg)
+        assert len(calls) == rep.selection[0]["diagnostics"]["evaluations"]
 
     def test_fixed_noise_pins_sigma(self):
         cfg = ExperimentConfig(experiment="unit", n=150, seed=3, m=12,

@@ -4,7 +4,6 @@ The grid examples are recomputed longhand in the comments; statistical
 fixtures carry the values frozen from seeded calibration runs.
 """
 
-import itertools
 import math
 import warnings
 
@@ -31,7 +30,7 @@ from gpadapt.inducing import (
     titsias_fit,
 )
 from gpadapt.select import (
-    COARSE_POINTS_PER_AXIS,
+    COARSE_TAUS,
     HyperGrid,
     coarse_init,
     dim_grid,
@@ -270,20 +269,22 @@ class TestTuneContinuous:
     def test_validation(self):
         data = _se_dataset(0, n=40)
         with pytest.raises(ValueError):
-            tune_continuous(data, 10, (1, 1, 1), TUNE_BOUNDS, objective="x")
+            tune_continuous(data, 10, 1, TUNE_BOUNDS, objective="x")
+        with pytest.raises(ValueError):  # init is a length-scale alone
+            tune_continuous(data, 10, (1, 1, 1), TUNE_BOUNDS)
         with pytest.raises(ValueError):
-            tune_continuous(data, 10, (1, 1), TUNE_BOUNDS)
+            tune_continuous(data, 10, 1, [(1, 1)] * 3)
+        with pytest.raises(ValueError):  # init off a pinned tau
+            tune_continuous(data, 10, 1, TUNE_BOUNDS[:2] + [(2, 2)])
         with pytest.raises(ValueError):
-            tune_continuous(data, 10, (1, 1, 1), [(1, 1)] * 3)
-        with pytest.raises(ValueError):  # init off a pinned coordinate
-            tune_continuous(data, 10, (1, 1, 1), [(2, 2)] + TUNE_BOUNDS[1:])
+            tune_continuous(data, 10, -1, TUNE_BOUNDS)
         with pytest.raises(ValueError):
-            tune_continuous(data, 10, (-1, 1, 1), TUNE_BOUNDS)
-        with pytest.raises(ValueError):
-            tune_continuous(data, 10, (1, 1, 1),
+            tune_continuous(data, 10, 1,
                             [(0.1, 10), (0.1, np.inf), (0.1, 10)])
+        with pytest.raises(ValueError):  # init on tau's bound
+            tune_continuous(data, 10, 0.02, TUNE_BOUNDS)
         with pytest.raises(ValueError):
-            tune_continuous(data, 10, (0.05, 1, 1), TUNE_BOUNDS)
+            tune_continuous(data, 10, np.nan, TUNE_BOUNDS)
 
     def test_sigma_only_recovers_noise_level(self):
         # calibration medians 0.00981 (all ten in [0.0086, 0.0112])
@@ -294,7 +295,7 @@ class TestTuneContinuous:
             y = rng.normal(0.0, 0.1, size=400)
             data = Dataset(x=x, y=y, sigma_sq=0.01)
             rep = tune_continuous(
-                data, m=30, init=(0.5, 2.0, 10.0),
+                data, m=30, init=10.0,
                 bounds=[(0.01, 10.0), (2.0, 2.0), (10.0, 10.0)],
                 maxiter=60)
             s_hats.append(rep.chosen[0] ** 2)
@@ -306,22 +307,34 @@ class TestTuneContinuous:
         data = Dataset(x=x, y=rng.normal(0, 0.1, 60), sigma_sq=0.01)
         with pytest.warns(RuntimeWarning, match="pinned"):
             rep = tune_continuous(
-                data, m=10, init=(4.0, 2.0, 5.0),
+                data, m=10, init=5.0,
                 bounds=[(3.0, 5.0), (2.0, 2.0), (5.0, 5.0)], maxiter=80)
         assert rep.chosen[0] == pytest.approx(3.0, rel=1e-3)
+
+    def test_pin_warning_names_the_caller(self):
+        # the warning points past the tuner's own frames, at this file
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(0.0, 10.0, size=60))
+        data = Dataset(x=x, y=rng.normal(0, 0.1, 60), sigma_sq=0.01)
+        with pytest.warns(RuntimeWarning, match="pinned") as caught:
+            tune_continuous(data, m=10, init=5.0,
+                            bounds=[(3.0, 5.0), (2.0, 2.0), (5.0, 5.0)],
+                            maxiter=80)
+        assert [w.filename for w in caught
+                if "pinned" in str(w.message)] == [__file__]
 
     def test_full_rank_objectives_agree(self):
         # m = n makes the collapsed bound equal the evidence, so both
         # objectives walk the same surface from the same start
         data = _se_dataset(11, n=80, span=8.0)
-        kwargs = dict(init=(0.7, 1.5, 0.6), bounds=TUNE_BOUNDS, maxiter=60)
+        kwargs = dict(init=0.6, bounds=TUNE_BOUNDS, maxiter=60)
         rep_elbo = tune_continuous(data, m=80, objective="elbo", **kwargs)
         rep_ev = tune_continuous(data, m=80, objective="evidence", **kwargs)
         np.testing.assert_allclose(rep_elbo.chosen, rep_ev.chosen, rtol=1e-6)
 
     def test_report_shape(self):
         data = _se_dataset(12, n=60, span=6.0)
-        rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+        rep = tune_continuous(data, m=20, init=0.7,
                               bounds=TUNE_BOUNDS, maxiter=30)
         assert len(rep.records) == 1
         assert rep.records[0].m == 20
@@ -330,7 +343,7 @@ class TestTuneContinuous:
         post = rep.posterior(np.linspace(0, 6, 11))
         assert isinstance(post, GaussianPosterior)
         assert post.mean.shape == (11,)
-        ev = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+        ev = tune_continuous(data, m=20, init=0.7,
                              bounds=TUNE_BOUNDS, maxiter=30,
                              objective="evidence")
         assert ev.records[0].m is None
@@ -338,9 +351,8 @@ class TestTuneContinuous:
 
     def test_coarse_init_interior(self):
         data = _se_dataset(13, n=60, span=6.0)
-        init = coarse_init(data, m=15, bounds=TUNE_BOUNDS)
-        for v, (lo, hi) in zip(init, TUNE_BOUNDS):
-            assert lo < v < hi
+        lo, hi = TUNE_BOUNDS[2]
+        assert lo < coarse_init(data, m=15, bounds=TUNE_BOUNDS) < hi
 
     @pytest.mark.slow
     def test_truth_recovery_median(self):
@@ -418,13 +430,18 @@ class TestPerTauFactor:
                 full.bound(sigma, nu), rel=1e-10)
 
     def test_coarse_init_matches_brute_force_lattice(self):
+        # the lattice tau whose factor, profiled over (sigma, nu), is best
         data = _se_dataset(13, n=60, span=6.0)
-        axes = [np.exp(np.linspace(np.log(lo), np.log(hi), 5))[1:-1]
-                for lo, hi in TUNE_BOUNDS]
-        lattice = [tuple(float(v) for v in t)
-                   for t in itertools.product(*axes)]
-        best = max(lattice, key=lambda t: _standard_bound(data, 15, *t))
+        lo, hi = TUNE_BOUNDS[2]
+        taus = np.exp(np.linspace(np.log(lo), np.log(hi), 5))[1:-1]
+        log_lo, log_hi = np.log(np.array(TUNE_BOUNDS[:2])).T
+        best = max((float(t) for t in taus),
+                   key=lambda t: select_module._solve_sigma_nu(
+                       select_module._factor(data, 15, t), log_lo,
+                       log_hi)[0])
         assert coarse_init(data, m=15, bounds=TUNE_BOUNDS) == best
+        assert coarse_init(data, m=15,
+                           bounds=TUNE_BOUNDS[:2] + [(0.7, 0.7)]) == 0.7
 
 
 def _count_factorizations(monkeypatch) -> list[str]:
@@ -450,7 +467,7 @@ class TestTunerFactorizations:
 
     def test_pinned_tau_factorizes_once(self, factorizations):
         data = _se_dataset(12, n=60, span=6.0)
-        rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+        rep = tune_continuous(data, m=20, init=0.7,
                               bounds=TUNE_BOUNDS[:2] + [(0.7, 0.7)])
         assert len(factorizations) == 1
         assert rep.diagnostics["evaluations"] == 1
@@ -460,7 +477,7 @@ class TestTunerFactorizations:
     def test_free_tau_factorizes_at_most_maxiter_plus_two(
             self, factorizations, maxiter):
         data = _se_dataset(12, n=60, span=6.0)
-        rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+        rep = tune_continuous(data, m=20, init=0.7,
                               bounds=TUNE_BOUNDS, maxiter=maxiter)
         assert 1 < len(factorizations) <= maxiter + 2
         assert rep.diagnostics["evaluations"] == len(factorizations)
@@ -468,28 +485,30 @@ class TestTunerFactorizations:
         assert (rep.diagnostics["full_factorizations"]
                 == factorizations.count("from_kernel"))
 
-    def test_coarse_factor_serves_the_first_tau(self, factorizations):
+    def test_scan_taus_are_the_first_probes(self, factorizations):
+        # each lattice tau is factorized once, as a probe of the search,
+        # which then runs from the best of them: coarse_init's tau
         data = _se_dataset(12, n=60, span=6.0)
-        init, start = select_module._coarse_scan(data, 20, TUNE_BOUNDS,
-                                                 "elbo")
-        assert len(factorizations) == COARSE_POINTS_PER_AXIS
+        taus = select_module._coarse_taus(*TUNE_BOUNDS[2])
+        assert len(taus) == COARSE_TAUS
+        rep = select_module._tune(data, 20, taus, TUNE_BOUNDS, "elbo", 200)
+        assert len(factorizations) == rep.diagnostics["evaluations"]
+        init = coarse_init(data, m=20, bounds=TUNE_BOUNDS)
+        assert init in taus
         factorizations.clear()
-        rep = select_module._tune(data, 20, init, TUNE_BOUNDS, "elbo", 200,
-                                  start)
-        assert len(factorizations) == rep.diagnostics["evaluations"] - 1
-        # the same search as from a fresh factorization at init's tau
         ref = tune_continuous(data, m=20, init=init, bounds=TUNE_BOUNDS)
-        np.testing.assert_allclose(rep.chosen, ref.chosen, rtol=1e-6)
-        assert rep.records[0].elbo == pytest.approx(ref.records[0].elbo,
-                                                    rel=1e-9)
+        assert len(factorizations) == ref.diagnostics["evaluations"]
+        assert (rep.diagnostics["evaluations"]
+                == ref.diagnostics["evaluations"] + COARSE_TAUS - 1)
+        assert rep.chosen == ref.chosen
+        assert rep.records[0].elbo == ref.records[0].elbo
 
     def test_no_worse_than_start(self):
         data = _se_dataset(14, n=80, span=8.0)
-        init = (1.6, 0.7, 1.3)
-        rep = tune_continuous(data, m=20, init=init, bounds=TUNE_BOUNDS,
+        rep = tune_continuous(data, m=20, init=1.3, bounds=TUNE_BOUNDS,
                               maxiter=6)
         bound = rep.records[0].elbo_lambda
-        assert bound >= _standard_bound(data, 20, *init)
+        assert bound >= _standard_bound(data, 20, 1.6, 0.7, 1.3)
         # the reported bound is the chosen tau's factorization at the
         # chosen (sigma, nu), which the standard path matches to roundoff
         sigma, nu, tau = rep.chosen
@@ -520,7 +539,7 @@ class TestTunerFactorizations:
         spy(scipy.linalg, "eigh", "eigh")
         spy(_linalg, "eigh_psd", "eigh_psd")
         data = _se_dataset(12, n=60, span=6.0)
-        rep = tune_continuous(data, m=20, init=(0.8, 1.5, 0.7),
+        rep = tune_continuous(data, m=20, init=0.7,
                               bounds=TUNE_BOUNDS, objective="elbo")
         assert rep.diagnostics["evaluations"] > 1
         assert calls == {"eigh": rep.diagnostics["evaluations"],
@@ -539,7 +558,7 @@ class TestTunerFactorizations:
             return real(*args)
 
         monkeypatch.setattr(select_module, "pivoted_cholesky", counted)
-        rep = tune_continuous(data, m=150, init=(0.8, 1.5, 0.7),
+        rep = tune_continuous(data, m=150, init=0.7,
                               bounds=TUNE_BOUNDS)
         assert rep.diagnostics["factor_rank"] < data.n
         assert factorizations.count("from_kernel") == 0
@@ -551,7 +570,7 @@ class TestTunerFactorizations:
         data = _dropping_dataset()
         with pytest.warns(RuntimeWarning, match="pinned at bounds: sigma"):
             rep = tune_continuous(
-                data, m=30, init=(0.5, 2.0, 10.0),
+                data, m=30, init=10.0,
                 bounds=[(0.3, 10.0), (2.0, 2.0), (10.0, 10.0)])
         assert rep.diagnostics["pinned"] == ["sigma"]
         assert rep.diagnostics["dropped_eigenvalues"] == 30 - rep.records[0].m
@@ -680,26 +699,25 @@ class TestLengthScaleSearch:
                                                   maxiter)
             return x, f, nfev, "bracket" if converged else "maxiter"
 
-        def tune(data, bounds, init, start):
+        def tune(data, bounds, taus):
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                rep = select_module._tune(data, 150, init, bounds, "elbo",
-                                          200, start)
+                rep = select_module._tune(data, 150, taus, bounds, "elbo",
+                                          200)
             return rep, len(calls)
 
         for seed in range(1, 11):
             data = _se_dataset(seed, n=300, span=30.0)
             bounds = _continuous_bounds(data)
-            init, start = select_module._coarse_scan(data, 150, bounds,
-                                                     "elbo")
-            rep, count = tune(data, bounds, init, start)
+            taus = select_module._coarse_taus(*bounds[2])
+            rep, count = tune(data, bounds, taus)
             with monkeypatch.context() as patch:
                 patch.setattr(select_module, "LOG_TAU_XATOL", 1e-11)
-                tight, _ = tune(data, bounds, init, start)
+                tight, _ = tune(data, bounds, taus)
             with monkeypatch.context() as patch:
                 patch.setattr(select_module, "brent_from_points", closing)
-                _, closing_count = tune(data, bounds, init, start)
+                _, closing_count = tune(data, bounds, taus)
             assert rep.diagnostics["tau_stop"] in ("step", "bracket")
             assert abs(math.log(rep.chosen[2] / tight.chosen[2])) \
                 <= select_module.LOG_TAU_XATOL
