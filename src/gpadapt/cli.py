@@ -132,7 +132,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     """Grid selection. --cm scales the poly grid's feature rule and
-    --features picks the inducing flavor of the poly and exp grids, so a
+    --features picks the inducing features of the poly and exp grids, so a
     prior that reads neither refuses the flag (a config file may still
     set the field)."""
     config = _build_config(args)

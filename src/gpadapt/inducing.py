@@ -1,18 +1,20 @@
 """Sparse variational GP regression with inducing variables.
 
-Two flavors of inducing variables are implemented, matching the two ways the
-low-rank structure can be chosen:
+An inducing model is a feature map (:class:`InducingModel`): inducing
+variables u with diagonal K_uu = diag(d), the features
+F(x) = K_xu K_uu^{-1} at any points, and the prior kernel's variance and
+cross-covariance. Two builders choose the low-rank structure:
 
-* population features: the inducing variables are the first m basis weights
-  of a series prior, u_j = <f, phi_j>, giving diagonal K_uu = diag(s_j^2)
-  and K_uf[j, i] = s_j^2 phi_j(x_i);
+* population features: the first m basis weights of a series prior,
+  u_j = <f, phi_j>, with d_j = s_j^2 and F the first m basis features;
 * sample features: u_j = v_j' f(x) for the top-m eigenvectors v_j of the
-  kernel matrix at the observed design, giving K_uu = diag(eigenvalues) and
-  K_uf = diag(eigenvalues) V'.
+  kernel matrix at the observed design, with d the eigenvalues and
+  F(x) = k(x, X) V diag(d)^{-1}, which is V itself at the design.
 
-K_uu = diag(d) is diagonal in both, so nothing factors it: with the
-whitened W = diag(d)^{-1/2} K_uf (Q_ff = W'W), G = W W' and
-M = sigma^2 I + G, the optimal Gaussian q(u) for fixed hyperparameters is
+At a design x, K_uf = diag(d) F(x)', so nothing factors K_uu: with the
+whitened W = diag(d)^{-1/2} K_uf = diag(sqrt d) F(x)' (Q_ff = W'W),
+G = W W' and M = sigma^2 I + G, the optimal Gaussian q(u) for fixed
+hyperparameters is
 
     mu = D M^{-1} W y,   Sigma = sigma^2 D M^{-1} D,   D = diag(sqrt d),
 
@@ -26,8 +28,7 @@ for the objective and O(m^3) for q(u). Both solves live in
 :mod:`gpadapt.exact`, whose
 exact series reference is the same algebra with all J features (m = J).
 Prediction pushes weights mu with covariance Sigma - K_uu through the
-features K_xu K_uu^{-1}, which for population features are the first m
-basis features.
+features F.
 
 A grid sweep over population priors reads the data only through
 statistics of the basis features that no candidate changes
@@ -90,38 +91,25 @@ __all__ = [
 
 @dataclass
 class InducingModel:
-    """Low-rank prior summary: inducing covariances plus prior variances.
+    """Inducing variables u as a feature map.
 
-    ``K_uu`` is diagonal for every builder (diag(s^2) for population
-    features, diag(eigenvalues) for sample features); the whitened algebra
-    of this module reads only its diagonal.
-    ``V`` and ``eigvals`` are populated for the sample flavor only;
-    ``prior`` for the population flavor; ``kernel`` when cross-covariances
-    to new points are available for prediction. A population model scored
-    from :class:`FeatureStats` holds no per-point terms (``K_uf``,
-    ``kff_diag`` and ``x_train`` are None), and an :class:`_EigenFactor`
-    fit no ``K_uf`` or ``kff_diag``: both predict, but cannot be refitted.
+    ``kuu_diag`` is the diagonal d of K_uu, which is diagonal for every
+    builder (d = s^2 for population features, the eigenvalues for sample
+    features). ``features(xs)`` gives K_xu K_uu^{-1} at any points, and
+    ``prior_var(xs)`` and ``prior_cov(xs, ys)`` the prior kernel's
+    variance and cross-covariance there. Every route reads the model
+    through these four: at a design x, K_uf = diag(d) features(x)' and
+    K_ff has diagonal prior_var(x).
     """
 
-    flavor: str
-    m: int
-    K_uu: np.ndarray
-    K_uf: np.ndarray | None
-    kff_diag: np.ndarray | None
-    x_train: np.ndarray | None
-    V: np.ndarray | None = None
-    eigvals: np.ndarray | None = None
-    prior: SeriesPrior | None = None
-    kernel: KernelSpec | None = None
-    feature_cutoff: int | None = None  # series length J behind kff_diag
-    tail_mode: str = "mean"
+    kuu_diag: np.ndarray
+    features: Callable[[np.ndarray], np.ndarray]
+    prior_var: Callable[[np.ndarray], np.ndarray]
+    prior_cov: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     @property
-    def n(self) -> int:
-        if self.K_uf is None:
-            raise ValueError("model was scored from design statistics and "
-                             "has no per-point terms")
-        return self.K_uf.shape[1]
+    def m(self) -> int:
+        return self.kuu_diag.size
 
 
 @dataclass
@@ -153,40 +141,52 @@ def feature_cutoff(prior: SeriesPrior, m: int,
     return J
 
 
-def population_features(prior: SeriesPrior, x: np.ndarray, m: int,
+def _population_model(prior: SeriesPrior, m: int, J: int, tail_mode: str
+                      ) -> InducingModel:
+    """The first m basis weights of ``prior`` as inducing variables.
+
+    Features are the first m basis features, and the prior kernel is the
+    J-term series, plus the dropped-tail mean on its variance and on
+    coinciding points under ``tail_mode="mean"``. The J-term variance is
+    the cosine series of :func:`~gpadapt.exact.kernel_diag`, in
+    O(len(xs) sqrt(J)), with no len(xs) x J feature block.
+    """
+    if tail_mode not in ("mean", "truncate"):
+        raise ValueError("tail_mode must be 'mean' or 'truncate'")
+    kernel = SeriesKernel(prior, J)
+    tail = prior.tail_variance(J) if tail_mode == "mean" else 0.0
+
+    def features(xs):
+        return BASIS.features(np.atleast_1d(np.asarray(xs, dtype=float)), m)
+
+    def prior_cov(xs, ys):
+        out = kernel_cross(kernel, xs, ys)
+        # dropped-tail mean belongs on exact variance entries only
+        if tail:
+            out[xs[:, None] == ys[None, :]] += tail
+        return out
+
+    return InducingModel(prior.spectrum(np.arange(1, m + 1)) ** 2, features,
+                         lambda xs: kernel_diag(kernel, xs) + tail, prior_cov)
+
+
+def population_features(prior: SeriesPrior, m: int,
                         j_cutoff: int | None = None,
                         tail_mode: str = "mean") -> InducingModel:
     """Spectral inducing variables: the first m prior basis weights.
 
-    The prior variance sum behind ``kff_diag`` is truncated at
-    J = max(10 m, 1000) (capped at the spectrum support, overridable via
-    ``j_cutoff``; see :func:`feature_cutoff`). With ``tail_mode="mean"``
-    (default) the mean of the dropped tail, sum_{j>J} s_j^2, is added back
-    so the trace penalty in the collapsed objective is unbiased for slowly
-    decaying spectra; with ``tail_mode="truncate"`` the model describes
-    exactly the J-term truncated prior, which is what a matching
-    :class:`~gpadapt.exact.SeriesKernel` computes. The J-term sum is the
-    cosine series of :func:`~gpadapt.exact.kernel_diag`, so the only
-    feature block formed is the n x m one behind ``K_uf``.
+    The prior variance sum is truncated at J = max(10 m, 1000) (capped at
+    the spectrum support, overridable via ``j_cutoff``; see
+    :func:`feature_cutoff`). With ``tail_mode="mean"`` (default) the mean
+    of the dropped tail, sum_{j>J} s_j^2, is added back so the trace
+    penalty in the collapsed objective is unbiased for slowly decaying
+    spectra; with ``tail_mode="truncate"`` the model describes exactly the
+    J-term truncated prior, which is what a matching
+    :class:`~gpadapt.exact.SeriesKernel` computes. The model holds no
+    design: it serves any points.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if tail_mode not in ("mean", "truncate"):
-        raise ValueError("tail_mode must be 'mean' or 'truncate'")
-    J = feature_cutoff(prior, m, j_cutoff)
-    s2 = prior.spectrum(np.arange(1, m + 1)) ** 2
-    model = InducingModel(
-        flavor="population",
-        m=m,
-        K_uu=np.diag(s2),
-        K_uf=(BASIS.features(x, m) * s2).T.copy(),
-        kff_diag=None,
-        x_train=x,
-        prior=prior,
-        feature_cutoff=J,
-        tail_mode=tail_mode,
-    )
-    model.kff_diag = _prior_var(model, x)
-    return model
+    return _population_model(prior, m, feature_cutoff(prior, m, j_cutoff),
+                             tail_mode)
 
 
 #: design rows per block when the trigonometric moments behind
@@ -315,21 +315,62 @@ def _warn_dropped(dropped: int) -> None:
                       stacklevel=3)
 
 
-def sample_features(K_ff: np.ndarray, m: int, kernel: KernelSpec | None = None,
-                    x: np.ndarray | None = None) -> InducingModel:
+def _sample_model(vals: np.ndarray, V: np.ndarray, x: np.ndarray,
+                  kernel: KernelSpec | None, K_ff: np.ndarray | None = None
+                  ) -> InducingModel:
+    """Inducing variables u_j = v_j'f(x) for eigenpairs (vals, V) of the
+    kernel matrix on design ``x``.
+
+    At the design the features are V itself and the prior is ``K_ff``
+    where given; elsewhere the features are k(xs, x) V diag(vals)^{-1} and
+    the prior is ``kernel``, and without one the model refuses the points.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+
+    def at_design(xs):
+        return K_ff is not None and np.array_equal(xs, x)
+
+    def prior():
+        if kernel is None:
+            raise ValueError("sample-feature prediction needs the kernel "
+                             "and training points")
+        return kernel
+
+    def features(xs):
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if np.array_equal(xs, x):
+            return V
+        return kernel_cross(prior(), xs, x) @ V / vals
+
+    def prior_var(xs):
+        return np.diag(K_ff) if at_design(xs) else kernel_diag(prior(), xs)
+
+    def prior_cov(xs, ys):
+        if at_design(xs) and at_design(ys):
+            return K_ff.copy()  # the caller adds into it
+        return kernel_cross(prior(), xs, ys)
+
+    return InducingModel(vals, features, prior_var, prior_cov)
+
+
+def sample_features(K_ff: np.ndarray, m: int, x: np.ndarray,
+                    kernel: KernelSpec | None = None) -> InducingModel:
     """Empirical inducing variables: top-m eigenpairs of the kernel matrix.
 
-    Eigenvalues among the requested m at or below n eps lam_max (non-positive
-    or lost to rounding) are dropped with a warning, shrinking m. Pass
-    ``kernel`` and ``x`` to enable prediction at new points.
+    ``K_ff`` is the kernel matrix on the design ``x``. Eigenvalues among the
+    requested m at or below n eps lam_max (non-positive or lost to rounding)
+    are dropped with a warning, shrinking m. The model serves its design
+    from ``K_ff`` and its eigenvectors; pass ``kernel`` to enable prediction
+    at new points.
     """
+    K_ff = np.asarray(K_ff, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if K_ff.ndim == 2 and x.size != K_ff.shape[0]:
+        raise ValueError(f"design has {x.size} points but the kernel matrix "
+                         f"has order {K_ff.shape[0]}")
     vals, vecs = _top_eigenpairs(K_ff, m)
     _warn_dropped(m - vals.size)
-    return InducingModel(
-        flavor="sample", m=vals.size, K_uu=np.diag(vals),
-        K_uf=(vecs * vals).T.copy(), kff_diag=np.diag(K_ff).astype(float),
-        x_train=None if x is None else np.atleast_1d(np.asarray(x, float)),
-        V=vecs, eigvals=vals, kernel=kernel)
+    return _sample_model(vals, vecs, x, kernel, K_ff)
 
 
 @dataclass(frozen=True)
@@ -410,18 +451,17 @@ class _EigenFactor:
             x: np.ndarray) -> VariationalGP:
         """Optimal q(u) of nu K (``kernel``, on design ``x``) at sigma^2."""
         g = nu * self.lam
-        model = InducingModel(flavor="sample", m=g.size, K_uu=np.diag(g),
-                              K_uf=None, kff_diag=None, x_train=x,
-                              V=self.vectors(), eigvals=g, kernel=kernel)
+        model = _sample_model(g, self.vectors(), x, kernel)
         return _optimal_q(model, (g, np.eye(g.size), np.sqrt(g) * self.p),
                           sigma_sq)
 
 
-def _whiten(model: InducingModel) -> tuple[np.ndarray, np.ndarray]:
-    """W = K_uu^{-1/2} K_uf and G = W W'; a prior variance that underflows
-    to zero gives a zero row of W, the limit of s_j phi_j(x)."""
-    r = np.sqrt(np.diag(model.K_uu))[:, None]
-    W = np.divide(model.K_uf, r, out=np.zeros_like(model.K_uf), where=r > 0)
+def _whiten(model: InducingModel, x: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """W = K_uu^{-1/2} K_uf = diag(sqrt d) F(x)' and G = W W' at design x;
+    a prior variance that underflows to zero gives a zero row of W, the
+    limit of s_j phi_j(x)."""
+    W = np.sqrt(model.kuu_diag)[:, None] * model.features(x).T
     return W, W @ W.T
 
 
@@ -430,73 +470,31 @@ def _optimal_q(model: InducingModel, eig: tuple, sigma_sq: float
     """Closed-form q(u) from the eigen-form ``eig`` = (lam, Q, Q'W y) of G:
     the weight posterior of :func:`~gpadapt.exact._weight_posterior` with
     scales sqrt(diag K_uu)."""
-    mu, Sigma = _weight_posterior(np.sqrt(np.diag(model.K_uu)), *eig,
-                                  sigma_sq)
+    mu, Sigma = _weight_posterior(np.sqrt(model.kuu_diag), *eig, sigma_sq)
     return VariationalGP(model=model, mu=mu, Sigma=Sigma)
 
 
 def titsias_fit(model: InducingModel, data: Dataset) -> VariationalGP:
-    """Closed-form optimal q(u) for the collapsed variational problem."""
-    if data.n != model.n:
-        raise ValueError("model was built for a different design")
-    W, G = _whiten(model)
+    """Closed-form optimal q(u) for the collapsed variational problem on
+    ``data``, reading K_uf from the model's features at its design x."""
+    W, G = _whiten(model, data.x)
     return _optimal_q(model, _eigen_terms(G, W @ data.y), data.sigma_sq)
-
-
-def _features(model: InducingModel, xs: np.ndarray) -> np.ndarray:
-    """K_xu K_uu^{-1}: the inducing features at new points."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if model.flavor == "population":
-        return BASIS.features(xs, model.m)
-    if model.kernel is None or model.x_train is None:
-        raise ValueError(
-            "sample-feature prediction needs the kernel and training points")
-    return (kernel_cross(model.kernel, xs, model.x_train) @ model.V
-            / model.eigvals)
-
-
-def _prior_cov(model: InducingModel, xs: np.ndarray, ys: np.ndarray
-               ) -> np.ndarray:
-    if model.flavor == "population":
-        J = model.feature_cutoff
-        out = kernel_cross(SeriesKernel(model.prior, J), xs, ys)
-        # dropped-tail mean belongs on exact variance entries only
-        if model.tail_mode == "mean":
-            tail = model.prior.tail_variance(J)
-            if tail:
-                out[xs[:, None] == ys[None, :]] += tail
-        return out
-    return kernel_cross(model.kernel, xs, ys)
-
-
-def _prior_var(model: InducingModel, xs: np.ndarray) -> np.ndarray:
-    """Diagonal of :func:`_prior_cov`: the J-term series diagonal plus the
-    dropped-tail mean for population features, O(len(xs) sqrt(J))."""
-    if model.flavor == "population":
-        var = kernel_diag(SeriesKernel(model.prior, model.feature_cutoff), xs)
-        if model.tail_mode == "mean":
-            var += model.prior.tail_variance(model.feature_cutoff)
-        return var
-    return kernel_diag(model.kernel, xs)
 
 
 def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     """Variational predictive law of f, summarized at ``query``.
 
-    :meth:`~gpadapt.exact.GaussianPosterior.from_features` with features
-    K_xu K_uu^{-1} (for population features the first m basis features),
-    weights mu, weight covariance Sigma - K_uu and the prior kernel (for
-    population features the J-term series, plus the dropped-tail mean on
-    coinciding points under ``tail_mode="mean"``), for both flavors. No
-    matrix is factored, and the query variance reads the prior's diagonal
-    alone: for population features one cosine series in O(len(query)
-    sqrt(J)), with no query x J feature block.
+    :meth:`~gpadapt.exact.GaussianPosterior.from_features` with the
+    model's features K_xu K_uu^{-1}, weights mu, weight covariance
+    Sigma - K_uu and the model's prior covariance and variance. No matrix
+    is factored, and the query variance reads the prior's diagonal alone:
+    for population features one cosine series in O(len(query) sqrt(J)),
+    with no query x J feature block.
     """
     model = q.model
     return GaussianPosterior.from_features(
-        query, lambda xs: _features(model, xs), q.mu, q.Sigma - model.K_uu,
-        lambda xs, ys: _prior_cov(model, xs, ys),
-        lambda xs: _prior_var(model, xs))
+        query, model.features, q.mu, q.Sigma - np.diag(model.kuu_diag),
+        model.prior_cov, model.prior_var)
 
 
 def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
@@ -505,25 +503,23 @@ def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
     Equal to ``predict(q, xs).mean`` without forming the len(xs) x len(xs)
     covariance; features are formed over blocks of ``exact.MEAN_BLOCK`` rows.
     """
-    return _block_mean(lambda x: _features(q.model, x), xs, q.mu)
+    return _block_mean(q.model.features, xs, q.mu)
 
 
-def elbo_profile(model: InducingModel, y: np.ndarray
+def elbo_profile(model: InducingModel, data: Dataset
                  ) -> Callable[[float], float]:
-    """Collapsed objective as a cheap function of the noise variance.
+    """Collapsed objective on ``data`` as a cheap function of the noise
+    variance.
 
     The O(m^2 n) work (feature whitening and the m x m Gram) and one
     eigendecomposition of the Gram happen once; each call then costs O(m).
     Used both for fixed-noise evaluation and for profiling out sigma^2
-    during selection.
+    during selection. The dataset's own noise variance is not read.
     """
-    y = np.asarray(y, dtype=float)
-    if y.size != model.n:
-        raise ValueError("model was built for a different design")
-    W, G = _whiten(model)
-    lam, _, p = _eigen_terms(G, W @ y)
-    gap = float(np.sum(model.kff_diag)) - float(np.trace(G))
-    return _collapsed_profile(lam, p, float(y @ y), gap, y.size)
+    W, G = _whiten(model, data.x)
+    lam, _, p = _eigen_terms(G, W @ data.y)
+    gap = float(np.sum(model.prior_var(data.x))) - float(np.trace(G))
+    return _collapsed_profile(lam, p, float(data.y @ data.y), gap, data.n)
 
 
 def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
@@ -532,7 +528,7 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
     """Population-feature model of :func:`population_features`, from statistics.
 
     Returns the model, the collapsed objective as a function of the noise
-    variance (equal to ``elbo_profile(population_features(prior, x, m), y)``
+    variance (equal to ``elbo_profile(population_features(prior, m), data)``
     up to roundoff) and the matching optimal q(u) as a function of the noise
     variance; neither touches the design. With s the first m prior scales
     (K_uu = diag(s^2)), both read the same whitened data terms
@@ -549,13 +545,10 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
     s2 = prior.spectrum(np.arange(1, J + 1)) ** 2
     kff_sum = (float(s2 @ stats.colsumsq[:J])
                + stats.n * prior.tail_variance(J))
-    s2 = s2[:m]
-    s = np.sqrt(s2)
+    model = _population_model(prior, m, J, "mean")
+    s = np.sqrt(model.kuu_diag)
     G = s[:, None] * stats.gram[:m, :m] * s
     wy = s * stats.phi_y[:m]
-    model = InducingModel(flavor="population", m=m, K_uu=np.diag(s2),
-                          K_uf=None, kff_diag=None, x_train=None, prior=prior,
-                          feature_cutoff=J, tail_mode="mean")
     eig = _eigen_terms(G, wy)
     profile = _collapsed_profile(eig[0], eig[2], stats.yty,
                                  kff_sum - float(np.trace(G)), stats.n)
@@ -564,7 +557,7 @@ def population_candidate(prior: SeriesPrior, stats: FeatureStats, m: int
 
 def elbo_lambda(model: InducingModel, data: Dataset) -> float:
     """Collapsed variational objective at the dataset's noise variance."""
-    return elbo_profile(model, data.y)(data.sigma_sq)
+    return elbo_profile(model, data)(data.sigma_sq)
 
 
 def elbo_at(q: VariationalGP, data: Dataset) -> float:
@@ -578,19 +571,17 @@ def elbo_at(q: VariationalGP, data: Dataset) -> float:
     :func:`_whiten`, so those coordinates drop out of both.
     """
     model = q.model
-    if data.n != model.n:
-        raise ValueError("model was built for a different design")
     s2 = data.sigma_sq
     n = data.n
-    r = np.sqrt(np.diag(model.K_uu))
+    r = np.sqrt(model.kuu_diag)
     live = r > 0
     r = r[live]
-    W, G = _whiten(model)
+    W, G = _whiten(model, data.x)
     mu = q.mu[live] / r
     Sigma = q.Sigma[np.ix_(live, live)] / r[:, None] / r
     resid = data.y - W[live].T @ mu
     rss = float(resid @ resid)
-    tr_residual = float(np.sum(model.kff_diag)) - float(np.trace(G))
+    tr_residual = float(np.sum(model.prior_var(data.x))) - float(np.trace(G))
     tr_smear = float(np.sum(Sigma * G[np.ix_(live, live)]))
     L_S, _ = _linalg.chol_jitter(Sigma)
     kl = 0.5 * (

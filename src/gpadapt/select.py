@@ -69,7 +69,6 @@ class HyperGrid:
     """Finite hyperparameter grid with its mass function and feature rule;
     ``sizes`` holds the rule's feature count at every value."""
 
-    family: str
     values: np.ndarray
     masses: np.ndarray
     m_rule: Callable[[float], int]
@@ -142,8 +141,7 @@ def poly_grid(beta_minus: float, beta_plus: float, n: int,
     def m_rule(alpha: float) -> int:
         return max(1, math.ceil(c_m * n ** (1 / (1 + 2.0 * alpha))))
 
-    return HyperGrid("poly", values, np.full(values.size, 1.0 / values.size),
-                     m_rule)
+    return HyperGrid(values, np.full(values.size, 1.0 / values.size), m_rule)
 
 
 def exp_grid(beta_minus: float, n: int) -> HyperGrid:
@@ -163,8 +161,7 @@ def exp_grid(beta_minus: float, n: int) -> HyperGrid:
     def m_rule(tau: float) -> int:
         return max(1, math.ceil(tau ** -1 * log_n ** 2))
 
-    return HyperGrid("exp", values, np.full(values.size, 1.0 / values.size),
-                     m_rule)
+    return HyperGrid(values, np.full(values.size, 1.0 / values.size), m_rule)
 
 
 def dim_grid(n: int) -> HyperGrid:
@@ -176,8 +173,7 @@ def dim_grid(n: int) -> HyperGrid:
     def m_rule(dim: float) -> int:
         return int(round(dim))
 
-    return HyperGrid("dim", values, np.full(values.size, 1.0 / values.size),
-                     m_rule)
+    return HyperGrid(values, np.full(values.size, 1.0 / values.size), m_rule)
 
 
 def select_discrete(grid: HyperGrid,

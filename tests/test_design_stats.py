@@ -203,8 +203,8 @@ class TestPopulationCandidate:
         J = feature_cutoff(prior, m)
         stats = feature_stats(data.x, data.y, J + 50, m + 7)
         _, profile, fit = population_candidate(prior, stats, m)
-        model = population_features(prior, data.x, m)
-        ref = elbo_profile(model, data.y)
+        model = population_features(prior, m)
+        ref = elbo_profile(model, data)
         for s2 in (0.003, 0.01, 0.4):
             assert profile(s2) == pytest.approx(ref(s2), rel=RTOL)
             q = fit(s2)
@@ -225,19 +225,22 @@ class TestPopulationCandidate:
         with pytest.raises(ValueError, match="statistics cover"):
             population_candidate(SeriesPrior(PolyDecay(1.0)), stats, 10)
 
-    def test_scored_model_refuses_a_refit(self):
+    def test_scored_model_refits_on_its_data(self):
+        # the model holds no design, so the reference fit on the dataset
+        # the statistics came from reproduces the candidate's q(u)
         data, _ = simulate_poly(100, seed=2)
         stats = feature_stats(data.x, data.y, 1000, 5)
         model, _, fit = population_candidate(SeriesPrior(PolyDecay(1.0)),
                                              stats, 5)
-        with pytest.raises(ValueError, match="design statistics"):
-            titsias_fit(model, data)
+        q, q_ref = fit(data.sigma_sq), titsias_fit(model, data)
+        assert _rel(q.mu, q_ref.mu) <= RTOL
+        assert _rel(q.Sigma, q_ref.Sigma) <= RTOL
         with pytest.raises(ValueError, match="sigma_sq"):
             fit(0.0)
 
     def test_predict_mean_equals_predict(self):
         data, _ = simulate_poly(300, seed=9)
-        model = population_features(SeriesPrior(PolyDecay(1.1)), data.x, 8)
+        model = population_features(SeriesPrior(PolyDecay(1.1)), 8)
         q = titsias_fit(model, data)
         xs = np.linspace(0.0, 2.0 * np.pi, 257)
         np.testing.assert_array_equal(predict_mean(q, xs),
@@ -321,10 +324,10 @@ class TestDimensionStats:
 def _per_candidate_fitter(config, grid, data):
     """The sweep as it was: one population_features block per candidate."""
     def fitter(lam):
-        model = population_features(SeriesPrior(PolyDecay(lam)), data.x,
+        model = population_features(SeriesPrior(PolyDecay(lam)),
                                     grid.m_rule(lam))
         if config.estimate_noise:
-            s2, bound, _ = _profile_noise(elbo_profile(model, data.y))
+            s2, bound, _ = _profile_noise(elbo_profile(model, data))
             return titsias_fit(model, data.with_sigma_sq(s2)), bound
         return titsias_fit(model, data), elbo_lambda(model, data)
 

@@ -237,8 +237,7 @@ class TestRunExperiment:
                 calls.append(lam)
                 return grid.m_rule(lam)
 
-            grids.append(HyperGrid(grid.family, grid.values, grid.masses,
-                                   m_rule))
+            grids.append(HyperGrid(grid.values, grid.masses, m_rule))
             return grids[-1]
 
         monkeypatch.setattr(experiments_module, "poly_grid", counting_grid)

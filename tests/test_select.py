@@ -116,21 +116,21 @@ class TestDimGrid:
 class TestHyperGridValidation:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            HyperGrid("poly", [1.0, 0.5], [0.5, 0.5], lambda lam: 1)
+            HyperGrid([1.0, 0.5], [0.5, 0.5], lambda lam: 1)
 
     def test_rejects_bad_masses(self):
         with pytest.raises(ValueError):
-            HyperGrid("poly", [0.5, 1.0], [0.6, 0.6], lambda lam: 1)
+            HyperGrid([0.5, 1.0], [0.6, 0.6], lambda lam: 1)
         with pytest.raises(ValueError):
-            HyperGrid("poly", [0.5, 1.0], [1.2, -0.2], lambda lam: 1)
+            HyperGrid([0.5, 1.0], [1.2, -0.2], lambda lam: 1)
 
     def test_rejects_zero_feature_rule(self):
         with pytest.raises(ValueError):
-            HyperGrid("poly", [0.5, 1.0], [0.5, 0.5], lambda lam: 0)
+            HyperGrid([0.5, 1.0], [0.5, 0.5], lambda lam: 0)
 
 
 def _stub_grid(values, masses):
-    return HyperGrid("poly", values, masses, lambda lam: 5)
+    return HyperGrid(values, masses, lambda lam: 5)
 
 
 def _stub_fitter(table):
@@ -212,7 +212,7 @@ class TestSelectDiscrete:
 
         def fitter(alpha):
             model = population_features(SeriesPrior(PolyDecay(alpha=alpha)),
-                                        data.x, grid.m_rule(alpha))
+                                        grid.m_rule(alpha))
             return titsias_fit(model, data), elbo_lambda(model, data)
 
         report = select_discrete(grid, fitter)
@@ -245,8 +245,7 @@ class TestSelectorConsistency:
 
             def fitter(alpha):
                 model = population_features(
-                    SeriesPrior(PolyDecay(alpha=alpha)), data.x,
-                    grid.m_rule(alpha))
+                    SeriesPrior(PolyDecay(alpha=alpha)), grid.m_rule(alpha))
                 return None, elbo_lambda(model, data)
 
             chosen.append(select_discrete(grid, fitter).chosen)
@@ -376,7 +375,7 @@ def _standard_bound(data, m, sigma, nu, tau):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         model = sample_features(
-            kernel_matrix(SquaredExponential(nu, tau), data.x), m)
+            kernel_matrix(SquaredExponential(nu, tau), data.x), m, data.x)
     return elbo_lambda(model, data.with_sigma_sq(sigma * sigma))
 
 

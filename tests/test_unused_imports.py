@@ -7,7 +7,9 @@ aside, which exists to re-export) must appear in that module's code, in a
 quoted annotation, or in its ``__all__``. A module-level private function,
 class or constant must be referenced somewhere in ``src/gpadapt`` outside
 its own definition. Every parameter of a function or method (``self`` and
-``cls`` aside) must be read in that function's body.
+``cls`` aside) must be read in that function's body. Every field of a
+dataclass must be read as an attribute somewhere in ``src/gpadapt``,
+unless the class is written out whole (``SERIALIZED_WHOLE``).
 """
 
 import ast
@@ -139,3 +141,42 @@ def test_every_parameter_is_read(module):
         unread += [f"{fn.name}({name}) (line {fn.lineno})"
                    for name in _parameters(fn) if name not in read]
     assert not unread, f"{module} has unread parameters: {', '.join(unread)}"
+
+
+#: dataclasses written out whole through ``dataclasses.asdict``, which
+#: reads every field: ``cli`` writes a ``ContractionReport`` to
+#: contraction.json, and ``experiments._row`` turns each
+#: ``SelectionRecord`` into a row of report.json and selection.csv
+SERIALIZED_WHOLE = {"ContractionReport", "SelectionRecord"}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute)
+            and target.attr == "dataclass")
+
+
+def _dataclass_fields(tree: ast.Module):
+    for cls in ast.walk(tree):
+        if (isinstance(cls, ast.ClassDef)
+                and any(map(_is_dataclass, cls.decorator_list))):
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield cls.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing reads is state every builder must fill and no
+    result depends on."""
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name)
+             for p in sorted(SRC.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{module}: {cls}.{name} (line {line})"
+                    for module, tree in trees.items()
+                    for cls, name, line in _dataclass_fields(tree)
+                    if cls not in SERIALIZED_WHOLE and name not in read)
+    assert not unread, f"unread dataclass fields: {', '.join(unread)}"
