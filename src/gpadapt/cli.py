@@ -69,6 +69,19 @@ def _sigma2(text: str):
             'expected a number or "estimate"') from None
 
 
+def _n_list(text: str) -> tuple[int, ...]:
+    """Comma-separated whole numbers in any float syntax: 1e3 reads 1000."""
+    for entry in text.split(","):
+        try:
+            whole = float(entry).is_integer()
+        except ValueError:
+            whole = False
+        if not whole:
+            raise argparse.ArgumentTypeError(
+                f"expected whole numbers, got {entry!r} in {text!r}")
+    return tuple(int(float(entry)) for entry in text.split(","))
+
+
 #: config flags by name; each ``dest`` is an ``ExperimentConfig`` field
 _FLAGS = {
     "n": dict(type=int),
@@ -164,10 +177,9 @@ def _cmd_running(args: argparse.Namespace) -> int:
 
 
 def _cmd_contraction(args: argparse.Namespace) -> int:
-    n_list = tuple(int(s) for s in args.n_list.split(","))
-    study = contraction_study(args.prior, args.beta, n_list, args.replicates,
-                              args.seed, sigma_sq=args.sigma2,
-                              workers=args.workers)
+    study = contraction_study(args.prior, args.beta, args.n_list,
+                              args.replicates, args.seed,
+                              sigma_sq=args.sigma2)
     print(f"slope={study.slope:.4f} target={study.target:.4f} "
           f"se={study.slope_se:.4f}")
     for n, err in zip(study.n_list, study.mean_errors):
@@ -226,13 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--beta", type=float, required=True,
                    help="true smoothness of the synthetic signal")
-    p.add_argument("--n-list", default="500,2000,8000",
-                   help="comma-separated sample sizes")
+    p.add_argument("--n-list", type=_n_list, default="500,2000,8000",
+                   help="comma-separated sample sizes, run in order in one "
+                        "process; each a whole number such as 1000 or 1e3")
     p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes to spread the sample sizes over, at most "
-                        "one per usable CPU and per size; results do not "
-                        "depend on it")
     p.set_defaults(func=_cmd_contraction)
 
     p = sub.add_parser("report", help="re-emit artifacts from a report JSON")

@@ -35,7 +35,7 @@ import numpy as np
 from . import _linalg
 from .basis import (BASIS, SeriesPrior, Truncated, _check_domain, _trig_sum,
                     _wrap)
-from .errors import ConditioningError
+from .errors import ConditioningError, _caller_level
 
 __all__ = [
     "Dataset",
@@ -328,11 +328,17 @@ def _weight_space(kernel: KernelSpec, data: Dataset) -> bool:
     return isinstance(kernel, SeriesKernel) and kernel.j_eff <= data.n
 
 
-def _posterior_kernel_form(kernel: KernelSpec, data: Dataset,
-                           query: np.ndarray) -> GaussianPosterior:
+def _kernel_solve(kernel: KernelSpec, data: Dataset
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """L = chol(K + sigma^2 I) on the design and (K + sigma^2 I)^{-1} y."""
     K = kernel_matrix(kernel, data.x)
     L, _ = _linalg.chol_jitter(K + data.sigma_sq * np.eye(data.n))
-    alpha = _linalg.chol_solve(L, data.y)
+    return L, _linalg.chol_solve(L, data.y)
+
+
+def _posterior_kernel_form(kernel: KernelSpec, data: Dataset,
+                           query: np.ndarray) -> GaussianPosterior:
+    L, alpha = _kernel_solve(kernel, data)
 
     def mean_fn(xs):
         return kernel_cross(kernel, xs, data.x) @ alpha
@@ -399,9 +405,7 @@ def log_evidence(kernel: KernelSpec, data: Dataset) -> float:
         lam, _, p = _eigen_terms(G, wy)
         return _collapsed_profile(lam, p, float(data.y @ data.y), 0.0,
                                   data.n)(data.sigma_sq)
-    K = kernel_matrix(kernel, data.x)
-    L, _ = _linalg.chol_jitter(K + data.sigma_sq * np.eye(data.n))
-    alpha = _linalg.chol_solve(L, data.y)
+    L, alpha = _kernel_solve(kernel, data)
     return float(
         -0.5 * data.y @ alpha
         - 0.5 * _linalg.logdet_from_chol(L)
@@ -422,7 +426,7 @@ def _evidence_table(kernels: Mapping, data: Dataset) -> tuple[dict, dict]:
             "evidence failed for "
             + ", ".join(f"{lam!r} ({msg})" for lam, msg in failures.items()),
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_caller_level(),
         )
     if not scores:
         raise ConditioningError("evidence failed for every candidate")

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random import default_rng
@@ -634,11 +633,13 @@ def _smooth_signal(beta: float) -> SignalSpec:
                       j_max=SIGNAL_J_MAX)
 
 
-def _contraction_size(args) -> list[tuple[float, float, bool]]:
-    """Every replicate at one sample size: simulate and adaptively fit.
+def _contraction_size(family: str, beta_true: float, n: int,
+                      seeds: Sequence[int], sigma_sq: float
+                      ) -> Iterator[tuple[SelectionReport, float]]:
+    """Every replicate at sample size ``n``: simulate and adaptively fit.
 
-    Returns, per seed, the L2 error to the truth, the chosen grid value
-    and whether it sits on the grid's edge. The draws share the signal's
+    Yields, per seed in order, the selection and its L2 error to the
+    truth, one replicate at a time. The draws share the signal's
     grid tables, built once for the size. ``dim`` keeps only each draw's
     design statistics and fits all replicates' levels in one pruning
     lockstep ascent (``meanfield._mf_fit_replicates``): a level whose
@@ -646,22 +647,16 @@ def _contraction_size(args) -> list[tuple[float, float, bool]]:
     scores -inf, so every replicate keeps the level an unpruned sweep
     keeps. The other families fit one draw after another.
     """
-    family, beta_true, n, seeds, sigma_sq = args
     spec = _smooth_signal(beta_true)
     config = ExperimentConfig(experiment="contraction", n=n, prior=family,
                               sigma_sq=sigma_sq)
     tables = _signal_tables(spec, n)
-
-    def row(sel, error):
-        return error, float(sel.chosen), _at_grid_edge(sel, sel.chosen)
-
-    rows = []
     if family != "dim":
         for seed in seeds:
             sel, _ = _select(config, _draw(spec, n, seed, sigma_sq, tables))
-            rows.append(row(sel, _quadrature_error(
-                lambda xs: predict_mean(sel.posterior, xs), spec)))
-        return rows
+            yield sel, _quadrature_error(
+                lambda xs: predict_mean(sel.posterior, xs), spec)
+        return
     grid = _build_grid(config, n)
     top = max(grid.sizes)
     draws = (_draw(spec, n, seed, sigma_sq, tables) for seed in seeds)
@@ -673,34 +668,20 @@ def _contraction_size(args) -> list[tuple[float, float, bool]]:
         q = sel.posterior
         head = q.mu - coeffs[:q.D]
         tail = coeffs[q.D:]
-        rows.append(row(sel, float(np.sqrt(head @ head + tail @ tail))))
-    return rows
-
-
-def _usable_workers(requested: int) -> int:
-    """``requested`` clamped to 1..(CPUs this process may run on)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(int(requested), cpus))
+        yield sel, float(np.sqrt(head @ head + tail @ tail))
 
 
 def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
-                      replicates: int, seed: int, sigma_sq: float = 0.25,
-                      workers: int = 1) -> ContractionReport:
+                      replicates: int, seed: int, sigma_sq: float = 0.25
+                      ) -> ContractionReport:
     """Adaptive-fit error versus n, with the rate-formula target attached.
 
     Each replicate contributes one error per sample size, and records the
     grid value its fit chose and whether that is a grid edge; the headline
     slope is the least-squares fit of log mean-error against log n, and
     its standard error comes from the spread of per-replicate slopes.
-    Sample sizes run one after another, each fitting all its replicates
-    together (for ``dim``, in one lockstep ascent). ``workers > 1`` fans
-    the sample sizes out across processes, at most one per CPU the
-    process may use and one per size; every batch holds all replicates
-    of its size and each replicate owns its seed, so the results are the
-    same for every ``workers``.
+    Sample sizes run one after another in this process, each fitting all
+    its replicates together (for ``dim``, in one lockstep ascent).
     """
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3:
@@ -717,22 +698,16 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
         raise ValueError("sigma_sq must be positive and finite, "
                          f"got {sigma_sq}")
 
-    # replicate r draws its data at the i-th size from seed + 1000 r + i
-    tasks = [(family, beta_true, n,
-              [seed + 1000 * r + i for r in range(replicates)], sigma_sq)
-             for i, n in enumerate(n_list)]
-    workers = min(_usable_workers(workers), len(n_list))
-    if workers > 1:
-        # imported here: process pools cost every command's start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_contraction_size, tasks))
-    else:
-        rows = [_contraction_size(t) for t in tasks]
-    # replicates x sizes x (error, chosen, at_grid_edge)
-    cells = np.asarray(rows, dtype=float).transpose(1, 0, 2)
-    errors, chosen = cells[..., 0].copy(), cells[..., 1].copy()
+    shape = (replicates, len(n_list))
+    errors, chosen = np.empty(shape), np.empty(shape)
+    at_grid_edge = np.empty(shape, dtype=bool)
+    for i, n in enumerate(n_list):
+        # replicate r draws its data at the i-th size from seed + 1000 r + i
+        seeds = [seed + 1000 * r + i for r in range(replicates)]
+        for r, (sel, error) in enumerate(
+                _contraction_size(family, beta_true, n, seeds, sigma_sq)):
+            errors[r, i], chosen[r, i] = error, sel.chosen
+            at_grid_edge[r, i] = _at_grid_edge(sel, sel.chosen)
     mean_errors = errors.mean(axis=0)
     log_n = np.log(np.asarray(n_list, dtype=float))
     slope = float(np.polyfit(log_n, np.log(mean_errors), 1)[0])
@@ -744,7 +719,7 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
                              n_list=n_list, errors=errors,
                              mean_errors=mean_errors, slope=slope,
                              slope_se=slope_se, target=target, chosen=chosen,
-                             at_grid_edge=cells[..., 2] > 0)
+                             at_grid_edge=at_grid_edge)
 
 
 def _g17(v) -> str:

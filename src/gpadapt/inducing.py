@@ -55,7 +55,7 @@ import numpy as np
 
 from . import _linalg
 from .basis import BASIS, SeriesPrior, _check_domain, _trig_moments
-from .errors import ConditioningError
+from .errors import ConditioningError, _caller_level
 from .exact import (
     Dataset,
     GaussianPosterior,
@@ -308,11 +308,12 @@ def _top_eigenpairs(K_ff: np.ndarray, m: int
 
 
 def _warn_dropped(dropped: int) -> None:
-    """The warning of :func:`sample_features`, at its caller."""
+    """The warning of :func:`sample_features`, at the first caller outside
+    the package."""
     if dropped:
         warnings.warn(f"dropping {dropped} non-positive eigenvalues; "
                       "reducing the number of features", RuntimeWarning,
-                      stacklevel=3)
+                      stacklevel=_caller_level())
 
 
 def _sample_model(vals: np.ndarray, V: np.ndarray, x: np.ndarray,
@@ -449,11 +450,17 @@ class _EigenFactor:
 
     def fit(self, sigma_sq: float, nu: float, kernel: KernelSpec,
             x: np.ndarray) -> VariationalGP:
-        """Optimal q(u) of nu K (``kernel``, on design ``x``) at sigma^2."""
+        """Optimal q(u) of nu K (``kernel``, on design ``x``) at sigma^2:
+        :func:`_optimal_q` with the whitened Gram diag(g), g = nu lam, done
+        elementwise (Q = I), bit for bit."""
+        if not sigma_sq > 0:
+            raise ValueError("sigma_sq must be positive")
         g = nu * self.lam
-        model = _sample_model(g, self.vectors(), x, kernel)
-        return _optimal_q(model, (g, np.eye(g.size), np.sqrt(g) * self.p),
-                          sigma_sq)
+        r, d = np.sqrt(g), sigma_sq + g
+        b = np.sqrt(sigma_sq / d)
+        return VariationalGP(model=_sample_model(g, self.vectors(), x, kernel),
+                             mu=r * (r * self.p / d),
+                             Sigma=np.diag(r * (b * b * r)))
 
 
 def _whiten(model: InducingModel, x: np.ndarray

@@ -415,6 +415,7 @@ class TestContractionCommand:
         ["--features", "sample"],
         ["--cm", "9"],
         ["--config", "run.cfg"],
+        ["--workers", "2"],
     ])
     def test_flags_it_cannot_honour_exit_two(self, flags, capsys):
         # the study simulates its own designs at a fixed noise variance
@@ -423,22 +424,46 @@ class TestContractionCommand:
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
-    def test_noise_variance_reaches_the_study(self, monkeypatch, capsys):
+    @staticmethod
+    def _stub_study(monkeypatch) -> dict:
+        """Stand in for the study; the returned dict records its inputs."""
         seen = {}
 
-        def study(family, beta, n_list, replicates, seed, sigma_sq, workers):
-            seen.update(family=family, seed=seed, sigma_sq=sigma_sq)
+        def study(family, beta, n_list, replicates, seed, sigma_sq):
+            seen.update(family=family, seed=seed, sigma_sq=sigma_sq,
+                        n_list=n_list)
             return SimpleNamespace(slope=-0.3, target=-0.3, slope_se=0.0,
                                    n_list=n_list,
                                    mean_errors=np.ones(len(n_list)))
 
         monkeypatch.setattr(cli, "contraction_study", study)
+        return seen
+
+    def test_noise_variance_reaches_the_study(self, monkeypatch, capsys):
+        seen = self._stub_study(monkeypatch)
         assert main(["contraction", "--beta", "0.8"]) == 0
-        assert seen == {"family": "dim", "seed": 0, "sigma_sq": 0.25}
+        assert seen == {"family": "dim", "seed": 0, "sigma_sq": 0.25,
+                        "n_list": (500, 2000, 8000)}
         assert main(["contraction", "--beta", "0.8", "--sigma2", "0.5",
                      "--seed", "3", "--prior", "poly"]) == 0
-        assert seen == {"family": "poly", "seed": 3, "sigma_sq": 0.5}
+        assert seen == {"family": "poly", "seed": 3, "sigma_sq": 0.5,
+                        "n_list": (500, 2000, 8000)}
 
+    def test_sizes_may_use_float_syntax(self, monkeypatch, capsys):
+        seen = self._stub_study(monkeypatch)
+        assert main(["contraction", "--beta", "0.8",
+                     "--n-list", "1e2,2e2,4e2"]) == 0
+        assert seen["n_list"] == (100, 200, 400)
+        assert all(type(n) is int for n in seen["n_list"])
+
+    @pytest.mark.parametrize("sizes", ["100,,400", "100,150.5,400",
+                                       "100,x,400", "100,inf,400"])
+    def test_size_that_is_not_a_whole_number_exits_two(self, sizes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["contraction", "--beta", "0.8", "--n-list", sizes])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n-list" in err and repr(sizes.split(",")[1]) in err
 
     @pytest.mark.parametrize("value", ["-0.5", "0", "nan", "inf"])
     def test_bad_noise_variance_exits_two(self, value, capsys):

@@ -756,6 +756,20 @@ class TestFromFactor:
             np.testing.assert_allclose(a, b, rtol=1e-8,
                                        atol=1e-8 * np.max(np.abs(b)))
 
+    @pytest.mark.parametrize("m", [1, 7, 60])
+    def test_fit_is_the_identity_eigen_form_bit_for_bit(self, m):
+        # the whitened Gram of nu K is diag(nu lam): the elementwise fit
+        # equals the weight posterior taken through Q = I
+        x, y, K, _ = _se_factor_case(150, 15.0, 0.8)
+        fac = _EigenFactor.from_kernel(K, y, m)
+        nu, s2 = 1.7, 0.3
+        q = fac.fit(s2, nu, SquaredExponential(nu, 0.8), x)
+        g = nu * fac.lam
+        mu, Sigma = exact_mod._weight_posterior(
+            np.sqrt(g), g, np.eye(g.size), np.sqrt(g) * fac.p, s2)
+        assert np.array_equal(q.mu, mu)
+        assert np.array_equal(q.Sigma, Sigma)
+
     @pytest.mark.parametrize("tau, m", [(0.8, 30), (4.0, 40)])
     def test_p_without_the_eigenvectors_is_v_transpose_y(self, tau, m):
         # p = diag(lam)^(-1/2) Q'(L'y) never forms V; V comes from the
