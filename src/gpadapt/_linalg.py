@@ -66,26 +66,32 @@ def eigh_psd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pivoted_cholesky(column: Callable[[int], np.ndarray], diag: np.ndarray,
-                     tol: float, max_rank: int
-                     ) -> tuple[np.ndarray, float] | None:
+                     tol: float) -> tuple[np.ndarray, float]:
     """Greedy pivoted Cholesky of a positive semidefinite n x n matrix K.
 
     ``column(i)`` returns the fresh column K[:, i] (it may be overwritten)
     and ``diag`` is the diagonal of K. Each step pivots on the largest
     residual diagonal entry, builds that one column and updates it against
     the rows found so far in O(n k), so K itself is never formed
-    (Harbrecht, Peters & Schneider 2012). Returns ``(L, residual)`` with L
-    of shape (k, n), K ~ L'L, and the residual trace tr(K - L'L) <= ``tol``;
-    or None once ``max_rank`` steps have not reached ``tol``.
+    (Harbrecht, Peters & Schneider 2012). The row block doubles as the
+    rank grows, so memory is O(k n). Returns ``(L, residual)`` with L of
+    shape (k, n), K ~ L'L, and the residual trace tr(K - L'L) <= ``tol``.
+    Raises :class:`ConditioningError` when n rows do not reach ``tol``.
     """
     d = np.array(diag, dtype=float)
     n = d.size
-    L = np.empty((min(max_rank, n), n))
+    L = np.empty((min(n, 8), n))
     residual = float(d.sum())
     k = 0
     while residual > tol:
+        if k == n:
+            raise ConditioningError(
+                f"pivoted Cholesky left a residual trace of {residual:.3e} "
+                f"after all {n} rows, above the tolerance {tol:.3e}")
         if k == L.shape[0]:
-            return None
+            grown = np.empty((min(n, 2 * k), n))
+            grown[:k] = L
+            L = grown
         i = int(d.argmax())
         row = column(i)
         row -= L[:k, i] @ L[:k]

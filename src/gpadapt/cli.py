@@ -265,6 +265,9 @@ def main(argv=None) -> int:
     except (ConditioningError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -39,9 +39,9 @@ matrix products), they let every candidate be scored and fitted in
 O(m^3 + J) (:func:`population_candidate`).
 Sample features have G = diag(eigenvalues), so the bound and q(u) of
 every nu K read off one eigendecomposition of K (:class:`_EigenFactor`),
-which the tuner and the sample-feature sweep both score and fit from. It
-comes either from the n x n matrix K or, for a kernel of low numerical
-rank r, from a factor K ~ L L' with L of size n x r, through the r x r
+which the tuner and the sample-feature sweep both score and fit from. The
+sweep builds it from the n x n matrix K; the tuner from a pivoted
+Cholesky factor K ~ L L' with L of size n x r, through the r x r
 eigenproblem of L'L.
 """
 
@@ -381,10 +381,10 @@ class _EigenFactor:
     ``lam`` are the eigenvalues of K that :func:`sample_features` keeps and
     ``vectors()`` forms their eigenvectors V; ``p = V'y``,
     ``gap = tr K - sum lam``; ``dropped`` counts the m requested less those
-    kept, and ``rank`` is the rank of the matrix the eigenpairs come from
-    (n for K itself). nu K has G = nu diag(lam) and W y = sqrt(nu lam) p,
-    so its bound costs O(m) and its q(u) O(m^2), with no further
-    eigendecomposition; only q(u) reads V.
+    kept, and ``rank`` is the rank of the matrix the eigenpairs come from:
+    r for a factor L L' (at most n), n for K itself. nu K has
+    G = nu diag(lam) and W y = sqrt(nu lam) p, so its bound costs O(m) and
+    its q(u) O(m^2), with no further eigendecomposition; only q(u) reads V.
     """
 
     lam: np.ndarray
@@ -415,17 +415,16 @@ class _EigenFactor:
                           y.size)
 
     @classmethod
-    def from_factor(cls, L: np.ndarray, y: np.ndarray, m: int, trace: float,
-                    refactor: Callable[[], np.ndarray]) -> "_EigenFactor":
+    def from_factor(cls, L: np.ndarray, y: np.ndarray, m: int, trace: float
+                    ) -> "_EigenFactor":
         """From a low-rank factor K ~ L L' (L of size n x r) and tr K.
 
         The eigenpairs of the r x r matrix L'L = Q diag(lam) Q' give those of
         L L': lam and V = L Q diag(lam)^(-1/2). The top min(m, r) go through
         the drop rule of :func:`sample_features`, with its n; the trace of K
         the factor misses lands in ``gap``. p = diag(lam)^(-1/2) Q'(L'y)
-        needs no V: O(r^2 n + r^3). The factor keeps the r x m matrix
-        Q diag(lam)^(-1/2), not L, and ``vectors()`` forms V from
-        ``refactor()``, which returns L again, in O(m r n) more.
+        needs no V: O(r^2 n + r^3). The factor keeps L, and ``vectors()``
+        forms V from it in O(m r n) more.
         """
         n, r = L.shape
         if not 1 <= m <= n:
@@ -435,8 +434,8 @@ class _EigenFactor:
         keep = _kept(vals, n)
         vals = vals[keep]
         W = Q[:, keep] / np.sqrt(vals)
-        return cls._build(vals, lambda: refactor() @ W, W.T @ (L.T @ y), y,
-                          m, trace, r)
+        return cls._build(vals, lambda: L @ W, W.T @ (L.T @ y), y, m, trace,
+                          r)
 
     def profile(self, nu: float) -> Callable[[float], float]:
         """The collapsed bound of nu K as a function of sigma^2."""

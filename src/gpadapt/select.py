@@ -12,12 +12,11 @@ kernel nu exp(-(x - x')^2 / tau^2). Its eigenvectors depend on tau alone
 and nu only scales its eigenvalues, so the unit-variance kernel is
 factorized once per tau; in that eigenbasis the collapsed bound at any
 (sigma, nu) is a closed form costing O(m). The factorization is a greedy
-pivoted Cholesky factor of rank r, built one kernel column at a time, and
-the r x r eigenproblem behind it, O(n r^2 + r^3), which yields the bound's
-terms without the n x m eigenvectors; a kernel whose rank passes a cap
-fitted to timings of both routes is factorized whole, by one n x n
-eigendecomposition, instead. A 1-D search over log tau calls that
-factorization: an uphill walk from the start brackets the optimum, and
+pivoted Cholesky factor of rank r, built one kernel column at a time to
+whatever rank its tolerance needs, and the r x r eigenproblem behind it,
+O(n r^2 + r^3), which yields the bound's terms without the n x m
+eigenvectors; no n x n matrix is formed. A 1-D search over log tau calls
+that factorization: an uphill walk from the start brackets the optimum, and
 Brent's method continues from the walk's probes in the bracket, stopping
 at its first parabolic step shorter than its tolerance, so it ends on a
 tau already factorized. At each tau (sigma, nu) are solved within their
@@ -27,7 +26,7 @@ pinned there, so a known noise is the box (sigma, sigma). The coarse
 scan scores a few lattice taus the same way, as the search's first
 probes: the search runs from the best of them, each counted and none
 factorized twice, and its start is a length-scale alone. The bound, the
-eigenvectors and q(u) reported come from the factorization at the chosen
+eigenvectors and q(u) reported come from the factor kept at the chosen
 tau. The exact evidence is the same bound at m = n. Every search is the
 package's own Brent search (:mod:`gpadapt._linalg`), so this module needs
 numpy alone.
@@ -46,7 +45,7 @@ import numpy as np
 from ._linalg import brent_bounded, brent_from_points, pivoted_cholesky
 from .errors import ConditioningError, _caller_level
 from .exact import (_LOG_2PI, Dataset, SquaredExponential, exact_posterior,
-                    kernel_matrix, log_evidence)
+                    log_evidence)
 from .inducing import _EigenFactor, predict
 
 __all__ = [
@@ -222,57 +221,20 @@ _GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
 _NAMES = ("sigma", "nu", "tau")
 
 
-#: cost model of :func:`_pivot_cap`, in multiply-adds: the Python and numpy
-#: calls of one pivoted step, the r x r eigenproblem per r^3, the kernel
-#: matrix per entry and the n x n eigendecomposition per n^3; fitted to
-#: timings of both routes over n from 100 to 1000 and ranks from 0.06 n to
-#: 0.95 n (the n x n route at ranks above 0.6 n, near the crossover)
-_STEP_OPS = 60_000
-_GRAM_EIG_OPS = 1.0
-_KERNEL_OPS = 430
-_EIG_OPS = 0.48
-
-
-def _pivot_cap(n: int) -> int:
-    """Most pivoted-Cholesky steps :func:`_factor` takes for n points.
-
-    At rank r the pivoted route (the steps, then the r x r eigenproblem of
-    :meth:`_EigenFactor.from_factor`) costs about
-    ``_STEP_OPS`` r + n r^2 + ``_GRAM_EIG_OPS`` r^3 multiply-adds, the
-    n x n route (kernel and eigendecomposition) about
-    ``_KERNEL_OPS`` n^2 + ``_EIG_OPS`` n^3; the cap is the largest r at
-    which the first is no dearer, and below n, so that rank n marks a
-    factor of the whole kernel.
-    """
-    r = np.arange(n + 1.0)
-    pivoted = r * (_STEP_OPS + r * (n + _GRAM_EIG_OPS * r))
-    cap = np.count_nonzero(pivoted <= n * n * (_KERNEL_OPS + _EIG_OPS * n))
-    return min(int(cap) - 1, n - 1)
-
-
 def _factor(data: Dataset, rank: int, tau: float) -> _EigenFactor:
     """The one factorization at ``tau``, of the unit-variance kernel.
 
     Greedy pivoted Cholesky down to a residual trace of n^2 eps, about what
-    the drop rule discards, then :meth:`_EigenFactor.from_factor`; the
-    factor keeps no eigenvectors and runs the same Cholesky again should a
-    fit ask for them. A kernel whose rank passes :func:`_pivot_cap` is
-    factorized whole instead (:meth:`_EigenFactor.from_kernel`).
+    the drop rule discards, to whatever rank that takes, then
+    :meth:`_EigenFactor.from_factor`, which keeps the factor for the
+    eigenvectors a fit asks for. Raises :class:`ConditioningError` when n
+    rows fall short of the tolerance.
     """
     n = data.n
     xs = data.x / tau
-
-    def cholesky():
-        return pivoted_cholesky(lambda i: np.exp(-np.square(xs - xs[i])),
-                                np.ones(n), n * n * np.finfo(float).eps,
-                                _pivot_cap(n))
-
-    piv = cholesky()
-    if piv is None:
-        return _EigenFactor.from_kernel(
-            kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, rank)
-    return _EigenFactor.from_factor(piv[0].T, data.y, rank, float(n),
-                                    lambda: cholesky()[0].T)
+    L, _ = pivoted_cholesky(lambda i: np.exp(-np.square(xs - xs[i])),
+                            np.ones(n), n * n * np.finfo(float).eps)
+    return _EigenFactor.from_factor(L.T, data.y, rank, float(n))
 
 
 def _rank(objective: str, m: int, n: int) -> int:
@@ -296,14 +258,14 @@ def _coarse_taus(lo: float, hi: float) -> list[float]:
 class _TauProfile:
     """The objective at a length-scale tau, maximized over (sigma, nu):
     one :func:`_factor` and :func:`_solve_sigma_nu` within the log bounds
-    ``lo``, ``hi`` of (sigma, nu). Counts the taus factorized, failed and
-    factorized whole, and keeps the best tau's (value, log (sigma, nu),
-    tau, factor); a losing factor goes before the next is built."""
+    ``lo``, ``hi`` of (sigma, nu). Counts the taus factorized and failed,
+    and keeps the best tau's (value, log (sigma, nu), tau, factor); a
+    losing factor goes before the next is built."""
 
     def __init__(self, data: Dataset, rank: int, lo: np.ndarray,
                  hi: np.ndarray):
         self.data, self.rank, self.lo, self.hi = data, rank, lo, hi
-        self.evals = self.fails = self.full = 0
+        self.evals = self.fails = 0
         self.best = None
 
     def __call__(self, tau: float) -> float:
@@ -313,7 +275,6 @@ class _TauProfile:
         except _FAIL:
             self.fails += 1
             return -np.inf
-        self.full += fac.rank == self.data.n
         value, z = _solve_sigma_nu(fac, self.lo, self.hi)
         if self.best is None or value > self.best[0]:
             self.best = (value, z, tau, fac)
@@ -489,11 +450,11 @@ def tune_continuous(data: Dataset, m: int, init: float,
     (``iterations``), the taus factorized (``evaluations``, init's
     included) and how many failed, whether the tau search met its
     tolerance, the names of unpinned coordinates ending at a bound
-    (``pinned``), the eigenvalues dropped at the chosen tau, the rank of
-    that tau's factor (``factor_rank``, n when it was factorized whole),
-    how many taus were factorized whole (``full_factorizations``) and how
-    the tau search ended (``tau_stop``: ``"step"``, ``"bracket"``,
-    ``"maxiter"``, or None for a pinned tau).
+    (``pinned``), the eigenvalues dropped at the chosen tau
+    (``dropped_eigenvalues``), the rank of that tau's pivoted Cholesky
+    factor (``factor_rank``, at most n) and how the tau search ended
+    (``tau_stop``: ``"step"``, ``"bracket"``, ``"maxiter"``, or None for a
+    pinned tau).
     """
     return _tune(data, m, [init], bounds, objective, maxiter)
 
@@ -565,5 +526,4 @@ def _tune(data: Dataset, m: int, starts: Sequence[float],
                      "converged": tau_stop in (None, "step", "bracket"),
                      "tau_stop": tau_stop, "pinned": pinned,
                      "dropped_eigenvalues": fac.dropped,
-                     "factor_rank": fac.rank,
-                     "full_factorizations": profile.full})
+                     "factor_rank": fac.rank})

@@ -1,6 +1,7 @@
 """Exit codes, flag precedence, and artifact emission through the CLI."""
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from gpadapt import _linalg, cli
 from gpadapt.cli import load_config_file, main
 from gpadapt.errors import ConditioningError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_series_csv(path, n=30, seed=0):
@@ -101,6 +104,16 @@ class TestSelectCommand:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 41.5 GiB")
+
+        monkeypatch.setattr(cli, "run_continuous", exhausted)
+        code = main(["fit", "--n", "60", "--seed", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 41.5 GiB\n"
+
 
 def _write_csv_with_nan(path):
     # times inside the basis domain [0, 2 pi], so only the NaN is wrong
@@ -189,18 +202,27 @@ class TestFitAndRunningCommands:
         diag = row["diagnostics"]
         assert set(diag) == {"iterations", "evaluations", "failures",
                              "converged", "tau_stop", "pinned",
-                             "dropped_eigenvalues", "factor_rank",
-                             "full_factorizations"}
+                             "dropped_eigenvalues", "factor_rank"}
         assert diag["evaluations"] >= 1 and diag["failures"] == 0
         assert diag["tau_stop"] in ("step", "bracket", "maxiter")
         assert diag["converged"] == (diag["tau_stop"] != "maxiter")
         assert isinstance(diag["pinned"], list)
         assert diag["dropped_eigenvalues"] >= 0
         assert 1 <= diag["factor_rank"] <= 40
-        assert 0 <= diag["full_factorizations"] <= diag["evaluations"]
         header = (out / "selection.csv").read_text().splitlines()[0]
         assert header == ("lam,log_mass,elbo_lambda,elbo,m,sigma_sq,"
                           "wall_time,error")
+
+    def test_readme_names_every_tuner_diagnostic(self, tmp_path, capsys):
+        data = _write_series_csv(tmp_path / "series.csv", n=40)
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(data), "--m", "15",
+                     "--out", str(out)]) == 0
+        row = json.loads((out / "report.json").read_text())["selection"][0]
+        readme = README.read_text()
+        missing = [key for key in row["diagnostics"]
+                   if f"`{key}`" not in readme]
+        assert not missing, f"README does not name {missing}"
 
     def test_offset_series_leaves_nu_free(self, tmp_path, capsys):
         # the prior has mean zero, so the level 10 is signal variance that

@@ -47,7 +47,7 @@ def _se_factor_case(n, span, tau, seed=3):
     xs = x / tau
     L, _ = _linalg.pivoted_cholesky(
         lambda i: np.exp(-np.square(xs - xs[i])), np.ones(n),
-        n * n * np.finfo(float).eps, n)
+        n * n * np.finfo(float).eps)
     return x, y, K, L.T
 
 
@@ -740,7 +740,7 @@ class TestFromFactor:
     def test_below_rank_matches_kernel_route(self):
         x, y, K, L = _se_factor_case(150, 15.0, 0.8)
         m = 30
-        low = _EigenFactor.from_factor(L, y, m, float(x.size), lambda: L)
+        low = _EigenFactor.from_factor(L, y, m, float(x.size))
         full = _EigenFactor.from_kernel(K, y, m)
         assert low.rank == L.shape[1] > m and full.rank == x.size
         assert low.dropped == full.dropped == 0
@@ -773,18 +773,11 @@ class TestFromFactor:
     @pytest.mark.parametrize("tau, m", [(0.8, 30), (4.0, 40)])
     def test_p_without_the_eigenvectors_is_v_transpose_y(self, tau, m):
         # p = diag(lam)^(-1/2) Q'(L'y) never forms V; V comes from the
-        # refactored L, on demand and once per call
+        # kept L, on demand
         x, y, _, L = _se_factor_case(150, 15.0, tau)
-        refactors = []
-
-        def refactor():
-            refactors.append(1)
-            return L
-
-        low = _EigenFactor.from_factor(L, y, m, float(x.size), refactor)
-        assert not refactors
+        low = _EigenFactor.from_factor(L, y, m, float(x.size))
         V = low.vectors()
-        assert len(refactors) == 1 and V.shape == (x.size, low.lam.size)
+        assert V.shape == (x.size, low.lam.size)
         np.testing.assert_allclose(low.p, V.T @ y, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(low.p)))
         np.testing.assert_allclose(V.T @ V, np.eye(low.lam.size),
@@ -793,7 +786,7 @@ class TestFromFactor:
     def test_above_rank_drops_as_kernel_route(self):
         x, y, K, L = _se_factor_case(150, 15.0, 4.0)
         m = 40
-        low = _EigenFactor.from_factor(L, y, m, float(x.size), lambda: L)
+        low = _EigenFactor.from_factor(L, y, m, float(x.size))
         with pytest.warns(RuntimeWarning, match="dropping"):
             model = sample_features(K, m, x)
         full = _EigenFactor.from_kernel(K, y, m)
@@ -806,8 +799,7 @@ class TestFromFactor:
 
     def test_all_features_give_log_evidence(self):
         x, y, _, L = _se_factor_case(90, 9.0, 0.6)
-        low = _EigenFactor.from_factor(L, y, x.size, float(x.size),
-                                       lambda: L)
+        low = _EigenFactor.from_factor(L, y, x.size, float(x.size))
         for sigma, nu in ((0.7, 1.5), (1.2, 3.0)):
             evidence = log_evidence(SquaredExponential(nu, 0.6),
                                     Dataset(x, y, sigma * sigma))

@@ -139,7 +139,7 @@ def test_pivoted_cholesky_meets_its_tolerance(tau):
     n = 120
     K, column = _se_columns(n, tau)
     tol = n * n * np.finfo(float).eps
-    L, residual = _linalg.pivoted_cholesky(column, np.ones(n), tol, n)
+    L, residual = _linalg.pivoted_cholesky(column, np.ones(n), tol)
     assert L.shape[1] == n and L.shape[0] < n
     assert residual <= tol
     assert residual == pytest.approx(np.trace(K - L.T @ L), abs=1e-12)
@@ -147,12 +147,9 @@ def test_pivoted_cholesky_meets_its_tolerance(tau):
     assert np.max(np.abs(K - L.T @ L)) <= tol
 
 
-def test_pivoted_cholesky_gives_up_at_its_cap():
-    n = 80
-    _, column = _se_columns(n, 0.3)
-    L, _ = _linalg.pivoted_cholesky(column, np.ones(n), 1e-9, n)
-    assert _linalg.pivoted_cholesky(column, np.ones(n), 1e-9,
-                                    L.shape[0] - 1) is None
-    again, _ = _linalg.pivoted_cholesky(column, np.ones(n), 1e-9,
-                                        L.shape[0])
-    assert np.array_equal(again, L)
+def test_pivoted_cholesky_raises_short_of_its_tolerance():
+    # a diagonal above the columns' own leaves 1.5 per row after all n rows
+    n = 12
+    with pytest.raises(ConditioningError, match="after all 12 rows"):
+        _linalg.pivoted_cholesky(lambda i: np.eye(n)[:, i], np.full(n, 2.0),
+                                 1e-9)

@@ -2,9 +2,11 @@
 
 Importing scipy costs more start-up time than the benchmark commands spend
 on their work, so ``gpadapt.cli`` and the ``select``, ``fit`` and
-``contraction`` paths must not import it. scipy stays a dependency for the
-n x n kernel-form references and the subset eigensolver only. Each check
-runs in a fresh interpreter, since this test process has scipy loaded.
+``contraction`` paths must not import it; the kernel tuner behind ``fit``
+factors every length-scale by pivoted Cholesky, at any m. scipy stays a
+dependency for the n x n kernel-form references and the subset eigensolver
+of sample features only. Each check runs in a fresh interpreter, since
+this test process has scipy loaded.
 """
 
 import json
@@ -50,6 +52,9 @@ def test_commands_load_no_scipy(tmp_path):
          "--out", str(tmp_path / "select")],
         ["fit", "--data", str(_se_csv(tmp_path / "series.csv")),
          "--m", "40", "--out", str(tmp_path / "fit")],
+        # m under n/8: the tuner needs no subset eigensolver
+        ["fit", "--data", str(tmp_path / "series.csv"), "--m", "10",
+         "--out", str(tmp_path / "fit-small")],
         # a known noise pins sigma by equal bounds
         ["fit", "--data", str(tmp_path / "series.csv"), "--m", "40",
          "--sigma2", "1.0", "--out", str(tmp_path / "fit-fixed")],
@@ -64,5 +69,5 @@ def test_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["after_import"] == []
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["after_runs"] == []

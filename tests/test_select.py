@@ -5,6 +5,7 @@ fixtures carry the values frozen from seeded calibration runs.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -410,23 +411,33 @@ class TestPerTauFactor:
             assert fac.bound(sigma, nu) == pytest.approx(evidence,
                                                          rel=1e-8)
 
-    def test_each_side_of_the_cap_takes_its_route(self, monkeypatch):
+    @pytest.mark.parametrize("tau", [0.4, 3.0])
+    def test_bound_equals_whole_kernel_route(self, monkeypatch, tau):
+        # tau = 0.4 needs a rank near n, tau = 3.0 a low one; both are
+        # one pivoted factor, scored as the n x n eigendecomposition
         data = _se_dataset(21, n=90, span=9.0)
         calls = _count_factorizations(monkeypatch)
-        cap = select_module._pivot_cap(data.n)
-        low = select_module._factor(data, 25, 3.0)
-        assert calls == ["from_factor"] and low.rank <= cap
-        calls.clear()
-        full = select_module._factor(data, 25, 0.4)
-        assert calls == ["from_kernel"] and full.rank == data.n
-        # a cap above the rank takes the pivoted route at the same tau
-        monkeypatch.setattr(select_module, "_pivot_cap", lambda n: n)
-        calls.clear()
-        again = select_module._factor(data, 25, 0.4)
-        assert calls == ["from_factor"] and cap < again.rank < data.n
+        fac = select_module._factor(data, 25, tau)
+        assert calls == ["from_factor"]
+        full = _EigenFactor.from_kernel(
+            kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, 25)
         for sigma, nu, _ in _random_triples(4, 3):
-            assert again.bound(sigma, nu) == pytest.approx(
+            assert fac.bound(sigma, nu) == pytest.approx(
                 full.bound(sigma, nu), rel=1e-10)
+
+    def test_memory_grows_with_the_rank(self):
+        # a long design at a low rank: the factor's rows, not n x n
+        n = 100_000
+        x = np.linspace(0.0, 2.0 * np.pi, n)
+        data = Dataset(x=x, y=np.sin(x), sigma_sq=1.0)
+        tracemalloc.start()
+        try:
+            fac = select_module._factor(data, 10, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fac.rank < 40
+        assert peak <= 4 * fac.rank * n * 8
 
     def test_coarse_init_matches_brute_force_lattice(self):
         # the lattice tau whose factor, profiled over (sigma, nu), is best
@@ -481,8 +492,7 @@ class TestTunerFactorizations:
         assert 1 < len(factorizations) <= maxiter + 2
         assert rep.diagnostics["evaluations"] == len(factorizations)
         assert rep.diagnostics["iterations"] <= maxiter
-        assert (rep.diagnostics["full_factorizations"]
-                == factorizations.count("from_kernel"))
+        assert factorizations.count("from_kernel") == 0
 
     def test_scan_taus_are_the_first_probes(self, factorizations):
         # each lattice tau is factorized once, as a probe of the search,
@@ -546,8 +556,8 @@ class TestTunerFactorizations:
 
     def test_eigenvectors_formed_once_per_tune(self, monkeypatch,
                                                factorizations):
-        # every probe's factor holds Q diag(lam)^(-1/2) alone; the chosen
-        # tau's Cholesky runs a second time, for its V, and no other does
+        # every probe's factor keeps its L, so the chosen tau's V needs no
+        # second Cholesky: exactly one per factorization
         data = _se_dataset(12, n=300, span=30.0)
         choleskies = []
         real = select_module.pivoted_cholesky
@@ -561,7 +571,7 @@ class TestTunerFactorizations:
                               bounds=TUNE_BOUNDS)
         assert rep.diagnostics["factor_rank"] < data.n
         assert factorizations.count("from_kernel") == 0
-        assert len(choleskies) == len(factorizations) + 1
+        assert len(choleskies) == len(factorizations)
 
     def test_diagnostics_record_pins_and_drops(self):
         # tau = 10 on a span of 20 leaves fewer than 30 positive
