@@ -22,7 +22,6 @@ from .experiments import (
     _dumps,
     contraction_study,
     emit_report,
-    load_running_csv,
     run_continuous,
     run_experiment,
     simulate_poly,
@@ -93,7 +92,7 @@ _FLAGS = {
                    help='noise variance, or "estimate"'),
     "out": dict(dest="out_dir", help="output directory"),
     "config": dict(help="key=value config file"),
-    "data": dict(dest="data_path", help="input CSV (t_sec,speed_kmh)"),
+    "data": dict(dest="data_path", help="input CSV, columns x and y"),
     "m": dict(type=int, help="feature count"),
 }
 
@@ -106,7 +105,9 @@ def _add_flags(sub: argparse.ArgumentParser, names: str) -> None:
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Config file first, then every flag given; a subcommand's own
     ``experiment`` default wins over both. ``n`` and ``seed`` only shape a
-    simulated draw, so either one next to a data file is refused."""
+    simulated draw, so either one next to a data file is refused. A run on
+    a data file is named after the file's stem unless the config names
+    it."""
     values = load_config_file(args.config) if args.config else {}
     values.update({k: v for k, v in vars(args).items()
                    if k in _CONFIG_FIELDS and v is not None})
@@ -115,6 +116,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
             if key in values:
                 raise ValueError(f"--{key} only applies to simulated data; "
                                  "it cannot be combined with --data")
+        values.setdefault("experiment", Path(values["data_path"]).stem)
     return ExperimentConfig(**values)
 
 
@@ -167,15 +169,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_running(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    data = load_running_csv(config.data_path)
-    print(f"n={data.n}")
-    report = run_continuous(config, data=data)
-    _print_chosen(report)
-    return 0
-
-
 def _cmd_contraction(args: argparse.Namespace) -> int:
     study = contraction_study(args.prior, args.beta, args.n_list,
                               args.replicates, args.seed,
@@ -218,14 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "n seed prior features cm sigma2 out config data")
     p.set_defaults(func=_cmd_select)
 
-    p = sub.add_parser("fit", help="continuous kernel tuning")
+    p = sub.add_parser("fit", help="continuous kernel tuning, on "
+                       "simulated data or a series CSV")
     _add_flags(p, "n seed sigma2 out config data m")
     p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("running", help="tune on a speed series CSV")
-    _add_flags(p, "sigma2 out config m")
-    p.add_argument("--data", required=True, **_FLAGS["data"])
-    p.set_defaults(func=_cmd_running, experiment="running")
 
     # the study simulates its own data at a fixed noise variance; without
     # abbreviations a common flag such as --n cannot pass as --n-list

@@ -45,12 +45,11 @@ from .meanfield import _mf_fit_replicates, mf_fit_levels, mf_predict
 from .select import (
     SelectionRecord,
     SelectionReport,
-    _coarse_taus,
-    _tune,
     dim_grid,
     exp_grid,
     poly_grid,
     select_discrete,
+    tune_continuous,
 )
 
 __all__ = [
@@ -255,7 +254,8 @@ def _draw(spec: SignalSpec, n: int, seed: int, sigma_sq: float,
 
 
 def load_running_csv(path) -> Dataset:
-    """Read a two-column series: time (seconds), speed (km/h).
+    """Read any two-column series: design x in the first column, response
+    y in the second, such as time (seconds) and running speed (km/h).
 
     A single non-numeric header row is tolerated; extra columns are
     ignored. Any other malformed row raises with its 1-based line number.
@@ -478,14 +478,13 @@ def _finish_report(config: ExperimentConfig, data: Dataset,
     return report
 
 
-def _run(config: ExperimentConfig, fit, data: Dataset | None = None
-         ) -> RunReport:
+def _run(config: ExperimentConfig, fit) -> RunReport:
     """The one run driver: clock, data, ``fit``, report, failure record.
 
-    ``data`` given is used as is; otherwise the config's CSV is loaded or
-    the benchmark simulated (the only case with a known truth). ``fit(config,
-    data)`` returns ``(posterior, chosen, rows)``: a callable from query
-    points to a band, the chosen hyperparameters and the selection rows.
+    The config's CSV is loaded, or the benchmark simulated (the only case
+    with a known truth). ``fit(config, data)`` returns ``(posterior,
+    chosen, rows)``: a callable from query points to a band, the chosen
+    hyperparameters and the selection rows.
     ``wall_time`` spans loading, fitting and prediction. If any step fails
     and ``config.out_dir`` is set, ``partial_report.json`` there records the
     error and the rows produced so far before the exception propagates.
@@ -493,9 +492,7 @@ def _run(config: ExperimentConfig, fit, data: Dataset | None = None
     t0 = time.perf_counter()
     rows: list[dict] = []
     try:
-        spec = None
-        if data is None:
-            data, spec = _load_or_simulate(config)
+        data, spec = _load_or_simulate(config)
         posterior, chosen, rows = fit(config, data)
         return _finish_report(config, data, spec, posterior, chosen, rows,
                               t0)
@@ -584,7 +581,7 @@ def _fit_kernel(config: ExperimentConfig, data: Dataset):
     if not config.estimate_noise:
         sigma0 = math.sqrt(config.sigma_sq)
         bounds[0] = (sigma0, sigma0)  # equal bounds pin the noise
-    rep = _tune(data, m, _coarse_taus(*bounds[2]), bounds, "elbo", 200)
+    rep = tune_continuous(data, m, None, bounds, "elbo", 200)
     sigma, nu, tau = rep.chosen
     s2 = float(sigma) ** 2
     chosen = {"sigma": float(sigma), "nu": float(nu), "tau": float(tau),
@@ -594,19 +591,19 @@ def _fit_kernel(config: ExperimentConfig, data: Dataset):
     return rep.posterior, chosen, [row]
 
 
-def run_continuous(config: ExperimentConfig,
-                   data: Dataset | None = None) -> RunReport:
+def run_continuous(config: ExperimentConfig) -> RunReport:
     """Kernel-tuning pipeline: coarse scan, bound ascent, prediction.
 
-    ``data``, when given, is used as is; otherwise it is loaded from
-    ``config.data_path`` or simulated, as in :func:`run_experiment`. A
-    squared-exponential kernel is tuned with ``config.m`` features (default
-    150, at most n); a fixed ``config.sigma_sq`` pins the noise. The
-    tuner's diagnostics go into the selection row of ``report.json``
-    (``selection.csv`` keeps its columns). On failure with
-    ``config.out_dir`` set, ``partial_report.json`` records the error.
+    The data are loaded from ``config.data_path`` or simulated, as in
+    :func:`run_experiment`. A squared-exponential kernel is tuned by
+    :func:`~gpadapt.select.tune_continuous`, started from its coarse scan,
+    with ``config.m`` features (default 150, at most n); a fixed
+    ``config.sigma_sq`` pins the noise. The tuner's diagnostics go into the
+    selection row of ``report.json`` (``selection.csv`` keeps its
+    columns). On failure with ``config.out_dir`` set, a bad CSV included,
+    ``partial_report.json`` records the error.
     """
-    return _run(config, _fit_kernel, data)
+    return _run(config, _fit_kernel)
 
 
 @dataclass
@@ -818,9 +815,9 @@ def _render_svg(report: RunReport) -> str:
              f'width="{_SVG_W - 2 * _SVG_PAD}" '
              f'height="{_SVG_H - 2 * _SVG_PAD}" fill="none" stroke="#333"/>\n')
     parts.append(frame)
+    title = report.experiment.replace("&", "&amp;").replace("<", "&lt;")
     parts.append(f'<text x="{_SVG_W / 2:.2f}" y="{_SVG_PAD / 2:.2f}" '
-                 'font-size="16" text-anchor="middle">'
-                 f'{report.experiment}</text>\n')
+                 f'font-size="16" text-anchor="middle">{title}</text>\n')
     parts.append("</svg>\n")
     return "".join(parts)
 

@@ -22,14 +22,15 @@ at its first parabolic step shorter than its tolerance, so it ends on a
 tau already factorized. At each tau (sigma, nu) are solved within their
 bounds by one more bounded 1-D search over nu / sigma^2, with the noise
 profiled out in closed form; a coordinate whose two bounds are equal is
-pinned there, so a known noise is the box (sigma, sigma). The coarse
-scan scores a few lattice taus the same way, as the search's first
-probes: the search runs from the best of them, each counted and none
-factorized twice, and its start is a length-scale alone. The bound, the
-eigenvectors and q(u) reported come from the factor kept at the chosen
-tau. The exact evidence is the same bound at m = n. Every search is the
-package's own Brent search (:mod:`gpadapt._linalg`), so this module needs
-numpy alone.
+pinned there, so a known noise is the box (sigma, sigma). The search
+starts from one length-scale, or, with no start given, from the coarse
+scan: a few lattice taus scored the same way, as the search's first
+probes, each counted and none factorized twice. :func:`coarse_init`
+returns the best of that scan alone, so that one objective can start
+from another's. The bound, the eigenvectors and q(u) reported come from
+the factor kept at the chosen tau. The exact evidence is the same bound
+at m = n. Every search is the package's own Brent search
+(:mod:`gpadapt._linalg`), so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -283,13 +284,17 @@ class _TauProfile:
 
 def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
                 objective: str = "elbo") -> float:
-    """Pick the starting length-scale of :func:`tune_continuous`.
+    """The best length-scale of the coarse scan, as a start for
+    :func:`tune_continuous`.
 
     Scores ``COARSE_TAUS`` log-spaced taus interior to tau's bounds as the
     tuner scores every tau (:class:`_TauProfile`: one factorization, then
     (sigma, nu) solved within their bounds) and returns the best; a tau
     pinned by equal bounds is returned as is, unfactorized. Taus whose
-    factorization fails are skipped; raises if every one fails.
+    factorization fails are skipped; raises if every one fails. The tuner
+    with ``init=None`` runs this scan itself, as its first probes; this
+    function serves a caller that starts one objective from another's
+    scan, such as the evidence tune from the bound's.
     """
     lo, hi = bounds[2]
     if lo == hi:
@@ -429,7 +434,7 @@ def _search_log_tau(h: Callable[[float], float], t0: float, f0: float,
     return steps + nfev, stop
 
 
-def tune_continuous(data: Dataset, m: int, init: float,
+def tune_continuous(data: Dataset, m: int, init: float | None,
                     bounds: Sequence[tuple], objective: str = "elbo",
                     maxiter: int = 200) -> SelectionReport:
     """Tune (sigma, nu, tau) of the squared-exponential kernel.
@@ -438,16 +443,18 @@ def tune_continuous(data: Dataset, m: int, init: float,
     sample-spectral model; ``objective="evidence"`` maximizes the exact
     marginal likelihood (the empirical-Bayes reference), which is the same
     bound at m = n. The kernel is factorized once per length-scale tau
-    (:func:`_factor`): a bounded 1-D search over log tau starts at the
-    length-scale ``init`` (such as :func:`coarse_init`'s) and takes at
-    most ``maxiter`` steps, and at each tau (sigma, nu) are solved within
-    the bounds in O(m) per evaluation, so they need no start. A coordinate
-    whose two bounds are equal is pinned there and reported exactly at
-    that value; a pinned tau, which ``init`` must equal, is factorized once.
+    (:func:`_factor`): a bounded 1-D search over log tau takes at most
+    ``maxiter`` steps, and at each tau (sigma, nu) are solved within the
+    bounds in O(m) per evaluation, so they need no start. The search starts
+    at the length-scale ``init`` (such as :func:`coarse_init`'s), or, with
+    ``init=None``, at the best of the coarse scan's lattice taus, each
+    factorized once as the search's first probes. A coordinate whose two
+    bounds are equal is pinned there and reported exactly at that value; a
+    pinned tau, which a given ``init`` must equal, is factorized once.
     The report's posterior is a callable mapping query points to a
     Gaussian law; for ``"elbo"``, it and the bound come from the
     factorization at the chosen tau. Its diagnostics hold the tau steps
-    (``iterations``), the taus factorized (``evaluations``, init's
+    (``iterations``), the taus factorized (``evaluations``, the starts
     included) and how many failed, whether the tau search met its
     tolerance, the names of unpinned coordinates ending at a bound
     (``pinned``), the eigenvalues dropped at the chosen tau
@@ -456,14 +463,6 @@ def tune_continuous(data: Dataset, m: int, init: float,
     (``tau_stop``: ``"step"``, ``"bracket"``, ``"maxiter"``, or None for a
     pinned tau).
     """
-    return _tune(data, m, [init], bounds, objective, maxiter)
-
-
-def _tune(data: Dataset, m: int, starts: Sequence[float],
-          bounds: Sequence[tuple], objective: str,
-          maxiter: int) -> SelectionReport:
-    """:func:`tune_continuous` from the best of the length-scales
-    ``starts``, each factorized once and counted in ``evaluations``."""
     rank = _rank(objective, m, data.n)
     lo = np.asarray([b[0] for b in bounds], dtype=float)
     hi = np.asarray([b[1] for b in bounds], dtype=float)
@@ -472,8 +471,9 @@ def _tune(data: Dataset, m: int, starts: Sequence[float],
     fixed = lo == hi
     if fixed.all():
         raise ValueError("at least one coordinate must be free")
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 1 or starts.size == 0:
+    starts = np.asarray(_coarse_taus(lo[2], hi[2]) if init is None
+                        else [init], dtype=float)
+    if starts.ndim != 1:
         raise ValueError("init must be one length-scale")
     if not np.all(starts == lo[2] if fixed[2]
                   else (lo[2] < starts) & (starts < hi[2])):

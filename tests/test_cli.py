@@ -1,5 +1,6 @@
 """Exit codes, flag precedence, and artifact emission through the CLI."""
 
+import argparse
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -183,15 +184,6 @@ class TestFitAndRunningCommands:
         out = capsys.readouterr().out
         assert "sigma=" in out and "tau=" in out
 
-    def test_running_pipeline(self, tmp_path, capsys):
-        data = _write_series_csv(tmp_path / "run.csv")
-        code = main(["running", "--data", str(data), "--m", "20",
-                     "--out", str(tmp_path / "out")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "n=30" in out
-        assert (tmp_path / "out" / "report.json").exists()
-
     def test_fit_records_tuner_diagnostics(self, tmp_path, capsys):
         data = _write_series_csv(tmp_path / "series.csv", n=40)
         out = tmp_path / "out"
@@ -233,13 +225,59 @@ class TestFitAndRunningCommands:
         row = json.loads((out / "report.json").read_text())["selection"][0]
         assert "nu" not in row["diagnostics"]["pinned"]
 
-    def test_running_missing_file(self, capsys):
-        assert main(["running", "--data", "/no/such/file.csv"]) == 2
+    def test_missing_data_file_exits_two_with_partial_report(self, tmp_path,
+                                                             capsys):
+        out = tmp_path / "out"
+        code = main(["fit", "--data", str(tmp_path / "absent.csv"),
+                     "--out", str(out)])
+        assert code == 2
+        assert "no such file" in capsys.readouterr().err
+        partial = json.loads((out / "partial_report.json").read_text())
+        assert partial["experiment"] == "absent"
+        assert partial["failed"].startswith("FileNotFoundError")
 
-    def test_running_requires_data_flag(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["running"])
-        assert exc.value.code == 2
+
+class TestRunLabel:
+    """A run on a data file is named after the file, a simulated one
+    ``bench``; a config file's ``experiment`` wins over both."""
+
+    @pytest.mark.parametrize("command", [
+        ["select", "--sigma2", "0.01"],
+        ["fit", "--sigma2", "0.01", "--m", "10"],
+    ], ids=["select", "fit"])
+    def test_data_run_is_named_after_the_file(self, command, tmp_path,
+                                              capsys):
+        data = _write_domain_csv(tmp_path / "series0.csv")
+        out = tmp_path / "out"
+        assert main(command + ["--data", str(data), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["experiment"] == "series0"
+        assert ">series0</text>" in (out / "plot.svg").read_text()
+
+    def test_config_file_names_the_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = speeds\n")
+        data = _write_domain_csv(tmp_path / "series0.csv")
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--data", str(data),
+                     "--sigma2", "0.01", "--m", "10", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["experiment"] == "speeds"
+
+    def test_simulated_run_is_bench(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fit", "--n", "60", "--seed", "1", "--m", "10",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["experiment"] == "bench"
+
+    def test_title_is_escaped_in_the_plot(self, tmp_path, capsys):
+        data = _write_domain_csv(tmp_path / "R&D <1>.csv")
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(data), "--sigma2", "0.01",
+                     "--m", "10", "--out", str(out)]) == 0
+        svg = (out / "plot.svg").read_text()
+        assert ">R&amp;D &lt;1></text>" in svg
 
 
 _CSV_COLUMNS = {"lam", "log_mass", "elbo_lambda", "elbo", "m", "sigma_sq",
@@ -324,15 +362,10 @@ class TestFlagsEachCommandHonours:
         ("fit", ["--prior", "dim"]),
         ("fit", ["--features", "sample"]),
         ("fit", ["--cm", "7"]),
-        ("running", ["--n", "5"]),
-        ("running", ["--seed", "99"]),
-        ("running", ["--prior", "dim"]),
-        ("running", ["--features", "sample"]),
-        ("running", ["--cm", "7"]),
     ])
     def test_dropped_flag_exits_two(self, command, flags, tmp_path, capsys):
         argv = [command, "--out", str(tmp_path)] + flags
-        if command != "simulate":  # running exits 2 without --data anyway
+        if command == "fit":  # the real-data route refuses them too
             argv += ["--data", str(_write_series_csv(tmp_path / "s.csv"))]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -538,3 +571,13 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_readme_command_block_names_every_subcommand():
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {line.split()[1] for line in block.splitlines()
+             if line.startswith("gpadapt ")}
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert named == set(sub.choices)

@@ -483,6 +483,15 @@ class TestTunerFactorizations:
         assert rep.diagnostics["evaluations"] == 1
         assert rep.chosen[2] == 0.7
 
+    def test_scan_of_a_pinned_tau_factorizes_once(self, factorizations):
+        # with no start given, the scan of a pinned tau is that tau alone
+        data = _se_dataset(12, n=60, span=6.0)
+        rep = tune_continuous(data, m=20, init=None,
+                              bounds=TUNE_BOUNDS[:2] + [(0.7, 0.7)])
+        assert len(factorizations) == 1
+        assert rep.diagnostics["evaluations"] == 1
+        assert rep.chosen[2] == 0.7
+
     @pytest.mark.parametrize("maxiter", [3, 8, 200])
     def test_free_tau_factorizes_at_most_maxiter_plus_two(
             self, factorizations, maxiter):
@@ -500,7 +509,7 @@ class TestTunerFactorizations:
         data = _se_dataset(12, n=60, span=6.0)
         taus = select_module._coarse_taus(*TUNE_BOUNDS[2])
         assert len(taus) == COARSE_TAUS
-        rep = select_module._tune(data, 20, taus, TUNE_BOUNDS, "elbo", 200)
+        rep = tune_continuous(data, m=20, init=None, bounds=TUNE_BOUNDS)
         assert len(factorizations) == rep.diagnostics["evaluations"]
         init = coarse_init(data, m=20, bounds=TUNE_BOUNDS)
         assert init in taus
@@ -708,25 +717,23 @@ class TestLengthScaleSearch:
                                                   maxiter)
             return x, f, nfev, "bracket" if converged else "maxiter"
 
-        def tune(data, bounds, taus):
+        def tune(data, bounds):
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                rep = select_module._tune(data, 150, taus, bounds, "elbo",
-                                          200)
+                rep = tune_continuous(data, 150, None, bounds, "elbo", 200)
             return rep, len(calls)
 
         for seed in range(1, 11):
             data = _se_dataset(seed, n=300, span=30.0)
             bounds = _continuous_bounds(data)
-            taus = select_module._coarse_taus(*bounds[2])
-            rep, count = tune(data, bounds, taus)
+            rep, count = tune(data, bounds)
             with monkeypatch.context() as patch:
                 patch.setattr(select_module, "LOG_TAU_XATOL", 1e-11)
-                tight, _ = tune(data, bounds, taus)
+                tight, _ = tune(data, bounds)
             with monkeypatch.context() as patch:
                 patch.setattr(select_module, "brent_from_points", closing)
-                _, closing_count = tune(data, bounds, taus)
+                _, closing_count = tune(data, bounds)
             assert rep.diagnostics["tau_stop"] in ("step", "bracket")
             assert abs(math.log(rep.chosen[2] / tight.chosen[2])) \
                 <= select_module.LOG_TAU_XATOL
