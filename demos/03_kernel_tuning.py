@@ -3,11 +3,12 @@
 Squared-exponential data, three free hyperparameters (noise sd, signal
 sd, length-scale). Two tuners run from the same coarse-scan length-scale
 (sigma and nu are solved at every length-scale, so they need no start): one
-maximizes the sparse evidence LOWER BOUND (the only option at scale),
-the other the exact log evidence (affordable here because n is small).
-With enough features the bound is tight and both land on nearly the
-same triple -- which is the point: nothing is lost by tuning through
-the sparse objective.
+maximizes the sparse evidence LOWER BOUND with m features, the other the
+exact log evidence, which is the same bound at m = n. Both read one
+pivoted-Cholesky factor per length-scale and report from the factor at
+the chosen one, so neither solves an n x n system. With enough features
+the bound is tight and both land on nearly the same triple -- which is
+the point: nothing is lost by tuning through the sparse objective.
 """
 
 import numpy as np

@@ -19,7 +19,7 @@ in O(J) for the evidence. This is the inducing-variable algebra of
 whenever J <= n, and posteriors under a flat truncated spectrum at any J.
 Otherwise, and for the squared-exponential kernel, conditioning goes
 through the n x n kernel matrix in O(n^3); that route also stays
-available as the reference.
+available as the reference, for n up to ``KERNEL_SOLVE_MAX_N``.
 """
 
 from __future__ import annotations
@@ -328,9 +328,18 @@ def _weight_space(kernel: KernelSpec, data: Dataset) -> bool:
     return isinstance(kernel, SeriesKernel) and kernel.j_eff <= data.n
 
 
+#: largest design the n x n kernel-form reference solves
+KERNEL_SOLVE_MAX_N = 5000
+
+
 def _kernel_solve(kernel: KernelSpec, data: Dataset
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """L = chol(K + sigma^2 I) on the design and (K + sigma^2 I)^{-1} y."""
+    """L = chol(K + sigma^2 I) on the design and (K + sigma^2 I)^{-1} y;
+    refuses n > ``KERNEL_SOLVE_MAX_N`` before forming K."""
+    if data.n > KERNEL_SOLVE_MAX_N:
+        raise ValueError(
+            "the n x n kernel solve is a reference path; n must be <= "
+            f"{KERNEL_SOLVE_MAX_N}, got n = {data.n}")
     K = kernel_matrix(kernel, data.x)
     L, _ = _linalg.chol_jitter(K + data.sigma_sq * np.eye(data.n))
     return L, _linalg.chol_solve(L, data.y)

@@ -39,7 +39,6 @@ from .inducing import (
     feature_stats,
     population_candidate,
     predict,
-    predict_mean,
 )
 from .meanfield import _mf_fit_replicates, mf_fit_levels, mf_predict
 from .select import (
@@ -410,6 +409,16 @@ def _quadrature_error(mean_fn, spec: SignalSpec) -> float:
     return float(np.sqrt(np.mean(diff**2)))
 
 
+def _coefficient_error(mu: np.ndarray, coeffs: np.ndarray) -> float:
+    """L2 distance of sum_j mu_j phi_j from the unshifted signal with
+    coefficients c under the uniform design, by Parseval, c zero past
+    its last term: (||mu - c_1..m||^2 + sum_{j>m} c_j^2)^(1/2)."""
+    c = np.zeros(max(mu.size, coeffs.size))
+    c[:coeffs.size] = coeffs
+    head, tail = mu - c[:mu.size], c[mu.size:]
+    return float(np.sqrt(head @ head + tail @ tail))
+
+
 def _flush_partial(config: ExperimentConfig, exc: BaseException,
                    selection: list[dict]) -> None:
     if config.out_dir is None:
@@ -636,7 +645,8 @@ def _contraction_size(family: str, beta_true: float, n: int,
     """Every replicate at sample size ``n``: simulate and adaptively fit.
 
     Yields, per seed in order, the selection and its L2 error to the
-    truth, one replicate at a time. The draws share the signal's
+    truth, read off the fit's coefficients (:func:`_coefficient_error`),
+    one replicate at a time. The draws share the signal's
     grid tables, built once for the size. ``dim`` keeps only each draw's
     design statistics and fits all replicates' levels in one pruning
     lockstep ascent (``meanfield._mf_fit_replicates``): a level whose
@@ -645,27 +655,23 @@ def _contraction_size(family: str, beta_true: float, n: int,
     keeps. The other families fit one draw after another.
     """
     spec = _smooth_signal(beta_true)
+    coeffs = spec.coeff_array()
     config = ExperimentConfig(experiment="contraction", n=n, prior=family,
                               sigma_sq=sigma_sq)
     tables = _signal_tables(spec, n)
     if family != "dim":
         for seed in seeds:
             sel, _ = _select(config, _draw(spec, n, seed, sigma_sq, tables))
-            yield sel, _quadrature_error(
-                lambda xs: predict_mean(sel.posterior, xs), spec)
+            yield sel, _coefficient_error(sel.posterior.mu, coeffs)
         return
     grid = _build_grid(config, n)
     top = max(grid.sizes)
     draws = (_draw(spec, n, seed, sigma_sq, tables) for seed in seeds)
     stats = [feature_stats(d.x, d.y, top, top) for d in draws]
     del tables
-    coeffs = spec.coeff_array()
     for fits in _mf_fit_replicates(stats, grid.sizes, sigma_sq, prune=True):
         sel = select_discrete(grid, _dim_fitter(fits))
-        q = sel.posterior
-        head = q.mu - coeffs[:q.D]
-        tail = coeffs[q.D:]
-        yield sel, float(np.sqrt(head @ head + tail @ tail))
+        yield sel, _coefficient_error(sel.posterior.mu, coeffs)
 
 
 def contraction_study(family: str, beta_true: float, n_list: Sequence[int],

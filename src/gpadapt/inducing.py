@@ -61,7 +61,6 @@ from .exact import (
     GaussianPosterior,
     KernelSpec,
     SeriesKernel,
-    _block_mean,
     _collapsed_profile,
     _eigen_terms,
     _weight_posterior,
@@ -81,7 +80,6 @@ __all__ = [
     "sample_features",
     "titsias_fit",
     "predict",
-    "predict_mean",
     "elbo_lambda",
     "elbo_profile",
     "elbo_at",
@@ -384,7 +382,8 @@ class _EigenFactor:
     kept, and ``rank`` is the rank of the matrix the eigenpairs come from:
     r for a factor L L' (at most n), n for K itself. nu K has
     G = nu diag(lam) and W y = sqrt(nu lam) p, so its bound costs O(m) and
-    its q(u) O(m^2), with no further eigendecomposition; only q(u) reads V.
+    its q(u) one weight solve, with no further eigendecomposition; only
+    q(u) reads V.
     """
 
     lam: np.ndarray
@@ -450,16 +449,11 @@ class _EigenFactor:
     def fit(self, sigma_sq: float, nu: float, kernel: KernelSpec,
             x: np.ndarray) -> VariationalGP:
         """Optimal q(u) of nu K (``kernel``, on design ``x``) at sigma^2:
-        :func:`_optimal_q` with the whitened Gram diag(g), g = nu lam, done
-        elementwise (Q = I), bit for bit."""
-        if not sigma_sq > 0:
-            raise ValueError("sigma_sq must be positive")
+        :func:`_optimal_q` with the whitened Gram diag(g), g = nu lam,
+        whose eigenvectors are I and W y = sqrt(g) p."""
         g = nu * self.lam
-        r, d = np.sqrt(g), sigma_sq + g
-        b = np.sqrt(sigma_sq / d)
-        return VariationalGP(model=_sample_model(g, self.vectors(), x, kernel),
-                             mu=r * (r * self.p / d),
-                             Sigma=np.diag(r * (b * b * r)))
+        return _optimal_q(_sample_model(g, self.vectors(), x, kernel),
+                          (g, np.eye(g.size), np.sqrt(g) * self.p), sigma_sq)
 
 
 def _whiten(model: InducingModel, x: np.ndarray
@@ -501,15 +495,6 @@ def predict(q: VariationalGP, query: np.ndarray) -> GaussianPosterior:
     return GaussianPosterior.from_features(
         query, model.features, q.mu, q.Sigma - np.diag(model.kuu_diag),
         model.prior_cov, model.prior_var)
-
-
-def predict_mean(q: VariationalGP, xs: np.ndarray) -> np.ndarray:
-    """Predictive mean x -> K_xu K_uu^{-1} mu at ``xs`` alone.
-
-    Equal to ``predict(q, xs).mean`` without forming the len(xs) x len(xs)
-    covariance; features are formed over blocks of ``exact.MEAN_BLOCK`` rows.
-    """
-    return _block_mean(q.model.features, xs, q.mu)
 
 
 def elbo_profile(model: InducingModel, data: Dataset

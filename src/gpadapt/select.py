@@ -27,10 +27,10 @@ starts from one length-scale, or, with no start given, from the coarse
 scan: a few lattice taus scored the same way, as the search's first
 probes, each counted and none factorized twice. :func:`coarse_init`
 returns the best of that scan alone, so that one objective can start
-from another's. The bound, the eigenvectors and q(u) reported come from
-the factor kept at the chosen tau. The exact evidence is the same bound
-at m = n. Every search is the package's own Brent search
-(:mod:`gpadapt._linalg`), so this module needs numpy alone.
+from another's. The exact evidence is the same bound at m = n, so for
+both objectives the bound, eigenvectors and q(u) reported come from the
+factor kept at the chosen tau. Every search is the package's own Brent
+search (:mod:`gpadapt._linalg`), so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ import numpy as np
 
 from ._linalg import brent_bounded, brent_from_points, pivoted_cholesky
 from .errors import ConditioningError, _caller_level
-from .exact import (_LOG_2PI, Dataset, SquaredExponential, exact_posterior,
-                    log_evidence)
+from .exact import _LOG_2PI, Dataset, SquaredExponential
 from .inducing import _EigenFactor, predict
 
 __all__ = [
@@ -242,11 +241,15 @@ def _rank(objective: str, m: int, n: int) -> int:
     """Features behind the objective: m for the bound, all n for the evidence.
 
     At m = n the collapsed bound is the log evidence (its trace term
-    vanishes), so both objectives share one code path.
+    vanishes), so both objectives share one code path. Both need an
+    integer m in 1..n.
     """
     if objective not in ("elbo", "evidence"):
         raise ValueError("objective must be 'elbo' or 'evidence'")
-    return m if objective == "elbo" else n
+    if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
+            or not 1 <= m <= n):
+        raise ValueError(f"m must be an integer in 1..n = {n}, got m = {m!r}")
+    return int(m) if objective == "elbo" else n
 
 
 def _coarse_taus(lo: float, hi: float) -> list[float]:
@@ -296,11 +299,12 @@ def coarse_init(data: Dataset, m: int, bounds: Sequence[tuple],
     function serves a caller that starts one objective from another's
     scan, such as the evidence tune from the bound's.
     """
+    rank = _rank(objective, m, data.n)
     lo, hi = bounds[2]
     if lo == hi:
         return float(lo)
     log_lo, log_hi = np.log(np.asarray(bounds[:2], dtype=float)).T
-    profile = _TauProfile(data, _rank(objective, m, data.n), log_lo, log_hi)
+    profile = _TauProfile(data, rank, log_lo, log_hi)
     for tau in _coarse_taus(lo, hi):
         profile(tau)
     if profile.best is None:
@@ -442,26 +446,26 @@ def tune_continuous(data: Dataset, m: int, init: float | None,
     ``objective="elbo"`` maximizes the collapsed bound of an m-feature
     sample-spectral model; ``objective="evidence"`` maximizes the exact
     marginal likelihood (the empirical-Bayes reference), which is the same
-    bound at m = n. The kernel is factorized once per length-scale tau
-    (:func:`_factor`): a bounded 1-D search over log tau takes at most
-    ``maxiter`` steps, and at each tau (sigma, nu) are solved within the
-    bounds in O(m) per evaluation, so they need no start. The search starts
-    at the length-scale ``init`` (such as :func:`coarse_init`'s), or, with
-    ``init=None``, at the best of the coarse scan's lattice taus, each
-    factorized once as the search's first probes. A coordinate whose two
-    bounds are equal is pinned there and reported exactly at that value; a
-    pinned tau, which a given ``init`` must equal, is factorized once.
-    The report's posterior is a callable mapping query points to a
-    Gaussian law; for ``"elbo"``, it and the bound come from the
-    factorization at the chosen tau. Its diagnostics hold the tau steps
+    bound at m = n; m must be an integer in 1..n for both. The kernel is
+    factorized once per length-scale tau (:func:`_factor`): a bounded 1-D
+    search over log tau takes at most ``maxiter`` steps, and at each tau
+    (sigma, nu) are solved within the bounds in O(m) per evaluation, so they
+    need no start. The search starts at the length-scale ``init`` (such as
+    :func:`coarse_init`'s), or, with ``init=None``, at the best of the
+    coarse scan's lattice taus, each factorized once as the search's first
+    probes. A coordinate whose two bounds are equal is pinned there and
+    reported exactly at that value; a pinned tau, which a given ``init``
+    must equal, is factorized once. The report's posterior is a callable
+    mapping query points to a Gaussian law; for both objectives it and the
+    bound come from the factorization at the chosen tau, whose kept
+    eigenpairs the record's ``m`` counts. Its diagnostics hold the tau steps
     (``iterations``), the taus factorized (``evaluations``, the starts
-    included) and how many failed, whether the tau search met its
-    tolerance, the names of unpinned coordinates ending at a bound
-    (``pinned``), the eigenvalues dropped at the chosen tau
-    (``dropped_eigenvalues``), the rank of that tau's pivoted Cholesky
-    factor (``factor_rank``, at most n) and how the tau search ended
-    (``tau_stop``: ``"step"``, ``"bracket"``, ``"maxiter"``, or None for a
-    pinned tau).
+    included) and how many failed, whether the tau search met its tolerance,
+    the names of unpinned coordinates ending at a bound (``pinned``), the
+    eigenvalues dropped at the chosen tau (``dropped_eigenvalues``), the
+    rank of that tau's pivoted Cholesky factor (``factor_rank``, at most n)
+    and how the tau search ended (``tau_stop``: ``"step"``, ``"bracket"``,
+    ``"maxiter"``, or None for a pinned tau).
     """
     rank = _rank(objective, m, data.n)
     lo = np.asarray([b[0] for b in bounds], dtype=float)
@@ -507,20 +511,14 @@ def tune_continuous(data: Dataset, m: int, init: float | None,
     sigma, nu = (float(v) for v in np.where(fixed[:2], lo[:2],
                                             np.exp(z[:2])))
     kern = SquaredExponential(nu, tau)
-    if objective == "elbo":
-        q = fac.fit(sigma * sigma, nu, kern, data.x)
-        bound, m_used = fac.bound(sigma, nu), q.model.m
-        handle = lambda query: predict(q, query)  # noqa: E731
-    else:
-        shifted = data.with_sigma_sq(sigma * sigma)
-        bound = log_evidence(kern, shifted)
-        handle = lambda query: exact_posterior(kern, shifted, query)  # noqa: E731
-        m_used = None
+    q = fac.fit(sigma * sigma, nu, kern, data.x)
+    bound = fac.bound(sigma, nu)
     record = SelectionRecord(lam=float("nan"), log_mass=0.0, wall_time=wall,
                              elbo_lambda=float(bound), elbo=float(bound),
-                             m=m_used)
+                             m=q.model.m)
     return SelectionReport(
-        chosen=(sigma, nu, kern.tau), posterior=handle, records=[record],
+        chosen=(sigma, nu, kern.tau),
+        posterior=lambda query: predict(q, query), records=[record],
         diagnostics={"iterations": iterations, "evaluations": profile.evals,
                      "failures": profile.fails,
                      "converged": tau_stop in (None, "step", "bracket"),

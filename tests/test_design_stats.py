@@ -39,7 +39,6 @@ from gpadapt.inducing import (
     population_candidate,
     population_features,
     predict,
-    predict_mean,
     titsias_fit,
 )
 from gpadapt.meanfield import design_matrix, mf_elbo, mf_fit
@@ -238,14 +237,6 @@ class TestPopulationCandidate:
         with pytest.raises(ValueError, match="sigma_sq"):
             fit(0.0)
 
-    def test_predict_mean_equals_predict(self):
-        data, _ = simulate_poly(300, seed=9)
-        model = population_features(SeriesPrior(PolyDecay(1.1)), 8)
-        q = titsias_fit(model, data)
-        xs = np.linspace(0.0, 2.0 * np.pi, 257)
-        np.testing.assert_array_equal(predict_mean(q, xs),
-                                      predict(q, xs).mean)
-
     @pytest.mark.parametrize("size", [257, MEAN_BLOCK + 3])
     def test_query_features_are_built_once(self, size):
         # a query of one mean block reads its mean off the variance's F
@@ -264,8 +255,7 @@ class TestPopulationCandidate:
                          else [size, MEAN_BLOCK, 3])
         np.testing.assert_array_equal(post.mean, post.mean_fn(xs))
 
-    @pytest.mark.parametrize("rule", ["predict_mean", "from_features"])
-    def test_mean_rules_stay_below_the_feature_block(self, rule):
+    def test_mean_rule_stays_below_the_feature_block(self):
         # the quadrature grid against a wide candidate: m = 400 features
         # over 10^4 points would be a 32 MB block
         prior, m = SeriesPrior(PolyDecay(1.0)), 400
@@ -276,12 +266,9 @@ class TestPopulationCandidate:
         s2 = prior.spectrum(np.arange(1, m + 1)) ** 2
         w = q.mu / s2
         xs = np.linspace(0.0, 2.0 * np.pi, 10_000)
-        if rule == "predict_mean":
-            mean_fn = lambda x: predict_mean(q, x)
-        else:
-            mean_fn = GaussianPosterior.from_features(
-                xs[:3], lambda x: BASIS.features(x, m) * s2, w,
-                np.ones(m)).mean_fn
+        mean_fn = GaussianPosterior.from_features(
+            xs[:3], lambda x: BASIS.features(x, m) * s2, w,
+            np.ones(m)).mean_fn
         block_bytes = xs.size * m * 8
         tracemalloc.start()
         try:

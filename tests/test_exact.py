@@ -426,6 +426,44 @@ class TestWeightSpaceRoute:
         assert shapes == [(n, n)] * builds
 
 
+class TestKernelSolveCap:
+    """The n x n reference refuses a design past its cap before forming K."""
+
+    @pytest.mark.parametrize("route", ["evidence", "posterior", "series"])
+    def test_refuses_n_past_the_cap(self, route):
+        import tracemalloc
+
+        n = exact_mod.KERNEL_SOLVE_MAX_N + 1
+        assert n == 5001
+        x = np.linspace(0.0, 2 * np.pi, n)
+        data = Dataset(x, np.sin(x), 0.1)
+        # a series kernel with J > n takes the kernel form too
+        kern = (SeriesKernel(SeriesPrior(PolyDecay(1.0)), j_max=n + 1)
+                if route == "series" else SquaredExponential(1.0, 0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n must be <= 5000, "
+                               "got n = 5001"):
+                if route == "posterior":
+                    exact_posterior(kern, data, [0.5])
+                else:
+                    log_evidence(kern, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kernel matrix alone would be 200 MB
+        assert peak < 1_000_000, peak
+
+    def test_a_design_at_the_cap_is_served(self, monkeypatch):
+        monkeypatch.setattr(exact_mod, "KERNEL_SOLVE_MAX_N", 300)
+        kern = SquaredExponential(1.0, 0.5)
+        x = np.linspace(0.0, 2 * np.pi, 301)
+        assert np.isfinite(log_evidence(kern, Dataset(x[:300], x[:300],
+                                                      0.1)))
+        with pytest.raises(ValueError, match="n must be <= 300"):
+            log_evidence(kern, Dataset(x, x, 0.1))
+
+
 class TestContractionSanity:
     def test_mse_decreases_with_sample_size(self):
         # average posterior-mean MSE against the truth drops across

@@ -20,14 +20,16 @@ from gpadapt.experiments import (
     load_running_csv,
     run_continuous,
     run_experiment,
+    _coefficient_error,
     _draw,
     _grid_rows,
     _profile_noise,
+    _quadrature_error,
     _select,
     _smooth_signal,
     simulate_poly,
 )
-from gpadapt.inducing import _EigenFactor, feature_stats
+from gpadapt.inducing import _EigenFactor, feature_stats, predict
 from gpadapt.meanfield import mf_fit_levels
 from gpadapt.select import HyperGrid, poly_grid
 
@@ -425,6 +427,30 @@ class TestQuadratureError:
         diff = mean_fn(xq) - synth_signal(spec, xq)
         expected = float(np.sqrt(np.mean(diff**2)))
         assert rep.l2_error == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+class TestCoefficientError:
+    """A contraction fit's mean is sum_j mu_j phi_j, so its error reads off
+    the coefficients, as the midpoint rule reads it off the mean rule."""
+
+    @pytest.mark.parametrize("family", ["poly", "exp"])
+    def test_matches_the_quadrature_on_a_population_fit(self, family):
+        spec = _smooth_signal(1.0)
+        config = ExperimentConfig(experiment="contraction", n=2000,
+                                  prior=family, sigma_sq=0.25)
+        sel, _ = _select(config, _draw(spec, 2000, 3, 0.25))
+        q = sel.posterior
+        ref = _quadrature_error(predict(q, np.zeros(1)).mean_fn, spec)
+        assert _coefficient_error(q.mu, spec.coeff_array()) == \
+            pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_pads_past_the_last_coefficient(self):
+        c = np.array([1.0, 0.5, 0.25])
+        mu = np.array([0.5, 0.5, 0.0, 2.0, -1.0])
+        # (0.5^2 + 0 + 0.25^2) on the signal's terms, 2^2 + 1^2 past them
+        assert _coefficient_error(mu, c) == math.sqrt(0.3125 + 5.0)
+        # a shorter mu keeps the signal's tail
+        assert _coefficient_error(mu[:2], c) == math.sqrt(0.25 + 0.0625)
 
 
 class TestRouteInvariance:

@@ -29,7 +29,6 @@ from gpadapt.inducing import (
     population_candidate,
     population_features,
     predict,
-    predict_mean,
     sample_features,
     titsias_fit,
 )
@@ -446,7 +445,7 @@ class TestDiagonalInducingCovariance:
             assert calls == [(model.m, model.m)], name
             calls.clear()
             post = predict(q, grid)
-            mean = predict_mean(q, grid)
+            mean = post.mean_fn(grid)
             assert calls == [], name
             np.testing.assert_allclose(mean, post.mean, rtol=1e-12,
                                        atol=1e-14)

@@ -1,9 +1,12 @@
-"""The command-line paths run on numpy alone: no scipy module is loaded.
+"""The command-line paths and both tuner objectives run on numpy alone: no
+scipy module is loaded.
 
 Importing scipy costs more start-up time than the benchmark commands spend
 on their work, so ``gpadapt.cli`` and the ``select``, ``fit`` and
 ``contraction`` paths must not import it; the kernel tuner behind ``fit``
-factors every length-scale by pivoted Cholesky, at any m. scipy stays a
+factors every length-scale by pivoted Cholesky, at any m. The evidence
+objective is the same bound at m = n, scored and reported from the same
+factor, so its tune and posterior need no scipy either. scipy stays a
 dependency for the n x n kernel-form references and the subset eigensolver
 of sample features only. Each check runs in a fresh interpreter, since
 this test process has scipy loaded.
@@ -71,3 +74,35 @@ def test_commands_load_no_scipy(tmp_path):
     assert result["after_import"] == []
     assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["after_runs"] == []
+
+
+_EVIDENCE_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from gpadapt.exact import Dataset
+from gpadapt.select import coarse_init, tune_continuous
+
+rng = np.random.default_rng(7)
+x = np.sort(rng.uniform(0.0, 12.0, 120))
+K = 2.0 * np.exp(-((x[:, None] - x[None, :]) / 0.5) ** 2)
+y = (np.linalg.cholesky(K + 1e-10 * np.eye(x.size))
+     @ rng.standard_normal(x.size) + rng.standard_normal(x.size))
+data = Dataset(x, y, 1.0)
+bounds = [(0.05, 20.0), (0.05, 200.0), (0.02, 10.0)]
+tau0 = coarse_init(data, 40, bounds, "elbo")
+rep = tune_continuous(data, 40, tau0, bounds, "evidence", 60)
+post = rep.posterior(np.linspace(0.0, 12.0, 50))
+print(json.dumps({{"finite": bool(np.all(np.isfinite(post.var))),
+                   "scipy": sorted(m for m in sys.modules
+                                   if m.split(".")[0] == "scipy")}}))
+"""
+
+
+def test_evidence_tune_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVIDENCE_PROBE.format(src=str(SRC))],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"finite": True, "scipy": []}

@@ -5,6 +5,7 @@ fixtures carry the values frozen from seeded calibration runs.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -18,6 +19,7 @@ from gpadapt.exact import (
     Dataset,
     GaussianPosterior,
     SquaredExponential,
+    exact_posterior,
     kernel_matrix,
     log_evidence,
 )
@@ -346,7 +348,9 @@ class TestTuneContinuous:
         ev = tune_continuous(data, m=20, init=0.7,
                              bounds=TUNE_BOUNDS, maxiter=30,
                              objective="evidence")
-        assert ev.records[0].m is None
+        # the evidence reports from the factor at m = n: its kept eigenpairs
+        kept = select_module._factor(data, data.n, ev.chosen[2]).lam.size
+        assert ev.records[0].m == kept
         assert ev.posterior(np.linspace(0, 6, 7)).mean.shape == (7,)
 
     def test_coarse_init_interior(self):
@@ -369,6 +373,93 @@ class TestTuneContinuous:
             ests.append(rep.chosen)
         med = np.median(np.asarray(ests), axis=0)
         np.testing.assert_allclose(med, [1.0, 2.0, 0.5], rtol=0.15)
+
+
+class TestEvidenceFromTheFactor:
+    """The evidence tune reports from the factor it searched; the exact
+    n x n route stays the reference it is checked against."""
+
+    @staticmethod
+    def _rel(got, ref):
+        return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("seed, n, span", [(11, 80, 8.0), (12, 60, 6.0),
+                                               (31, 120, 12.0)])
+    def test_report_matches_the_exact_route(self, seed, n, span):
+        data = _se_dataset(seed, n=n, span=span)
+        rep = tune_continuous(data, m=10, init=0.7, bounds=TUNE_BOUNDS,
+                              objective="evidence", maxiter=60)
+        sigma, nu, tau = rep.chosen
+        kern = SquaredExponential(nu, tau)
+        shifted = data.with_sigma_sq(sigma * sigma)
+        assert rep.records[0].elbo == pytest.approx(
+            log_evidence(kern, shifted), rel=1e-10)
+        query = np.linspace(data.x.min(), data.x.max(), 101)
+        got, ref = rep.posterior(query), exact_posterior(kern, shifted, query)
+        assert self._rel(got.mean, ref.mean) <= 1e-8
+        assert self._rel(got.var, ref.var) <= 1e-8
+
+    @pytest.mark.parametrize("objective", ["elbo", "evidence"])
+    def test_no_exact_route_is_taken(self, monkeypatch, objective):
+        from gpadapt import _linalg
+        import gpadapt.exact as exact_module
+
+        def refuse(name):
+            def called(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return called
+
+        monkeypatch.setattr(exact_module, "exact_posterior",
+                            refuse("exact_posterior"))
+        monkeypatch.setattr(exact_module, "log_evidence",
+                            refuse("log_evidence"))
+        monkeypatch.setattr(_linalg, "chol_solve", refuse("chol_solve"))
+        data = _se_dataset(12, n=60, span=6.0)
+        rep = tune_continuous(data, m=20, init=None, bounds=TUNE_BOUNDS,
+                              objective=objective, maxiter=30)
+        post = rep.posterior(np.linspace(0.0, 6.0, 11))
+        assert np.all(np.isfinite(post.mean)) and np.all(np.isfinite(post.var))
+
+
+class TestFeatureCountAtTheBoundary:
+    """m is checked against n before any factorization, for both
+    objectives and for the coarse scan."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = _count_factorizations(monkeypatch)
+        real = select_module.pivoted_cholesky
+
+        def counted(*args):
+            calls.append("pivoted_cholesky")
+            return real(*args)
+
+        monkeypatch.setattr(select_module, "pivoted_cholesky", counted)
+        return calls
+
+    @pytest.mark.parametrize("objective", ["elbo", "evidence"])
+    @pytest.mark.parametrize("m", [0, -3, 81, 100, 2.5, 20.0, True])
+    def test_bad_m_fails_before_factorizing(self, factorizations, objective,
+                                            m):
+        data = _se_dataset(0, n=80, span=8.0)
+        message = re.escape(f"1..n = 80, got m = {m!r}")
+        with pytest.raises(ValueError, match=message):
+            tune_continuous(data, m, None, TUNE_BOUNDS, objective)
+        with pytest.raises(ValueError, match=message):
+            tune_continuous(data, m, 0.7, TUNE_BOUNDS, objective)
+        with pytest.raises(ValueError, match=message):
+            coarse_init(data, m, TUNE_BOUNDS, objective)
+        # a pinned tau needs no factorization, but m is still checked
+        with pytest.raises(ValueError, match=message):
+            coarse_init(data, m, TUNE_BOUNDS[:2] + [(0.7, 0.7)], objective)
+        assert factorizations == []
+
+    def test_every_m_in_range_is_accepted(self, factorizations):
+        data = _se_dataset(0, n=40, span=4.0)
+        for m in (1, np.int64(7), 40):
+            rep = tune_continuous(data, m, 0.7, TUNE_BOUNDS, maxiter=3)
+            assert rep.records[0].m <= m
+        assert factorizations
 
 
 def _standard_bound(data, m, sigma, nu, tau):
