@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -224,6 +225,14 @@ class SignalSpec:
         js = np.arange(1, J + 1)
         return np.asarray(self.coefficients(js), dtype=float)
 
+    @cached_property
+    def grid_tables(self) -> list[np.ndarray]:
+        """The grid tables of the series (:func:`_grid_tables` of
+        :func:`_series_phasors`), built on first use and kept: every
+        :func:`synth_signal` call on this spec reads them. R N doubles,
+        2.6 MB for :func:`bench_signal`."""
+        return list(_grid_tables(_series_phasors(self)))
+
 
 def bench_signal(j_max: int = 10_000) -> SignalSpec:
     """The synthetic test signal used throughout the experiments.
@@ -272,82 +281,40 @@ def _block_shape(K: int) -> tuple[int, int]:
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """[w^0, w^1, ..., w^(count-1)] per entry of w, as a w.size x count
-    view: each power is one elementwise product of the last with w, along
-    the contiguous axis of a count x w.size block that the view transposes."""
-    out = np.empty((count, w.size), dtype=complex)
+    """[w^0, w^1, ..., w^(count-1)] of the one entry of ``w``, each power
+    one product of the last with w."""
+    out = np.empty((count, 1), dtype=complex)
     out[0] = 1.0
     for k in range(1, count):
         np.multiply(out[k - 1], w, out=out[k])
-    return out.T
+    return out[:, 0]
 
 
-def _phase_blocks(z: np.ndarray, B: int, P: int, chunk: int):
-    """Block phases for frequencies k = p B + q, over row chunks of z.
+def _phases(theta: np.ndarray, K: int) -> np.ndarray:
+    """exp(i k theta) for k < K at one point ``theta`` (a 1-element array).
 
-    Yields (rows, E_p, E_q) with E_p = exp(i p B z) (rows x P) and
-    E_q = exp(i q z) (rows x B), so that exp(i k z) = E_p[:, p] E_q[:, q].
-    Each chunk makes two complex exponential calls per point, exp(i z) and
-    exp(i B z), and takes their powers by recurrence with :func:`_powers`:
-    O(rows (P + B)) complex multiplications, one vector product per power.
-    Both blocks are transposed views, so E_p.T and E_q.T are C-contiguous
-    (power x rows), the layout that the consumers' products read. B z is
-    formed as B z_hi + B z_lo with both products exact (z_hi keeps
-    53 - bits(B) bits), so the p-th power does not multiply a rounding of
-    B z by p: every phase is accurate to about 2 eps per factor, where
-    exp(i k z) taken directly carries the rounding of k z, near
-    |k z| eps / 2.
+    With k = p B + q (:func:`_block_shape`), exp(i k theta) is
+    exp(i p B theta) exp(i q theta): two complex exponential calls,
+    exp(i theta) and exp(i B theta), and their powers by recurrence with
+    :func:`_powers`. B theta is formed as B theta_hi + B theta_lo with both
+    products exact (theta_hi keeps 53 - bits(B) bits), so the p-th power
+    does not multiply a rounding of B theta by p: every phase is accurate
+    to about 2 eps per factor, where exp(i k theta) taken directly carries
+    the rounding of k theta, near |k theta| eps / 2.
     """
-    split = float(2 ** B.bit_length() + 1)
-    for lo in range(0, z.size, chunk):
-        zc = z[lo:lo + chunk]
-        t = split * zc
-        z_hi = t - (t - zc)
-        # exp(i B z_lo) = 1 + i B z_lo to within (B z_lo)^2 / 2, below eps
-        # for z in [0, 2 pi] while B < 4096 (K up to 1.6e7)
-        w_B = np.exp(1j * (B * z_hi)) * (1.0 + 1j * (B * (zc - z_hi)))
-        yield (slice(lo, lo + zc.size), _powers(w_B, P),
-               _powers(np.exp(1j * zc), B))
-
-
-def _trig_sum_blocks(z: np.ndarray, c: np.ndarray, chunk: int
-                     ) -> np.ndarray:
-    """:func:`_trig_sum` by blocks: with the coefficients laid out as a
-    P x B array C (k = p B + q), each chunk is the column-wise product of
-    E_p' with C E_q', one complex GEMM and no points x K block. About n K
-    complex multiply-adds; memory O(chunk sqrt(K) + K).
-    """
-    B, P = _block_shape(c.size)
-    C = np.zeros(P * B, dtype=complex)
-    C[:c.size] = c
-    C = C.reshape(P, B)
-    out = np.empty(z.size)
-    for rows, E_p, E_q in _phase_blocks(z, B, P, chunk):
-        out[rows] = np.einsum("pi,pi->i", E_p.T, C @ E_q.T).real
-    return out
-
-
-def _trig_moments_blocks(x: np.ndarray, w: np.ndarray, K: Sequence[int],
-                         chunk: int) -> list[np.ndarray]:
-    """:func:`_trig_moments` by blocks, for a stack of weight rows.
-
-    The rows share one pass of :func:`_phase_blocks` at the largest order:
-    each chunk adds row r's complex GEMM E_p' (w_r E_q), over the first
-    ceil(K_r / B) columns of E_p only, to a P_r x B array whose row-major
-    order is k = p B + q. Memory is O(chunk sqrt(K) + K) per row.
-    """
-    B, P = _block_shape(max(K))
-    tops = [-(-k // B) for k in K]
-    accs = [np.zeros((p, B), dtype=complex) for p in tops]
-    for rows, E_p, E_q in _phase_blocks(x, B, P, chunk):
-        for acc, w_r, p in zip(accs, w, tops):
-            acc += E_p[:, :p].T @ (w_r[rows, None] * E_q)
-    return [acc.ravel()[:k] for acc, k in zip(accs, K)]
+    B, P = _block_shape(K)
+    t = float(2 ** B.bit_length() + 1) * theta
+    hi = t - (t - theta)
+    # exp(i B theta_lo) = 1 + i B theta_lo to within (B theta_lo)^2 / 2,
+    # below eps for theta in [0, 2 pi] while B < 4096 (K up to 1.6e7)
+    w_B = np.exp(1j * (B * hi)) * (1.0 + 1j * (B * (theta - hi)))
+    return np.outer(_powers(w_B, P),
+                    _powers(np.exp(1j * theta), B)).ravel()[:K]
 
 
 #: 2 pi = DOMAIN_HI + _TWO_PI_LO to about 1e-32
 _TWO_PI_LO = 2.4492935982947064e-16
-#: the grid route's Taylor series in the node offset stops at the first
+#: the grid sum's Taylor series in the node offset stops at the first
 #: term whose bound (pi K / N)^r / r! falls below this
 _TAYLOR_TOL = 2.0 ** -60
 
@@ -387,11 +354,11 @@ def _grid_nodes(z: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_tables(c: np.ndarray) -> Iterator[np.ndarray]:
-    """The R tables g_r of :func:`_trig_sum_grid`, in order of r, on the
-    grid of :func:`_grid_plan` for K = c.size frequencies: one inverse real
-    FFT of length N each, yielded one at a time, so that a single sum
-    holds one table and a caller that sums many point sets can keep the
-    list.
+    """The R tables g_r of :func:`_trig_sum` for the coefficients c, in
+    order of r, on the grid of :func:`_grid_plan` for K = c.size
+    frequencies: one inverse real FFT of length N each, O(N log N) time.
+    They are yielded one at a time, so that a sum that builds its own
+    holds one table; :attr:`SignalSpec.grid_tables` keeps the list.
     """
     N, R = _grid_plan(c.size)
     # irfft reads a half spectrum: Re sum_k b_k w^(kj) with b_k halved, k > 0
@@ -405,22 +372,19 @@ def _grid_tables(c: np.ndarray) -> Iterator[np.ndarray]:
         yield np.fft.irfft(b, N, norm="forward")
 
 
-def _trig_sum_grid(z: np.ndarray, c: np.ndarray,
-                   tables: Iterable[np.ndarray] | None = None
-                   ) -> np.ndarray:
-    """:func:`_trig_sum` on the grid of :func:`_grid_plan`.
+def _trig_sum(z: np.ndarray, tables: Iterable[np.ndarray]) -> np.ndarray:
+    """Re sum_{k < K} c_k exp(i k z) at every point z in [0, 2 pi], from
+    the grid tables of c (:func:`_grid_tables`, or a list of them).
 
     With z = 2 pi j / N + u h, exp(i k z) = exp(2 pi i k j / N) times
     sum_r (i k h u)^r / r!, so the sum is sum_r u^r g_r(j), where
-    g_r = Re sum_k c_k (i k h)^r / r! exp(2 pi i k j / N) is one inverse
-    real FFT of length N read at the nodes j (:func:`_grid_tables`, or
-    ``tables``, the list it yields for these coefficients). O(R (N log N
-    + n)) time and O(N + n) memory, or O(R n) given the tables.
+    g_r = Re sum_k c_k (i k h)^r / r! exp(2 pi i k j / N) is table r read
+    at the nodes j. O(R n) time and O(n) memory besides the tables.
     """
-    N, _ = _grid_plan(c.size)
-    j, u = _grid_nodes(z, N)
-    g = iter(_grid_tables(c) if tables is None else tables)
-    out = next(g)[j]
+    g = iter(tables)
+    g_0 = next(g)
+    j, u = _grid_nodes(z, g_0.size)
+    out = g_0[j]
     u_r = np.ones(z.size)
     for g_r in g:
         u_r *= u
@@ -428,10 +392,11 @@ def _trig_sum_grid(z: np.ndarray, c: np.ndarray,
     return out
 
 
-def _trig_moments_grid(x: np.ndarray, w: np.ndarray, K: Sequence[int]
-                       ) -> list[np.ndarray]:
-    """:func:`_trig_moments` on the grid of :func:`_grid_plan` at the
-    largest order, for a stack of weight rows.
+def _trig_moments(x: np.ndarray, w: np.ndarray, K: Sequence[int]
+                  ) -> list[np.ndarray]:
+    """Weighted trigonometric moments M_k = sum_i w_i exp(i k x_i), k < K_r,
+    for each row w_r of a stack of weight rows and its order K_r, on the
+    grid of :func:`_grid_plan` at the largest order.
 
     M_k = sum_r (i k h)^r / r! conj(F_r)_k, where F_r is the real FFT of
     the node sums S_r(j) = sum over the points at node j of w u^r (one
@@ -456,69 +421,6 @@ def _trig_moments_grid(x: np.ndarray, w: np.ndarray, K: Sequence[int]
     return [M_r[:k] for M_r, k in zip(M, K)]
 
 
-#: block-route cost of one point beyond its K multiply-adds: the two
-#: complex exponentials and the recurrences, in complex multiply-adds
-_POINT_OPS = 200
-#: block-route cost of one phase power per chunk, the per-call overhead
-#: of one vector product
-_POWER_OPS = 1000
-#: grid-route cost of one FFT butterfly, gathered point or call, relative
-#: to one multiply-add of the block route's GEMM
-_GRID_OPS = 2.5
-#: grid-route overhead of one Taylor term, its FFT and vector calls
-_TERM_OPS = 10_000
-#: points per block of :func:`_trig_sum`'s block route
-SUM_CHUNK = 2048
-
-
-def _grid_route(n: int, K: int, chunk: int) -> bool:
-    """Whether the grid route is cheaper for n points and K frequencies.
-
-    The block route costs about n (K + ``_POINT_OPS``) multiply-adds plus
-    ``_POWER_OPS`` per phase power (B + P of them) per chunk; the grid
-    route about ``_GRID_OPS`` R (N log2 N + n + ``_TERM_OPS``). The
-    constants were fitted to timings of both routes over n from 100 to
-    3e4 and K from 5 to 1.2e4.
-    """
-    B, P = _block_shape(K)
-    blocks = n * (K + _POINT_OPS) + _POWER_OPS * (B + P) * -(-n // chunk)
-    N, R = _grid_plan(K)
-    return _GRID_OPS * R * (N * math.log2(N) + n + _TERM_OPS) < blocks
-
-
-def _trig_sum(z: np.ndarray, c: np.ndarray,
-              tables: list[np.ndarray] | None = None) -> np.ndarray:
-    """Re sum_{k < K} c_k exp(i k z) at every point z in [0, 2 pi], K = len(c).
-
-    Routed by :func:`_grid_route`: by blocks of ``SUM_CHUNK`` points
-    (:func:`_trig_sum_blocks`, O(n K)) or on an oversampled grid with a
-    Taylor correction (:func:`_trig_sum_grid`, O(R (n + K log K))).
-    Given ``tables``, the grid tables of c, the sum takes the grid route.
-    """
-    if tables is not None or _grid_route(z.size, c.size, SUM_CHUNK):
-        return _trig_sum_grid(z, c, tables)
-    return _trig_sum_blocks(z, c, SUM_CHUNK)
-
-
-def _trig_moments(x: np.ndarray, w: np.ndarray, K: int | Sequence[int],
-                  chunk: int) -> np.ndarray | list[np.ndarray]:
-    """Weighted trigonometric moments M_k = sum_i w_i exp(i k x_i), k < K.
-
-    ``w`` is one weight row with one order K, or a stack of rows with one
-    order each in the sequence K, returned as a list. Routed at the
-    largest order by :func:`_grid_route`, as :func:`_trig_sum`: by blocks
-    of ``chunk`` points (:func:`_trig_moments_blocks`, O(n K) time and
-    O(chunk sqrt(K) + K) memory per row) or on the grid
-    (:func:`_trig_moments_grid`, O(R (n + K log K)) time and O(n + K)
-    memory per row).
-    """
-    if np.ndim(w) == 1:
-        return _trig_moments(x, np.asarray(w)[None], [K], chunk)[0]
-    if _grid_route(x.size, max(K), chunk):
-        return _trig_moments_grid(x, w, K)
-    return _trig_moments_blocks(x, w, K, chunk)
-
-
 def _series_phasors(spec: SignalSpec) -> np.ndarray:
     """Complex coefficients a_k, k < K, of f(z) = Re sum_k a_k exp(i k z).
 
@@ -534,34 +436,22 @@ def _series_phasors(spec: SignalSpec) -> np.ndarray:
     return a
 
 
-def synth_signal(spec: SignalSpec, x,
-                 tables: list[np.ndarray] | None = None):
+def synth_signal(spec: SignalSpec, x):
     """Evaluate the partial sum of ``spec`` at x (scalar or array).
 
     The shift is applied inside the (periodic) basis argument, so any real
     x is accepted. The sum is Re sum_k a_k exp(i k z) with the coefficients
-    of :func:`_series_phasors`, K = j_max // 2 + 1, by :func:`_trig_sum`:
-    few points go by the block factorization k = p B + q in chunks of
-    ``SUM_CHUNK`` points (O(n K) time, O(SUM_CHUNK sqrt(K) + K) memory),
-    many by FFTs on an oversampled grid with a Taylor correction
-    (O(R (n + K log K)) time, R about 20, O(n + K) memory). Neither forms
-    a point-by-frequency block. ``tables``, from :func:`_signal_tables`,
-    spares the grid route its FFTs.
+    of :func:`_series_phasors`, K = j_max // 2 + 1, by :func:`_trig_sum`
+    from the spec's :attr:`~SignalSpec.grid_tables`: FFTs on an
+    oversampled grid with a Taylor correction of R terms (about 20). The
+    first call on a spec builds the tables, O(R K log K) time and R N
+    doubles (N the power of two >= 2 K); every call is then O(R n) time
+    and O(n) memory, with no point-by-frequency block.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     z = _wrap(x_arr - spec.shift)
-    out = _trig_sum(z, _series_phasors(spec), tables)
+    out = _trig_sum(z, spec.grid_tables)
     return out if np.asarray(x).shape else float(out[0])
-
-
-def _signal_tables(spec: SignalSpec, n: int) -> list[np.ndarray] | None:
-    """The grid tables of :func:`synth_signal` for ``spec`` at n points,
-    for every draw of n points to share; None when n points take the
-    block route. Each sum then costs O(R n), bit-identical to one that
-    builds its own tables."""
-    a = _series_phasors(spec)
-    return (list(_grid_tables(a)) if _grid_route(n, a.size, SUM_CHUNK)
-            else None)
 
 
 def _midpoint_signal(spec: SignalSpec, N: int) -> np.ndarray:
@@ -572,16 +462,14 @@ def _midpoint_signal(spec: SignalSpec, N: int) -> np.ndarray:
     Re sum_k b_k w^(k i) with b_k = a_k exp(i k theta): fold b_k into
     k mod N (w^N = 1) and take one inverse FFT, O(K + N log N) time and
     O(K + N) memory for any N, shift and K. The phases exp(i k theta) come
-    from :func:`_phase_blocks` at the one point theta, about 2 eps per
-    factor, not from exp(i k theta) taken directly.
+    from :func:`_phases`, about 2 eps per factor, not from exp(i k theta)
+    taken directly.
     """
     a = _series_phasors(spec)
     K = a.size
     theta = _wrap(np.array([0.5 * DOMAIN_HI / N - spec.shift]))
-    B, P = _block_shape(K)
-    _, E_p, E_q = next(_phase_blocks(theta, B, P, 1))
     folded = np.zeros(-(-K // N) * N, dtype=complex)
-    folded[:K] = a * np.outer(E_p[0], E_q[0]).ravel()[:K]
+    folded[:K] = a * _phases(theta, K)
     return N * np.fft.ifft(folded.reshape(-1, N).sum(axis=0)).real
 
 

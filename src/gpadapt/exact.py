@@ -33,8 +33,8 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from . import _linalg
-from .basis import (BASIS, SeriesPrior, Truncated, _check_domain, _trig_sum,
-                    _wrap)
+from .basis import (BASIS, SeriesPrior, Truncated, _check_domain, _grid_tables,
+                    _trig_sum, _wrap)
 from .errors import ConditioningError, _caller_level
 
 __all__ = [
@@ -161,8 +161,9 @@ def kernel_diag(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
 
         k(x, x) = sum_j s_j^2 + sum_k (s_2k^2 - s_2k+1^2) cos(2 k x),
 
-    evaluated at z = 2x by the block trigonometric sum: O(n sqrt(J)) time
-    and no n x J feature block.
+    evaluated at z = 2x by the grid trigonometric sum
+    (:func:`~gpadapt.basis._trig_sum`): O(R (J log J + n)) time, R about
+    20, and no n x J feature block.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if isinstance(kernel, SquaredExponential):
@@ -174,7 +175,7 @@ def kernel_diag(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
     c[0] = s2.sum()
     c[1:] = s2[1::2]
     c[1:(J + 1) // 2] -= s2[2::2]
-    return _trig_sum(_wrap(2.0 * points), c)
+    return _trig_sum(_wrap(2.0 * points), _grid_tables(c))
 
 
 @dataclass

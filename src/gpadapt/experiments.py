@@ -27,7 +27,6 @@ from .basis import (
     SeriesPrior,
     SignalSpec,
     _midpoint_signal,
-    _signal_tables,
     bench_signal,
     synth_signal,
 )
@@ -240,14 +239,11 @@ def simulate_poly(n: int, seed: int, sigma_sq: float = DEFAULT_NOISE_SQ
     return _draw(_BENCH_SPEC, n, seed, sigma_sq), _BENCH_SPEC
 
 
-def _draw(spec: SignalSpec, n: int, seed: int, sigma_sq: float,
-          tables: list[np.ndarray] | None = None) -> Dataset:
-    """Uniform design on the basis domain, signal ``spec`` plus noise;
-    ``tables`` are the signal's grid tables at n points
-    (``basis._signal_tables``), shared by draws of one size."""
+def _draw(spec: SignalSpec, n: int, seed: int, sigma_sq: float) -> Dataset:
+    """Uniform design on the basis domain, signal ``spec`` plus noise."""
     rng = default_rng(seed)
     x = rng.uniform(DOMAIN_LO, DOMAIN_HI, size=n)
-    y = (synth_signal(spec, x, tables=tables)
+    y = (synth_signal(spec, x)
          + rng.normal(0.0, math.sqrt(sigma_sq), size=n))
     return Dataset(x=x, y=y, sigma_sq=sigma_sq)
 
@@ -639,36 +635,33 @@ def _smooth_signal(beta: float) -> SignalSpec:
                       j_max=SIGNAL_J_MAX)
 
 
-def _contraction_size(family: str, beta_true: float, n: int,
+def _contraction_size(family: str, spec: SignalSpec, n: int,
                       seeds: Sequence[int], sigma_sq: float
                       ) -> Iterator[tuple[SelectionReport, float]]:
-    """Every replicate at sample size ``n``: simulate and adaptively fit.
+    """Every replicate at sample size ``n``: draw from ``spec`` and
+    adaptively fit.
 
     Yields, per seed in order, the selection and its L2 error to the
     truth, read off the fit's coefficients (:func:`_coefficient_error`),
-    one replicate at a time. The draws share the signal's
-    grid tables, built once for the size. ``dim`` keeps only each draw's
+    one replicate at a time. ``dim`` keeps only each draw's
     design statistics and fits all replicates' levels in one pruning
     lockstep ascent (``meanfield._mf_fit_replicates``): a level whose
     evidence bound cannot beat its replicate's best bound stops early and
     scores -inf, so every replicate keeps the level an unpruned sweep
     keeps. The other families fit one draw after another.
     """
-    spec = _smooth_signal(beta_true)
     coeffs = spec.coeff_array()
     config = ExperimentConfig(experiment="contraction", n=n, prior=family,
                               sigma_sq=sigma_sq)
-    tables = _signal_tables(spec, n)
     if family != "dim":
         for seed in seeds:
-            sel, _ = _select(config, _draw(spec, n, seed, sigma_sq, tables))
+            sel, _ = _select(config, _draw(spec, n, seed, sigma_sq))
             yield sel, _coefficient_error(sel.posterior.mu, coeffs)
         return
     grid = _build_grid(config, n)
     top = max(grid.sizes)
-    draws = (_draw(spec, n, seed, sigma_sq, tables) for seed in seeds)
+    draws = (_draw(spec, n, seed, sigma_sq) for seed in seeds)
     stats = [feature_stats(d.x, d.y, top, top) for d in draws]
-    del tables
     for fits in _mf_fit_replicates(stats, grid.sizes, sigma_sq, prune=True):
         sel = select_discrete(grid, _dim_fitter(fits))
         yield sel, _coefficient_error(sel.posterior.mu, coeffs)
@@ -684,7 +677,8 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
     slope is the least-squares fit of log mean-error against log n, and
     its standard error comes from the spread of per-replicate slopes.
     Sample sizes run one after another in this process, each fitting all
-    its replicates together (for ``dim``, in one lockstep ascent).
+    its replicates together (for ``dim``, in one lockstep ascent). Every
+    draw reads one signal spec, so its grid tables are built once.
     """
     n_list = tuple(int(n) for n in n_list)
     if len(n_list) < 3:
@@ -701,6 +695,7 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
         raise ValueError("sigma_sq must be positive and finite, "
                          f"got {sigma_sq}")
 
+    spec = _smooth_signal(beta_true)
     shape = (replicates, len(n_list))
     errors, chosen = np.empty(shape), np.empty(shape)
     at_grid_edge = np.empty(shape, dtype=bool)
@@ -708,7 +703,7 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
         # replicate r draws its data at the i-th size from seed + 1000 r + i
         seeds = [seed + 1000 * r + i for r in range(replicates)]
         for r, (sel, error) in enumerate(
-                _contraction_size(family, beta_true, n, seeds, sigma_sq)):
+                _contraction_size(family, spec, n, seeds, sigma_sq)):
             errors[r, i], chosen[r, i] = error, sel.chosen
             at_grid_edge[r, i] = _at_grid_edge(sel, sel.chosen)
     mean_errors = errors.mean(axis=0)

@@ -147,7 +147,7 @@ def _population_model(prior: SeriesPrior, m: int, J: int, tail_mode: str
     J-term series, plus the dropped-tail mean on its variance and on
     coinciding points under ``tail_mode="mean"``. The J-term variance is
     the cosine series of :func:`~gpadapt.exact.kernel_diag`, in
-    O(len(xs) sqrt(J)), with no len(xs) x J feature block.
+    O(R (J log J + len(xs))), with no len(xs) x J feature block.
     """
     if tail_mode not in ("mean", "truncate"):
         raise ValueError("tail_mode must be 'mean' or 'truncate'")
@@ -187,12 +187,6 @@ def population_features(prior: SeriesPrior, m: int,
                              tail_mode)
 
 
-#: design rows per block when the trigonometric moments behind
-#: :class:`FeatureStats` go by blocks; memory then stays
-#: O(STATS_CHUNK sqrt(J) + m^2)
-STATS_CHUNK = 128
-
-
 @dataclass(frozen=True)
 class FeatureStats:
     """Sums over the design of the first J basis features, for one dataset.
@@ -228,9 +222,9 @@ def feature_stats(x: np.ndarray, y: np.ndarray, J: int, m: int
     up to order m/2 (both from one call of :func:`basis._trig_moments`):
     colsumsq is n +- Re M_2k, the Gram block is a Toeplitz term in
     M_|j-k| plus a Hankel term in M_j+k, and Phi'y reads off Y. No n x J
-    feature block is formed. Peak memory is O(STATS_CHUNK sqrt(J) + m^2)
-    when the moments go by blocks of ``STATS_CHUNK`` rows (few points), and
-    O(n + J + m^2) when they go on the FFT grid (many points).
+    feature block is formed. The moments go on an FFT grid of at least
+    2 J points, in O(R (J log J + n)) time with R about 20, and peak
+    memory is O(n + J + m^2).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -241,8 +235,7 @@ def feature_stats(x: np.ndarray, y: np.ndarray, J: int, m: int
     _check_domain(x)
     n = x.size
     h = m // 2
-    M, Y = _trig_moments(x, np.stack([np.ones(n), y]), (J + 1, h + 1),
-                         STATS_CHUNK)
+    M, Y = _trig_moments(x, np.stack([np.ones(n), y]), (J + 1, h + 1))
     # phi_1 = 1, phi_2k = sqrt(2) cos(k x), phi_2k+1 = sqrt(2) sin(k x)
     colsumsq = np.full(J, float(n))
     waves = M.real[2:2 * (J // 2) + 1:2]

@@ -6,34 +6,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpadapt import basis
 from gpadapt.basis import (
     BASIS,
     ExpDecay,
     PolyDecay,
-    SUM_CHUNK,
     SeriesPrior,
     SignalSpec,
     Truncated,
     _hurwitz_zeta,
     _grid_plan,
-    _grid_route,
+    _grid_tables,
     _midpoint_signal,
     _series_phasors,
-    _signal_tables,
     _trig_moments,
-    _trig_moments_blocks,
-    _trig_moments_grid,
     _trig_sum,
-    _trig_sum_blocks,
-    _trig_sum_grid,
     bench_signal,
     sample_prior,
     sobolev_norm_sq,
     synth_signal,
 )
 from gpadapt.experiments import _smooth_signal
-from gpadapt.inducing import STATS_CHUNK
 
 
 class TestEvalBasis:
@@ -316,18 +308,15 @@ def _longhand_at(spec, z):
     return out
 
 
-#: both routes of the trigonometric kernel, forced; the block route over
-#: chunks of 16 points so that a few dozen points span several chunks
-SUM_ROUTES = {"blocks": lambda z, c: _trig_sum_blocks(z, c, 16),
-              "grid": _trig_sum_grid}
-MOMENT_ROUTES = {"blocks": lambda x, w, K: _trig_moments_blocks(x, w, K, 16),
-                 "grid": _trig_moments_grid}
+#: the trigonometric kernel on the FFT grid, from coefficients c
+SUM_ROUTES = {"grid": lambda z, c: _trig_sum(z, _grid_tables(c))}
+MOMENT_ROUTES = {"grid": _trig_moments}
 
 
 class TestBlockTrigKernel:
-    """synth_signal sums frequencies k = pB + q by blocks or on an FFT grid;
-    check both routes term by term at frequency counts K = j_max // 2 + 1
-    of every shape."""
+    """synth_signal sums its frequencies on an FFT grid with a Taylor
+    correction; check the sums and moments term by term at frequency
+    counts K = j_max // 2 + 1 of every shape."""
 
     POINTS = np.r_[-3.0, -1e-9, np.linspace(0.0, 2 * np.pi, 61),
                    2 * np.pi + 1e-9, 9.0, 20.0]
@@ -395,21 +384,17 @@ class TestBlockTrigKernel:
 
     @pytest.mark.parametrize("n", [3000, 9000])
     def test_shared_tables_sum_bit_identically(self, n):
-        # tables built once for n points serve every draw of n points,
-        # each value bit-equal to a sum that builds its own
+        # tables held by one spec serve every draw, each value bit-equal
+        # to a sum on a fresh spec that builds its own
         spec = _smooth_signal(1.0)
-        tables = _signal_tables(spec, n)
-        assert tables is not None
-        assert len(tables) == _grid_plan(spec.j_max // 2 + 1)[1]
+        synth_signal(spec, 1.0)
+        held = spec.grid_tables
+        assert len(held) == _grid_plan(spec.j_max // 2 + 1)[1]
         for seed in range(3):
             x = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=n)
             np.testing.assert_array_equal(
-                synth_signal(spec, x, tables=tables), synth_signal(spec, x))
-
-    def test_no_tables_where_points_take_the_block_route(self):
-        spec = _smooth_signal(1.0)
-        assert not _grid_route(500, spec.j_max // 2 + 1, SUM_CHUNK)
-        assert _signal_tables(spec, 500) is None
+                synth_signal(spec, x), synth_signal(_smooth_signal(1.0), x))
+        assert spec.grid_tables is held
 
     def test_grid_route_memory_is_linear_in_grid_and_points(self):
         # O(N + n): no points x sqrt(K) block, no Taylor term kept
@@ -417,9 +402,9 @@ class TestBlockTrigKernel:
         N, _ = _grid_plan(a.size)
         x = np.random.default_rng(4).uniform(0.0, 2 * np.pi, size=10_000)
         bound = 64 * (N + x.size)
-        for run in (lambda: _trig_sum_grid(x, a),
-                    lambda: _trig_moments_grid(x, np.ones((1, x.size)),
-                                               [a.size])):
+        for run in (lambda: _trig_sum(x, _grid_tables(a)),
+                    lambda: _trig_moments(x, np.ones((1, x.size)),
+                                          [a.size])):
             tracemalloc.start()
             try:
                 run()
@@ -430,19 +415,8 @@ class TestBlockTrigKernel:
 
 
 class TestRoute:
-    """Sums and moments go to the grid route when its operation count,
-    R (N log N + n), undercuts the block route's n K."""
-
-    @pytest.mark.parametrize("n, K, chunk, grid", [
-        (10_000, 5001, SUM_CHUNK, True),  # the benchmark's data draw
-        (10_000, 1001, STATS_CHUNK, True),  # its design moments
-        (8000, 1001, STATS_CHUNK, True),
-        (8000, 90, STATS_CHUNK, True),  # a dim replicate's moments
-        (512, 5001, SUM_CHUNK, False),  # the query truth
-        (500, 5001, SUM_CHUNK, False),  # the smallest contraction draw
-    ])
-    def test_pinned_shapes(self, n, K, chunk, grid):
-        assert _grid_route(n, K, chunk) is grid
+    """The grid of N points and R Taylor terms that the sums and moments
+    use for K frequencies."""
 
     @pytest.mark.parametrize("K", [1, 2, 3, 90, 1001, 4096, 5001])
     def test_plan(self, K):
@@ -452,23 +426,6 @@ class TestRoute:
         assert rho**R / math.factorial(R) < 2.0**-60
         assert rho**(R - 1) / math.factorial(R - 1) >= 2.0**-60
         assert R <= 25
-
-    @pytest.mark.parametrize("grid", [False, True])
-    def test_dispatch_follows_the_rule(self, monkeypatch, grid):
-        monkeypatch.setattr(basis, "_grid_route", lambda n, K, chunk: grid)
-        rng = np.random.default_rng(5)
-        x = rng.uniform(0.0, 2 * np.pi, size=300)
-        c = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        W = np.stack([np.ones(x.size), rng.standard_normal(x.size)])
-        if grid:
-            assert np.array_equal(_trig_sum(x, c), _trig_sum_grid(x, c))
-            want = _trig_moments_grid(x, W, (40, 7))
-        else:
-            assert np.array_equal(_trig_sum(x, c),
-                                  _trig_sum_blocks(x, c, SUM_CHUNK))
-            want = _trig_moments_blocks(x, W, (40, 7), 64)
-        for got, ref in zip(_trig_moments(x, W, (40, 7), 64), want):
-            assert np.array_equal(got, ref)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -494,23 +451,19 @@ def _longdouble_moments(x, w, K):
 
 
 class TestPhaseRecurrence:
-    """The block phases are powers of exp(i z) and exp(i B z), and the grid
-    route's are exact node phases times a Taylor series in the offset;
-    check both against term-by-term sums in long double at the same
-    float64 points."""
+    """The grid sum's phases are exact node phases times a Taylor series in
+    the offset; check the sums and moments against term-by-term sums in
+    long double at the same float64 points."""
 
-    @staticmethod
-    def _signal_error(route):
+    def test_grid_route_bench_signal_to_extended_precision(self):
         spec = bench_signal()
         x = np.random.default_rng(31).uniform(0.0, 2 * np.pi, size=300)
-        z = np.mod(x - spec.shift, 2 * np.pi)
-        got = SUM_ROUTES[route](z, _series_phasors(spec))
-        return np.max(np.abs(got.astype(np.longdouble)
-                             - _longdouble_signal(spec, x)))
+        got = synth_signal(spec, x)
+        err = np.max(np.abs(got.astype(np.longdouble)
+                            - _longdouble_signal(spec, x)))
+        assert err <= 1e-13, float(err)
 
-    @staticmethod
-    def _moment_errors(route):
-        """(route's error, direct exponentials' error) at n = 500, K = 3000."""
+    def test_grid_route_moments_no_worse_than_direct_exponentials(self):
         n, K = 500, 3000
         rng = np.random.default_rng(32)
         x = rng.uniform(0.0, 2 * np.pi, size=n)
@@ -522,35 +475,20 @@ class TestPhaseRecurrence:
             return max(np.max(np.abs(M.real.astype(np.longdouble) - ref_re)),
                        np.max(np.abs(M.imag.astype(np.longdouble) - ref_im)))
 
-        return err(MOMENT_ROUTES[route](x, w[None], [K])[0]), err(direct)
-
-    def test_bench_signal_to_extended_precision(self):
-        err = self._signal_error("blocks")
-        assert err <= 1e-13, float(err)
-
-    def test_grid_route_bench_signal_to_extended_precision(self):
-        err = self._signal_error("grid")
-        assert err <= 1e-13, float(err)
-
-    def test_moments_no_worse_than_direct_exponentials(self):
-        got, direct = self._moment_errors("blocks")
-        assert got <= direct, (float(got), float(direct))
-
-    def test_grid_route_moments_no_worse_than_direct_exponentials(self):
-        got, direct = self._moment_errors("grid")
-        assert got <= direct, (float(got), float(direct))
+        got = err(_trig_moments(x, w[None], [K])[0])
+        assert got <= err(direct), (float(got), float(err(direct)))
 
     @pytest.mark.parametrize("orders", [(1001, 51), (90, 45), (7, 7),
                                         (2, 300), (1, 1)])
     def test_stacked_weights_equal_separate_calls(self, orders):
-        # one phase pass at the largest order serves every row; a row of
-        # lower order reads its own leading blocks
+        # one grid pass at the largest order serves every row; a row of
+        # lower order reads its own leading moments
         rng = np.random.default_rng(33)
         x = rng.uniform(0.0, 2 * np.pi, size=700)
         W = np.stack([np.ones(x.size), rng.standard_normal(x.size)])
-        stacked = _trig_moments(x, W, orders, 256)
+        stacked = _trig_moments(x, W, orders)
         for got, w, K in zip(stacked, W, orders):
-            alone = _trig_moments(x, w, K, 256)
+            alone = _trig_moments(x, w[None], [K])[0]
             assert got.shape == alone.shape == (K,)
             tol = 64 * np.finfo(float).eps * np.sum(np.abs(w))
             assert np.max(np.abs(got - alone)) <= tol
@@ -562,7 +500,8 @@ def _midpoints(N):
 
 class TestMidpointSignal:
     """The signal on the midpoint grid by one inverse FFT agrees with the
-    block sum at the same float64 nodes and with long double."""
+    grid sum of synth_signal at the same float64 nodes and with long
+    double."""
 
     @pytest.mark.parametrize("spec, N", [
         (bench_signal(), 10_000),

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +15,8 @@ from gpadapt import _linalg, cli
 from gpadapt.cli import load_config_file, main
 from gpadapt.errors import ConditioningError
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _write_series_csv(path, n=30, seed=0):
@@ -235,6 +239,34 @@ class TestFitAndRunningCommands:
         partial = json.loads((out / "partial_report.json").read_text())
         assert partial["experiment"] == "absent"
         assert partial["failed"].startswith("FileNotFoundError")
+
+
+class TestBlasThreadCount:
+    """``fit`` artifacts are byte-stable at one BLAS thread count; across
+    counts the tuned length-scale moves by about 1e-7 relative, as the
+    search's argmax is defined only to about sqrt(eps)."""
+
+    @staticmethod
+    def _fit(tmp_path, threads):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpadapt", "fit", "--n", "1000", "--m",
+             "150", "--sigma2", "estimate", "--seed", "5", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads((out / "report.json").read_text())
+
+    def test_fit_agrees_at_one_and_two_threads(self, tmp_path):
+        one, two = self._fit(tmp_path, 1), self._fit(tmp_path, 2)
+        assert one["chosen"].keys() == two["chosen"].keys()
+        for key, value in one["chosen"].items():
+            assert two["chosen"][key] == pytest.approx(value, rel=1e-6,
+                                                       abs=0), key
+        for key in ("mean", "lo95", "hi95"):
+            a, b = np.asarray(one[key]), np.asarray(two[key])
+            assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(a)), key
 
 
 class TestRunLabel:

@@ -52,11 +52,6 @@ def _rel(a, b) -> float:
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
 
 
-def _force_route(monkeypatch, grid: bool) -> None:
-    """Send every trigonometric sum and moment to one route."""
-    monkeypatch.setattr(basis, "_grid_route", lambda n, K, chunk: grid)
-
-
 def _one_shot(x, y, J, m):
     Phi = BASIS.features(x, J)
     return ((Phi * Phi).sum(axis=0), Phi[:, :m].T @ Phi[:, :m],
@@ -64,17 +59,19 @@ def _one_shot(x, y, J, m):
 
 
 class TestFeatureStats:
-    def test_chunks_sum_to_one_shot_build(self, monkeypatch):
-        _force_route(monkeypatch, grid=False)
-        monkeypatch.setattr(inducing, "STATS_CHUNK", 300)
-        self._check_one_shot_build()
+    def test_chunks_sum_to_one_shot_build(self):
+        # the statistics are sums over the design: two chunks of the data,
+        # each on its own grid nodes, add up to the one-shot build
+        data, _ = simulate_poly(1000, seed=3)
+        J, m = 700, 40
+        parts = [feature_stats(data.x[rows], data.y[rows], J, m)
+                 for rows in (slice(0, 300), slice(300, None))]
+        colsumsq, gram, phi_y = _one_shot(data.x, data.y, J, m)
+        assert _rel(sum(p.colsumsq for p in parts), colsumsq) <= 1e-12
+        assert _rel(sum(p.gram for p in parts), gram) <= 1e-12
+        assert _rel(sum(p.phi_y for p in parts), phi_y) <= 1e-12
 
-    def test_grid_route_sums_to_one_shot_build(self, monkeypatch):
-        _force_route(monkeypatch, grid=True)
-        self._check_one_shot_build()
-
-    @staticmethod
-    def _check_one_shot_build():
+    def test_grid_route_sums_to_one_shot_build(self):
         data, _ = simulate_poly(1000, seed=3)
         J, m = 700, 40
         stats = feature_stats(data.x, data.y, J, m)
@@ -85,8 +82,7 @@ class TestFeatureStats:
         assert _rel(stats.phi_y, phi_y) <= 1e-12
         assert stats.yty == pytest.approx(float(data.y @ data.y), rel=1e-15)
 
-    def test_exp_sweep_memory_stays_below_the_feature_block(self,
-                                                            monkeypatch):
+    def test_exp_sweep_memory_stays_below_the_feature_block(self):
         # the exp grid's widest candidate: tau = e^-2, m = 428, J = 4280
         n = 2000
         grid = exp_grid(1.0, n)
@@ -96,33 +92,24 @@ class TestFeatureStats:
         m = max(ms)
         data, _ = simulate_poly(n, seed=11)
         block_bytes = n * J * 8
-        built = []
-        for grid in (False, True):
-            _force_route(monkeypatch, grid)
-            tracemalloc.start()
-            try:
-                built.append(feature_stats(data.x, data.y, J, m))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < block_bytes / 4, (grid, peak, block_bytes)
-        # on the block route, a chunk that does not divide n sums to the
-        # same statistics
-        _force_route(monkeypatch, grid=False)
-        monkeypatch.setattr(inducing, "STATS_CHUNK", 333)
-        built.append(feature_stats(data.x, data.y, J, m))
+        tracemalloc.start()
+        try:
+            got = feature_stats(data.x, data.y, J, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes / 4, (peak, block_bytes)
         colsumsq, gram, phi_y = _one_shot(data.x, data.y, J, m)
-        for got in built:
-            assert _rel(got.colsumsq, colsumsq) <= 1e-12
-            assert _rel(got.gram, gram) <= 1e-12
-            assert _rel(got.phi_y, phi_y) <= 1e-12
+        assert _rel(got.colsumsq, colsumsq) <= 1e-12
+        assert _rel(got.gram, gram) <= 1e-12
+        assert _rel(got.phi_y, phi_y) <= 1e-12
 
     @pytest.mark.parametrize("h", [0, 1, 7, 30])
     def test_gram_blocks_equal_scipy_toeplitz_and_hankel(self, h):
         import scipy.linalg
 
         x = np.random.default_rng(h).uniform(0.0, 2.0 * np.pi, 200)
-        M = _trig_moments(x, np.ones(x.size), 2 * h + 5, inducing.STATS_CHUNK)
+        M = _trig_moments(x, np.ones((1, x.size)), [2 * h + 5])[0]
         T, H = inducing._toeplitz_hankel(M, h)
         assert np.array_equal(T, scipy.linalg.toeplitz(M[:h + 1]))
         assert np.array_equal(H, scipy.linalg.hankel(M[:h + 1],
@@ -146,21 +133,23 @@ class TestMomentStatistics:
     ])
 
     @ORDERS
-    def test_equal_one_shot_build(self, monkeypatch, J, m):
-        _force_route(monkeypatch, grid=False)
-        monkeypatch.setattr(inducing, "STATS_CHUNK", 100)
-        self._check_one_shot_build(J, m)
+    def test_equal_one_shot_build(self, J, m):
+        # every point half a node step from the moments' grid, the widest
+        # offset that the Taylor correction covers
+        N, _ = basis._grid_plan(J + 1)
+        rng = np.random.default_rng(J + 1000 * m)
+        x = (rng.integers(0, N, size=517) + 0.5) * (2 * np.pi / N)
+        self._check_one_shot_build(J, m, x, rng)
 
     @ORDERS
-    def test_grid_route_equals_one_shot_build(self, monkeypatch, J, m):
-        _force_route(monkeypatch, grid=True)
-        self._check_one_shot_build(J, m)
-
-    @staticmethod
-    def _check_one_shot_build(J, m):
+    def test_grid_route_equals_one_shot_build(self, J, m):
         rng = np.random.default_rng(J + 1000 * m)
         x = rng.uniform(0.0, 2 * np.pi, size=517)
         x[:2] = 0.0, 2 * np.pi
+        self._check_one_shot_build(J, m, x, rng)
+
+    @staticmethod
+    def _check_one_shot_build(J, m, x, rng):
         y = rng.normal(size=x.size)
         stats = feature_stats(x, y, J, m)
         refs = [_one_shot(x, y, J, m)]

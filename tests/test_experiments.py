@@ -453,27 +453,48 @@ class TestCoefficientError:
         assert _coefficient_error(mu[:2], c) == math.sqrt(0.25 + 0.0625)
 
 
-class TestRouteInvariance:
-    """The trigonometric kernel's two routes agree to rounding. The noise
-    search (``xatol`` 1e-7 in log sigma^2) can move sigma^2 by about 1e-7
-    relative on statistics that move by 1e-17, so sigma^2 is held to
-    1e-6 and the rest to rounding."""
+class TestSignalTables:
+    """Each signal spec builds its grid tables once, on first use, and every
+    sum of its series reads them."""
 
-    @pytest.mark.parametrize("seed", [1, 5])
-    def test_block_route_run_matches_default(self, monkeypatch, seed):
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record K of every table set the package builds for a signal."""
         import gpadapt.basis as basis
 
-        cfg = ExperimentConfig(experiment="unit", n=10_000, seed=seed,
-                               out_dir=None)
-        default = run_experiment(cfg)
-        monkeypatch.setattr(basis, "_grid_route", lambda n, K, chunk: False)
-        blocks = run_experiment(cfg)
-        assert blocks.chosen["alpha"] == default.chosen["alpha"]
-        assert blocks.chosen["m"] == default.chosen["m"]
-        assert blocks.chosen["sigma_sq"] == pytest.approx(
-            default.chosen["sigma_sq"], rel=1e-6, abs=0)
-        assert blocks.l2_error == pytest.approx(default.l2_error, rel=0,
-                                                abs=1e-9)
+        built, grid_tables = [], basis._grid_tables
+
+        def spy(c):
+            built.append(c.size)
+            return grid_tables(c)
+
+        monkeypatch.setattr(basis, "_grid_tables", spy)
+        return built
+
+    def test_one_run_builds_one_set_for_draw_and_truth(self, monkeypatch):
+        import gpadapt.basis as basis
+
+        spec = experiments_module._BENCH_SPEC
+        monkeypatch.delitem(vars(spec), "grid_tables", raising=False)
+        built = self._spy(monkeypatch)
+        sums, trig_sum = [], basis._trig_sum
+
+        def spy_sum(z, tables):
+            sums.append((z.size, tables))
+            return trig_sum(z, tables)
+
+        monkeypatch.setattr(basis, "_trig_sum", spy_sum)
+        rep = run_experiment(ExperimentConfig(experiment="unit", n=700,
+                                              seed=5, out_dir=None))
+        assert built == [spec.j_max // 2 + 1]
+        # the data draw and the query truth read the one set
+        assert sorted(n for n, t in sums if t is spec.grid_tables) == \
+            sorted([700, rep.query.size])
+
+    def test_one_contraction_study_builds_one_set(self, monkeypatch):
+        built = self._spy(monkeypatch)
+        contraction_study("poly", 1.0, (200, 400, 800), 5, seed=2)
+        assert built == [_smooth_signal(1.0).j_max // 2 + 1]
 
 
 class TestGridRows:
