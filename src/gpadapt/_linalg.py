@@ -8,8 +8,7 @@ noise variance costs O(m) after one eigendecomposition.
 :func:`pivoted_cholesky` factors a kernel of low numerical rank from its
 columns alone. :func:`brent_bounded` is the one bounded 1-D search of the
 package; :func:`brent_from_points` is the same search started from points
-already evaluated. scipy serves only :func:`chol_solve`, which the n x n
-kernel-form references call, and is imported there.
+already evaluated. :func:`chol_solve` serves the reference solves only.
 """
 
 from __future__ import annotations
@@ -105,10 +104,13 @@ def pivoted_cholesky(column: Callable[[int], np.ndarray], diag: np.ndarray,
 
 
 def chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) z = b`` given the lower factor ``L``."""
-    import scipy.linalg  # the n x n references only; commands never get here
+    """Solve ``(L L^T) z = b`` given the lower factor ``L``.
 
-    return scipy.linalg.cho_solve((L, True), b)
+    Two ``np.linalg.solve`` calls, one per triangle: numpy has no
+    triangular solver, so each costs an O(n^3) LU. Only the n x n kernel
+    references and :func:`~gpadapt.meanfield.mf_kl_exact` call it.
+    """
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def logdet_from_chol(L: np.ndarray) -> float:

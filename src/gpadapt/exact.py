@@ -311,17 +311,27 @@ def _collapsed_profile(lam: np.ndarray, p: np.ndarray, yty: float,
     return value
 
 
+def _series_factor(kernel: SeriesKernel, x: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Scales s of the J-term series and its exact factor Phi_J S at x.
+
+    The n x J factor L = Phi_J diag(s) from the direct basis features
+    gives the kernel matrix as L L', in O(n J) time and memory.
+    """
+    J = kernel.j_eff
+    s = kernel.prior.spectrum(np.arange(1, J + 1))
+    return s, BASIS.features(x, J) * s
+
+
 def _series_terms(kernel: SeriesKernel, x: np.ndarray, y: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scales s of the J-term series and its whitened G and W y at (x, y).
 
-    W = (Phi_J S)' from the direct basis features, so G = (Phi S)'(Phi S)
+    W = (Phi_J S)' from :func:`_series_factor`, so G = (Phi S)'(Phi S)
     and W y = (Phi S)'y; O(J^2 n) time and an n x J block.
     """
-    J = kernel.j_eff
-    s = kernel.prior.spectrum(np.arange(1, J + 1))
-    W = BASIS.features(x, J) * s
-    return s, W.T @ W, W.T @ y
+    s, L = _series_factor(kernel, x)
+    return s, L.T @ L, L.T @ y
 
 
 def _weight_space(kernel: KernelSpec, data: Dataset) -> bool:

@@ -30,7 +30,7 @@ from .basis import (
     bench_signal,
     synth_signal,
 )
-from .exact import Dataset, SeriesKernel, kernel_matrix, lse_weights
+from .exact import Dataset, SeriesKernel, _series_factor, lse_weights
 from .inducing import (
     _EigenFactor,
     _warn_dropped,
@@ -321,12 +321,12 @@ def _profile_noise(profile) -> tuple[float, float, dict]:
 def _dim_fitter(fits: dict):
     """Fitter of a ``dim`` grid whose levels are all fitted already
     (``fits``, keyed by level, which is the grid value): it looks a grid
-    value's fit up, and scores a level that a pruning ascent dropped
-    (None) as -inf, which selection never keeps."""
+    value's fit up, with its last bound, and skips (None) a level that a
+    pruning ascent dropped, so selection builds no record for it."""
 
     def fitter(lam):
         q = fits[int(lam)]
-        return q, -math.inf if q is None else float(q.elbo_path[-1])
+        return None if q is None else (q, float(q.elbo_path[-1]))
 
     return fitter
 
@@ -342,7 +342,11 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
     to the largest feature count and cutoff for population features. Each
     candidate then reads only their leading blocks. Every ``dim`` level is
     fitted here too, in one lockstep ascent without pruning, and the
-    fitter looks it up.
+    fitter looks it up. A sample-feature candidate takes the exact factor
+    L = Phi_J S of its J-term series kernel, J = max(2000, 4 m), with
+    tr K = ||L||_F^2, to :meth:`~gpadapt.inducing._EigenFactor.from_factor`,
+    which solves the smaller of the J x J and n x n eigenproblems; no
+    kernel matrix is formed when J <= n.
     """
     if config.prior == "dim":
         top = max(grid.sizes)
@@ -370,8 +374,8 @@ def _make_fitter(config: ExperimentConfig, grid, data: Dataset):
             m = sizes[lam]
             kern = SeriesKernel(_series_prior(config, lam),
                                 j_max=max(SIGNAL_J_MAX, 4 * m))
-            fac = _EigenFactor.from_kernel(kernel_matrix(kern, data.x),
-                                           data.y, m)
+            _, L = _series_factor(kern, data.x)
+            fac = _EigenFactor.from_factor(L, data.y, m, float(np.vdot(L, L)))
             _warn_dropped(fac.dropped)
             return (fac.profile(1.0),
                     lambda s2: fac.fit(s2, 1.0, kern, data.x),
@@ -637,18 +641,19 @@ def _smooth_signal(beta: float) -> SignalSpec:
 
 def _contraction_size(family: str, spec: SignalSpec, n: int,
                       seeds: Sequence[int], sigma_sq: float
-                      ) -> Iterator[tuple[SelectionReport, float]]:
+                      ) -> Iterator[tuple[float, bool, float]]:
     """Every replicate at sample size ``n``: draw from ``spec`` and
     adaptively fit.
 
-    Yields, per seed in order, the selection and its L2 error to the
-    truth, read off the fit's coefficients (:func:`_coefficient_error`),
-    one replicate at a time. ``dim`` keeps only each draw's
-    design statistics and fits all replicates' levels in one pruning
-    lockstep ascent (``meanfield._mf_fit_replicates``): a level whose
-    evidence bound cannot beat its replicate's best bound stops early and
-    scores -inf, so every replicate keeps the level an unpruned sweep
-    keeps. The other families fit one draw after another.
+    Yields, per seed in order, the chosen grid value, whether it is a grid
+    edge, and the fit's L2 error to the truth, read off its coefficients
+    (:func:`_coefficient_error`), one replicate at a time. ``dim`` keeps
+    only each draw's design statistics and fits all replicates' levels in
+    one pruning lockstep ascent (``meanfield._mf_fit_replicates``): a level
+    whose evidence bound cannot beat its replicate's best bound stops
+    early and is skipped, with no selection record, so every replicate
+    keeps the level an unpruned sweep keeps. The other families fit one draw
+    after another.
     """
     coeffs = spec.coeff_array()
     config = ExperimentConfig(experiment="contraction", n=n, prior=family,
@@ -656,15 +661,18 @@ def _contraction_size(family: str, spec: SignalSpec, n: int,
     if family != "dim":
         for seed in seeds:
             sel, _ = _select(config, _draw(spec, n, seed, sigma_sq))
-            yield sel, _coefficient_error(sel.posterior.mu, coeffs)
+            yield (sel.chosen, _at_grid_edge(sel, sel.chosen),
+                   _coefficient_error(sel.posterior.mu, coeffs))
         return
     grid = _build_grid(config, n)
     top = max(grid.sizes)
     draws = (_draw(spec, n, seed, sigma_sq) for seed in seeds)
     stats = [feature_stats(d.x, d.y, top, top) for d in draws]
+    edges = (grid.values[0], grid.values[-1])
     for fits in _mf_fit_replicates(stats, grid.sizes, sigma_sq, prune=True):
         sel = select_discrete(grid, _dim_fitter(fits))
-        yield sel, _coefficient_error(sel.posterior.mu, coeffs)
+        yield (sel.chosen, sel.chosen in edges,
+               _coefficient_error(sel.posterior.mu, coeffs))
 
 
 def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
@@ -702,10 +710,9 @@ def contraction_study(family: str, beta_true: float, n_list: Sequence[int],
     for i, n in enumerate(n_list):
         # replicate r draws its data at the i-th size from seed + 1000 r + i
         seeds = [seed + 1000 * r + i for r in range(replicates)]
-        for r, (sel, error) in enumerate(
+        for r, (lam, edge, error) in enumerate(
                 _contraction_size(family, spec, n, seeds, sigma_sq)):
-            errors[r, i], chosen[r, i] = error, sel.chosen
-            at_grid_edge[r, i] = _at_grid_edge(sel, sel.chosen)
+            errors[r, i], chosen[r, i], at_grid_edge[r, i] = error, lam, edge
     mean_errors = errors.mean(axis=0)
     log_n = np.log(np.asarray(n_list, dtype=float))
     slope = float(np.polyfit(log_n, np.log(mean_errors), 1)[0])

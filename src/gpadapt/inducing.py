@@ -39,10 +39,11 @@ matrix products), they let every candidate be scored and fitted in
 O(m^3 + J) (:func:`population_candidate`).
 Sample features have G = diag(eigenvalues), so the bound and q(u) of
 every nu K read off one eigendecomposition of K (:class:`_EigenFactor`),
-which the tuner and the sample-feature sweep both score and fit from. The
-sweep builds it from the n x n matrix K; the tuner from a pivoted
-Cholesky factor K ~ L L' with L of size n x r, through the r x r
-eigenproblem of L'L.
+which the tuner and the sample-feature sweep both score and fit from.
+Both build it from a factor K ~ L L' with L of size n x r, through the
+smaller of the Grams L'L and L L': the tuner from a pivoted Cholesky
+factor (r <= n), the sweep from the exact factor Phi_J S of a J-term
+series kernel (J basis features scaled by their prior scales).
 """
 
 from __future__ import annotations
@@ -272,7 +273,11 @@ def _kept(vals: np.ndarray, n: int) -> np.ndarray:
 
 def _top_eigenpairs(K_ff: np.ndarray, m: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-m eigenpairs, descending, less those at or below n eps lam_max."""
+    """Top-m eigenpairs, descending, less those at or below n eps lam_max.
+
+    One full symmetric eigendecomposition (numpy's ``eigh``), of which the
+    top m pairs are kept: O(n^3) at any m.
+    """
     K_ff = np.asarray(K_ff, dtype=float)
     n = K_ff.shape[0]
     if K_ff.shape != (n, n):
@@ -282,18 +287,8 @@ def _top_eigenpairs(K_ff: np.ndarray, m: int
         raise ValueError("kernel matrix must be symmetric")
     if not 1 <= m <= n:
         raise ValueError("m must lie in 1..n")
-    K_sym = 0.5 * (K_ff + K_ff.T)
-    if 8 * m >= n:
-        # with m a large share of n the full divide-and-conquer solve
-        # (syevd) is faster than the subset one (n = 300, m = 150: 11 ms
-        # against 29 ms)
-        vals, vecs = np.linalg.eigh(K_sym)
-        vals, vecs = vals[n - m:], vecs[:, n - m:]
-    else:
-        import scipy.linalg  # the subset solver; numpy has none
-
-        vals, vecs = scipy.linalg.eigh(K_sym, subset_by_index=[n - m, n - 1])
-    vals, vecs = vals[::-1], vecs[:, ::-1]  # eigh's order is ascending
+    vals, vecs = np.linalg.eigh(0.5 * (K_ff + K_ff.T))
+    vals, vecs = vals[n - m:][::-1], vecs[:, n - m:][:, ::-1]  # descending
     keep = _kept(vals, n)
     return vals[keep], vecs[:, keep]
 
@@ -371,12 +366,13 @@ class _EigenFactor:
 
     ``lam`` are the eigenvalues of K that :func:`sample_features` keeps and
     ``vectors()`` forms their eigenvectors V; ``p = V'y``,
-    ``gap = tr K - sum lam``; ``dropped`` counts the m requested less those
-    kept, and ``rank`` is the rank of the matrix the eigenpairs come from:
-    r for a factor L L' (at most n), n for K itself. nu K has
-    G = nu diag(lam) and W y = sqrt(nu lam) p, so its bound costs O(m) and
-    its q(u) one weight solve, with no further eigendecomposition; only
-    q(u) reads V.
+    ``gap = tr K - sum lam``. ``rank`` is the rank of the matrix the
+    eigenpairs come from, min(n, r) for a factor L L' with r columns, and
+    ``dropped`` counts the eigenvalues the drop rule discards among the
+    min(m, rank) that matrix offers; a factor of rank below m shows in
+    ``rank``, not in ``dropped``. nu K has G = nu diag(lam) and
+    W y = sqrt(nu lam) p, so its bound costs O(m) and its q(u) one weight
+    solve, with no further eigendecomposition; only q(u) reads V.
     """
 
     lam: np.ndarray
@@ -396,31 +392,29 @@ class _EigenFactor:
         yty = float(y @ y)
         return cls(lam=lam, vectors=vectors, p=p, yty=yty,
                    rest=yty - float(p @ p), gap=trace - float(np.sum(lam)),
-                   n=y.size, dropped=m - lam.size, rank=rank)
-
-    @classmethod
-    def from_kernel(cls, K: np.ndarray, y: np.ndarray, m: int
-                    ) -> "_EigenFactor":
-        """From the n x n matrix K: one n x n eigendecomposition."""
-        lam, V = _top_eigenpairs(K, m)
-        return cls._build(lam, lambda: V, V.T @ y, y, m, float(np.trace(K)),
-                          y.size)
+                   n=y.size, dropped=min(m, rank) - lam.size, rank=rank)
 
     @classmethod
     def from_factor(cls, L: np.ndarray, y: np.ndarray, m: int, trace: float
                     ) -> "_EigenFactor":
-        """From a low-rank factor K ~ L L' (L of size n x r) and tr K.
+        """From a factor K ~ L L' (L of size n x r) and tr K, through the
+        smaller of the two Grams.
 
-        The eigenpairs of the r x r matrix L'L = Q diag(lam) Q' give those of
-        L L': lam and V = L Q diag(lam)^(-1/2). The top min(m, r) go through
-        the drop rule of :func:`sample_features`, with its n; the trace of K
-        the factor misses lands in ``gap``. p = diag(lam)^(-1/2) Q'(L'y)
-        needs no V: O(r^2 n + r^3). The factor keeps L, and ``vectors()``
-        forms V from it in O(m r n) more.
+        For r <= n, the eigenpairs of the r x r matrix L'L = Q diag(lam) Q'
+        give those of L L': lam and V = L Q diag(lam)^(-1/2), and
+        p = diag(lam)^(-1/2) Q'(L'y) needs no V: O(r^2 n + r^3). The factor
+        keeps L, and ``vectors()`` forms V from it in O(m r n) more. For
+        r > n, the n x n matrix L L' goes to :func:`_top_eigenpairs`:
+        O(n^2 r + n^3). Either way the top min(m, r) eigenvalues go through
+        the drop rule of :func:`sample_features`, with its n, and the trace
+        of K the factor misses lands in ``gap``.
         """
         n, r = L.shape
         if not 1 <= m <= n:
             raise ValueError("m must lie in 1..n")
+        if r > n:
+            vals, V = _top_eigenpairs(L @ L.T, m)
+            return cls._build(vals, lambda: V, V.T @ y, y, m, trace, n)
         vals, Q = np.linalg.eigh(L.T @ L)
         vals, Q = vals[::-1][:m], Q[:, ::-1][:, :m]  # descending
         keep = _kept(vals, n)

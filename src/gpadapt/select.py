@@ -179,9 +179,10 @@ def select_discrete(grid: HyperGrid,
                     fitter: Callable[[float], tuple]) -> SelectionReport:
     """Fit every grid value and keep the best mass-weighted bound.
 
-    ``fitter(lam)`` must return ``(fit, collapsed_bound)``. Conditioning
-    failures exclude that value with the error recorded; ties resolve to
-    the smaller lambda. Raises once every value has failed.
+    ``fitter(lam)`` must return ``(fit, collapsed_bound)``, or None to
+    skip that value with no record. Conditioning failures exclude that
+    value with the error recorded; ties resolve to the smaller lambda.
+    Raises when every value failed or was skipped.
     """
     records: list[SelectionRecord] = []
     best = None  # (score, lam, fit)
@@ -189,13 +190,16 @@ def select_discrete(grid: HyperGrid,
         log_mass = float(np.log(mass))
         t0 = time.perf_counter()
         try:
-            fit, bound = fitter(lam)
+            result = fitter(lam)
         except _FAIL as exc:
             records.append(SelectionRecord(
                 lam=float(lam), log_mass=log_mass,
                 wall_time=time.perf_counter() - t0,
                 error=f"{type(exc).__name__}: {exc}"))
             continue
+        if result is None:
+            continue
+        fit, bound = result
         score = bound + log_mass
         model = getattr(fit, "model", None)
         m = int(model.m) if model is not None else size
@@ -462,10 +466,20 @@ def tune_continuous(data: Dataset, m: int, init: float | None,
     (``iterations``), the taus factorized (``evaluations``, the starts
     included) and how many failed, whether the tau search met its tolerance,
     the names of unpinned coordinates ending at a bound (``pinned``), the
-    eigenvalues dropped at the chosen tau (``dropped_eigenvalues``), the
-    rank of that tau's pivoted Cholesky factor (``factor_rank``, at most n)
-    and how the tau search ended (``tau_stop``: ``"step"``, ``"bracket"``,
-    ``"maxiter"``, or None for a pinned tau).
+    eigenvalues the drop rule discards at the chosen tau among the
+    min(m, rank) its factor offers (``dropped_eigenvalues``), the rank of
+    that tau's pivoted Cholesky factor (``factor_rank``, at most n; a rank
+    below m is not counted as dropped) and how the tau search ended
+    (``tau_stop``: ``"step"``, ``"bracket"``, ``"maxiter"``, or None for a
+    pinned tau).
+
+    The posterior's mean is k(x, X) V diag(lam)^{-1} mu, which drops the
+    part of k(x, X) beyond the pivoted factor's numerical rank. Inside the
+    design span [min x, max x] that part is negligible: on draws of
+    n = 60-200 the evidence tune's mean agreed with
+    :func:`~gpadapt.exact.exact_posterior` to 1.3e-9 or better
+    (norm-relative). One length unit past either end it agreed only to
+    7e-9-9e-8. ``fit`` queries the design span alone.
     """
     rank = _rank(objective, m, data.n)
     lo = np.asarray([b[0] for b in bounds], dtype=float)

@@ -533,14 +533,13 @@ class TestRunContinuous:
         # the scan's taus are the search's first probes: every factor
         # built is an evaluation, none is built twice
         calls = []
-        for name in ("from_kernel", "from_factor"):
-            real = getattr(_EigenFactor, name)
+        real = _EigenFactor.from_factor
 
-            def counted(cls, *args, real=real, **kwargs):
-                calls.append(real)
-                return real(*args, **kwargs)
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(_EigenFactor, name, classmethod(counted))
+        monkeypatch.setattr(_EigenFactor, "from_factor", classmethod(counted))
         cfg = ExperimentConfig(experiment="unit", n=150, seed=3, m=12,
                                query_points=16)
         rep = run_continuous(cfg)
@@ -670,6 +669,32 @@ class TestContraction:
         np.testing.assert_allclose(rep.errors, ref.errors, rtol=1e-8)
         assert rep.slope == pytest.approx(ref.slope, rel=1e-8)
         assert 0 < 2 * steps <= ref_steps, (steps, ref_steps)
+
+    def test_pruned_levels_get_no_record(self, monkeypatch):
+        # each replicate's selection records exactly the levels its
+        # pruning ascent kept, and chooses among them
+        import gpadapt.meanfield as mf
+
+        kept, records = [], []
+        ascent, select = mf._mf_fit_replicates, experiments_module.select_discrete
+
+        def ascent_spy(*args, **kwargs):
+            for fits in ascent(*args, **kwargs):
+                kept.append([lam for lam, q in fits.items() if q is not None])
+                yield fits
+
+        def select_spy(grid, fitter):
+            sel = select(grid, fitter)
+            records.append([int(rec.lam) for rec in sel.records])
+            return sel
+
+        monkeypatch.setattr(experiments_module, "_mf_fit_replicates",
+                            ascent_spy)
+        monkeypatch.setattr(experiments_module, "select_discrete", select_spy)
+        contraction_study("dim", 1.0, (500, 2000, 8000), 5, seed=5)
+        assert records == kept
+        assert sum(map(len, records)) < sum(
+            math.isqrt(n) for n in (500, 2000, 8000)) * 5
 
     def test_select_dim_fits_every_level_unpruned(self, monkeypatch):
         import gpadapt.meanfield as mf

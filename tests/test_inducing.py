@@ -1,5 +1,7 @@
 """Tests for the inducing-variable variational approximation."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -48,6 +50,15 @@ def _se_factor_case(n, span, tau, seed=3):
         lambda i: np.exp(-np.square(xs - xs[i])), np.ones(n),
         n * n * np.finfo(float).eps)
     return x, y, K, L.T
+
+
+def _kernel_bound(K, m, x, y, sigma):
+    """The collapsed bound of the top-m eigenpairs of the kernel matrix K
+    itself: the n x n reference route."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = sample_features(K, m, x)
+    return elbo_lambda(model, Dataset(x, y, sigma * sigma))
 
 
 def _random_series_instance(seed, n_max=40, flavor="population"):
@@ -283,8 +294,10 @@ class TestSampleFeatures:
 
 
 class TestSampleFeatureSolver:
-    """The full divide-and-conquer eigh of numpy (8 m >= n) and the subset
-    eigh of scipy (8 m < n) give the same top-m eigenpairs."""
+    """numpy's one full eigh gives the top-m eigenpairs of scipy's subset
+    eigh, the reference. ``full`` marks the cases with m at least n/8, where
+    the package once took the full solve and below which it took the
+    subset one; the cases cover both sides of that share."""
 
     @staticmethod
     def _spd(n, seed):
@@ -292,34 +305,17 @@ class TestSampleFeatureSolver:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         return (Q * np.geomspace(10.0, 1e-3, n)) @ Q.T
 
-    @staticmethod
-    def _spy(monkeypatch):
-        """Record each solve: True for numpy's full eigh, False for scipy's
-        subset eigh, which is also returned unwrapped as the reference."""
-        eigh = scipy.linalg.eigh
-        full = []
-
-        def spy(solver, is_full):
-            def call(*args, **kwargs):
-                full.append(is_full)
-                return solver(*args, **kwargs)
-            return call
-
-        monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, True))
-        monkeypatch.setattr(scipy.linalg, "eigh", spy(eigh, False))
-        return eigh, full
-
     @pytest.mark.parametrize("n,m,full", [
         (300, 150, True), (160, 20, True), (161, 20, False),
         (300, 20, False), (30, 30, True),
     ])
-    def test_matches_subset_solve(self, monkeypatch, n, m, full):
+    def test_matches_subset_solve(self, n, m, full):
+        assert (8 * m >= n) == full
         K = self._spd(n, n + m)
         x = np.arange(float(n))
-        eigh, calls = self._spy(monkeypatch)
         model = sample_features(K, m, x)
-        assert calls == [full]
-        vals, vecs = eigh(0.5 * (K + K.T), subset_by_index=[n - m, n - 1])
+        vals, vecs = scipy.linalg.eigh(0.5 * (K + K.T),
+                                       subset_by_index=[n - m, n - 1])
         assert model.m == m
         np.testing.assert_allclose(model.kuu_diag, vals[::-1], rtol=0,
                                    atol=1e-10)
@@ -327,14 +323,12 @@ class TestSampleFeatureSolver:
         np.testing.assert_allclose(V @ V.T, vecs @ vecs.T, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n,full", [(40, True), (200, False)])
-    def test_rank_deficit_warning_on_both_solvers(self, monkeypatch, n,
-                                                  full):
+    def test_rank_deficit_warning_on_both_solvers(self, n, full):
+        assert (8 * 10 >= n) == full
         G = np.random.default_rng(n).standard_normal((n, 3))
-        _, calls = self._spy(monkeypatch)
         with pytest.warns(RuntimeWarning,
                           match="dropping 7 non-positive eigenvalues"):
             model = sample_features(G @ G.T, 10, np.arange(float(n)))
-        assert calls == [full]
         assert model.m == 3
         assert model.features(np.arange(float(n))).shape == (n, 3)
 
@@ -479,13 +473,24 @@ class TestReferenceRoutesOnEveryBuilder:
         model, profile, fit = population_candidate(
             prior, feature_stats(x, data.y, feature_cutoff(prior, m), m), m)
         self._check(data, model, profile, fit(data.sigma_sq))
+        # a tall pivoted factor of an SE kernel (r < n) and the wide exact
+        # factor of a 200-term series kernel (r > n)
         nu, tau = 1.7, 0.8
-        fac = _EigenFactor.from_kernel(
-            kernel_matrix(SquaredExponential(1.0, tau), x), data.y, 12)
-        q = fac.fit(data.sigma_sq, nu, SquaredExponential(nu, tau), x)
-        self._check(data, q.model, fac.profile(nu), q)
-        assert fac.bound(0.3, nu) == pytest.approx(elbo_lambda(q.model, data),
-                                                   rel=1e-10)
+        xs = x / tau
+        tall, _ = _linalg.pivoted_cholesky(
+            lambda i: np.exp(-np.square(xs - xs[i])), np.ones(x.size),
+            x.size ** 2 * np.finfo(float).eps)
+        series = SeriesKernel(prior, j_max=200)
+        _, wide = exact_mod._series_factor(series, x)
+        for L, trace, kern, scale in (
+                (tall.T, float(x.size), SquaredExponential(nu, tau), nu),
+                (wide, float(np.vdot(wide, wide)), series, 1.0)):
+            fac = _EigenFactor.from_factor(L, data.y, 12, trace)
+            assert (L.shape[1] > x.size) == (kern is series)
+            q = fac.fit(data.sigma_sq, scale, kern, x)
+            self._check(data, q.model, fac.profile(scale), q)
+            assert fac.bound(0.3, scale) == pytest.approx(
+                elbo_lambda(q.model, data), rel=1e-10)
 
 
 class TestElbo:
@@ -740,17 +745,18 @@ class TestFromFactor:
         x, y, K, L = _se_factor_case(150, 15.0, 0.8)
         m = 30
         low = _EigenFactor.from_factor(L, y, m, float(x.size))
-        full = _EigenFactor.from_kernel(K, y, m)
-        assert low.rank == L.shape[1] > m and full.rank == x.size
-        assert low.dropped == full.dropped == 0
+        assert low.rank == L.shape[1] > m
+        assert low.dropped == 0
         for sigma, nu in ((0.5, 1.0), (1.0, 2.0), (0.2, 0.5)):
             assert low.bound(sigma, nu) == pytest.approx(
-                full.bound(sigma, nu), rel=1e-10)
+                _kernel_bound(nu * K, m, x, y, sigma), rel=1e-10)
         nu, s2 = 2.0, 0.8
         kern = SquaredExponential(nu, 0.8)
+        full = sample_features(nu * K, m, x, kernel=kern)
+        assert full.m == m
         query = np.linspace(-1.0, 16.0, 101)
         got = predict(low.fit(s2, nu, kern, x), query)
-        want = predict(full.fit(s2, nu, kern, x), query)
+        want = predict(titsias_fit(full, Dataset(x, y, s2)), query)
         for a, b in ((got.mean, want.mean), (got.var, want.var)):
             np.testing.assert_allclose(a, b, rtol=1e-8,
                                        atol=1e-8 * np.max(np.abs(b)))
@@ -759,8 +765,8 @@ class TestFromFactor:
     def test_fit_is_the_identity_eigen_form_bit_for_bit(self, m):
         # the whitened Gram of nu K is diag(nu lam): the elementwise fit
         # equals the weight posterior taken through Q = I
-        x, y, K, _ = _se_factor_case(150, 15.0, 0.8)
-        fac = _EigenFactor.from_kernel(K, y, m)
+        x, y, _, L = _se_factor_case(150, 15.0, 0.8)
+        fac = _EigenFactor.from_factor(L, y, m, float(x.size))
         nu, s2 = 1.7, 0.3
         q = fac.fit(s2, nu, SquaredExponential(nu, 0.8), x)
         g = nu * fac.lam
@@ -783,18 +789,20 @@ class TestFromFactor:
                                    atol=1e-8)
 
     def test_above_rank_drops_as_kernel_route(self):
+        # the n x n route drops every eigenvalue past the numerical rank;
+        # the factor offers only its rank, 19, and the drop rule keeps all
         x, y, K, L = _se_factor_case(150, 15.0, 4.0)
         m = 40
         low = _EigenFactor.from_factor(L, y, m, float(x.size))
         with pytest.warns(RuntimeWarning, match="dropping"):
             model = sample_features(K, m, x)
-        full = _EigenFactor.from_kernel(K, y, m)
-        assert low.rank < m
-        assert low.dropped == full.dropped == m - model.m > 0
-        assert low.lam.size == full.lam.size
+        assert low.rank == L.shape[1] < m
+        assert low.dropped == 0 and low.lam.size == low.rank
+        assert (m - low.rank) + low.dropped == m - model.m > 0
+        assert low.lam.size == model.m
         for sigma, nu in ((0.5, 1.0), (1.0, 2.0)):
             assert low.bound(sigma, nu) == pytest.approx(
-                full.bound(sigma, nu), rel=1e-10)
+                _kernel_bound(nu * K, m, x, y, sigma), rel=1e-10)
 
     def test_all_features_give_log_evidence(self):
         x, y, _, L = _se_factor_case(90, 9.0, 0.6)

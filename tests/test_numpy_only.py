@@ -1,15 +1,14 @@
-"""The command-line paths and both tuner objectives run on numpy alone: no
+"""Every command form and the n x n references run on numpy alone: no
 scipy module is loaded.
 
-Importing scipy costs more start-up time than the benchmark commands spend
-on their work, so ``gpadapt.cli`` and the ``select``, ``fit`` and
-``contraction`` paths must not import it; the kernel tuner behind ``fit``
-factors every length-scale by pivoted Cholesky, at any m. The evidence
-objective is the same bound at m = n, scored and reported from the same
-factor, so its tune and posterior need no scipy either. scipy stays a
-dependency for the n x n kernel-form references and the subset eigensolver
-of sample features only. Each check runs in a fresh interpreter, since
-this test process has scipy loaded.
+The package declares numpy as its one run-time dependency; scipy is a
+test extra, the reference for ported routines only. Importing scipy costs
+more start-up time than the benchmark commands spend on their work, so
+no path may reach it: ``simulate``, ``select`` for each prior and both
+feature classes, ``fit``, ``contraction`` and ``report``, the tuner under
+both objectives, the n x n kernel-form references and the eigen-factor
+through either of its Grams. Each check runs in a fresh interpreter,
+since this test process has scipy loaded.
 """
 
 import json
@@ -65,6 +64,22 @@ def test_commands_load_no_scipy(tmp_path):
         ["contraction", "--prior", "dim", "--beta", "1.0",
          "--n-list", "100,200,400", "--replicates", "5", "--seed", "3",
          "--out", str(tmp_path / "contraction")],
+        ["contraction", "--prior", "poly", "--beta", "1.0",
+         "--n-list", "100,200,400", "--replicates", "5", "--seed", "3",
+         "--out", str(tmp_path / "contraction-poly")],
+        ["simulate", "--n", "200", "--seed", "3",
+         "--out", str(tmp_path / "simulate")],
+        ["select", "--n", "500", "--seed", "3", "--prior", "exp",
+         "--out", str(tmp_path / "select-exp")],
+        ["select", "--n", "500", "--seed", "3", "--prior", "dim",
+         "--sigma2", "0.1", "--out", str(tmp_path / "select-dim")],
+        # J = 2000 series terms against the n = 200 simulated rows: the
+        # n x n Gram of the wide factor, solved by numpy's eigh
+        ["select", "--data", str(tmp_path / "simulate" / "data.csv"),
+         "--features", "sample", "--sigma2", "0.05",
+         "--out", str(tmp_path / "select-sample")],
+        ["report", "--input", str(tmp_path / "select" / "report.json"),
+         "--out", str(tmp_path / "report")],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE.format(src=str(SRC), argvs=argvs)],
@@ -72,7 +87,7 @@ def test_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["after_import"] == []
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * len(argvs)
     assert result["after_runs"] == []
 
 
@@ -80,7 +95,10 @@ _EVIDENCE_PROBE = """
 import json, sys
 sys.path.insert(0, {src!r})
 import numpy as np
-from gpadapt.exact import Dataset
+from gpadapt.exact import (Dataset, SquaredExponential, exact_posterior,
+                           log_evidence)
+from gpadapt.inducing import _EigenFactor, feature_stats
+from gpadapt.meanfield import mf_fit, mf_kl_exact
 from gpadapt.select import coarse_init, tune_continuous
 
 rng = np.random.default_rng(7)
@@ -92,14 +110,29 @@ data = Dataset(x, y, 1.0)
 bounds = [(0.05, 20.0), (0.05, 200.0), (0.02, 10.0)]
 tau0 = coarse_init(data, 40, bounds, "elbo")
 rep = tune_continuous(data, 40, tau0, bounds, "evidence", 60)
-post = rep.posterior(np.linspace(0.0, 12.0, 50))
-print(json.dumps({{"finite": bool(np.all(np.isfinite(post.var))),
+values = [rep.posterior(np.linspace(0.0, 12.0, 50)).var]
+# the n x n references
+kern = SquaredExponential(2.0, 0.5)
+values.append(exact_posterior(kern, data, np.linspace(0.0, 12.0, 9)).var)
+values.append(log_evidence(kern, data))
+xs = x * (2.0 * np.pi / 12.0)
+stats = feature_stats(xs, y, 7, 7)
+values.append(mf_kl_exact(mf_fit(stats, 1.0), stats, 1.0))
+# the eigen-factor through L'L (tall, r < n) and through L L' (wide, r > n)
+for r in (30, 200):
+    L = rng.standard_normal((x.size, r))
+    values.append(_EigenFactor.from_factor(L, y, 20, float(np.vdot(L, L)))
+                  .bound(1.0, 1.0))
+print(json.dumps({{"finite": all(bool(np.all(np.isfinite(v)))
+                                 for v in values),
                    "scipy": sorted(m for m in sys.modules
                                    if m.split(".")[0] == "scipy")}}))
 """
 
 
 def test_evidence_tune_loads_no_scipy():
+    # the tuner under the evidence objective, the n x n references and
+    # the eigen-factor's two Grams
     proc = subprocess.run(
         [sys.executable, "-c", _EVIDENCE_PROBE.format(src=str(SRC))],
         capture_output=True, text=True, timeout=300)

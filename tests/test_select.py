@@ -166,6 +166,18 @@ class TestSelectDiscrete:
         for rec in report.records:
             assert rec.elbo == rec.elbo_lambda + rec.log_mass
 
+    def test_skipped_values_leave_no_record(self):
+        # a fitter's None skips its value: no record, never chosen
+        grid = _stub_grid([1.0, 2.0, 3.0], [0.2, 0.5, 0.3])
+        table = {1.0: 9.0, 2.0: None, 3.0: 4.0}
+        report = select_discrete(
+            grid, lambda lam: None if table[lam] is None
+            else (("fit", lam), table[lam]))
+        assert [rec.lam for rec in report.records] == [1.0, 3.0]
+        assert report.chosen == 1.0
+        with pytest.raises(ConditioningError):
+            select_discrete(grid, lambda lam: None)
+
     def test_tie_goes_to_smaller(self):
         grid = _stub_grid([1.0, 2.0, 3.0], [1 / 3] * 3)
         report = select_discrete(grid,
@@ -509,12 +521,10 @@ class TestPerTauFactor:
         data = _se_dataset(21, n=90, span=9.0)
         calls = _count_factorizations(monkeypatch)
         fac = select_module._factor(data, 25, tau)
-        assert calls == ["from_factor"]
-        full = _EigenFactor.from_kernel(
-            kernel_matrix(SquaredExponential(1.0, tau), data.x), data.y, 25)
+        assert calls == [(data.n, fac.rank)]
         for sigma, nu, _ in _random_triples(4, 3):
             assert fac.bound(sigma, nu) == pytest.approx(
-                full.bound(sigma, nu), rel=1e-10)
+                _standard_bound(data, 25, sigma, nu, tau), rel=1e-10)
 
     def test_memory_grows_with_the_rank(self):
         # a long design at a low rank: the factor's rows, not n x n
@@ -545,17 +555,16 @@ class TestPerTauFactor:
                            bounds=TUNE_BOUNDS[:2] + [(0.7, 0.7)]) == 0.7
 
 
-def _count_factorizations(monkeypatch) -> list[str]:
-    """Record every factorization made, by either constructor's name."""
+def _count_factorizations(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shape of every factor made."""
     calls = []
-    for name in ("from_kernel", "from_factor"):
-        real = getattr(_EigenFactor, name)
+    real = _EigenFactor.from_factor
 
-        def counted(cls, *args, real=real, name=name, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+    def counted(cls, L, *args, **kwargs):
+        calls.append(L.shape)
+        return real(L, *args, **kwargs)
 
-        monkeypatch.setattr(_EigenFactor, name, classmethod(counted))
+    monkeypatch.setattr(_EigenFactor, "from_factor", classmethod(counted))
     return calls
 
 
@@ -592,7 +601,7 @@ class TestTunerFactorizations:
         assert 1 < len(factorizations) <= maxiter + 2
         assert rep.diagnostics["evaluations"] == len(factorizations)
         assert rep.diagnostics["iterations"] <= maxiter
-        assert factorizations.count("from_kernel") == 0
+        assert all(r <= n == data.n for n, r in factorizations)
 
     def test_scan_taus_are_the_first_probes(self, factorizations):
         # each lattice tau is factorized once, as a probe of the search,
@@ -670,7 +679,7 @@ class TestTunerFactorizations:
         rep = tune_continuous(data, m=150, init=0.7,
                               bounds=TUNE_BOUNDS)
         assert rep.diagnostics["factor_rank"] < data.n
-        assert factorizations.count("from_kernel") == 0
+        assert all(r < n == data.n for n, r in factorizations)
         assert len(choleskies) == len(factorizations)
 
     def test_diagnostics_record_pins_and_drops(self):
@@ -681,9 +690,11 @@ class TestTunerFactorizations:
             rep = tune_continuous(
                 data, m=30, init=10.0,
                 bounds=[(0.3, 10.0), (2.0, 2.0), (10.0, 10.0)])
+        # the factor's rank, 13, falls 17 short of m; the drop rule then
+        # keeps every eigenvalue the factor offers
         assert rep.diagnostics["pinned"] == ["sigma"]
-        assert rep.diagnostics["dropped_eigenvalues"] == 30 - rep.records[0].m
-        assert rep.diagnostics["dropped_eigenvalues"] > 0
+        assert rep.diagnostics["factor_rank"] == rep.records[0].m == 13
+        assert rep.diagnostics["dropped_eigenvalues"] == 0
 
 
 class TestFactorFit:
@@ -694,7 +705,8 @@ class TestFactorFit:
 
     @pytest.mark.parametrize("case", ["drops", "keeps"])
     def test_predictions_match_titsias_fit(self, case):
-        # tau = 10 on a span of 20 drops 17 of 30 eigenvalues
+        # tau = 10 on a span of 20 leaves 13 of 30 eigenvalues: the n x n
+        # route drops 17, the factor's rank falls 17 short
         data, m, nu, tau, s2 = {
             "drops": (_dropping_dataset(), 30, 2.0, 10.0, 0.25),
             "keeps": (_se_dataset(21, n=90, span=9.0), 25, 1.5, 0.7, 0.64),
@@ -708,8 +720,10 @@ class TestFactorFit:
                 nu * kernel_matrix(SquaredExponential(1.0, tau), data.x), m,
                 kernel=kern, x=data.x)
         ref = titsias_fit(model, data.with_sigma_sq(s2))
-        assert q.model.m == model.m == m - fac.dropped
-        assert (fac.dropped > 0) == (case == "drops")
+        assert q.model.m == model.m == min(m, fac.rank) - fac.dropped
+        assert fac.dropped == 0
+        assert m - model.m == {"drops": 17, "keeps": 0}[case]
+        assert (fac.rank < m) == (case == "drops")
         query = np.linspace(data.x.min() - 1.0, data.x.max() + 1.0, 101)
         got, want = predict(q, query), predict(ref, query)
         for a, b in ((got.mean, want.mean), (got.var, want.var)):
